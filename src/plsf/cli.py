@@ -120,10 +120,9 @@ def cmd_gap(manifest_path: str, s: float, t: float, alphas, out: str | None) -> 
     table = gapmod.exponents(manifest["p"])
     est = gapmod.gap_estimate(records, s, t, alphas, table.gamma)
     failures = []
-    for row_group, alpha in zip(est.per_alpha, est.alphas):
-        for row in row_group:
+    for row_group, parts, alpha in zip(est.per_alpha, est.partitions, est.alphas):
+        for row, part in zip(row_group, parts):
             rec = next(r for r in records if r.N == row["N"])
-            part = gapmod.exceedance_partition(rec, s, t, alpha, table.gamma)
             budget = gapmod.energy_residual_over(rec, part)
             mismatch = abs(row["dissipation_form"] - row["jump_form"])
             if mismatch > budget + 1e-10 * max(1.0, abs(row["dissipation_form"])):
@@ -266,6 +265,21 @@ def _study_times(cfg: RunConfig) -> list[float]:
     return times
 
 
+def _study_workers(raw: str, n_jobs: int) -> int:
+    """Worker count for the study fan-out from the PLSF_THREADS value.
+
+    The process pool starts all its workers up front, so the request is
+    capped by the job count and the CPU count."""
+    message = f"PLSF_THREADS must be a positive integer, got {raw!r}"
+    try:
+        requested = int(raw)
+    except ValueError:
+        raise ConfigError([message]) from None
+    if requested < 1:
+        raise ConfigError([message])
+    return min(requested, n_jobs, os.cpu_count() or 1)
+
+
 def _run_study_member(args):
     solver_cfg, times = args
     return run_trajectory(solver_cfg, collect_states_at=times)
@@ -283,7 +297,7 @@ def cmd_converge(cfg: RunConfig, out: str | None) -> int:
         )
     times = _study_times(cfg)
     jobs = [(with_overrides(cfg, N=N, lambda_cut=None).solver, times) for N in n_list]
-    workers = int(os.environ.get("PLSF_THREADS", "1"))
+    workers = _study_workers(os.environ.get("PLSF_THREADS", "1"), len(jobs))
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import csv
 import io
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -388,22 +389,26 @@ class TrajectoryRecord:
     @classmethod
     def from_csv(cls, path, p: float = float("nan"), mu: float = float("nan"),
                  N: int = -1) -> "TrajectoryRecord":
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader)
+        with open(path) as fh:
+            header = next(csv.reader([fh.readline()]), [])
             base = list(CSV_COLUMNS)
             if header[: len(base)] != base:
                 raise ValueError(f"{path} does not follow the trajectory CSV contract")
             has_d2 = len(header) > len(base) and header[len(base)] == CSV_D2_COLUMN
-            rows = [[float(x) for x in row] for row in reader if row]
-        data = np.asarray(rows, dtype=np.float64)
+            with warnings.catch_warnings():
+                # a header-only file is reported below, not as a warning
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                data = np.loadtxt(fh, delimiter=",", dtype=np.float64, ndmin=2)
         if data.size == 0:
             raise ValueError(f"{path} holds no samples")
+        # one C-contiguous row per column: strided column views would make
+        # every np.interp on them copy the whole column
+        cols = np.ascontiguousarray(data.T)
         return cls(
             p=p, mu=mu, N=N,
-            times=data[:, 0], energy=data[:, 1], rho=data[:, 2],
-            rho_tilde=data[:, 3], grad_p_norm=data[:, 4], Ip=data[:, 5],
-            d2_p_norm=data[:, 6] if has_d2 else None,
+            times=cols[0], energy=cols[1], rho=cols[2],
+            rho_tilde=cols[3], grad_p_norm=cols[4], Ip=cols[5],
+            d2_p_norm=cols[6] if has_d2 else None,
         )
 
 

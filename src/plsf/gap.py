@@ -28,8 +28,8 @@ class ExponentTable:
     Two candidate beta formulas circulate, differing in one denominator
     term: beta = p(5p-9) / (2(-p^2+8p-9)) (the "statement" variant) and
     beta = p(5p-9) / (2(-p^2+8p-6)) (the "proof" variant).  Both are
-    evaluated, a numerical solve of the exponent-balance condition that
-    defines beta arbitrates, and `beta_variant` names the winner (the
+    evaluated, the closed-form root of the exponent-balance condition
+    that defines beta arbitrates, and `beta_variant` names the winner (the
     loser's deviation is in `beta_discrepancy`).
     """
 
@@ -65,30 +65,24 @@ def beta_proof_formula(p: float) -> float:
 
 
 def _beta_balance(p: float) -> float:
-    """Solve 1/delta + 1/delta' = 1 for beta by bisection.
+    """Solve 1/delta + 1/delta' = 1 for beta in closed form.
 
     With lam = 2(3-p)/(3p-5),
-        1/delta  = ((2-p)/p + (5p-6) lam / p^2) * beta / (1 - beta)
-        1/delta' = (lam / (1 - beta)) * 3 (2-p) / (2p),
-    the left side is increasing in beta on (0, 1), so bisection applies.
+        1/delta  = A * beta / (1 - beta),  A = (2-p)/p + (5p-6) lam / p^2,
+        1/delta' = B / (1 - beta),         B = 3 lam (2-p) / (2p),
+    the condition (A beta + B) / (1 - beta) = 1 is linear in beta, with
+    the root beta = (1 - B) / (1 + A).  NaN unless the left side increases
+    in beta (1 + A > 0) and the root lies in (1e-12, 1 - 1e-12).
     """
     lam = 2.0 * (3.0 - p) / (3.0 * p - 5.0)
     A = (2.0 - p) / p + (5.0 * p - 6.0) * lam / (p * p)
     B = 3.0 * lam * (2.0 - p) / (2.0 * p)
-
-    def balance(beta):
-        return (A * beta + B) / (1.0 - beta) - 1.0
-
-    lo, hi = 1e-12, 1.0 - 1e-12
-    if balance(lo) > 0 or balance(hi) < 0:
+    if 1.0 + A <= 0.0:
         return float("nan")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if balance(mid) <= 0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    beta = (1.0 - B) / (1.0 + A)
+    if not 1e-12 < beta < 1.0 - 1e-12:
+        return float("nan")
+    return beta
 
 
 def exponents(p: float, dim: int = 3) -> ExponentTable:
@@ -209,11 +203,11 @@ class ExceedancePartition:
     """The exceedance set {tau in [s, t] : rho^gamma(tau) > tan(alpha)}
     decomposed into ordered disjoint open intervals.
 
-    Interior endpoints sit on the threshold to the root-solve tolerance;
-    endpoints flagged truncated coincide with s or t instead.  The
-    `admissible` flag records whether rho^gamma stayed below the
-    threshold at both s and t (the admissibility precondition of the
-    gap construction)."""
+    Interior endpoints sit on the threshold exactly on the linear
+    interpolant; endpoints flagged truncated coincide with s or t
+    instead.  The `admissible` flag records whether rho^gamma stayed
+    below the threshold at both s and t (the admissibility precondition
+    of the gap construction)."""
 
     alpha: float
     gamma: float
@@ -231,25 +225,17 @@ class ExceedancePartition:
         return any(iv.start < tau < iv.end for iv in self.intervals)
 
 
-def _bisect_crossing(t0, y0, t1, y1, thr, iters: int = 64) -> float:
-    """Bisection for the threshold crossing of the linear segment; the
-    fixed iteration count puts the relative tolerance far below 1e-10."""
-    lo, hi = t0, t1
-    flo = y0 - thr
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        fmid = y0 + (y1 - y0) * (mid - t0) / (t1 - t0) - thr
-        if (flo <= 0) == (fmid <= 0):
-            lo, flo = mid, fmid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
 def exceedance_partition(
     record: TrajectoryRecord, s: float, t: float, alpha: float, gamma: float
 ) -> ExceedancePartition:
-    """Decompose {rho^gamma > tan(alpha)} within [s, t] into intervals."""
+    """Decompose {rho^gamma > tan(alpha)} within [s, t] into intervals.
+
+    Each sign change of rho^gamma - tan(alpha) between neighbouring
+    samples is one crossing, taken in closed form on the linear segment;
+    the crossings alternate up and down, so after adding s (when the set
+    is entered already at s) and t (when it is still open at t) they pair
+    off into intervals.
+    """
     if s >= t:
         raise ValueError(f"need s < t, got s={s}, t={t}")
     t0, t1 = record.span
@@ -268,27 +254,19 @@ def exceedance_partition(
                          [_interp(times, y_all, t)]])
 
     above = ys > thr
-    admissible = (not above[0]) and (not above[-1])
-    intervals = []
-    open_start = None
-    open_left_flag = False
-    if above[0]:
-        open_start, open_left_flag = s, True
-    for i in range(len(ts) - 1):
-        if above[i] != above[i + 1]:
-            tc = _bisect_crossing(ts[i], ys[i], ts[i + 1], ys[i + 1], thr)
-            if above[i + 1]:  # upward crossing
-                open_start, open_left_flag = tc, False
-            else:  # downward crossing closes the interval
-                intervals.append(
-                    ExceedanceInterval(open_start, tc, open_left_flag, False)
-                )
-                open_start = None
-    if open_start is not None:
-        intervals.append(ExceedanceInterval(open_start, t, open_left_flag, True))
+    left_open, right_open = bool(above[0]), bool(above[-1])
+    i = np.flatnonzero(above[:-1] != above[1:])
+    crossings = ts[i] + (thr - ys[i]) * (ts[i + 1] - ts[i]) / (ys[i + 1] - ys[i])
+    crossings = np.clip(crossings, ts[i], ts[i + 1])
+    edges = ([s] if left_open else []) + crossings.tolist() + ([t] if right_open else [])
+    n = len(edges) // 2
+    intervals = tuple(
+        ExceedanceInterval(a, b, left_open and k == 0, right_open and k == n - 1)
+        for k, (a, b) in enumerate(zip(edges[0::2], edges[1::2]))
+    )
     return ExceedancePartition(
         alpha=alpha, gamma=gamma, threshold=thr, s=s, t=t,
-        intervals=tuple(intervals), admissible=admissible,
+        intervals=intervals, admissible=not left_open and not right_open,
     )
 
 
@@ -385,6 +363,10 @@ class GapEstimate:
     plateau_found: bool = False
     measure_decay_ok: bool = True
     converged_endpoints: bool = True
+    # the partition behind each per_alpha row, for callers that need the
+    # intervals again; not part of the report schema
+    partitions: list[list[ExceedancePartition]] = field(
+        default_factory=list, repr=False)
 
 
 # Plateau criterion for the alpha -> pi/2 limit: successive limsups that
@@ -444,8 +426,10 @@ def gap_estimate(
     prev_measures = None
     for alpha in alphas:
         row = []
+        parts = []
         for rec in sorted(records, key=lambda r: r.N):
             part = exceedance_partition(rec, s, t, alpha, gamma)
+            parts.append(part)
             row.append(
                 {
                     "N": rec.N,
@@ -463,6 +447,7 @@ def gap_estimate(
                 est.measure_decay_ok = False
         prev_measures = measures
         est.per_alpha.append(row)
+        est.partitions.append(parts)
         est.limsup_dissipation.append(max(r["dissipation_form"] for r in row))
 
     est.M_estimate = est.limsup_dissipation[-1]

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from plsf.cli import main
+from plsf.cli import _study_workers, main
 from plsf.config import load_config, parse_config, serialize_config
 from plsf.errors import ConfigError
 from plsf.fields import load_checkpoint
@@ -385,3 +385,28 @@ def test_plsf_threads_worker_fanout_identical(tmp_path, monkeypatch):
     monkeypatch.setenv("PLSF_THREADS", "2")
     assert main(["converge", str(cfg_path), "--out", str(out_par)]) == 0
     assert out_seq.read_bytes() == out_par.read_bytes()
+
+
+def test_study_workers_clamped_to_jobs_and_cpus(monkeypatch):
+    monkeypatch.setattr("plsf.cli.os.cpu_count", lambda: 4)
+    assert _study_workers("1", 3) == 1
+    assert _study_workers("2", 3) == 2
+    assert _study_workers("64", 3) == 3
+    assert _study_workers("64", 8) == 4
+    assert _study_workers(" 3 ", 8) == 3
+    monkeypatch.setattr("plsf.cli.os.cpu_count", lambda: None)
+    assert _study_workers("64", 8) == 1
+
+
+@pytest.mark.parametrize("raw", ["0", "-2", "1.5", "two", ""])
+def test_study_workers_rejects_bad_values(raw):
+    with pytest.raises(ConfigError, match="PLSF_THREADS must be a positive integer"):
+        _study_workers(raw, 3)
+
+
+def test_cli_converge_bad_plsf_threads_exit_2(tmp_path, monkeypatch, capsys):
+    cfg_path = write_config(tmp_path, RESOLVED_CFG)
+    monkeypatch.setenv("PLSF_THREADS", "0")
+    assert main(["converge", str(cfg_path), "--out", str(tmp_path / "c.json")]) == 2
+    assert "PLSF_THREADS" in capsys.readouterr().err
+    assert not (tmp_path / "c.json").exists()

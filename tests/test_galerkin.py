@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -260,6 +262,33 @@ def test_csv_roundtrip(tmp_path):
     assert np.array_equal(back.times, rec.times)
     assert np.array_equal(back.energy, rec.energy)
     assert np.array_equal(back.rho_tilde, rec.rho_tilde)
+
+
+def test_csv_columns_contiguous_and_bytes_roundtrip(tmp_path):
+    rec = run_trajectory(small_config(record_d2=True, T=0.05, sample_dt=0.01))
+    path = tmp_path / "traj.csv"
+    rec.to_csv(path)
+    back = TrajectoryRecord.from_csv(path, p=rec.p, mu=rec.mu, N=rec.N)
+    columns = (back.times, back.energy, back.rho, back.rho_tilde,
+               back.grad_p_norm, back.Ip, back.d2_p_norm)
+    assert all(col.flags.c_contiguous for col in columns)
+    assert back.csv_bytes() == path.read_bytes() == rec.csv_bytes()
+
+
+def test_csv_header_only_raises_without_warning(tmp_path):
+    path = tmp_path / "empty.csv"
+    path.write_text("t,energy,rho,rho_tilde,grad_p_norm,Ip\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="holds no samples"):
+            TrajectoryRecord.from_csv(path)
+
+
+def test_csv_wrong_header_rejected(tmp_path):
+    path = tmp_path / "other.csv"
+    path.write_text("t,energy,rho,grad_p_norm,rho_tilde,Ip\n0.0,1.0,2.0,3.0,4.0,5.0\n")
+    with pytest.raises(ValueError, match="does not follow the trajectory CSV contract"):
+        TrajectoryRecord.from_csv(path)
 
 
 def test_functionals_match_public_operations(grid2d):

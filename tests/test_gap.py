@@ -7,6 +7,7 @@ from plsf.errors import InsufficientFamilyError
 from plsf.galerkin import SolverConfig, TrajectoryRecord, run_trajectory
 from plsf.gap import (
     PLATEAU_RTOL,
+    _beta_balance,
     beta_proof_formula,
     beta_statement_formula,
     dissipation_form,
@@ -89,6 +90,32 @@ def test_beta_balance_selects_exactly_one_variant(p):
     assert t.beta_statement == pytest.approx(beta_statement_formula(p), abs=1e-15)
     assert t.beta_proof == pytest.approx(beta_proof_formula(p), abs=1e-15)
     assert 0.0 < t.beta < 1.0
+
+
+@pytest.mark.parametrize("p", [1.7, 1.75, 1.8, 3.0, 10.0])
+def test_beta_balance_undefined_without_root_in_unit_interval(p):
+    t = exponents(p)
+    assert math.isnan(t.beta_balance)
+    assert t.beta_variant == "undefined"
+
+
+def test_beta_balance_flat_balance_is_undefined():
+    # at p = 4 + sqrt(7), 1 + A = 0: the balance does not depend on beta
+    assert math.isnan(_beta_balance(4.0 + math.sqrt(7.0)))
+
+
+def test_beta_balance_at_p2():
+    assert exponents(2.0).beta_balance == pytest.approx(1.0 / 3.0, abs=1e-15)
+
+
+@pytest.mark.parametrize("p", np.linspace(1.81, 1.99, 19))
+def test_beta_balance_solves_balance_condition(p):
+    lam = 2.0 * (3.0 - p) / (3.0 * p - 5.0)
+    inv_delta_coef = (2.0 - p) / p + (5.0 * p - 6.0) * lam / (p * p)
+    inv_delta_prime = 3.0 * lam * (2.0 - p) / (2.0 * p)
+    beta = exponents(p).beta_balance
+    lhs = (inv_delta_coef * beta + inv_delta_prime) / (1.0 - beta)
+    assert lhs == pytest.approx(1.0, abs=1e-14)
 
 
 # -- weight function --------------------------------------------------------------
@@ -241,6 +268,108 @@ def test_partition_brute_force_linear_solve_oracle():
         assert len(got) == len(expected)
         if got:
             assert max(abs(g - e) for g, e in zip(got, expected)) < 1e-9
+
+
+def partition_oracle(times, y, thr, s, t):
+    """Segment-by-segment walk over the piecewise-linear interpolant of y on
+    [s, t], with each crossing solved on its segment in closed form.
+    Returns ([(start, end, left_truncated, right_truncated)], admissible)."""
+    inside = [k for k in range(len(times)) if s < times[k] < t]
+    ts = [s] + [times[k] for k in inside] + [t]
+    ys = [np.interp(s, times, y)] + [y[k] for k in inside] + [np.interp(t, times, y)]
+    intervals = []
+    start, left = (s, True) if ys[0] > thr else (None, False)
+    for k in range(len(ts) - 1):
+        if (ys[k] > thr) == (ys[k + 1] > thr):
+            continue
+        x = ts[k] + (thr - ys[k]) * (ts[k + 1] - ts[k]) / (ys[k + 1] - ys[k])
+        x = min(max(x, ts[k]), ts[k + 1])
+        if ys[k + 1] > thr:
+            start, left = x, False
+        else:
+            intervals.append((start, x, left, False))
+            start = None
+    if start is not None:
+        intervals.append((start, t, left, True))
+    return intervals, not ys[0] > thr and not ys[-1] > thr
+
+
+def assert_matches_oracle(times, rho, alpha, s, t, gamma=1.0):
+    rec = synthetic_record(times, rho)
+    part = exceedance_partition(rec, s, t, alpha, gamma)
+    want, admissible = partition_oracle(rec.times, rec.rho**gamma, part.threshold, s, t)
+    got = [(iv.start, iv.end, iv.left_truncated, iv.right_truncated)
+           for iv in part.intervals]
+    assert got == want
+    assert part.admissible == admissible
+    return part
+
+
+ALPHA = 0.9
+THR = float(np.tan(ALPHA))  # with gamma = 1 a sample equal to THR sits on the threshold
+
+
+def test_partition_sample_exactly_on_threshold():
+    ts = np.linspace(0.0, 1.0, 6)
+    rho = np.array([0.5, 2.0, THR, 0.5, THR, 2.0 * THR])
+    part = assert_matches_oracle(ts, rho, ALPHA, 0.0, 1.0)
+    # the on-threshold sample ends the first interval; the second starts there
+    assert part.intervals[0].end == ts[2]
+    assert part.intervals[1].start == ts[4]
+    assert part.intervals[1].right_truncated and not part.admissible
+
+
+def test_partition_touch_without_crossing():
+    ts = np.linspace(0.0, 1.0, 5)
+    below = assert_matches_oracle(ts, np.array([0.5, 0.8, THR, 0.8, 0.5]), ALPHA, 0.0, 1.0)
+    assert below.intervals == () and below.admissible
+    above = assert_matches_oracle(ts, np.array([0.5, 2.0, THR, 2.0, 0.5]), ALPHA, 0.0, 1.0)
+    # touching from above splits the set at the touch point
+    assert len(above.intervals) == 2
+    assert above.intervals[0].end == above.intervals[1].start == ts[2]
+
+
+def test_partition_both_ends_above():
+    ts = np.linspace(0.0, 1.0, 101)
+    rho = THR + np.cos(2 * np.pi * ts)
+    part = assert_matches_oracle(ts, rho, ALPHA, 0.0, 1.0)
+    assert len(part.intervals) == 2
+    first, last = part.intervals
+    assert first.start == 0.0 and first.left_truncated and not first.right_truncated
+    assert last.end == 1.0 and last.right_truncated and not last.left_truncated
+    assert not part.admissible
+
+
+def test_partition_single_interval_truncated_both_sides():
+    ts = np.linspace(0.0, 1.0, 11)
+    rho = THR + 1.0 + 0.5 * np.sin(7 * ts)
+    part = assert_matches_oracle(ts, rho, ALPHA, 0.25, 0.75)
+    assert len(part.intervals) == 1
+    iv = part.intervals[0]
+    assert (iv.start, iv.end) == (0.25, 0.75)
+    assert iv.left_truncated and iv.right_truncated
+
+
+def test_partition_window_off_the_sample_grid():
+    ts = np.linspace(0.0, 1.0, 101)
+    rho = THR + 0.3 * np.sin(2 * np.pi * 3 * ts + 0.2)
+    for s, t in ((0.013, 0.987), (0.0, 0.5049), (0.3333, 1.0), (0.4101, 0.4199)):
+        assert_matches_oracle(ts, rho, ALPHA, s, t)
+
+
+def test_partition_random_quantized_traces_match_oracle():
+    # values on a coarse lattice that contains the threshold, so samples on
+    # the threshold, touches and flat runs all occur
+    rng = np.random.default_rng(3)
+    for _ in range(200):
+        n = int(rng.integers(2, 30))
+        ts = np.sort(rng.choice(np.arange(200), size=n, replace=False)) / 199.0
+        rho = THR * rng.integers(0, 5, size=n) / 2.0
+        s, t = sorted(rng.uniform(ts[0], ts[-1], size=2))
+        if rng.random() < 0.3:
+            s, t = ts[0], ts[-1]
+        if s < t:
+            assert_matches_oracle(ts, rho, ALPHA, float(s), float(t))
 
 
 def test_partition_monotone_inclusion_in_alpha():
