@@ -10,7 +10,7 @@ there and integrated with the uniform-grid rule.
 from __future__ import annotations
 
 import struct
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -153,6 +153,20 @@ def gradient(v: SpectralVelocity) -> TensorField:
     return v._gradient
 
 
+@cache
+def symmetric_components(dim: int):
+    """Storage of a symmetric dim x dim tensor as its upper triangle.
+
+    Returns (rows, cols, pos): the pairs (i, j), i <= j, in row order,
+    which ends with (dim-1, dim-1), and the (dim, dim) table giving each
+    entry's position in that list, so that `upper[pos]` is the full tensor.
+    """
+    rows, cols = np.triu_indices(dim)
+    pos = np.empty((dim, dim), dtype=np.intp)
+    pos[rows, cols] = pos[cols, rows] = np.arange(rows.size)
+    return rows, cols, pos
+
+
 def grad_sym_gradient_samples(v: SpectralVelocity) -> np.ndarray:
     """Samples of the strain-rate gradient, shape (d, d, d) + padded_shape.
 
@@ -160,12 +174,13 @@ def grad_sym_gradient_samples(v: SpectralVelocity) -> np.ndarray:
     dissipation functional.
     """
     g = v.grid
-    k = g.wavevectors
-    ghat = 1j * k[np.newaxis, :] * v.coeffs[:, np.newaxis]
-    dhat = 0.5 * (ghat + np.swapaxes(ghat, 0, 1))
-    ddhat = 1j * k[np.newaxis, np.newaxis, :] * dhat[:, :, np.newaxis]
-    # axes: (i, j, s) -> reorder to (s, i, j)
-    return np.moveaxis(g.to_physical(ddhat), 2, 0)
+    ik = 1j * g.wavevectors
+    rows, cols, pos = symmetric_components(g.dim)
+    ghat = ik[np.newaxis, :] * v.coeffs[:, np.newaxis]
+    dhat = 0.5 * (ghat[rows, cols] + ghat[cols, rows])  # D_ij for i <= j
+    upper = g.to_physical(ik[np.newaxis] * dhat[:, np.newaxis])  # (pair, s)
+    # D is symmetric, so the lower triangle is the mirror: (i, j, s) -> (s, i, j)
+    return np.moveaxis(upper[pos], 2, 0)
 
 
 def hessian_samples(v: SpectralVelocity) -> np.ndarray:

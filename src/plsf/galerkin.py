@@ -5,12 +5,16 @@ v = sum_r c_r(t) a^r, and the coefficients evolve by
 
     dc_r/dt = (div sigma(Dv) - conv(v), a^r),
 
-where conv is the skew-symmetric convection ((v.grad v) + div(v (x) v))/2.
-Forming both halves pointwise on the same oversampled grid makes the
-convection contribution to d/dt ||v||_2^2 vanish identically (exact
-antisymmetry of the discrete trilinear form), so the semi-discrete energy
-balance d/dt ||v||_2^2 + 2 rho_tilde = 0 is a machine-checkable identity
-rather than an approximation casualty.
+where conv is the convection term, projected from its band part.  On a
+dealiased grid (`TorusGrid.dealiased`: padded_M >= 3(M/2 - 1) + 1) the
+product v (x) v of two band fields is alias-free on the band, so the
+divergence form div(v (x) v) alone is used: its contribution to
+d/dt ||v||_2^2 is the exact integral of v . div(v (x) v) = 0 and vanishes
+at rounding level.  On a coarser grid aliasing breaks that, and conv is
+the skew-symmetric average ((v.grad v) + div(v (x) v))/2, whose discrete
+trilinear form is exactly antisymmetric whatever the aliasing.  Either
+way the semi-discrete energy balance d/dt ||v||_2^2 + 2 rho_tilde = 0 is
+a machine-checkable identity rather than an approximation casualty.
 
 Time integration is an embedded explicit Dormand-Prince 5(4) pair with a
 PI step controller; the 5th-order solution is propagated.
@@ -36,6 +40,7 @@ from .fields import (
     load_checkpoint,
     lp_norm,
     random_solenoidal,
+    symmetric_components,
     taylor_green,
 )
 from .grid import TorusGrid
@@ -67,40 +72,44 @@ def project_initial_data(v0: SpectralVelocity, basis: StokesBasis) -> GalerkinSt
 
 
 def _rhs_parts(basis: StokesBasis, params: FluidParams, c: np.ndarray):
-    """Stress and convection projections, each as a length-N vector."""
+    """Stress and convection projections, each as a length-N vector.
+
+    Only independent components are transformed: v and the upper triangle
+    of D without D_dd on the way in (tr D = 0 gives D_dd pointwise), the
+    same components of sigma and the upper triangle of v (x) v on the way
+    out.
+    """
     g = basis.grid
     d = g.dim
-    k = g.wavevectors
+    rows, cols, pos = symmetric_components(d)
+    n_ind = len(rows) - 1  # every pair but the last, (d-1, d-1)
+    diag = pos.diagonal()[:-1]
+    off = rows[:n_ind] != cols[:n_ind]
+    ik = 1j * g.wavevectors
     vhat = basis.synthesize_coeffs(c)
-    ghat = 1j * k[np.newaxis, :] * vhat[:, np.newaxis]
-    # one batched inverse transform for v and its gradient
-    phys = g.to_physical(
-        np.concatenate([vhat, ghat.reshape((d * d,) + g.shape)])
-    )
+    ghat = ik[np.newaxis, :] * vhat[:, np.newaxis]  # ghat[i, j] = d_j v_i
+    dhat = 0.5 * (ghat[rows[:n_ind], cols[:n_ind]] + ghat[cols[:n_ind], rows[:n_ind]])
+    phys = g.to_physical(np.concatenate([vhat, dhat]))
     V = phys[:d]
-    G = phys[d:].reshape((d, d) + g.padded_shape)  # G[i, j] = d_j v_i
-    D = 0.5 * (G + np.swapaxes(G, 0, 1))
-    dd_sq = np.sum(D**2, axis=(0, 1))
-    sigma = law._stress_factor(dd_sq, params)[np.newaxis, np.newaxis] * D
-    w1 = np.einsum("j...,ij...->i...", V, G)  # v . grad v, pointwise
-    zij = V[:, np.newaxis] * V[np.newaxis, :]  # v (x) v, pointwise
+    D = phys[d:]
+    D_dd = -np.sum(D[diag], axis=0)
+    dd_sq = np.sum(D**2, axis=0) + np.sum(D[off] ** 2, axis=0) + D_dd**2
+    sigma = law._stress_factor(dd_sq, params)[np.newaxis] * D
+    z = V[rows] * V[cols]  # upper triangle of v (x) v, pointwise
 
-    # one batched forward transform for sigma, v (x) v, and v . grad v
-    fwd = g.to_spectral(
-        np.concatenate(
-            [
-                sigma.reshape((d * d,) + g.padded_shape),
-                zij.reshape((d * d,) + g.padded_shape),
-                w1,
-            ]
-        )
-    )
-    sig_hat = fwd[: d * d].reshape((d, d) + g.shape)
-    z_hat = fwd[d * d : 2 * d * d].reshape((d, d) + g.shape)
-    w1_hat = fwd[2 * d * d :]
-    ik = 1j * k[np.newaxis, :]
-    div_sig = np.sum(ik * sig_hat, axis=1)
-    conv_hat = 0.5 * (w1_hat + np.sum(ik * z_hat, axis=1))
+    fwd = g.to_spectral(np.concatenate([sigma, z]))
+    sig_hat = fwd[:n_ind]
+    sig_hat = np.concatenate([sig_hat, -np.sum(sig_hat[diag], axis=0, keepdims=True)])
+    z_hat = fwd[n_ind:]
+    div_sig = np.sum(ik[np.newaxis] * sig_hat[pos], axis=1)
+    conv_hat = np.sum(ik[np.newaxis] * z_hat[pos], axis=1)
+    if not g.dealiased:
+        # v (x) v aliases into the band, so the divergence form alone is not
+        # energy-neutral; average it with the advective form v . grad v,
+        # whose discrete trilinear form cancels it exactly
+        G = g.to_physical(ghat)
+        w1 = np.einsum("j...,ij...->i...", V, G)
+        conv_hat = 0.5 * (g.to_spectral(w1) + conv_hat)
 
     return basis.project_coeffs(div_sig), basis.project_coeffs(conv_hat)
 
@@ -434,10 +443,11 @@ def run_trajectory(config: SolverConfig, collect_states_at=None):
         n_samples = int(np.floor(T / config.sample_dt + 1e-9))
         targets.update(k * config.sample_dt for k in range(1, n_samples + 1))
     collect = sorted(float(t) for t in collect_states_at) if collect_states_at else []
-    collect_set = set(collect)
     targets.update(collect)
     targets.add(T)
-    target_list = sorted(t for t in targets if 0.0 < t <= T)
+    snap = _snap_targets(sorted(t for t in targets if 0.0 < t <= T), T)
+    target_list = sorted(set(snap.values()))
+    collect_set = {snap.get(t, t) for t in collect}
 
     ctrl = StepController(rtol=config.rtol, atol=config.atol, dt_min=config.dt_min)
     rows = []
@@ -473,6 +483,28 @@ def run_trajectory(config: SolverConfig, collect_states_at=None):
         return record_obj
     ordered = [states[t] for t in sorted(states)]
     return record_obj, ordered
+
+
+def _snap_targets(times: list[float], T: float) -> dict[float, float]:
+    """Map sorted sample targets in (0, T] onto the times actually sampled.
+
+    Targets within 1e-9 * T of T become T, and a target within that
+    tolerance of the previous kept one becomes that one: floating-point
+    cadences such as k * 0.03 can land an ulp below T = 0.33, and two
+    samples that close would make one-sided differences meaningless.
+    """
+    tol = 1e-9 * T
+    snap = {}
+    kept = None
+    for t in times:
+        if T - t <= tol:
+            s = T
+        elif kept is not None and t - kept <= tol:
+            s = kept
+        else:
+            s = kept = t
+        snap[t] = s
+    return snap
 
 
 def _rows_to_record(config, params, N, rows, ctrl) -> TrajectoryRecord:

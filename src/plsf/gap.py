@@ -56,12 +56,18 @@ class ExponentTable:
         return self.beta_statement if self.beta_variant == "statement" else self.beta_proof
 
 
+def _beta_formula(p: float, shift: float) -> float:
+    """p(5p-9) / (2(-p^2+8p-shift)); NaN at the pole p = 4 + sqrt(16-shift)."""
+    den = 2 * (-p * p + 8 * p - shift)
+    return p * (5 * p - 9) / den if den != 0 else float("nan")
+
+
 def beta_statement_formula(p: float) -> float:
-    return p * (5 * p - 9) / (2 * (-p * p + 8 * p - 9))
+    return _beta_formula(p, 9)
 
 
 def beta_proof_formula(p: float) -> float:
-    return p * (5 * p - 9) / (2 * (-p * p + 8 * p - 6))
+    return _beta_formula(p, 6)
 
 
 def _beta_balance(p: float) -> float:

@@ -15,9 +15,11 @@ Conventions used throughout the package:
   under negation, which is what makes real fields representable.
 * Physical samples of nonlinear quantities are taken on an oversampled
   grid with padded_M = ceil(dealias_factor * M) points per axis (rounded
-  up to even).  With the default factor 3/2, quadrature of products of up
-  to three band-limited factors is alias-free, hence agrees with the
-  exact integral of the underlying trigonometric polynomial.
+  up to even).  The grid is `dealiased` when padded_M >= 3(M/2 - 1) + 1,
+  as with the default factor 3/2: quadrature of products of up to three
+  band-limited factors is then alias-free, hence agrees with the exact
+  integral of the underlying trigonometric polynomial, and the band part
+  of a product of two band-limited factors is exact.
 * Quadrature is the uniform-grid (periodic trapezoidal) rule with weight
   (L / padded_M)^dim, spectrally exact for band-limited integrands.
 
@@ -107,49 +109,28 @@ class TorusGrid:
         x = np.arange(n) * (self.L / n)
         return np.stack(np.meshgrid(*([x] * self.dim), indexing="ij"))
 
-    # -- padding / truncation -------------------------------------------
-    #
-    # The band occupies one low and one high index block per axis, so pad
-    # and truncate move 2^dim contiguous corner blocks; plain slicing is
-    # much faster than fancy indexing here.
+    @property
+    def dealiased(self) -> bool:
+        """True iff products of two band fields cannot alias into the band.
 
-    @cached_property
-    def _corner_blocks(self):
-        half = self.M // 2
-        Mp = self.padded_M
-        src = (slice(0, half), slice(self.M - (half - 1), self.M))
-        dst = (slice(0, half), slice(Mp - (half - 1), Mp))
-        pairs = []
-        for choice in np.ndindex(*([2] * self.dim)):
-            pairs.append(
-                (tuple(src[c] for c in choice), tuple(dst[c] for c in choice))
-            )
-        return pairs
-
-    def pad_spectral(self, coeffs: np.ndarray) -> np.ndarray:
-        """Embed native-band coefficients into the padded spectral layout."""
-        extra = coeffs.ndim - self.dim
-        out = np.zeros(coeffs.shape[:extra] + self.padded_shape, dtype=np.complex128)
-        for src, dst in self._corner_blocks:
-            out[(Ellipsis,) + dst] = coeffs[(Ellipsis,) + src]
-        return out
-
-    def truncate_spectral(self, padded: np.ndarray) -> np.ndarray:
-        """Restrict padded-layout coefficients to the native band."""
-        extra = padded.ndim - self.dim
-        out = np.zeros(padded.shape[:extra] + self.shape, dtype=np.complex128)
-        for src, dst in self._corner_blocks:
-            out[(Ellipsis,) + src] = padded[(Ellipsis,) + dst]
-        return out
+        A product of band modes reaches |n_i| <= 2(M/2 - 1); its alias
+        n_i -/+ padded_M lands inside the band iff
+        padded_M <= 3(M/2 - 1).
+        """
+        return self.padded_M >= 3 * (self.M // 2 - 1) + 1
 
     # -- transforms ------------------------------------------------------
     #
     # Fields here are spectra of real data (Hermitian-symmetric), so both
-    # directions run through the real-input FFT half-spectrum.
+    # directions run through the real-input FFT half-spectrum.  The band
+    # fills only last-axis modes 0 .. M/2-1 of it, so the leading-axis
+    # transforms run on those M/2 columns alone: the other columns of the
+    # padded half-spectrum are zero on the way in and discarded on the way
+    # out.  On each leading axis the band is one low and one high block.
 
     @cached_property
     def _lead_blocks(self):
-        """Corner blocks over the leading dim-1 spatial axes only."""
+        """(native, padded) corner blocks over the leading dim-1 axes."""
         half = self.M // 2
         Mp = self.padded_M
         src = (slice(0, half), slice(self.M - (half - 1), self.M))
@@ -161,38 +142,54 @@ class TorusGrid:
             )
         return pairs
 
+    @property
+    def _kept_shape(self) -> tuple[int, ...]:
+        """Padded half-spectrum restricted to last-axis modes 0 .. M/2-1."""
+        return (self.padded_M,) * (self.dim - 1) + (self.M // 2,)
+
+    @cached_property
+    def _band_gather(self):
+        """Where each band mode sits in the kept padded half-spectrum.
+
+        Returns (pos, src, sign): flat native-layout positions of the band
+        modes, flat kept-spectrum indices they are read from, and -1.0
+        where the mode has a negative last index and is read as the
+        conjugate of its mirror c(-n) (+1.0 elsewhere).
+        """
+        n = self.mode_grid[:, self.band_mask]  # (dim, band size)
+        pos = np.ravel_multi_index(tuple(n % self.M), self.shape)
+        neg = n[-1] < 0
+        src = np.ravel_multi_index(
+            tuple(np.where(neg, -n, n) % self.padded_M), self._kept_shape
+        )
+        return pos, src, np.where(neg, -1.0, 1.0)
+
     def to_physical(self, coeffs: np.ndarray) -> np.ndarray:
         """Sample band-limited Hermitian coefficients on the padded grid."""
-        cp = self.pad_spectral(coeffs)
-        axes = tuple(range(cp.ndim - self.dim, cp.ndim))
-        half = cp[..., : self.padded_M // 2 + 1]
-        return np.fft.irfftn(half, s=self.padded_shape, axes=axes) * float(
-            self.padded_M**self.dim
-        )
+        lead = coeffs.shape[: coeffs.ndim - self.dim]
+        half = self.M // 2
+        spec = np.zeros(lead + self._kept_shape, dtype=np.complex128)
+        for src, dst in self._lead_blocks:
+            spec[(Ellipsis,) + dst + (slice(None),)] = coeffs[
+                (Ellipsis,) + src + (slice(0, half),)
+            ]
+        axes = tuple(range(len(lead), len(lead) + self.dim - 1))
+        spec = np.fft.ifftn(spec, axes=axes, norm="forward")
+        # irfft zero-fills the last axis up to padded_M // 2 + 1 modes
+        return np.fft.irfft(spec, n=self.padded_M, axis=-1, norm="forward")
 
     def to_spectral(self, samples: np.ndarray) -> np.ndarray:
         """Forward transform real padded-grid samples, truncated to the band."""
-        axes = tuple(range(samples.ndim - self.dim, samples.ndim))
-        ch = np.fft.rfftn(samples, axes=axes) / float(self.padded_M**self.dim)
-        half = self.M // 2
-        extra = samples.ndim - self.dim
-        out = np.zeros(samples.shape[:extra] + self.shape, dtype=np.complex128)
-        # last-axis modes 0 .. half-1 read off the half spectrum directly
-        for src, dst in self._lead_blocks:
-            out[(Ellipsis,) + src + (slice(0, half),)] = ch[
-                (Ellipsis,) + dst + (slice(0, half),)
-            ]
-        # negative last-axis modes come from the Hermitian mirror:
-        # c(n_lead, -j) = conj(ch(-n_lead, j)) for j = 1 .. half-1
-        neg = ch[..., 1:half]
-        for ax in range(neg.ndim - self.dim, neg.ndim - 1):
-            neg = np.roll(np.flip(neg, axis=ax), 1, axis=ax)
-        neg = np.conj(neg)
-        for src, dst in self._lead_blocks:
-            out[(Ellipsis,) + src + (slice(self.M - (half - 1), self.M),)] = neg[
-                (Ellipsis,) + dst + (slice(None, None, -1),)
-            ]
-        return out
+        lead = samples.shape[: samples.ndim - self.dim]
+        spec = np.fft.rfft(samples, axis=-1, norm="forward")[..., : self.M // 2]
+        axes = tuple(range(len(lead), len(lead) + self.dim - 1))
+        spec = np.fft.fftn(spec, axes=axes, norm="forward")
+        pos, src, sign = self._band_gather
+        vals = spec.reshape(lead + (-1,))[..., src]
+        vals.imag *= sign  # c(n_lead, -j) = conj(spec(-n_lead, j))
+        out = np.zeros(lead + (self.M**self.dim,), dtype=np.complex128)
+        out[..., pos] = vals
+        return out.reshape(lead + self.shape)
 
     def reflect(self, coeffs: np.ndarray) -> np.ndarray:
         """Return the array g with g(n) = coeffs(-n) in fftn layout."""

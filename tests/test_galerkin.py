@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
-from plsf.basis import StokesBasis, make_basis
+from plsf.basis import StokesBasis, basis_capacity, make_basis
 from plsf.constitutive import FluidParams, rho_tilde
 from plsf.errors import StiffnessError
 from plsf.fields import lp_norm, random_solenoidal
@@ -84,28 +84,56 @@ def test_rhs_newtonian_single_mode(grid2d):
     assert np.max(np.abs(rhs - expected)) < 1e-10
 
 
-def test_convection_energy_neutrality(grid2d):
-    basis = make_basis(grid2d, 60)
-    rng = np.random.default_rng(2)
+def _check_convection_neutrality(grid, N, seed, trials=5):
+    basis = make_basis(grid, N)
+    rng = np.random.default_rng(seed)
     params = FluidParams(1.9, 1.0)
-    for _ in range(5):
-        c = rng.standard_normal(60)
+    for _ in range(trials):
+        c = rng.standard_normal(N)
         _, conv = galerkin_rhs_parts(GalerkinState(basis, c, 0.0), params)
         scale = max(1.0, float(np.max(np.abs(c))) ** 3)
         assert abs(float(np.dot(c, conv))) < 1e-12 * scale
 
 
-def test_semidiscrete_energy_law(grid2d):
-    basis = make_basis(grid2d, 60)
-    rng = np.random.default_rng(3)
+def _check_semidiscrete_energy_law(grid, N, seed, trials=5):
+    basis = make_basis(grid, N)
+    rng = np.random.default_rng(seed)
     params = FluidParams(1.9, 1.0)
-    for _ in range(5):
-        c = rng.standard_normal(60)
+    for _ in range(trials):
+        c = rng.standard_normal(N)
         state = GalerkinState(basis, c, 0.0)
         rhs = galerkin_rhs(state, params)
         production = -2.0 * float(np.dot(c, rhs))
         dissipation = 2.0 * rho_tilde(state.velocity(), params)
         assert production == pytest.approx(dissipation, rel=1e-9)
+
+
+# 3D at full band takes the divergence form; the 2D 64^2 grid at dealias
+# 1.42 (padded_M 92 < 3*31 + 1) is one point short of dealiased and takes
+# the skew average.
+full_band_grids = pytest.mark.parametrize(
+    "dim,M,dealias", [(3, 8, 1.5), (2, 64, 1.42)], ids=["3d-M8", "2d-M64-padded92"]
+)
+
+
+def test_convection_energy_neutrality(grid2d):
+    _check_convection_neutrality(grid2d, 60, seed=2)
+
+
+@full_band_grids
+def test_convection_energy_neutrality_full_band(dim, M, dealias):
+    grid = TorusGrid(dim, M, 2 * np.pi, dealias_factor=dealias)
+    _check_convection_neutrality(grid, basis_capacity(grid), seed=2, trials=3)
+
+
+def test_semidiscrete_energy_law(grid2d):
+    _check_semidiscrete_energy_law(grid2d, 60, seed=3)
+
+
+@full_band_grids
+def test_semidiscrete_energy_law_full_band(dim, M, dealias):
+    grid = TorusGrid(dim, M, 2 * np.pi, dealias_factor=dealias)
+    _check_semidiscrete_energy_law(grid, basis_capacity(grid), seed=3, trials=3)
 
 
 def test_convection_neutrality_even_without_oversampling():
@@ -116,6 +144,27 @@ def test_convection_neutrality_even_without_oversampling():
     c = rng.standard_normal(40)
     _, conv = galerkin_rhs_parts(GalerkinState(basis, c, 0.0), FluidParams(1.9, 1.0))
     assert abs(float(np.dot(c, conv))) < 1e-12 * max(1.0, np.max(np.abs(c)) ** 3)
+
+
+@pytest.mark.parametrize("dim,M", [(2, 16), (3, 8)])
+def test_dealiased_convection_equals_skew_average(dim, M):
+    # oracle: the skew average ((v.grad v) + div(v (x) v)) / 2 over full
+    # tensors, built here from the public transforms
+    g = TorusGrid(dim, M, 2 * np.pi, dealias_factor=1.5)
+    assert g.dealiased
+    basis = make_basis(g, basis_capacity(g))
+    c = np.random.default_rng(6).standard_normal(basis_capacity(g))
+    _, conv = galerkin_rhs_parts(GalerkinState(basis, c, 0.0), FluidParams(1.9, 1.0))
+
+    ik = 1j * g.wavevectors
+    vhat = basis.synthesize_coeffs(c)
+    V = g.to_physical(vhat)
+    G = g.to_physical(ik[np.newaxis, :] * vhat[:, np.newaxis])  # d_j v_i
+    w1 = np.einsum("j...,ij...->i...", V, G)
+    z_hat = g.to_spectral(V[:, np.newaxis] * V[np.newaxis, :])
+    skew = 0.5 * (g.to_spectral(w1) + np.sum(ik[np.newaxis] * z_hat, axis=1))
+    expected = basis.project_coeffs(skew)
+    assert np.max(np.abs(conv - expected)) <= 1e-12 * np.max(np.abs(expected))
 
 
 # -- adaptive stepping ------------------------------------------------------------
@@ -228,6 +277,17 @@ def test_run_records_cadence_and_endpoints():
         assert np.min(np.abs(rec.times - target)) < 1e-12
     assert rec.times[-1] == 0.25
     assert np.all(np.diff(rec.times) > 0)
+
+
+def test_cadence_snaps_near_duplicate_end_time():
+    # 11 * 0.03 = 0.32999999999999996, one ulp below T = 0.33
+    T = 0.33
+    rec = run_trajectory(small_config(N=8, T=T, sample_dt=0.03))
+    assert np.all(np.diff(rec.times) > 0)
+    assert rec.times[-1] == T
+    assert np.min(np.diff(rec.times)) >= 1e-9 * T
+    for k in range(1, 11):
+        assert np.min(np.abs(rec.times - k * 0.03)) < 1e-12
 
 
 def test_energy_monotone_within_tolerance():

@@ -104,6 +104,26 @@ def test_beta_balance_flat_balance_is_undefined():
     assert math.isnan(_beta_balance(4.0 + math.sqrt(7.0)))
 
 
+def _pole(shift):
+    # a float p at which -p^2 + 8p - shift rounds to exactly 0.0
+    root = 4.0 + math.sqrt(16.0 - shift)
+    for direction in (math.inf, -math.inf):
+        p = root
+        for _ in range(64):
+            if -p * p + 8 * p - shift == 0.0:
+                return p
+            p = math.nextafter(p, direction)
+    raise AssertionError("no exact float pole found")
+
+
+@pytest.mark.parametrize("shift", [9.0, 6.0], ids=["statement", "proof"])
+def test_exponents_at_beta_formula_poles(shift):
+    p = _pole(shift)
+    t = exponents(p)
+    assert t.beta_variant == "undefined"
+    assert math.isnan(t.beta_statement if shift == 9.0 else t.beta_proof)
+
+
 def test_beta_balance_at_p2():
     assert exponents(2.0).beta_balance == pytest.approx(1.0 / 3.0, abs=1e-15)
 

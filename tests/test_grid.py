@@ -26,12 +26,39 @@ def test_grid_validation():
         TorusGrid(2, 16, 1.0, dealias_factor=0.9)
 
 
-def test_pad_truncate_roundtrip():
-    g = TorusGrid(2, 16, 2 * np.pi)
+@pytest.mark.parametrize(
+    "dim,M,dealias,lead",
+    [(2, 16, 1.5, (2,)), (2, 16, 1.0, ()), (3, 12, 1.5, (2, 3)), (3, 8, 1.3, (1,))],
+    ids=["2d", "2d-unpadded", "3d-lead2x3", "3d-padded10"],
+)
+def test_spectral_physical_roundtrip(dim, M, dealias, lead):
+    # every band mode, including negative last-axis modes read through the
+    # conjugate mirror, comes back from the padded half-spectrum
+    g = TorusGrid(dim, M, 2 * np.pi, dealias_factor=dealias)
     rng = np.random.default_rng(3)
-    c = rng.standard_normal((2,) + g.shape) + 1j * rng.standard_normal((2,) + g.shape)
-    c *= g.band_mask
-    assert np.array_equal(g.truncate_spectral(g.pad_spectral(c)), c)
+    c = rng.standard_normal(lead + g.shape) + 1j * rng.standard_normal(lead + g.shape)
+    c = c * g.band_mask
+    c = 0.5 * (c + np.conj(g.reflect(c)))
+    phys = g.to_physical(c)
+    assert phys.shape == lead + g.padded_shape
+    assert phys.dtype == np.float64
+    back = g.to_spectral(phys)
+    assert back.shape == c.shape
+    assert np.max(np.abs(back - c)) <= 1e-13 * np.max(np.abs(c))
+    assert np.all(back[..., ~g.band_mask] == 0)
+
+
+@pytest.mark.parametrize(
+    "M,dealias,padded_M,dealiased",
+    [(64, 1.5, 96, True), (64, 1.45, 94, True), (64, 1.42, 92, False),
+     (64, 1.0, 64, False), (10, 1.2, 12, False), (10, 1.3, 14, True)],
+)
+def test_dealiased_follows_padded_M(M, dealias, padded_M, dealiased):
+    # band products reach |n| <= 2(M/2 - 1); none aliases into the band
+    # iff padded_M >= 3(M/2 - 1) + 1
+    g = TorusGrid(2, M, 1.0, dealias_factor=dealias)
+    assert g.padded_M == padded_M
+    assert g.dealiased is dealiased
 
 
 def test_reflect_is_negation_map():
@@ -68,3 +95,17 @@ def test_padded_M_even_and_at_least_M():
     assert TorusGrid(2, 16, 1.0, dealias_factor=1.0).padded_M == 16
     assert TorusGrid(2, 10, 1.0, dealias_factor=1.5).padded_M == 16
     assert TorusGrid(2, 16, 1.0, dealias_factor=1.5).padded_M == 24
+
+
+@pytest.mark.parametrize("M,dealias", [(64, 1.42), (64, 1.45), (10, 1.2), (10, 1.3)])
+def test_dealiased_matches_product_aliasing(M, dealias):
+    # the square of the top band mode h = M/2 - 1 has mode 2h, which lands
+    # in the band at 2h - padded_M exactly when the grid is not dealiased
+    g = TorusGrid(2, M, 2 * np.pi, dealias_factor=dealias)
+    h = g.M // 2 - 1
+    c = np.zeros(g.shape, dtype=complex)
+    c[h, 0] = c[-h, 0] = 0.5
+    u = g.to_physical(c)
+    prod = g.to_spectral(u * u)
+    alias = prod[(2 * h - g.padded_M) % g.M, 0]
+    assert bool(abs(alias) > 0.1) == (not g.dealiased)
