@@ -77,7 +77,8 @@ def _rhs_parts(basis: StokesBasis, params: FluidParams, c: np.ndarray):
     Only independent components are transformed: v and the upper triangle
     of D without D_dd on the way in (tr D = 0 gives D_dd pointwise), the
     same components of sigma and the upper triangle of v (x) v on the way
-    out.
+    out.  Off a dealiased grid the strict upper triangle of the rotation
+    (grad v)_A goes in and v . grad v comes out in the same two calls.
     """
     g = basis.grid
     d = g.dim
@@ -89,27 +90,37 @@ def _rhs_parts(basis: StokesBasis, params: FluidParams, c: np.ndarray):
     vhat = basis.synthesize_coeffs(c)
     ghat = ik[np.newaxis, :] * vhat[:, np.newaxis]  # ghat[i, j] = d_j v_i
     dhat = 0.5 * (ghat[rows[:n_ind], cols[:n_ind]] + ghat[cols[:n_ind], rows[:n_ind]])
-    phys = g.to_physical(np.concatenate([vhat, dhat]))
-    V = phys[:d]
-    D = phys[d:]
-    D_dd = -np.sum(D[diag], axis=0)
-    dd_sq = np.sum(D**2, axis=0) + np.sum(D[off] ** 2, axis=0) + D_dd**2
-    sigma = law._stress_factor(dd_sq, params)[np.newaxis] * D
-    z = V[rows] * V[cols]  # upper triangle of v (x) v, pointwise
-
-    fwd = g.to_spectral(np.concatenate([sigma, z]))
-    sig_hat = fwd[:n_ind]
-    sig_hat = np.concatenate([sig_hat, -np.sum(sig_hat[diag], axis=0, keepdims=True)])
-    z_hat = fwd[n_ind:]
-    div_sig = np.sum(ik[np.newaxis] * sig_hat[pos], axis=1)
-    conv_hat = np.sum(ik[np.newaxis] * z_hat[pos], axis=1)
+    inv = [vhat, dhat]
     if not g.dealiased:
         # v (x) v aliases into the band, so the divergence form alone is not
-        # energy-neutral; average it with the advective form v . grad v,
+        # energy-neutral; it is averaged with the advective form v . grad v,
         # whose discrete trilinear form cancels it exactly
-        G = g.to_physical(ghat)
-        w1 = np.einsum("j...,ij...->i...", V, G)
-        conv_hat = 0.5 * (g.to_spectral(w1) + conv_hat)
+        ra, ca = rows[:n_ind][off], cols[:n_ind][off]
+        inv.append(0.5 * (ghat[ra, ca] - ghat[ca, ra]))
+    phys = g.to_physical(np.concatenate(inv))
+    V = phys[:d]
+    D = phys[d : d + n_ind]
+    D_dd = -D[diag].sum(axis=0)
+    # |D|^2, the off-diagonal pairs counted twice
+    dd_sq = np.einsum("k...,k...,k->...", D, D, 1.0 + off) + D_dd**2
+    sigma = law._stress_factor(dd_sq, params)[np.newaxis] * D
+    out = [sigma, V[rows] * V[cols]]  # sigma and the upper triangle of v (x) v
+    if not g.dealiased:
+        # (v . grad v)_i = sum_j v_j (D_ij + R_ij), R antisymmetric
+        w1 = np.einsum("j...,ij...->i...", V, np.concatenate([D, D_dd[np.newaxis]])[pos])
+        for a, R in enumerate(phys[d + n_ind :]):
+            w1[ra[a]] += V[ca[a]] * R
+            w1[ca[a]] -= V[ra[a]] * R
+        out.append(w1)
+
+    fwd = g.to_spectral(np.concatenate(out))
+    sig_hat = fwd[:n_ind]
+    sig_hat = np.concatenate([sig_hat, -sig_hat[diag].sum(axis=0, keepdims=True)])
+    z_hat = fwd[n_ind : n_ind + len(rows)]
+    div_sig = np.einsum("j...,ij...->i...", ik, sig_hat[pos])
+    conv_hat = np.einsum("j...,ij...->i...", ik, z_hat[pos])
+    if not g.dealiased:
+        conv_hat = 0.5 * (fwd[n_ind + len(rows) :] + conv_hat)
 
     return basis.project_coeffs(div_sig), basis.project_coeffs(conv_hat)
 
@@ -481,7 +492,8 @@ def run_trajectory(config: SolverConfig, collect_states_at=None):
     record_obj = _rows_to_record(config, params, N, rows, ctrl)
     if collect_states_at is None:
         return record_obj
-    ordered = [states[t] for t in sorted(states)]
+    # one state per requested time, also where two requests snapped together
+    ordered = [states[snap.get(t, t)] for t in collect]
     return record_obj, ordered
 
 

@@ -325,6 +325,19 @@ def test_cli_converge_report(tmp_path):
     assert all(f >= 0.9 for f in report["pointwise_fraction_improving"])
 
 
+def test_cli_converge_state_times_one_ulp_below_T(tmp_path):
+    # 11 * 0.03 = 0.32999999999999996, so state_times holds it and T = 0.33
+    text = (CONVERGE_CFG.replace("T = 0.2", "T = 0.33")
+            .replace("state_dt = 0.04", "state_dt = 0.03")
+            .replace("N_list = 8,24,60,112", "N_list = 8,12,24"))
+    cfg_path = write_config(tmp_path, text)
+    out = tmp_path / "conv.json"
+    assert main(["converge", str(cfg_path), "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert len(report["state_times"]) == 13
+    assert sum(report["histograms"][0]) == 13
+
+
 def test_cli_converge_without_study_exit_2(tmp_path):
     cfg_path = write_config(tmp_path, MINIMAL)
     assert main(["converge", str(cfg_path)]) == 2
