@@ -11,17 +11,31 @@ a sine field, each of unit L^2 norm:
 
 Entries are ordered by ascending eigenvalue with ties broken by the
 lexicographic wavevector order, then polarization index, then cosine
-before sine, so the sequence is reproducible across runs.
+before sine, so the sequence is reproducible across runs.  Entry j of
+that order is therefore representative j // 2(d-1), polarization
+(j // 2) mod (d-1), and a cosine when j is even.
+
+A basis is held as flat arrays: the wavevectors it touches, their
+polarization vectors, and for each entry its slot (mode, polarization,
+cos|sin) in a C-ordered (modes, d-1, 2) table, which in the canonical
+order is slot j for entry j.  Synthesis and projection go through that
+table, once per mode rather than once per entry.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .errors import CapacityError, GridMismatchError
-from .fields import SpectralVelocity, representative_modes
+from .fields import (
+    SpectralVelocity,
+    _component_positions,
+    _with_mirrors,
+    representative_modes,
+)
 from .grid import TorusGrid
 
 
@@ -34,54 +48,114 @@ class BasisEntry:
     direction: np.ndarray = field(repr=False, compare=False)
 
 
-def _polarizations(n: tuple[int, ...]) -> list[np.ndarray]:
-    """Deterministic orthonormal polarization vectors orthogonal to n."""
-    nv = np.asarray(n, dtype=np.float64)
-    if len(n) == 2:
-        e = np.array([-nv[1], nv[0]]) / np.linalg.norm(nv)
-        return [e]
-    ref = np.array([0.0, 0.0, 1.0])
-    if n[0] == 0 and n[1] == 0:
-        ref = np.array([1.0, 0.0, 0.0])
-    e1 = np.cross(nv, ref)
-    e1 /= np.linalg.norm(e1)
-    e2 = np.cross(nv, e1)
-    e2 /= np.linalg.norm(e2)
-    return [e1, e2]
+def _unit(e: np.ndarray) -> np.ndarray:
+    """Rows of e divided by their Euclidean norms."""
+    return e / np.sqrt(np.linalg.vecdot(e, e))[:, np.newaxis]
+
+
+def _polarizations(modes: np.ndarray) -> np.ndarray:
+    """Orthonormal polarization vectors orthogonal to each wavevector row.
+
+    Returns shape (count, d-1, d).  In 2D e = (-n_1, n_0)/|n|; in 3D
+    e1 = n x r/|n x r| with r = e_z (e_x when n lies on the z axis) and
+    e2 = n x e1/|n x e1|.
+    """
+    nv = modes.astype(np.float64)
+    if modes.shape[1] == 2:
+        return _unit(np.stack([-nv[:, 1], nv[:, 0]], axis=1))[:, np.newaxis]
+    on_z = (modes[:, 0] == 0) & (modes[:, 1] == 0)
+    ref = np.zeros_like(nv)
+    ref[:, 2] = ~on_z
+    ref[:, 0] = on_z
+    e1 = _unit(np.cross(nv, ref))
+    e2 = _unit(np.cross(nv, e1))
+    return np.stack([e1, e2], axis=1)
+
+
+def _mode_eigenvalues(grid: TorusGrid, modes: np.ndarray) -> np.ndarray:
+    """Stokes eigenvalue |k|^2 of each wavevector row."""
+    return (2.0 * np.pi / grid.L) ** 2 * np.sum(modes * modes, axis=1)
 
 
 class StokesBasis:
-    """The first N real Stokes eigenfunctions in the canonical order."""
+    """The first N real Stokes eigenfunctions in the canonical order.
+
+    `make_basis` builds one from the canonical enumeration; the
+    constructor takes an explicit entry list in any order.
+    """
 
     def __init__(self, grid: TorusGrid, entries: list[BasisEntry]):
-        self.grid = grid
-        self.entries = list(entries)
+        entries = list(entries)
         d = grid.dim
-        N = len(self.entries)
-        self._mode_flat = np.empty(N, dtype=np.int64)
-        self._E = np.empty((N, d), dtype=np.float64)
-        self._is_cos = np.empty(N, dtype=bool)
-        self.eigenvalues = np.empty(N, dtype=np.float64)
-        for j, ent in enumerate(self.entries):
-            idx = tuple(x % grid.M for x in ent.wavevector)
-            self._mode_flat[j] = np.ravel_multi_index(idx, grid.shape)
-            self._E[j] = ent.direction
-            self._is_cos[j] = ent.trig == "cos"
-            self.eigenvalues[j] = ent.eigenvalue
+        wave = np.array([e.wavevector for e in entries], dtype=np.int64).reshape(-1, d)
+        modes, mode_of = np.unique(wave, axis=0, return_inverse=True)
+        mode_of = mode_of.reshape(-1)
+        pol = np.array([e.polarization for e in entries], dtype=np.int64)
+        directions = np.zeros((len(modes), d - 1, d))
+        directions[mode_of, pol] = np.array([e.direction for e in entries]).reshape(-1, d)
+        is_sin = np.array([e.trig == "sin" for e in entries], dtype=np.int64)
+        slot = (mode_of * (d - 1) + pol) * 2 + is_sin
+        eigenvalues = np.array([e.eigenvalue for e in entries], dtype=np.float64)
+        self._setup(grid, modes, directions, slot, eigenvalues)
+
+    @classmethod
+    def _canonical(cls, grid: TorusGrid, N: int) -> "StokesBasis":
+        """First N entries of the canonical order, straight from the arrays."""
+        per_mode = 2 * (grid.dim - 1)
+        modes = representative_modes(grid)[: -(-N // per_mode)]
+        eigenvalues = np.repeat(_mode_eigenvalues(grid, modes), per_mode)[:N]
+        basis = cls.__new__(cls)
+        basis._setup(grid, modes, _polarizations(modes), slice(0, N), eigenvalues)
+        return basis
+
+    def _setup(self, grid, modes, directions, slot, eigenvalues):
+        self.grid = grid
+        self.eigenvalues = eigenvalues
+        self._modes = modes  # (modes, d) wavevectors
+        # polarization p, component i of every mode: (d-1, d, modes)
+        self._directions = np.ascontiguousarray(directions.transpose(1, 2, 0))
+        # entry -> flat slot in the (modes, d-1, 2) table; slice(0, N) when canonical
+        self._slot = slot
+        self._pos = _component_positions(grid, modes)  # (d, modes)
+        self._mirror = _component_positions(grid, -modes)
         self._scale = np.sqrt(2.0 * grid.volume)
 
     @property
     def size(self) -> int:
-        return len(self.entries)
+        return len(self.eigenvalues)
+
+    @cached_property
+    def entries(self) -> list[BasisEntry]:
+        """One record per entry, built on first access (the solver never
+        reads it)."""
+        d = self.grid.dim
+        slots = np.arange(len(self._modes) * 2 * (d - 1))[self._slot]
+        mode, pol = np.divmod(slots // 2, d - 1)
+        return [
+            BasisEntry(
+                float(lam),
+                tuple(int(x) for x in self._modes[m]),
+                int(p),
+                "sin" if s % 2 else "cos",
+                self._directions[p, :, m].copy(),
+            )
+            for lam, m, p, s in zip(self.eigenvalues, mode, pol, slots)
+        ]
 
     # -- coefficient transforms ------------------------------------------
 
     def project_coeffs(self, coeffs: np.ndarray) -> np.ndarray:
         """Inner products (f, a^r) straight from spectral coefficients."""
-        flat = coeffs.reshape(self.grid.dim, -1)
-        sub = flat[:, self._mode_flat]  # (d, N)
-        amp = np.einsum("nd,dn->n", self._E, sub)
-        return self._scale * np.where(self._is_cos, amp.real, -amp.imag)
+        d = self.grid.dim
+        sub = coeffs.reshape(-1)[self._pos]  # (d, modes)
+        # e . c(n) per polarization, accumulated from zero in component order
+        amp = np.zeros((d - 1, 2, len(self._modes)))
+        for p in range(d - 1):
+            for i in range(d):
+                amp[p, 0] += self._directions[p, i] * sub[i].real
+                amp[p, 1] += self._directions[p, i] * sub[i].imag
+        amp[:, 1] *= -1.0  # (f, a_sin) = -scale Im(e . c(n))
+        return self._scale * amp.transpose(2, 0, 1).reshape(-1)[self._slot]
 
     def project(self, v: SpectralVelocity) -> np.ndarray:
         if v.grid != self.grid:
@@ -94,12 +168,17 @@ class StokesBasis:
         if c.shape != (self.size,):
             raise ValueError(f"coefficient vector must have length {self.size}")
         d = self.grid.dim
-        buf = np.zeros((d, int(np.prod(self.grid.shape))), dtype=np.complex128)
-        amp = np.where(self._is_cos, c, -1j * c) / self._scale
-        for i in range(d):
-            np.add.at(buf[i], self._mode_flat, amp * self._E[:, i])
-        buf = buf.reshape((d,) + self.grid.shape)
-        return buf + np.conj(self.grid.reflect(buf))
+        table = np.zeros((len(self._modes), d - 1, 2))  # unused slots stay 0
+        table.reshape(-1)[self._slot] = c
+        inv = 1.0 / self._scale
+        cos = table[..., 0].T * inv
+        sin = table[..., 1].T * -inv  # a_sin carries -i e / scale on mode n
+        # accumulate from zero in polarization order, the order of the entries
+        vals = np.zeros((d, len(self._modes)), dtype=np.complex128)
+        for p in range(d - 1):
+            vals.real += cos[p] * self._directions[p]
+            vals.imag += sin[p] * self._directions[p]
+        return _with_mirrors(self.grid, vals, self._pos, self._mirror)
 
     def synthesize(self, c: np.ndarray, validate: bool = False) -> SpectralVelocity:
         return SpectralVelocity(self.grid, self.synthesize_coeffs(c), validate=validate)
@@ -110,34 +189,19 @@ class StokesBasis:
         unit[r] = 1.0
         return self.synthesize(unit)
 
-    def truncate(self, N: int) -> "StokesBasis":
-        if N < 0 or N > self.size:
-            raise CapacityError(N, self.size)
-        return StokesBasis(self.grid, self.entries[:N])
-
-
-def _all_entries(grid: TorusGrid) -> list[BasisEntry]:
-    ksc_sq = (2.0 * np.pi / grid.L) ** 2
-    entries = []
-    for n in representative_modes(grid):
-        lam = ksc_sq * float(sum(x * x for x in n))
-        for pol, e in enumerate(_polarizations(n)):
-            for trig in ("cos", "sin"):
-                entries.append(BasisEntry(lam, n, pol, trig, e))
-    return entries
-
 
 def basis_capacity(grid: TorusGrid) -> int:
-    """Number of admissible real divergence-free modes on the grid."""
-    return (grid.dim - 1) * 2 * len(representative_modes(grid))
+    """Number of admissible real divergence-free modes on the grid:
+    (d-1) * 2 per half-space representative, (d-1) * ((M-1)^d - 1)."""
+    return (grid.dim - 1) * ((grid.M - 1) ** grid.dim - 1)
 
 
 def make_basis(grid: TorusGrid, N: int) -> StokesBasis:
     """First N basis entries under the canonical ordering."""
-    entries = _all_entries(grid)
-    if N < 0 or N > len(entries):
-        raise CapacityError(N, len(entries))
-    return StokesBasis(grid, entries[:N])
+    capacity = basis_capacity(grid)
+    if N < 0 or N > capacity:
+        raise CapacityError(N, capacity)
+    return StokesBasis._canonical(grid, N)
 
 
 def full_basis(grid: TorusGrid) -> StokesBasis:
@@ -146,5 +210,5 @@ def full_basis(grid: TorusGrid) -> StokesBasis:
 
 def count_modes_below(grid: TorusGrid, lambda_cut: float) -> int:
     """Number of basis entries with eigenvalue <= lambda_cut."""
-    entries = _all_entries(grid)
-    return sum(1 for e in entries if e.eigenvalue <= lambda_cut)
+    shells = _mode_eigenvalues(grid, representative_modes(grid))  # ascending
+    return 2 * (grid.dim - 1) * int(np.searchsorted(shells, lambda_cut, side="right"))

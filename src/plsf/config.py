@@ -143,7 +143,7 @@ def parse_config(text: str) -> RunConfig:
         violations.append("[galerkin] give N or lambda_cut, not both")
     if N is not None and N < 0:
         violations.append(f"[galerkin] N = {N} violates N >= 0")
-    if lambda_cut is not None and lambda_cut <= 0:
+    if lambda_cut is not None and not lambda_cut > 0:  # NaN too
         violations.append(f"[galerkin] lambda_cut = {lambda_cut} violates lambda_cut > 0")
     if T < 0:
         violations.append(f"[time] T = {T} violates T >= 0")

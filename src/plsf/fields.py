@@ -9,6 +9,8 @@ there and integrated with the uniform-grid rule.
 
 from __future__ import annotations
 
+import math
+import os
 import struct
 from functools import cache, cached_property
 
@@ -342,49 +344,93 @@ def random_solenoidal(
 #   mode_count u64 | mode_count * dim * (re f64, im f64)
 # Coefficients are stored for the canonical half-space representative
 # wavevectors in the documented basis order (eigenvalue, then
-# lexicographic wavevector); the conjugate modes are implied.
+# lexicographic wavevector); the conjugate modes are implied.  A file is
+# read only if its header describes a valid grid, mode_count is that
+# grid's ((M-1)^dim - 1)/2 and the payload is exactly mode_count * dim * 16
+# bytes long; these are checked before anything is allocated.
 
 _HEADER = struct.Struct("<4sIIIdQ")
 
 
-def representative_modes(grid: TorusGrid) -> list[tuple[int, ...]]:
+@cache
+def _canonical_modes(dim: int, M: int) -> np.ndarray:
+    half = M // 2 - 1
+    axis = np.arange(-half, half + 1)
+    n = np.stack(np.meshgrid(*([axis] * dim), indexing="ij"), axis=-1).reshape(-1, dim)
+    lead = n[np.arange(len(n)), np.argmax(n != 0, axis=1)]  # first nonzero (0 for n = 0)
+    n = n[lead > 0]
+    # np.lexsort sorts by its last key first: |n|^2, then n_0, n_1, ...
+    keys = tuple(n[:, k] for k in reversed(range(dim))) + (np.sum(n * n, axis=1),)
+    reps = n[np.lexsort(keys)]
+    reps.setflags(write=False)
+    return reps
+
+
+def representative_modes(grid: TorusGrid) -> np.ndarray:
     """Half-space representative wavevectors in canonical order.
 
-    A representative has its first nonzero component positive; the order
-    is ascending |n|^2 with lexicographic tie-break.
+    Returns a read-only int array of shape (count, dim) with count =
+    ((M-1)^dim - 1)/2.  A representative has its first nonzero component
+    positive; the order is ascending |n|^2 with lexicographic tie-break.
+    The enumeration depends on (dim, M) only and is computed once for each.
     """
-    half = grid.M // 2 - 1
-    rng = range(-half, half + 1)
-    reps = []
-    if grid.dim == 2:
-        lattice = ((i, j) for i in rng for j in rng)
-    else:
-        lattice = ((i, j, k) for i in rng for j in rng for k in rng)
-    for n in lattice:
-        nz = next((x for x in n if x != 0), 0)
-        if nz > 0:
-            reps.append(n)
-    reps.sort(key=lambda n: (sum(x * x for x in n), n))
-    return reps
+    return _canonical_modes(grid.dim, grid.M)
+
+
+def _component_positions(grid: TorusGrid, modes: np.ndarray) -> np.ndarray:
+    """Flat index, into a (dim,) + grid.shape coefficient array, of each
+    component at each wavevector row of `modes`; shape (dim, count)."""
+    pos = np.ravel_multi_index(tuple((modes % grid.M).T), grid.shape)
+    return pos + grid.M**grid.dim * np.arange(grid.dim)[:, np.newaxis]
+
+
+def _with_mirrors(grid: TorusGrid, vals: np.ndarray, pos, mirror) -> np.ndarray:
+    """Coefficients holding vals (dim, count) at the flat positions `pos`,
+    their conjugates at `mirror` (the positions of -n) and zero elsewhere.
+
+    The arithmetic is that of c + conj(reflect(c)) for c holding vals at
+    pos: v + conj(0) at pos and 0 + conj(v) at mirror, so the signs of
+    vanishing parts come out the same (+0.0, but for an imaginary -0.0 kept
+    at pos).  `vals` is used as the work buffer and overwritten.
+    """
+    out = np.zeros((grid.dim,) + grid.shape, dtype=np.complex128)
+    flat = out.reshape(-1)
+    vals += complex(0.0, -0.0)
+    flat[pos] = vals
+    np.conjugate(vals, out=vals)
+    vals += 0.0
+    flat[mirror] = vals
+    return out
 
 
 def save_checkpoint(path, v: SpectralVelocity) -> None:
     grid = v.grid
     reps = representative_modes(grid)
+    vals = v.coeffs.reshape(-1)[_component_positions(grid, reps)]
+    inter = np.empty((len(reps), grid.dim, 2), dtype="<f8")
+    inter[..., 0] = vals.real.T
+    inter[..., 1] = vals.imag.T
     with open(path, "wb") as fh:
         fh.write(
             _HEADER.pack(
                 CHECKPOINT_MAGIC, CHECKPOINT_VERSION, grid.dim, grid.M, grid.L, len(reps)
             )
         )
-        buf = np.empty((len(reps), grid.dim), dtype=np.complex128)
-        for row, n in enumerate(reps):
-            idx = tuple(x % grid.M for x in n)
-            buf[row] = v.coeffs[(slice(None),) + idx]
-        inter = np.empty((len(reps), grid.dim, 2), dtype="<f8")
-        inter[..., 0] = buf.real
-        inter[..., 1] = buf.imag
         fh.write(inter.tobytes())
+
+
+def _checked_payload_size(path, dim: int, M: int, L: float, count: int) -> int:
+    """Payload length in bytes a valid header implies; raises on a bad header."""
+    if dim not in (2, 3) or M < 8 or M % 2 != 0 or not (math.isfinite(L) and L > 0):
+        raise FieldInvariantError(
+            f"{path} has an invalid grid header: dim={dim}, M={M}, L={L!r}"
+        )
+    admitted = ((M - 1) ** dim - 1) // 2
+    if count != admitted:
+        raise FieldInvariantError(
+            f"{path} stores {count} modes, its grid admits {admitted}"
+        )
+    return count * dim * 16
 
 
 def load_checkpoint(path, dealias_factor: float = 1.5) -> SpectralVelocity:
@@ -396,22 +442,23 @@ def load_checkpoint(path, dealias_factor: float = 1.5) -> SpectralVelocity:
         if magic != CHECKPOINT_MAGIC:
             raise FieldInvariantError(f"{path} is not a PLSF checkpoint")
         if version != CHECKPOINT_VERSION:
-            raise FieldInvariantError(f"unsupported checkpoint version {version}")
-        grid = TorusGrid(dim, M, L, dealias_factor=dealias_factor)
-        reps = representative_modes(grid)
-        if count != len(reps):
-            raise FieldInvariantError(
-                f"checkpoint stores {count} modes, grid admits {len(reps)}"
-            )
-        data = np.frombuffer(fh.read(count * dim * 16), dtype="<f8")
-        if data.size != count * dim * 2:
+            raise FieldInvariantError(f"{path} has unsupported checkpoint version {version}")
+        size = _checked_payload_size(path, dim, M, L, count)
+        found = os.fstat(fh.fileno()).st_size - _HEADER.size
+        if found < size:
             raise FieldInvariantError(f"truncated checkpoint payload in {path}")
+        if found > size:
+            raise FieldInvariantError(
+                f"{path} has {found - size} trailing bytes after the checkpoint payload"
+            )
+        data = np.frombuffer(fh.read(size), dtype="<f8")
+        if data.nbytes != size:
+            raise FieldInvariantError(f"truncated checkpoint payload in {path}")
+    grid = TorusGrid(dim, M, L, dealias_factor=dealias_factor)
+    reps = representative_modes(grid)
     flat = data.reshape(count, dim, 2)
-    coeffs = np.zeros((dim,) + grid.shape, dtype=np.complex128)
-    for row, n in enumerate(reps):
-        idx = tuple(x % M for x in n)
-        coeffs[(slice(None),) + idx] = flat[row, :, 0] + 1j * flat[row, :, 1]
-    # representatives and their mirrors are disjoint, so summing with the
-    # reflected conjugate fills exactly the unset half
-    coeffs = coeffs + np.conj(grid.reflect(coeffs))
+    vals = (flat[..., 0] + 1j * flat[..., 1]).T
+    coeffs = _with_mirrors(
+        grid, vals, _component_positions(grid, reps), _component_positions(grid, -reps)
+    )
     return SpectralVelocity(grid, coeffs)

@@ -1,9 +1,24 @@
+import itertools
+import struct
+
 import numpy as np
 import pytest
 
-from plsf.basis import basis_capacity, count_modes_below, full_basis, make_basis
+from plsf.basis import (
+    StokesBasis,
+    basis_capacity,
+    count_modes_below,
+    full_basis,
+    make_basis,
+)
 from plsf.errors import CapacityError
-from plsf.fields import inner_product, lp_norm, random_solenoidal
+from plsf.fields import (
+    inner_product,
+    lp_norm,
+    random_solenoidal,
+    representative_modes,
+    save_checkpoint,
+)
 from plsf.grid import TorusGrid
 
 
@@ -115,3 +130,172 @@ def test_count_modes_below(grid2d):
     assert count_modes_below(grid2d, 1.0) == 4
     assert count_modes_below(grid2d, 2.0) == 8
     assert count_modes_below(grid2d, 0.5) == 0
+
+
+# -- oracle: the per-mode enumeration the array-native basis replaced ---------
+
+
+def _oracle_modes(dim, M):
+    half = M // 2 - 1
+    reps = [
+        n
+        for n in itertools.product(range(-half, half + 1), repeat=dim)
+        if next((x for x in n if x != 0), 0) > 0
+    ]
+    reps.sort(key=lambda n: (sum(x * x for x in n), n))
+    return reps
+
+
+def _oracle_polarizations(n):
+    nv = np.asarray(n, dtype=np.float64)
+    if len(n) == 2:
+        return [np.array([-nv[1], nv[0]]) / np.linalg.norm(nv)]
+    ref = np.array([0.0, 0.0, 1.0])
+    if n[0] == 0 and n[1] == 0:
+        ref = np.array([1.0, 0.0, 0.0])
+    e1 = np.cross(nv, ref)
+    e1 /= np.linalg.norm(e1)
+    e2 = np.cross(nv, e1)
+    e2 /= np.linalg.norm(e2)
+    return [e1, e2]
+
+
+def _oracle_entries(grid):
+    """(eigenvalue, wavevector, polarization, trig, direction) per entry."""
+    ksc_sq = (2.0 * np.pi / grid.L) ** 2
+    out = []
+    for n in _oracle_modes(grid.dim, grid.M):
+        lam = ksc_sq * float(sum(x * x for x in n))
+        for pol, e in enumerate(_oracle_polarizations(n)):
+            for trig in ("cos", "sin"):
+                out.append((lam, n, pol, trig, e))
+    return out
+
+
+ORACLE_GRIDS = [(2, 8, 1.0), (2, 16, 3.7), (3, 8, 2 * np.pi), (3, 12, 1.9)]
+
+
+@pytest.mark.parametrize("dim, M, L", ORACLE_GRIDS)
+def test_full_basis_matches_per_mode_oracle(dim, M, L):
+    g = TorusGrid(dim, M, L)
+    want = _oracle_entries(g)
+    assert np.array_equal(representative_modes(g), np.array(_oracle_modes(dim, M)))
+    basis = full_basis(g)
+    assert basis.size == len(want) == basis_capacity(g)
+    lam = np.array([w[0] for w in want])
+    assert basis.eigenvalues.tobytes() == lam.tobytes()
+    got = basis.entries
+    assert [(e.wavevector, e.polarization, e.trig) for e in got] == [w[1:4] for w in want]
+    # polarization vectors bit for bit, signed zeros included
+    dirs = np.array([e.direction for e in got])
+    assert dirs.tobytes() == np.array([w[4] for w in want]).tobytes()
+
+
+@pytest.mark.parametrize("dim, M, L", ORACLE_GRIDS)
+def test_count_modes_below_at_every_shell(dim, M, L):
+    g = TorusGrid(dim, M, L)
+    lam = np.array([w[0] for w in _oracle_entries(g)])
+    for shell in np.unique(lam):
+        for cut in (np.nextafter(shell, -np.inf), shell, np.nextafter(shell, np.inf)):
+            assert count_modes_below(g, cut) == int(np.sum(lam <= cut))
+    assert count_modes_below(g, 0.0) == 0
+    assert count_modes_below(g, np.inf) == basis_capacity(g)
+
+
+@pytest.mark.parametrize("dim, M", [(2, 8), (2, 10), (2, 64), (3, 8), (3, 14), (3, 32)])
+def test_capacity_is_enumeration_length(dim, M):
+    g = TorusGrid(dim, M, 1.0)
+    assert basis_capacity(g) == 2 * (dim - 1) * len(representative_modes(g))
+    assert len(representative_modes(g)) == ((M - 1) ** dim - 1) // 2
+
+
+@pytest.mark.parametrize("dim, M, N", [(2, 16, 37), (3, 8, 101)])
+def test_save_checkpoint_matches_per_row_oracle(tmp_path, dim, M, N):
+    g = TorusGrid(dim, M, 1.3)
+    basis = make_basis(g, N)  # a partial last shell
+    c = np.random.default_rng(N).standard_normal(N)
+    c[::5] = 0.0
+    v = basis.synthesize(c)
+    path = tmp_path / "state.plsf"
+    save_checkpoint(path, v)
+    reps = _oracle_modes(dim, M)
+    want = struct.pack("<4sIIIdQ", b"PLSF", 1, dim, M, 1.3, len(reps))
+    for n in reps:
+        for z in v.coeffs[(slice(None),) + tuple(x % M for x in n)]:
+            want += struct.pack("<dd", z.real, z.imag)
+    raw = path.read_bytes()
+    assert raw == want
+    payload = np.frombuffer(raw[struct.calcsize("<4sIIIdQ"):], dtype="<f8")
+    assert not np.any((payload == 0.0) & np.signbit(payload))  # no -0.0 stored
+
+
+def test_full_basis_3d_m64_builds():
+    g = TorusGrid(3, 64, 1.0)
+    basis = full_basis(g)
+    assert basis.size == 500_092
+    assert np.all(np.diff(basis.eigenvalues) >= 0)
+    assert "entries" not in basis.__dict__
+
+
+def test_solver_path_builds_no_entry_records(monkeypatch):
+    from plsf import galerkin
+    from plsf.galerkin import SolverConfig, run_trajectory
+
+    built = []
+
+    def recording_make_basis(grid, N):
+        built.append(make_basis(grid, N))
+        return built[-1]
+
+    monkeypatch.setattr(galerkin, "make_basis", recording_make_basis)
+    run_trajectory(SolverConfig(dim=2, M=16, N=20, T=0.05, sample_dt=0.01))
+    assert len(built) == 1
+    assert "entries" not in built[0].__dict__
+    assert "entries" not in make_basis(TorusGrid(3, 8, 1.0), 30).__dict__
+
+
+def test_explicit_entry_order_round_trips():
+    # a basis from a permuted entry list synthesizes the same fields
+    g = TorusGrid(3, 8, 1.0)
+    canonical = make_basis(g, 14)
+    order = np.random.default_rng(3).permutation(14)
+    permuted = StokesBasis(g, [canonical.entries[k] for k in order])
+    assert [e.wavevector for e in permuted.entries] == [
+        canonical.entries[k].wavevector for k in order
+    ]
+    c = np.random.default_rng(4).standard_normal(14)
+    v = canonical.synthesize_coeffs(c)
+    assert np.max(np.abs(permuted.synthesize_coeffs(c[order]) - v)) <= 1e-15
+    assert np.max(np.abs(permuted.project_coeffs(v) - c[order])) <= 1e-13
+
+
+@pytest.mark.parametrize("dim, M, N", [(2, 16, 37), (3, 8, 101), (3, 8, 416)])
+def test_synthesize_and_project_match_per_entry_oracle(dim, M, N):
+    # the per-entry scatter (np.add.at, then the reflected conjugate) and
+    # gather, bit for bit, signed zeros included
+    g = TorusGrid(dim, M, 1.3)
+    basis = make_basis(g, N)
+    rng = np.random.default_rng(N)
+    c = rng.standard_normal(N)
+    c[::5] = 0.0
+    c[1::7] = -0.0
+    entries = basis.entries
+    flat = np.array([np.ravel_multi_index([x % M for x in e.wavevector], g.shape)
+                     for e in entries])
+    E = np.array([e.direction for e in entries])
+    is_cos = np.array([e.trig == "cos" for e in entries])
+    scale = np.sqrt(2.0 * g.volume)
+    buf = np.zeros((dim, M**dim), dtype=np.complex128)
+    amp = np.where(is_cos, c, -1j * c) / scale
+    for i in range(dim):
+        np.add.at(buf[i], flat, amp * E[:, i])
+    buf = buf.reshape((dim,) + g.shape)
+    want = buf + np.conj(g.reflect(buf))
+    got = basis.synthesize_coeffs(c)
+    assert got.tobytes() == want.tobytes()
+
+    f = random_solenoidal(g, band=3, seed=N).coeffs
+    sub = f.reshape(dim, -1)[:, flat]
+    a = np.einsum("nd,dn->n", E, sub)
+    proj = scale * np.where(is_cos, a.real, -a.imag)
+    assert basis.project_coeffs(f).tobytes() == proj.tobytes()

@@ -1,4 +1,5 @@
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -90,6 +91,12 @@ def test_checkpoint_kind_needs_path():
     assert "path" in str(exc.value)
 
 
+
+def test_nan_lambda_cut_rejected():
+    # NaN would otherwise reach count_modes_below, where no comparison holds
+    with pytest.raises(ConfigError, match="lambda_cut > 0"):
+        parse_config("[galerkin]\nlambda_cut = nan\n")
+
 def test_q_list_must_stay_below_p():
     with pytest.raises(ConfigError) as exc:
         parse_config("[fluid]\np = 1.9\n\n[study]\nN_list = 4,8,16\nq_list = 1.9\n")
@@ -173,6 +180,20 @@ amplitude = 30.0
     cfg_path = write_config(tmp_path, text)
     assert main(["run", str(cfg_path), "--out", str(tmp_path / "o")]) == 3
 
+
+
+def test_cli_run_bad_checkpoint_header_exit_3(tmp_path, capsys):
+    # a corrupt header is a runtime data error (exit 3), like a bad magic,
+    # not a usage error
+    ckpt = tmp_path / "init.plsf"
+    count = (7**4 - 1) // 2
+    ckpt.write_bytes(
+        struct.pack("<4sIIIdQ", b"PLSF", 1, 4, 8, 1.0, count) + bytes(count * 4 * 16)
+    )
+    text = f"[grid]\nM = 16\n\n[init]\nkind = checkpoint\npath = {ckpt}\n"
+    cfg_path = write_config(tmp_path, text)
+    assert main(["run", str(cfg_path), "--out", str(tmp_path / "o")]) == 3
+    assert "init.plsf" in capsys.readouterr().err
 
 # -- CLI verify ------------------------------------------------------------------
 

@@ -1,3 +1,7 @@
+import itertools
+import math
+import struct
+
 import numpy as np
 import pytest
 
@@ -233,3 +237,103 @@ def test_checkpoint_3d_roundtrip(tmp_path):
     save_checkpoint(path, v)
     w = load_checkpoint(path)
     assert np.max(np.abs(w.coeffs - v.coeffs)) < 1e-15
+
+
+# the documented little-endian checkpoint header
+HEADER = struct.Struct("<4sIIIdQ")
+
+
+def write_raw_checkpoint(path, dim, M, L, count, payload_bytes):
+    path.write_bytes(HEADER.pack(b"PLSF", 1, dim, M, L, count) + bytes(payload_bytes))
+    return path
+
+
+def test_checkpoint_trailing_bytes_rejected(tmp_path, grid2d):
+    v = random_solenoidal(grid2d, band=3, seed=16)
+    path = tmp_path / "state.plsf"
+    save_checkpoint(path, v)
+    long = tmp_path / "long.plsf"
+    long.write_bytes(path.read_bytes() + b"\0" * 16)
+    with pytest.raises(FieldInvariantError, match="long.plsf"):
+        load_checkpoint(long)
+
+
+def test_checkpoint_truncated_payload_rejected(tmp_path, grid2d):
+    v = random_solenoidal(grid2d, band=3, seed=17)
+    path = tmp_path / "state.plsf"
+    save_checkpoint(path, v)
+    short = tmp_path / "short.plsf"
+    short.write_bytes(path.read_bytes()[:-8])
+    with pytest.raises(FieldInvariantError, match="short.plsf"):
+        load_checkpoint(short)
+
+
+@pytest.mark.parametrize(
+    "dim, M, L",
+    [
+        (4, 8, 1.0),  # no such torus
+        (1, 8, 1.0),
+        (2, 9, 1.0),  # odd M
+        (2, 6, 1.0),  # M below 8
+        (2, 8, 0.0),
+        (2, 8, -2.0),
+        (2, 8, math.nan),
+        (2, 8, math.inf),
+    ],
+)
+def test_checkpoint_bad_header_grid_rejected(tmp_path, dim, M, L):
+    # the mode count and payload length match the header, so only the grid is wrong
+    count = ((M - 1) ** dim - 1) // 2
+    path = write_raw_checkpoint(tmp_path / "grid.plsf", dim, M, L, count, count * dim * 16)
+    with pytest.raises(FieldInvariantError, match="grid.plsf"):
+        load_checkpoint(path)
+
+
+def test_checkpoint_mode_count_mismatch_rejected(tmp_path):
+    path = write_raw_checkpoint(tmp_path / "count.plsf", 2, 8, 1.0, 25, 25 * 2 * 16)
+    with pytest.raises(FieldInvariantError, match="count.plsf"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("dim, M", [(2, 2**30), (3, 2**20)])
+def test_checkpoint_huge_header_fails_before_allocating(tmp_path, dim, M):
+    # a consistent header for a grid with ~1e18 modes over a 32-byte payload:
+    # the length check must fire before any mode is enumerated
+    count = ((M - 1) ** dim - 1) // 2
+    path = write_raw_checkpoint(tmp_path / "huge.plsf", dim, M, 1.0, count, 32)
+    with pytest.raises(FieldInvariantError, match="huge.plsf"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("dim, M", [(2, 10), (3, 8)])
+def test_load_checkpoint_matches_per_row_oracle(tmp_path, dim, M):
+    # per-row scatter plus the reflected conjugate, bit for bit, on a payload
+    # holding +0.0 and -0.0 in both parts.  Zeroing the real or imaginary
+    # parts of whole rows keeps the field divergence-free.
+    g = TorusGrid(dim, M, 2.1)
+    count = ((M - 1) ** dim - 1) // 2
+    path = tmp_path / "zeros.plsf"
+    save_checkpoint(path, random_solenoidal(g, band=M // 2 - 1, seed=dim))
+    head = path.read_bytes()[: HEADER.size]
+    payload = np.frombuffer(path.read_bytes()[HEADER.size :], dtype="<f8")
+    payload = payload.reshape(count, dim, 2).copy()
+    rng = np.random.default_rng(dim)
+    for part in (0, 1):
+        rows = rng.random(count) < 0.3
+        signs = np.where(rng.random((rows.sum(), dim)) < 0.5, -1.0, 1.0)
+        payload[rows, :, part] = 0.0 * signs
+    path.write_bytes(head + payload.astype("<f8").tobytes())
+    half = M // 2 - 1
+    reps = [
+        n
+        for n in itertools.product(range(-half, half + 1), repeat=dim)
+        if next((x for x in n if x != 0), 0) > 0
+    ]
+    reps.sort(key=lambda n: (sum(x * x for x in n), n))
+    coeffs = np.zeros((dim,) + g.shape, dtype=np.complex128)
+    for row, n in enumerate(reps):
+        coeffs[(slice(None),) + tuple(x % M for x in n)] = (
+            payload[row, :, 0] + 1j * payload[row, :, 1]
+        )
+    want = SpectralVelocity(g, coeffs + np.conj(g.reflect(coeffs)))
+    assert load_checkpoint(path).coeffs.tobytes() == want.coeffs.tobytes()
