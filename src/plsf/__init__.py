@@ -6,7 +6,6 @@ from .basis import StokesBasis, basis_capacity, full_basis, make_basis
 from .constitutive import (
     FluidParams,
     I_p,
-    natural_dissipation,
     oo_identity_residual,
     rho_tilde,
     stress,

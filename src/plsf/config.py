@@ -1,29 +1,24 @@
 """Run configuration: INI-style parsing, range validation, canonical
 serialization.
 
-Validation collects every violation instead of stopping at the first,
-and unknown sections or keys are named explicitly.
+`_SETTINGS` declares every (section, key) once: the `RunConfig` or
+`SolverConfig` attribute it fills, its value kind and its single-key
+range rule.  Defaults live only on those dataclasses.  Every number must
+be finite: the float kinds reject nan and inf when they convert, so no
+range check can be passed by NaN.  Validation collects every violation
+instead of stopping at the first, and unknown sections or keys are named
+explicitly.
 """
 
 from __future__ import annotations
 
 import configparser
-import io
-from dataclasses import dataclass, field, replace
+import math
+from dataclasses import dataclass, field, fields, replace
+from typing import Callable, NamedTuple
 
 from .errors import ConfigError
 from .galerkin import SolverConfig
-
-_SCHEMA = {
-    "grid": ("dim", "M", "L", "dealias"),
-    "fluid": ("p", "mu"),
-    "galerkin": ("N", "lambda_cut", "record_d2"),
-    "time": ("T", "rtol", "atol", "dt_min", "sample_dt"),
-    "init": ("kind", "seed", "band", "amplitude", "decay", "path"),
-    "output": ("directory", "formats"),
-    "study": ("N_list", "q_list", "state_dt"),
-    "verify": ("count", "seed", "band", "decay", "amplitude"),
-}
 
 _INIT_KINDS = ("taylor_green", "random_band", "checkpoint")
 _FORMATS = ("csv", "json", "checkpoint")
@@ -46,15 +41,15 @@ class RunConfig:
     verify_amplitude: float = 1.0
 
 
-def _get(parser, section, key, conv, default, violations, describe):
-    if not parser.has_option(section, key):
-        return default
-    raw = parser.get(section, key)
-    try:
-        return conv(raw)
-    except (TypeError, ValueError):
-        violations.append(f"[{section}] {key} = {raw!r} is not a valid {describe}")
-        return default
+class _NotFinite(ValueError):
+    """A float setting parsed to nan or +-inf."""
+
+
+def _finite(raw: str) -> float:
+    value = float(raw)
+    if not math.isfinite(value):
+        raise _NotFinite(raw)
+    return value
 
 
 def _to_bool(raw: str) -> bool:
@@ -66,12 +61,74 @@ def _to_bool(raw: str) -> bool:
     raise ValueError(raw)
 
 
-def _to_int_list(raw: str) -> tuple[int, ...]:
-    return tuple(int(x) for x in raw.split(",") if x.strip())
+def _items(raw: str) -> list[str]:
+    return [x.strip() for x in raw.split(",") if x.strip()]
 
 
-def _to_float_list(raw: str) -> tuple[float, ...]:
-    return tuple(float(x) for x in raw.split(",") if x.strip())
+class _Kind(NamedTuple):
+    describe: str
+    parse: Callable[[str], object]
+
+
+_INT = _Kind("integer", int)
+_FLOAT = _Kind("number", _finite)
+_BOOL = _Kind("boolean", _to_bool)
+_STR = _Kind("string", str)
+_INT_LIST = _Kind("integer list", lambda raw: tuple(int(x) for x in _items(raw)))
+_FLOAT_LIST = _Kind("number list", lambda raw: tuple(_finite(x) for x in _items(raw)))
+_STR_LIST = _Kind("list", lambda raw: tuple(_items(raw)))
+
+
+class _Setting(NamedTuple):
+    section: str
+    key: str
+    attr: str  # RunConfig attribute, or SolverConfig attribute of RunConfig.solver
+    kind: _Kind
+    ok: Callable[[object], bool] | None = None  # single-key range rule
+    rule: str = ""  # the rule as violation messages state it
+
+
+_SETTINGS = (
+    _Setting("grid", "dim", "dim", _INT, lambda v: v in (2, 3), "dim in {2, 3}"),
+    _Setting("grid", "M", "M", _INT, lambda v: v >= 8 and v % 2 == 0, "M even and >= 8"),
+    _Setting("grid", "L", "L", _FLOAT, lambda v: v > 0, "L > 0"),
+    _Setting("grid", "dealias", "dealias", _FLOAT, lambda v: v >= 1, "dealias >= 1"),
+    _Setting("fluid", "p", "p", _FLOAT, lambda v: 1.0 < v <= 2.0, "p in (1, 2]"),
+    _Setting("fluid", "mu", "mu", _FLOAT, lambda v: v >= 0, "mu >= 0"),
+    _Setting("galerkin", "N", "N", _INT, lambda v: v >= 0, "N >= 0"),
+    _Setting("galerkin", "lambda_cut", "lambda_cut", _FLOAT, lambda v: v > 0,
+             "lambda_cut > 0"),
+    _Setting("galerkin", "record_d2", "record_d2", _BOOL),
+    _Setting("time", "T", "T", _FLOAT, lambda v: v >= 0, "T >= 0"),
+    _Setting("time", "rtol", "rtol", _FLOAT, lambda v: v > 0, "rtol > 0"),
+    _Setting("time", "atol", "atol", _FLOAT, lambda v: v >= 0, "atol >= 0"),
+    _Setting("time", "dt_min", "dt_min", _FLOAT, lambda v: v > 0, "dt_min > 0"),
+    _Setting("time", "sample_dt", "sample_dt", _FLOAT, lambda v: v > 0, "sample_dt > 0"),
+    _Setting("init", "kind", "init_kind", _STR),
+    _Setting("init", "seed", "seed", _INT),
+    _Setting("init", "band", "band", _INT, lambda v: v >= 1, "band >= 1"),
+    _Setting("init", "amplitude", "amplitude", _FLOAT),
+    _Setting("init", "decay", "decay", _FLOAT),
+    _Setting("init", "path", "path", _STR),
+    _Setting("output", "directory", "output_dir", _STR),
+    _Setting("output", "formats", "output_formats", _STR_LIST),
+    _Setting("study", "N_list", "study_N_list", _INT_LIST),
+    _Setting("study", "q_list", "study_q_list", _FLOAT_LIST),
+    _Setting("study", "state_dt", "study_state_dt", _FLOAT, lambda v: v > 0,
+             "state_dt > 0"),
+    _Setting("verify", "count", "verify_count", _INT, lambda v: v >= 1, "count >= 1"),
+    _Setting("verify", "seed", "verify_seed", _INT),
+    _Setting("verify", "band", "verify_band", _INT, lambda v: v >= 1, "band >= 1"),
+    _Setting("verify", "decay", "verify_decay", _FLOAT),
+    _Setting("verify", "amplitude", "verify_amplitude", _FLOAT),
+)
+
+_SOLVER_ATTRS = frozenset(f.name for f in fields(SolverConfig))
+
+
+def _value(cfg: RunConfig, setting: _Setting):
+    owner = cfg.solver if setting.attr in _SOLVER_ATTRS else cfg
+    return getattr(owner, setting.attr)
 
 
 def parse_config(text: str) -> RunConfig:
@@ -84,120 +141,70 @@ def parse_config(text: str) -> RunConfig:
         raise ConfigError([f"malformed config: {exc}"]) from exc
 
     violations: list[str] = []
+    known = {(s.section, s.key) for s in _SETTINGS}
+    sections = {s.section for s in _SETTINGS}
     for section in parser.sections():
-        if section not in _SCHEMA:
+        if section not in sections:
             violations.append(f"unknown section [{section}]")
             continue
         for key in parser.options(section):
-            if key not in _SCHEMA[section]:
+            if (section, key) not in known:
                 violations.append(f"unknown key {key!r} in section [{section}]")
 
-    g = lambda *a: _get(parser, *a)
-    dim = g("grid", "dim", int, 2, violations, "integer")
-    M = g("grid", "M", int, 64, violations, "integer")
-    L = g("grid", "L", float, 6.283185307179586, violations, "number")
-    dealias = g("grid", "dealias", float, 1.5, violations, "number")
-    p = g("fluid", "p", float, 1.9, violations, "number")
-    mu = g("fluid", "mu", float, 1.0, violations, "number")
-    N = g("galerkin", "N", int, None, violations, "integer")
-    lambda_cut = g("galerkin", "lambda_cut", float, None, violations, "number")
-    record_d2 = g("galerkin", "record_d2", _to_bool, False, violations, "boolean")
-    T = g("time", "T", float, 1.0, violations, "number")
-    rtol = g("time", "rtol", float, 1e-8, violations, "number")
-    atol = g("time", "atol", float, 1e-12, violations, "number")
-    dt_min = g("time", "dt_min", float, 1e-12, violations, "number")
-    sample_dt = g("time", "sample_dt", float, None, violations, "number")
-    kind = g("init", "kind", str, "taylor_green", violations, "string")
-    seed = g("init", "seed", int, 0, violations, "integer")
-    band = g("init", "band", int, 1, violations, "integer")
-    amplitude = g("init", "amplitude", float, 1.0, violations, "number")
-    decay = g("init", "decay", float, 2.0, violations, "number")
-    path = g("init", "path", str, None, violations, "string")
-    out_dir = g("output", "directory", str, ".", violations, "string")
-    formats = g("output", "formats", lambda s: tuple(
-        x.strip() for x in s.split(",") if x.strip()), ("csv", "json"),
-        violations, "list")
-    n_list = g("study", "N_list", _to_int_list, None, violations, "integer list")
-    q_list = g("study", "q_list", _to_float_list, (1.0, 1.5, 1.8), violations,
-               "number list")
-    state_dt = g("study", "state_dt", float, 0.02, violations, "number")
-    v_count = g("verify", "count", int, 200, violations, "integer")
-    v_seed = g("verify", "seed", int, 0, violations, "integer")
-    v_band = g("verify", "band", int, 4, violations, "integer")
-    v_decay = g("verify", "decay", float, 2.0, violations, "number")
-    v_amp = g("verify", "amplitude", float, 1.0, violations, "number")
+    solver_values, run_values = {}, {}
+    for s in _SETTINGS:
+        if not parser.has_option(s.section, s.key):
+            continue
+        raw = parser.get(s.section, s.key)
+        try:
+            value = s.kind.parse(raw)
+        except _NotFinite:
+            need = f" (need {s.rule})" if s.rule else ""
+            violations.append(
+                f"[{s.section}] {s.key} = {raw!r} is not a finite {s.kind.describe}{need}"
+            )
+            continue
+        except (TypeError, ValueError):
+            violations.append(
+                f"[{s.section}] {s.key} = {raw!r} is not a valid {s.kind.describe}"
+            )
+            continue
+        (solver_values if s.attr in _SOLVER_ATTRS else run_values)[s.attr] = value
+    cfg = RunConfig(solver=SolverConfig(**solver_values), **run_values)
 
-    if dim not in (2, 3):
-        violations.append(f"[grid] dim = {dim} violates dim in {{2, 3}}")
-    if M < 8 or M % 2 != 0:
-        violations.append(f"[grid] M = {M} violates M even and >= 8")
-    if L <= 0:
-        violations.append(f"[grid] L = {L} violates L > 0")
-    if dealias < 1:
-        violations.append(f"[grid] dealias = {dealias} violates dealias >= 1")
-    if not (1.0 < p <= 2.0):
-        violations.append(f"[fluid] p = {p} violates p in (1, 2]")
-    if mu < 0:
-        violations.append(f"[fluid] mu = {mu} violates mu >= 0")
-    if N is not None and lambda_cut is not None:
+    for s in _SETTINGS:
+        value = _value(cfg, s)
+        if s.ok is not None and value is not None and not s.ok(value):
+            violations.append(f"[{s.section}] {s.key} = {value} violates {s.rule}")
+
+    sc = cfg.solver
+    if sc.N is not None and sc.lambda_cut is not None:
         violations.append("[galerkin] give N or lambda_cut, not both")
-    if N is not None and N < 0:
-        violations.append(f"[galerkin] N = {N} violates N >= 0")
-    if lambda_cut is not None and not lambda_cut > 0:  # NaN too
-        violations.append(f"[galerkin] lambda_cut = {lambda_cut} violates lambda_cut > 0")
-    if T < 0:
-        violations.append(f"[time] T = {T} violates T >= 0")
-    if rtol <= 0:
-        violations.append(f"[time] rtol = {rtol} violates rtol > 0")
-    if atol < 0:
-        violations.append(f"[time] atol = {atol} violates atol >= 0")
-    if dt_min <= 0:
-        violations.append(f"[time] dt_min = {dt_min} violates dt_min > 0")
-    if sample_dt is not None and sample_dt <= 0:
-        violations.append(f"[time] sample_dt = {sample_dt} violates sample_dt > 0")
-    if kind not in _INIT_KINDS:
-        violations.append(f"[init] kind = {kind!r} is not one of {_INIT_KINDS}")
-    if kind == "checkpoint" and not path:
+    if sc.init_kind not in _INIT_KINDS:
+        violations.append(f"[init] kind = {sc.init_kind!r} is not one of {_INIT_KINDS}")
+    if sc.init_kind == "checkpoint" and not sc.path:
         violations.append("[init] kind = checkpoint needs a path")
-    if band < 1:
-        violations.append(f"[init] band = {band} violates band >= 1")
-    for fmt in formats:
+    for fmt in cfg.output_formats:
         if fmt not in _FORMATS:
             violations.append(f"[output] format {fmt!r} is not one of {_FORMATS}")
+    n_list = cfg.study_N_list
     if n_list is not None:
+        # only the convergence study reads q_list, and it requires N_list
         if len(n_list) < 3 or any(b <= a for a, b in zip(n_list, n_list[1:])):
             violations.append(
                 f"[study] N_list = {list(n_list)} must be strictly increasing "
                 f"with length >= 3"
             )
-    for q in q_list:
-        if not (1.0 <= q < p):
-            violations.append(
-                f"[study] q = {q} violates q in [1, p); strong convergence only "
-                f"holds below p = {p}"
-            )
-    if state_dt <= 0:
-        violations.append(f"[study] state_dt = {state_dt} violates state_dt > 0")
-    if v_count < 1:
-        violations.append(f"[verify] count = {v_count} violates count >= 1")
-    if v_band < 1:
-        violations.append(f"[verify] band = {v_band} violates band >= 1")
+        for q in cfg.study_q_list:
+            if not (1.0 <= q < sc.p):
+                violations.append(
+                    f"[study] q = {q} violates q in [1, p); strong convergence only "
+                    f"holds below p = {sc.p}"
+                )
 
     if violations:
         raise ConfigError(violations)
-
-    solver = SolverConfig(
-        dim=dim, M=M, L=L, dealias=dealias, p=p, mu=mu, N=N,
-        lambda_cut=lambda_cut, record_d2=record_d2, T=T, rtol=rtol, atol=atol,
-        dt_min=dt_min, sample_dt=sample_dt, init_kind=kind, seed=seed,
-        band=band, amplitude=amplitude, decay=decay, path=path,
-    )
-    return RunConfig(
-        solver=solver, output_dir=out_dir, output_formats=tuple(formats),
-        study_N_list=n_list, study_q_list=q_list, study_state_dt=state_dt,
-        verify_count=v_count, verify_seed=v_seed, verify_band=v_band,
-        verify_decay=v_decay, verify_amplitude=v_amp,
-    )
+    return cfg
 
 
 def load_config(path) -> RunConfig:
@@ -205,42 +212,25 @@ def load_config(path) -> RunConfig:
         return parse_config(fh.read())
 
 
+def _format(value) -> str:
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return repr(value)
+    if isinstance(value, (tuple, list)):
+        return ",".join(repr(x) if isinstance(x, float) else str(x) for x in value)
+    return str(value)
+
+
 def serialize_config(cfg: RunConfig) -> str:
-    """Canonical round-trippable text form."""
-    s = cfg.solver
-    out = io.StringIO()
-
-    def sec(name, pairs):
-        rows = [(k, v) for k, v in pairs if v is not None]
-        if not rows:
-            return
-        out.write(f"[{name}]\n")
-        for k, v in rows:
-            if isinstance(v, bool):
-                v = "true" if v else "false"
-            elif isinstance(v, float):
-                v = repr(v)
-            elif isinstance(v, (tuple, list)):
-                v = ",".join(repr(x) if isinstance(x, float) else str(x) for x in v)
-            out.write(f"{k} = {v}\n")
-        out.write("\n")
-
-    sec("grid", [("dim", s.dim), ("M", s.M), ("L", s.L), ("dealias", s.dealias)])
-    sec("fluid", [("p", s.p), ("mu", s.mu)])
-    sec("galerkin", [("N", s.N), ("lambda_cut", s.lambda_cut),
-                     ("record_d2", s.record_d2)])
-    sec("time", [("T", s.T), ("rtol", s.rtol), ("atol", s.atol),
-                 ("dt_min", s.dt_min), ("sample_dt", s.sample_dt)])
-    sec("init", [("kind", s.init_kind), ("seed", s.seed), ("band", s.band),
-                 ("amplitude", s.amplitude), ("decay", s.decay), ("path", s.path)])
-    sec("output", [("directory", cfg.output_dir),
-                   ("formats", ",".join(cfg.output_formats))])
-    sec("study", [("N_list", cfg.study_N_list), ("q_list", cfg.study_q_list),
-                  ("state_dt", cfg.study_state_dt)])
-    sec("verify", [("count", cfg.verify_count), ("seed", cfg.verify_seed),
-                   ("band", cfg.verify_band), ("decay", cfg.verify_decay),
-                   ("amplitude", cfg.verify_amplitude)])
-    return out.getvalue()
+    """Canonical round-trippable text form; unset (None) keys are left out,
+    and so is a section with no key set."""
+    lines: dict[str, list[str]] = {}
+    for s in _SETTINGS:
+        value = _value(cfg, s)
+        if value is not None:
+            lines.setdefault(s.section, []).append(f"{s.key} = {_format(value)}\n")
+    return "".join(f"[{section}]\n{''.join(rows)}\n" for section, rows in lines.items())
 
 
 def with_overrides(cfg: RunConfig, **solver_overrides) -> RunConfig:

@@ -100,12 +100,6 @@ def rho_tilde(v: SpectralVelocity, params: FluidParams) -> float:
     return inner_product(stress(D, params), D)
 
 
-def natural_dissipation(v: SpectralVelocity, params: FluidParams) -> float:
-    """Squared weighted-strain norm; alias of rho_tilde so the energy
-    balance reads off one-to-one."""
-    return rho_tilde(v, params)
-
-
 def I_p(v: SpectralVelocity, params: FluidParams) -> float:
     """Weighted second-order dissipation
     integral of (mu + |Dv|^2)^((p-2)/2) |grad Dv|^2; requires mu > 0."""

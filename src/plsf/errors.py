@@ -29,7 +29,8 @@ class CapacityError(PlsfError):
 
 
 class StiffnessError(PlsfError):
-    """Adaptive step size underflowed dt_min; carries diagnostic state."""
+    """Adaptive step size underflowed dt_min, or the step size or error norm
+    is not finite; carries diagnostic state."""
 
     def __init__(self, t: float, dt: float, err_norm: float):
         self.t = t

@@ -454,6 +454,9 @@ def load_checkpoint(path, dealias_factor: float = 1.5) -> SpectralVelocity:
         data = np.frombuffer(fh.read(size), dtype="<f8")
         if data.nbytes != size:
             raise FieldInvariantError(f"truncated checkpoint payload in {path}")
+        # NaN passes every `>` comparison of the invariant checks
+        if not np.all(np.isfinite(data)):
+            raise FieldInvariantError(f"{path} holds non-finite coefficients")
     grid = TorusGrid(dim, M, L, dealias_factor=dealias_factor)
     reps = representative_modes(grid)
     flat = data.reshape(count, dim, 2)

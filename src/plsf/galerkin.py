@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -131,11 +132,6 @@ def galerkin_rhs(state: GalerkinState, params: FluidParams) -> np.ndarray:
     return visc - conv
 
 
-def galerkin_rhs_parts(state: GalerkinState, params: FluidParams):
-    """(stress projection, convection projection); rhs = first - second."""
-    return _rhs_parts(state.basis, params, state.c)
-
-
 def state_functionals(state: GalerkinState, params: FluidParams, record_d2: bool = False):
     """All scalar functionals one trajectory sample records.
 
@@ -228,7 +224,8 @@ class StepController:
     last_segment: StepSegment | None = None
 
     def __post_init__(self):
-        if self.rtol <= 0 or self.atol < 0 or self.dt_min <= 0:
+        # written so that NaN fails every check
+        if not (self.rtol > 0 and self.atol >= 0 and self.dt_min > 0):
             raise ValueError("tolerances must be positive")
 
     def error_norm(self, err: np.ndarray, y0: np.ndarray, y1: np.ndarray) -> float:
@@ -282,6 +279,10 @@ def advance(
             (b5 - b4) * k for b5, b4, k in zip(_DP_B5, _DP_B4, ks) if b5 != b4
         )
         err_norm = ctrl.error_norm(err, y0, y5)
+        if not math.isfinite(err_norm):
+            # also catches a non-finite dt (a NaN k1 gives a NaN initial step):
+            # `dt < dt_min` below never holds for NaN, so rejection would loop
+            raise StiffnessError(state.t, dt, err_norm)
         if err_norm <= 1.0:
             capped = dt_cap is not None and dt >= dt_cap
             proposal = dt * ctrl.accept_factor(err_norm)
@@ -520,15 +521,9 @@ def _snap_targets(times: list[float], T: float) -> dict[float, float]:
 
 
 def _rows_to_record(config, params, N, rows, ctrl) -> TrajectoryRecord:
-    # accepted steps may coincide with cadence snaps; drop exact duplicates
-    seen = set()
-    uniq = []
-    for t, vals in rows:
-        if t not in seen:
-            seen.add(t)
-            uniq.append((t, vals))
-    times = np.array([t for t, _ in uniq])
-    get = lambda key: np.array([vals[key] for _, vals in uniq])
+    # record_coeffs samples each time once, so rows hold no duplicate times
+    times = np.array([t for t, _ in rows])
+    get = lambda key: np.array([vals[key] for _, vals in rows])
     return TrajectoryRecord(
         p=params.p, mu=params.mu, N=N,
         times=times,

@@ -140,9 +140,10 @@ def check_friedrichs(ensemble: FieldEnsemble, q: float, epsilon: float):
     + eps ||grad u||_q^2 over the whole ensemble.
 
     The unsquared form of this bound is sign-ambiguous in its projection
-    terms, so the squared form is what gets checked.  kappa is found by
-    doubling then binary refinement; on band-limited fields the full
-    basis always suffices.
+    terms, so the squared form is what gets checked.  Each sample's least
+    kappa >= 1 comes from one scan over every kappa; the ensemble's is the
+    largest of these, and the full basis size when some sample never
+    holds (on band-limited fields the full basis always suffices).
     """
     if q <= 6.0 / 5.0:
         raise ValueError(f"q must exceed 6/5, got {q}")
@@ -158,27 +159,10 @@ def check_friedrichs(ensemble: FieldEnsemble, q: float, epsilon: float):
         lhs.append(lp_norm(u, 2) ** 2)
         grads.append(lp_norm(gradient(u), q) ** 2)
 
-    def holds(kappa: int) -> bool:
-        return all(
-            l <= (1 + epsilon) * c[kappa] + epsilon * g + 1e-12 * max(l, 1.0)
-            for l, c, g in zip(lhs, cums, grads)
-        )
-
     kappa = 1
-    while kappa < basis.size and not holds(kappa):
-        kappa *= 2
-    kappa = min(kappa, basis.size)
-    if not holds(kappa):
-        # complete basis exhausts the norm on band-limited fields
-        kappa = basis.size
-    lo, hi = kappa // 2, kappa  # holds(hi) is True; refine to the least kappa
-    while lo + 1 < hi:
-        mid = (lo + hi) // 2
-        if holds(mid):
-            hi = mid
-        else:
-            lo = mid
-    kappa = hi
+    for l, c, g in zip(lhs, cums, grads):
+        holds = l <= (1 + epsilon) * c[1:] + epsilon * g + 1e-12 * max(l, 1.0)
+        kappa = max(kappa, int(np.argmax(holds)) + 1 if holds.any() else basis.size)
     worst = max(
         l / ((1 + epsilon) * c[kappa] + epsilon * g)
         for l, c, g in zip(lhs, cums, grads)

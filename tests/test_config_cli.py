@@ -5,9 +5,16 @@ import numpy as np
 import pytest
 
 from plsf.cli import _study_workers, main
-from plsf.config import load_config, parse_config, serialize_config
+from plsf.config import (
+    RunConfig,
+    load_config,
+    parse_config,
+    serialize_config,
+    with_overrides,
+)
 from plsf.errors import ConfigError
 from plsf.fields import load_checkpoint
+from plsf.galerkin import SolverConfig
 
 MINIMAL = """
 [grid]
@@ -117,6 +124,177 @@ def test_roundtrip_identity():
     assert parse_config(serialize_config(again)) == again
 
 
+def test_empty_document_is_the_dataclass_defaults():
+    assert parse_config("") == RunConfig()
+
+
+# every number must be finite: NaN makes every comparison false, so a check
+# written as `value < bound` never fires for it, and each of these would reach
+# the solver or summary.json if conversion let it through
+NON_FINITE = [
+    ("time", "T", "nan"),
+    ("fluid", "mu", "nan"),
+    ("time", "rtol", "nan"),
+    ("time", "atol", "nan"),
+    ("time", "dt_min", "nan"),
+    ("time", "sample_dt", "nan"),
+    ("study", "state_dt", "nan"),
+    ("init", "amplitude", "nan"),
+    ("init", "decay", "nan"),
+    ("verify", "amplitude", "nan"),
+    ("grid", "L", "inf"),
+    ("grid", "dealias", "inf"),
+    ("time", "T", "inf"),
+    ("galerkin", "lambda_cut", "inf"),
+    ("time", "atol", "-inf"),
+    ("study", "q_list", "1.0,nan"),
+]
+
+
+@pytest.mark.parametrize("section,key,raw", NON_FINITE)
+def test_non_finite_setting_rejected(section, key, raw):
+    with pytest.raises(ConfigError) as exc:
+        parse_config(f"[{section}]\n{key} = {raw}\n")
+    assert any(v.startswith(f"[{section}] {key} = ") for v in exc.value.violations)
+
+
+def test_q_list_ignored_without_n_list():
+    # only the convergence study reads q_list, and it requires N_list
+    cfg = parse_config("[fluid]\np = 1.7\n")
+    assert cfg.solver.p == 1.7
+    assert cfg.study_q_list == (1.0, 1.5, 1.8)
+    assert parse_config(serialize_config(cfg)) == cfg
+
+
+def test_default_q_list_checked_against_p_with_n_list():
+    with pytest.raises(ConfigError) as exc:
+        parse_config("[fluid]\np = 1.7\n\n[study]\nN_list = 4,8,16\n")
+    assert "q in [1, p)" in str(exc.value)
+
+
+# serialize_config output pinned as text: summary.json embeds it, so any
+# change here changes a run artifact
+DEFAULT_TEXT = """\
+[grid]
+dim = 2
+M = 64
+L = 6.283185307179586
+dealias = 1.5
+
+[fluid]
+p = 1.9
+mu = 1.0
+
+[galerkin]
+record_d2 = false
+
+[time]
+T = 1.0
+rtol = 1e-08
+atol = 1e-12
+dt_min = 1e-12
+
+[init]
+kind = taylor_green
+seed = 0
+band = 1
+amplitude = 1.0
+decay = 2.0
+
+[output]
+directory = .
+formats = csv,json
+
+[study]
+q_list = 1.0,1.5,1.8
+state_dt = 0.02
+
+[verify]
+count = 200
+seed = 0
+band = 4
+decay = 2.0
+amplitude = 1.0
+
+"""
+
+EVERY_KEY = RunConfig(
+    solver=SolverConfig(
+        dim=3, M=12, L=2.5, dealias=1.25, p=1.75, mu=0.5, N=40, lambda_cut=3.5,
+        record_d2=True, T=0.3, rtol=1e-6, atol=1e-10, dt_min=1e-9, sample_dt=0.05,
+        init_kind="checkpoint", seed=7, band=2, amplitude=0.25, decay=1.5,
+        path="init.plsf",
+    ),
+    output_dir="out", output_formats=("csv", "checkpoint"),
+    study_N_list=(8, 16, 32), study_q_list=(1.0, 1.25), study_state_dt=0.1,
+    verify_count=50, verify_seed=3, verify_band=2, verify_decay=3.0,
+    verify_amplitude=0.5,
+)
+
+EVERY_KEY_TEXT = """\
+[grid]
+dim = 3
+M = 12
+L = 2.5
+dealias = 1.25
+
+[fluid]
+p = 1.75
+mu = 0.5
+
+[galerkin]
+N = 40
+lambda_cut = 3.5
+record_d2 = true
+
+[time]
+T = 0.3
+rtol = 1e-06
+atol = 1e-10
+dt_min = 1e-09
+sample_dt = 0.05
+
+[init]
+kind = checkpoint
+seed = 7
+band = 2
+amplitude = 0.25
+decay = 1.5
+path = init.plsf
+
+[output]
+directory = out
+formats = csv,checkpoint
+
+[study]
+N_list = 8,16,32
+q_list = 1.0,1.25
+state_dt = 0.1
+
+[verify]
+count = 50
+seed = 3
+band = 2
+decay = 3.0
+amplitude = 0.5
+
+"""
+
+
+def test_serialized_text_is_pinned():
+    assert serialize_config(RunConfig()) == DEFAULT_TEXT
+    assert serialize_config(EVERY_KEY) == EVERY_KEY_TEXT
+
+
+def test_every_serialized_key_is_accepted():
+    # all 30 keys parse; the only complaint is the N/lambda_cut exclusion
+    with pytest.raises(ConfigError) as exc:
+        parse_config(EVERY_KEY_TEXT)
+    assert exc.value.violations == ["[galerkin] give N or lambda_cut, not both"]
+    cfg = parse_config(EVERY_KEY_TEXT.replace("lambda_cut = 3.5\n", ""))
+    assert cfg == with_overrides(EVERY_KEY, lambda_cut=None)
+
+
 # -- CLI run -------------------------------------------------------------------
 
 
@@ -180,6 +358,38 @@ amplitude = 30.0
     cfg_path = write_config(tmp_path, text)
     assert main(["run", str(cfg_path), "--out", str(tmp_path / "o")]) == 3
 
+
+
+def test_cli_run_infinite_dealias_exit_2(tmp_path, capsys):
+    # an infinite padding factor used to overflow in the grid set-up
+    cfg_path = write_config(tmp_path, "[grid]\nM = 16\ndealias = inf\n")
+    assert main(["run", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
+    assert "[grid] dealias" in capsys.readouterr().err
+
+
+def test_cli_run_p_below_default_q_list_without_study(tmp_path):
+    text = "[grid]\nM = 16\n\n[fluid]\np = 1.7\n\n[galerkin]\nN = 20\n\n[time]\nT = 0.05\n"
+    cfg_path = write_config(tmp_path, text)
+    assert main(["run", str(cfg_path), "--out", str(tmp_path / "o")]) == 0
+    summary = json.loads((tmp_path / "o" / "summary.json").read_text())
+    assert summary["p"] == 1.7
+
+
+def test_cli_run_non_finite_checkpoint_exit_3(tmp_path, capsys):
+    from plsf.fields import random_solenoidal, save_checkpoint
+    from plsf.grid import TorusGrid
+
+    # the NaN sits in the highest mode, outside the N = 20 basis, so the run
+    # itself would never see it; the loader refuses the file anyway
+    ckpt = tmp_path / "init.plsf"
+    save_checkpoint(ckpt, random_solenoidal(TorusGrid(2, 16, 2 * np.pi), band=3, seed=1))
+    raw = bytearray(ckpt.read_bytes())
+    raw[-8:] = struct.pack("<d", float("nan"))
+    ckpt.write_bytes(bytes(raw))
+    text = f"[grid]\nM = 16\n\n[galerkin]\nN = 20\n\n[init]\nkind = checkpoint\npath = {ckpt}\n"
+    cfg_path = write_config(tmp_path, text)
+    assert main(["run", str(cfg_path), "--out", str(tmp_path / "o")]) == 3
+    assert "init.plsf" in capsys.readouterr().err
 
 
 def test_cli_run_bad_checkpoint_header_exit_3(tmp_path, capsys):

@@ -5,7 +5,6 @@ from plsf.constitutive import (
     STRESS_DIFF_CONSTANT,
     FluidParams,
     I_p,
-    natural_dissipation,
     oo_identity_residual,
     oo_residual_scale,
     rho_tilde,
@@ -127,12 +126,6 @@ def test_rho_tilde_duality_is_exact(grid2d):
     params = FluidParams(1.87, 0.6)
     D = sym_gradient(v)
     assert rho_tilde(v, params) == inner_product(stress(D, params), D)
-
-
-def test_natural_dissipation_alias(grid2d):
-    v = random_solenoidal(grid2d, band=5, seed=4)
-    params = FluidParams(1.9, 1.0)
-    assert natural_dissipation(v, params) == rho_tilde(v, params)
 
 
 def test_rho_tilde_refined_grid_oracle():

@@ -268,6 +268,22 @@ def test_checkpoint_truncated_payload_rejected(tmp_path, grid2d):
         load_checkpoint(short)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_checkpoint_non_finite_payload_rejected(tmp_path, grid2d, value):
+    # NaN passes every `>` comparison of the invariant checks, so the loader
+    # has to look at the payload itself
+    v = random_solenoidal(grid2d, band=3, seed=18)
+    path = tmp_path / "state.plsf"
+    save_checkpoint(path, v)
+    raw = bytearray(path.read_bytes())
+    offset = HEADER.size + 8 * 5
+    raw[offset : offset + 8] = struct.pack("<d", value)
+    bad = tmp_path / "nonfinite.plsf"
+    bad.write_bytes(bytes(raw))
+    with pytest.raises(FieldInvariantError, match="nonfinite.plsf"):
+        load_checkpoint(bad)
+
+
 @pytest.mark.parametrize(
     "dim, M, L",
     [

@@ -13,8 +13,8 @@ from plsf.galerkin import (
     StepController,
     TrajectoryRecord,
     advance,
+    _rhs_parts,
     galerkin_rhs,
-    galerkin_rhs_parts,
     project_initial_data,
     run_trajectory,
     state_functionals,
@@ -90,7 +90,7 @@ def _check_convection_neutrality(grid, N, seed, trials=5):
     params = FluidParams(1.9, 1.0)
     for _ in range(trials):
         c = rng.standard_normal(N)
-        _, conv = galerkin_rhs_parts(GalerkinState(basis, c, 0.0), params)
+        _, conv = _rhs_parts(basis, params, c)
         scale = max(1.0, float(np.max(np.abs(c))) ** 3)
         assert abs(float(np.dot(c, conv))) < 1e-12 * scale
 
@@ -142,7 +142,7 @@ def test_convection_neutrality_even_without_oversampling():
     basis = make_basis(g, 40)
     rng = np.random.default_rng(4)
     c = rng.standard_normal(40)
-    _, conv = galerkin_rhs_parts(GalerkinState(basis, c, 0.0), FluidParams(1.9, 1.0))
+    _, conv = _rhs_parts(basis, FluidParams(1.9, 1.0), c)
     assert abs(float(np.dot(c, conv))) < 1e-12 * max(1.0, np.max(np.abs(c)) ** 3)
 
 
@@ -157,7 +157,7 @@ def test_convection_equals_skew_average(dim, M, dealias):
     g = TorusGrid(dim, M, 2 * np.pi, dealias_factor=dealias)
     basis = make_basis(g, basis_capacity(g))
     c = np.random.default_rng(6).standard_normal(basis_capacity(g))
-    _, conv = galerkin_rhs_parts(GalerkinState(basis, c, 0.0), FluidParams(1.9, 1.0))
+    _, conv = _rhs_parts(basis, FluidParams(1.9, 1.0), c)
 
     ik = 1j * g.wavevectors
     vhat = basis.synthesize_coeffs(c)
@@ -246,6 +246,48 @@ def test_stiffness_error_carries_diagnostics(grid2d):
     with pytest.raises(StiffnessError) as exc:
         advance(state, FluidParams(1.9, 1.0), ctrl)
     assert exc.value.dt < 0.5
+
+
+@pytest.mark.parametrize(
+    "kw", [{"rtol": np.nan}, {"atol": np.nan}, {"dt_min": np.nan}, {"rtol": 0.0},
+           {"atol": -1e-12}]
+)
+def test_step_controller_rejects_bad_tolerances(kw):
+    with pytest.raises(ValueError):
+        StepController(**kw)
+
+
+@pytest.fixture
+def bounded_rhs(monkeypatch):
+    """Make a non-terminating step-size loop fail instead of hanging."""
+    import plsf.galerkin as galerkin
+
+    calls = []
+    rhs = galerkin._rhs_parts
+
+    def counted(*args):
+        calls.append(1)
+        if len(calls) > 300:
+            raise RuntimeError("advance did not stop")
+        return rhs(*args)
+
+    monkeypatch.setattr(galerkin, "_rhs_parts", counted)
+    return calls
+
+
+@pytest.mark.parametrize("dt", [None, 1e-3], ids=["initial-dt", "set-dt"])
+def test_advance_stops_on_nan_state(grid2d, bounded_rhs, dt):
+    # a NaN k1 makes the initial step NaN, and `dt < dt_min` never holds for
+    # it; from a finite dt, rejecting the NaN error norm only shrinks dt
+    # towards dt_min one rejection at a time
+    basis = make_basis(grid2d, 20)
+    c = np.ones(20)
+    c[3] = np.nan
+    ctrl = StepController()
+    ctrl.dt = dt
+    with pytest.raises(StiffnessError):
+        advance(GalerkinState(basis, c, 0.0), FluidParams(1.9, 1.0), ctrl)
+    assert len(bounded_rhs) <= 7
 
 
 # -- trajectory runs ---------------------------------------------------------------

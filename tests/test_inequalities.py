@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from plsf.basis import make_basis
+from plsf.basis import full_basis, make_basis
 from plsf.constitutive import FluidParams
 from plsf.errors import ConfigError
 from plsf.fields import SpectralVelocity, gradient, lp_norm
@@ -82,6 +82,34 @@ def test_friedrichs_single_basis_mode_kappa_one():
     ens = single_mode_ensemble(2 * np.pi)
     rep = check_friedrichs(ens, 2.0, 0.5)
     assert rep.kappa <= 2  # the mode sits in the first shell
+
+
+def linear_scan_kappa(ensemble, q, epsilon):
+    """Reference: try kappa = 1, 2, ... in turn with the suite's inequality."""
+    basis = full_basis(ensemble.grid)
+    rows = []
+    for u in ensemble.samples:
+        c = np.concatenate([[0.0], np.cumsum(basis.project(u) ** 2)])
+        rows.append((lp_norm(u, 2) ** 2, c, lp_norm(gradient(u), q) ** 2))
+    for kappa in range(1, basis.size + 1):
+        if all(l <= (1 + epsilon) * c[kappa] + epsilon * g + 1e-12 * max(l, 1.0)
+               for l, c, g in rows):
+            return kappa
+    return basis.size
+
+
+@pytest.mark.parametrize("epsilon", [0.2, 0.05, 0.01])
+@pytest.mark.parametrize("name", ["ens2d", "ens3d"])
+def test_friedrichs_kappa_matches_linear_scan(request, name, epsilon):
+    ens = request.getfixturevalue(name)
+    assert check_friedrichs(ens, 1.9, epsilon).kappa == linear_scan_kappa(ens, 1.9, epsilon)
+
+
+def test_friedrichs_single_mode_kappa_matches_linear_scan():
+    ens = single_mode_ensemble(2 * np.pi)
+    for epsilon in (0.5, 1e-3):
+        rep = check_friedrichs(ens, 2.0, epsilon)
+        assert rep.kappa == linear_scan_kappa(ens, 2.0, epsilon)
 
 
 def test_friedrichs_kappa_monotone_in_epsilon(ens2d):
