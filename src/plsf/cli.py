@@ -14,6 +14,7 @@ Exit codes: 0 all checks pass, 1 check failure, 2 usage/config error,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -31,7 +32,7 @@ from .constitutive import (
     oo_residual_scale,
 )
 from .errors import CapacityError, ConfigError, PlsfError, StiffnessError
-from .fields import SpectralVelocity, save_checkpoint
+from .fields import SpectralVelocity, gradient, lp_norm, save_checkpoint
 from .galerkin import TrajectoryRecord, run_trajectory
 
 
@@ -142,31 +143,35 @@ def cmd_gap(manifest_path: str, s: float, t: float, alphas, out: str | None) -> 
 # -- verify ------------------------------------------------------------------
 
 SUITES = ("lemma1", "friedrichs", "lemma3", "interp", "oo", "ap3")
+LEMMA3_MUS = (1e-2, 1.0, 1e2)
+FRIEDRICHS_MIN_Q = 1.3
+
+# A suite that reads the per-field table takes `table`, its memoised
+# builder: the one pass over the ensemble runs inside the first such suite.
 
 
-def _suite_lemma1(ensemble, params):
-    half = ensemble.count // 2
-    cal = ineq.FieldEnsemble(**{**ensemble.__dict__, "samples": ensemble.samples[:half]})
-    fresh = ineq.FieldEnsemble(**{**ensemble.__dict__, "samples": ensemble.samples[half:]})
-    calibration = ineq.check_lemma1(cal, params.p)
-    report = ineq.check_lemma1(fresh, params.p, frozen_c=2.0 * calibration.empirical_C)
+def _suite_lemma1(table, params):
+    rows = table()
+    half = len(rows) // 2
+    calibration = ineq.check_lemma1(rows[:half], params.p)
+    report = ineq.check_lemma1(rows[half:], params.p, frozen_c=2.0 * calibration.empirical_C)
     passed = report.violations == 0
     return passed, {"calibrated_C": calibration.empirical_C,
                     "frozen_C": report.frozen_C, **report.to_json()}
 
 
-def _suite_friedrichs(ensemble, params):
-    r1 = ineq.check_friedrichs(ensemble, max(params.p, 1.3), 0.1)
-    r2 = ineq.check_friedrichs(ensemble, max(params.p, 1.3), 0.05)
+def _suite_friedrichs(table, params):
+    q = max(params.p, FRIEDRICHS_MIN_Q)
+    r1 = ineq.check_friedrichs(table(), q, 0.1)
+    r2 = ineq.check_friedrichs(table(), q, 0.05)
     passed = r2.kappa >= r1.kappa
     return passed, {"kappa_eps_0.1": r1.kappa, "kappa_eps_0.05": r2.kappa,
                     "monotone_in_eps": passed}
 
-def _suite_lemma3(ensemble, params):
-    mus = (1e-2, 1.0, 1e2)
+def _suite_lemma3(table, params):
     constants = {"SD1": [], "SD4": [], "SD2": []}
-    for mu in mus:
-        for rep in ineq.check_lemma3(ensemble, FluidParams(params.p, mu)):
+    for mu in LEMMA3_MUS:
+        for rep in ineq.check_lemma3(table(), FluidParams(params.p, mu)):
             constants[rep.id].append(rep.empirical_C)
     detail = {}
     passed = True
@@ -174,20 +179,19 @@ def _suite_lemma3(ensemble, params):
         spread = max(vals) / min(vals)
         ok = spread < 2.0
         passed = passed and ok
-        detail[name] = {"constants_by_mu": dict(zip(map(str, mus), vals)),
+        detail[name] = {"constants_by_mu": dict(zip(map(str, LEMMA3_MUS), vals)),
                         "spread": spread, "mu_stable": ok}
     return passed, detail
 
 
-def _suite_interp(ensemble, params):
-    reports = ineq.check_interpolations(ensemble, params.p)
+def _suite_interp(table, params):
+    reports = ineq.check_interpolations(table(), params.p)
     passed = reports["c1"].violations == 0 and reports["c2"].violations == 0
     return passed, {k: r.to_json() for k, r in reports.items()}
 
 
-def _suite_oo(ensemble, params, count, seed):
+def _suite_oo(d, params, count, seed):
     rng = np.random.default_rng(seed)
-    d = ensemble.dim
     failures = 0
     worst = 0.0
     for _ in range(count):
@@ -204,10 +208,9 @@ def _suite_oo(ensemble, params, count, seed):
                            "worst_scaled_residual": worst}
 
 
-def _suite_ap3(ensemble, params):
-    report = ineq.check_ap3(ensemble, params)
-    rows = report.pop("rows")
-    del rows
+def _suite_ap3(table, params):
+    report = ineq.check_ap3(table(), params)
+    report.pop("rows")
     return report["violations"] == 0, report
 
 
@@ -218,30 +221,35 @@ def cmd_verify(cfg: RunConfig, suites: list[str], out: str | None) -> int:
             [f"suites {sorted(needs_mu)} need [fluid] mu > 0, got {cfg.solver.mu}"]
         )
     params = FluidParams(cfg.solver.p, cfg.solver.mu)
+    check_args = {  # the arguments each suite passes to its check
+        "lemma1": [params.p], "interp": [params.p], "ap3": [params],
+        "friedrichs": [max(params.p, FRIEDRICHS_MIN_Q)],
+        "lemma3": [FluidParams(params.p, mu) for mu in LEMMA3_MUS],
+    }
+    keys = [key for suite in suites for arg in check_args.get(suite, ())
+            for key in ineq.TABLE_KEYS[suite](arg)]
+    table = functools.cache(lambda: ineq.field_table(ineq.FieldEnsemble.generate(
+        cfg.solver.dim, cfg.solver.M, cfg.solver.L,
+        band=cfg.verify_band, decay=cfg.verify_decay,
+        seed=cfg.verify_seed, count=cfg.verify_count,
+        amplitude=cfg.verify_amplitude, dealias=cfg.solver.dealias,
+    ).samples, keys))
     results = {}
     all_pass = True
-    ensemble = None
-    if suites:
-        ensemble = ineq.FieldEnsemble.generate(
-            cfg.solver.dim, cfg.solver.M, cfg.solver.L,
-            band=cfg.verify_band, decay=cfg.verify_decay,
-            seed=cfg.verify_seed, count=cfg.verify_count,
-            amplitude=cfg.verify_amplitude, dealias=cfg.solver.dealias,
-        )
     for suite in suites:
         if suite == "lemma1":
-            passed, detail = _suite_lemma1(ensemble, params)
+            passed, detail = _suite_lemma1(table, params)
         elif suite == "friedrichs":
-            passed, detail = _suite_friedrichs(ensemble, params)
+            passed, detail = _suite_friedrichs(table, params)
         elif suite == "lemma3":
-            passed, detail = _suite_lemma3(ensemble, params)
+            passed, detail = _suite_lemma3(table, params)
         elif suite == "interp":
-            passed, detail = _suite_interp(ensemble, params)
+            passed, detail = _suite_interp(table, params)
         elif suite == "oo":
-            passed, detail = _suite_oo(ensemble, params, cfg.verify_count,
+            passed, detail = _suite_oo(cfg.solver.dim, params, cfg.verify_count,
                                        cfg.verify_seed)
         elif suite == "ap3":
-            passed, detail = _suite_ap3(ensemble, params)
+            passed, detail = _suite_ap3(table, params)
         else:
             raise ConfigError([f"unknown suite {suite!r}; choose from {SUITES}"])
         results[suite] = {"pass": passed, "detail": detail}
@@ -311,9 +319,6 @@ def cmd_converge(cfg: RunConfig, out: str | None) -> int:
     records = [rec for rec, _ in outputs]
     states = [st for _, st in outputs]
     ref_states = states[-1]
-
-    from .fields import gradient, lp_norm
-
     report = {
         "N_list": n_list,
         "q_list": list(cfg.study_q_list),
@@ -326,15 +331,13 @@ def cmd_converge(cfg: RunConfig, out: str | None) -> int:
         "pc_integrals": [],
         "histograms": [],
     }
-    p = cfg.solver.p
-    grad_norm_diffs = []  # per member: |grad-norm deviation| at each time
-    for member, member_states in enumerate(states[:-1]):
-        diffs = []
-        for c_n, c_ref in zip(member_states, ref_states):
-            v_diff = SpectralVelocity(grid, c_n - c_ref, validate=False)
-            diffs.append(lp_norm(gradient(v_diff), p))
-        diffs = np.array(diffs)
-        grad_norm_diffs.append(diffs)
+
+    def grad_norm(c, q):
+        return lp_norm(gradient(SpectralVelocity(grid, c, validate=False)), q)
+
+    for member_states in states[:-1]:
+        diffs = np.array([grad_norm(c_n - c_ref, cfg.solver.p)
+                          for c_n, c_ref in zip(member_states, ref_states)])
         for q in cfg.study_q_list:
             e = float(np.trapezoid(diffs**q, times) ** (1.0 / q))
             report["errors"].setdefault(repr(q), []).append(e)
@@ -346,14 +349,12 @@ def cmd_converge(cfg: RunConfig, out: str | None) -> int:
         )
 
     # pointwise a.e.-convergence surrogate on ||grad v||_2
-    dev_rows = []
-    for member_states in states[:-1]:
-        devs = []
-        for c_n, c_ref in zip(member_states, ref_states):
-            g_n = lp_norm(gradient(SpectralVelocity(grid, c_n, validate=False)), 2.0)
-            g_r = lp_norm(gradient(SpectralVelocity(grid, c_ref, validate=False)), 2.0)
-            devs.append(abs(g_n - g_r))
-        dev_rows.append(np.array(devs))
+    ref_grad_l2 = [grad_norm(c_ref, 2.0) for c_ref in ref_states]
+    dev_rows = [
+        np.array([abs(grad_norm(c_n, 2.0) - g_r)
+                  for c_n, g_r in zip(member_states, ref_grad_l2)])
+        for member_states in states[:-1]
+    ]
     edges = [0.0] + [10.0**e for e in range(-14, 3)]
     for devs in dev_rows:
         hist, _ = np.histogram(devs, bins=edges)

@@ -15,7 +15,6 @@ import numpy as np
 from .fields import (
     SpectralVelocity,
     TensorField,
-    grad_sym_gradient_samples,
     inner_product,
     sym_gradient,
 )
@@ -41,7 +40,7 @@ class FluidParams:
     def __post_init__(self):
         if not (1.0 < self.p <= 2.0):
             raise ValueError(f"p must lie in (1, 2], got {self.p}")
-        if self.mu < 0:
+        if not (self.mu >= 0):  # NaN fails every comparison
             raise ValueError(f"mu must be nonnegative, got {self.mu}")
 
     @property
@@ -66,7 +65,7 @@ def stress(D: TensorField, params: FluidParams) -> TensorField:
     """Pointwise power-law stress of a strain-rate field."""
     dd_sq = np.sum(D.values**2, axis=(0, 1))
     fac = _stress_factor(dd_sq, params)
-    return TensorField(D.grid, fac[np.newaxis, np.newaxis] * D.values, symmetric=D.symmetric)
+    return TensorField(D.grid, fac[np.newaxis, np.newaxis] * D.values)
 
 
 def stress_tensor(D: np.ndarray, params: FluidParams) -> np.ndarray:
@@ -108,8 +107,7 @@ def I_p(v: SpectralVelocity, params: FluidParams) -> float:
     D = sym_gradient(v)
     dd_sq = np.sum(D.values**2, axis=(0, 1))
     fac = _stress_factor(dd_sq, params)
-    dD = grad_sym_gradient_samples(v)
-    density = fac * np.sum(dD**2, axis=(0, 1, 2))
+    density = fac * v.grad_strain_sq  # cached: one transform for every mu
     return float(np.sum(density) * v.grid.quad_weight)
 
 

@@ -79,13 +79,20 @@ class SpectralVelocity:
         g = self.grid
         k = g.wavevectors
         ghat = 1j * k[np.newaxis, :] * self.coeffs[:, np.newaxis]
-        return TensorField(g, g.to_physical(ghat), symmetric=False)
+        return TensorField(g, g.to_physical(ghat))
 
     @cached_property
     def _sym_gradient(self) -> "TensorField":
         vals = self._gradient.values
         sym = 0.5 * (vals + np.swapaxes(vals, 0, 1))
-        return TensorField(self.grid, sym, symmetric=True)
+        return TensorField(self.grid, sym)
+
+    @cached_property
+    def grad_strain_sq(self) -> np.ndarray:
+        """Pointwise |grad D|^2, the sum of (d_s D_ij)^2, on the padded grid."""
+        sq = np.sum(grad_sym_gradient_samples(self) ** 2, axis=(0, 1, 2))
+        sq.setflags(write=False)
+        return sq
 
     def __add__(self, other: "SpectralVelocity") -> "SpectralVelocity":
         _require_same_grid(self, other)
@@ -107,7 +114,7 @@ class SpectralVelocity:
 class TensorField:
     """Pointwise d x d tensor samples on the padded physical grid."""
 
-    def __init__(self, grid: TorusGrid, values: np.ndarray, symmetric: bool = False):
+    def __init__(self, grid: TorusGrid, values: np.ndarray):
         values = np.asarray(values, dtype=np.float64)
         d = grid.dim
         if values.shape != (d, d) + grid.padded_shape:
@@ -118,10 +125,9 @@ class TensorField:
         values.setflags(write=False)
         self.grid = grid
         self.values = values
-        self.symmetric = bool(symmetric)
 
     def __repr__(self):
-        return f"TensorField(grid={self.grid!r}, symmetric={self.symmetric})"
+        return f"TensorField(grid={self.grid!r})"
 
 
 def _require_same_grid(f, g):
@@ -188,16 +194,15 @@ def grad_sym_gradient_samples(v: SpectralVelocity) -> np.ndarray:
 def hessian_samples(v: SpectralVelocity) -> np.ndarray:
     """Second-derivative samples, shape (d, d, d) + padded_shape.
 
-    Entry (i, j, k) holds d_j d_k v_i.
+    Entry (i, j, k) holds d_j d_k v_i.  Only j <= k is transformed, as
+    -(k_j k_k) c_i is symmetric bit for bit; the mirror is C-contiguous
+    because reductions over it sum in memory order.
     """
     g = v.grid
     k = g.wavevectors
-    hhat = -(
-        k[np.newaxis, :, np.newaxis]
-        * k[np.newaxis, np.newaxis, :]
-        * v.coeffs[:, np.newaxis, np.newaxis]
-    )
-    return g.to_physical(hhat)
+    rows, cols, pos = symmetric_components(g.dim)
+    upper = g.to_physical(-(k[rows] * k[cols] * v.coeffs[:, np.newaxis]))
+    return np.ascontiguousarray(upper[:, pos])
 
 
 def leray_project(grid: TorusGrid, coeffs: np.ndarray) -> SpectralVelocity:

@@ -227,9 +227,6 @@ class ExceedancePartition:
     def total_measure(self) -> float:
         return float(sum(iv.length for iv in self.intervals))
 
-    def covers(self, tau: float) -> bool:
-        return any(iv.start < tau < iv.end for iv in self.intervals)
-
 
 def exceedance_partition(
     record: TrajectoryRecord, s: float, t: float, alpha: float, gamma: float

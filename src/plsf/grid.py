@@ -65,10 +65,6 @@ class TorusGrid:
         return (self.padded_M,) * self.dim
 
     @property
-    def spatial_axes(self) -> tuple[int, ...]:
-        return tuple(range(-self.dim, 0))
-
-    @property
     def volume(self) -> float:
         return self.L**self.dim
 

@@ -8,7 +8,8 @@ reports are evidence, never proof.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import functools
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,17 +37,7 @@ class FieldEnsemble:
     lemma bounds) get probed in every regime.
     """
 
-    dim: int
-    M: int
-    L: float
-    band: int
-    decay: float
-    seed: int
-    count: int
-    amplitude: float = 1.0
-    amp_spread: float = 2.0
-    dealias: float = 1.5
-    samples: list[SpectralVelocity] = field(default_factory=list, repr=False)
+    samples: list[SpectralVelocity]
 
     @classmethod
     def generate(cls, dim, M, L, band, decay, seed, count, amplitude=1.0,
@@ -56,18 +47,12 @@ class FieldEnsemble:
         amps = amplitude * 10.0 ** np.random.default_rng(children[0]).uniform(
             -amp_spread, amp_spread, size=count
         )
-        samples = [
+        return cls([
             random_solenoidal(grid, band=band, decay=decay,
                               seed=np.random.default_rng(children[i + 1]),
                               amplitude=float(amps[i]))
             for i in range(count)
-        ]
-        return cls(dim, M, L, band, decay, seed, count, amplitude, amp_spread,
-                   dealias, samples)
-
-    @property
-    def grid(self) -> TorusGrid:
-        return self.samples[0].grid
+        ])
 
 
 @dataclass
@@ -86,22 +71,14 @@ class InequalityReport:
     frozen_C: float | None = None
     violations: int = 0
     skipped: int = 0
-    note: str = ""
 
     def to_json(self) -> dict:
-        return {
-            "id": self.id,
-            "p": self.p,
-            "mu": self.mu,
-            "count": self.count,
-            "worst_ratio": self.worst_ratio,
-            "empirical_C": self.empirical_C,
-            "frozen_C": self.frozen_C,
-            "violations": self.violations,
-        }
+        return {name: getattr(self, name) for name in (
+            "id", "p", "mu", "count", "worst_ratio", "empirical_C", "frozen_C",
+            "violations")}
 
 
-def _make_report(name, p, mu, left, right, frozen_c, skipped=0, note=""):
+def _make_report(name, p, mu, left, right, frozen_c, skipped=0):
     ratios = [l / r for l, r in zip(left, right) if r > 0]
     worst = max(ratios) if ratios else 0.0
     violations = 0
@@ -110,34 +87,83 @@ def _make_report(name, p, mu, left, right, frozen_c, skipped=0, note=""):
     return InequalityReport(
         id=name, p=p, mu=mu, count=len(left), left=left, right=right,
         worst_ratio=worst, empirical_C=worst, frozen_C=frozen_c,
-        violations=violations, skipped=skipped, note=note,
+        violations=violations, skipped=skipped,
     )
+
+
+# -- the per-field table ---------------------------------------------------
+
+
+def field_table(samples, keys) -> list[dict]:
+    """One pass over the fields: row i maps each key to its value on
+    samples[i].  The keys are ("u", q), ("grad", q) and ("hess", q) for
+    ||u||_q, ||grad u||_q and ||D^2 u||_q; ("I_p", params); ("shifted",
+    params) for ||(mu + |Du|^2)^(1/2)||_p; ("drho_half", params) for 1/2 d/dt
+    ||grad v||_2^2 at the Galerkin state of u; and ("proj_cumsum", None) for
+    0, then the running sums of the squared full-basis coefficients of u.
+    TABLE_KEYS[name](arg) lists the keys check `name` reads.  A field is
+    read through a transient copy whose cached samples serve its whole row
+    and die with it; its Hessian and projection, and the full basis, are
+    formed at most once.
+    """
+    basis = functools.cache(lambda: full_basis(samples[0].grid))
+
+    def row(u):
+        hess = functools.cache(lambda: hessian_samples(u))
+        c = functools.cache(lambda: basis().project(u))
+        quantity = {
+            "u": lambda q: lp_norm(u, q),
+            "grad": lambda q: lp_norm(gradient(u), q),
+            "hess": lambda q: lp_norm(hess(), q, grid=u.grid),
+            "I_p": lambda params: I_p(u, params),
+            "shifted": lambda params: lp_norm(
+                np.sqrt(params.mu + np.sum(sym_gradient(u).values**2, axis=(0, 1))),
+                params.p, grid=u.grid),
+            "drho_half": lambda params: float(np.dot(
+                basis().eigenvalues * c(),
+                galerkin_rhs(GalerkinState(basis(), c(), 0.0), params))),
+            "proj_cumsum": lambda _: np.concatenate([[0.0], np.cumsum(c() ** 2)]),
+        }
+        return {key: quantity[key[0]](key[1]) for key in dict.fromkeys(keys)}
+
+    return [row(SpectralVelocity(u.grid, u.coeffs, validate=False)) for u in samples]
+
+
+# The keys each check reads, by check, as a function of its argument.
+TABLE_KEYS = {
+    "lemma1": lambda q: [("u", q), ("grad", q), ("hess", q)],
+    "friedrichs": lambda q: [("u", 2.0), ("grad", q), ("proj_cumsum", None)],
+    "lemma3": lambda params: [("I_p", params), ("shifted", params),
+                              ("hess", params.p), ("grad", 3.0 * params.p)],
+    "interp": lambda p: [("grad", 3.0), ("grad", 3.0 * p), ("grad", p),
+                         ("grad", 2.0), ("hess", p), ("u", 2.0)],
+    "ap3": lambda params: [("drho_half", params), ("I_p", params), ("grad", 3.0)],
+}
 
 
 # -- Lemma-style inequalities -------------------------------------------------
 
 
-def check_lemma1(ensemble: FieldEnsemble, q: float, frozen_c: float | None = None):
+def check_lemma1(table: list[dict], q: float, frozen_c: float | None = None):
     """||u||_q + ||grad u||_q <= c ||D^2 u||_q on zero-mean periodic fields."""
     if q <= 1:
         raise ValueError(f"q must exceed 1, got {q}")
+    k_u, k_grad, k_hess = TABLE_KEYS["lemma1"](q)
     left, right = [], []
     skipped = 0
-    for u in ensemble.samples:
-        d2 = lp_norm(hessian_samples(u), q, grid=u.grid)
-        if d2 == 0.0:
+    for row in table:
+        if row[k_hess] == 0.0:
             skipped += 1  # only the zero field; nothing to bound
             continue
-        left.append(lp_norm(u, q) + lp_norm(gradient(u), q))
-        right.append(d2)
+        left.append(row[k_u] + row[k_grad])
+        right.append(row[k_hess])
     return _make_report("lemma1", q, float("nan"), left, right, frozen_c,
-                        skipped=skipped,
-                        note="zero-field samples skipped" if skipped else "")
+                        skipped=skipped)
 
 
-def check_friedrichs(ensemble: FieldEnsemble, q: float, epsilon: float):
+def check_friedrichs(table: list[dict], q: float, epsilon: float):
     """Least kappa with ||u||_2^2 <= (1+eps) sum_{j<=kappa} (u, a^j)^2
-    + eps ||grad u||_q^2 over the whole ensemble.
+    + eps ||grad u||_q^2 over the whole table.
 
     The unsquared form of this bound is sign-ambiguous in its projection
     terms, so the squared form is what gets checked.  Each sample's least
@@ -149,20 +175,15 @@ def check_friedrichs(ensemble: FieldEnsemble, q: float, epsilon: float):
         raise ValueError(f"q must exceed 6/5, got {q}")
     if epsilon <= 0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
-    basis = full_basis(ensemble.grid)
-    lhs = []
-    cums = []
-    grads = []
-    for u in ensemble.samples:
-        coeffs = basis.project(u)
-        cums.append(np.concatenate([[0.0], np.cumsum(coeffs**2)]))
-        lhs.append(lp_norm(u, 2) ** 2)
-        grads.append(lp_norm(gradient(u), q) ** 2)
+    k_u, k_grad, k_cum = TABLE_KEYS["friedrichs"](q)
+    lhs = [row[k_u] ** 2 for row in table]
+    cums = [row[k_cum] for row in table]
+    grads = [row[k_grad] ** 2 for row in table]
 
     kappa = 1
     for l, c, g in zip(lhs, cums, grads):
         holds = l <= (1 + epsilon) * c[1:] + epsilon * g + 1e-12 * max(l, 1.0)
-        kappa = max(kappa, int(np.argmax(holds)) + 1 if holds.any() else basis.size)
+        kappa = max(kappa, int(np.argmax(holds)) + 1 if holds.any() else holds.size)
     worst = max(
         l / ((1 + epsilon) * c[kappa] + epsilon * g)
         for l, c, g in zip(lhs, cums, grads)
@@ -172,38 +193,32 @@ def check_friedrichs(ensemble: FieldEnsemble, q: float, epsilon: float):
         left=lhs, right=[(1 + epsilon) * c[kappa] + epsilon * g
                          for c, g in zip(cums, grads)],
         worst_ratio=worst, empirical_C=float(kappa), frozen_C=None,
-        note=f"kappa={kappa} at epsilon={epsilon}",
     )
     rep.kappa = kappa
-    rep.epsilon = epsilon
     return rep
 
 
-def check_lemma3(ensemble: FieldEnsemble, params: FluidParams,
-                 frozen: dict | None = None):
+def check_lemma3(table: list[dict], params: FluidParams):
     """The three second-derivative estimates tying ||D^2 u||_p,
     the shifted-strain norm and ||grad u||_{3p} to I_p; returns one
     report per inequality (SD1, SD4, SD2)."""
     if params.mu <= 0:
         raise ValueError("lemma-3 checks need mu > 0")
     p, mu = params.p, params.mu
-    frozen = frozen or {}
+    k_ip, k_shifted, k_hess, k_grad = TABLE_KEYS["lemma3"](params)
     sd1_l, sd1_r, sd4_l, sd4_r, sd2_l, sd2_r = [], [], [], [], [], []
-    for u in ensemble.samples:
-        ip = I_p(u, params)
-        D = sym_gradient(u)
-        shifted = np.sqrt(mu + np.sum(D.values**2, axis=(0, 1)))
-        shifted_p = lp_norm(shifted, p, grid=u.grid)
-        sd1_l.append(lp_norm(hessian_samples(u), p, grid=u.grid))
+    for row in table:
+        ip, shifted_p = row[k_ip], row[k_shifted]
+        sd1_l.append(row[k_hess])
         sd1_r.append(np.sqrt(ip) * shifted_p ** ((2.0 - p) / 2.0))
         sd4_l.append(shifted_p ** (p / 2.0))
         sd4_r.append(np.sqrt(ip) + mu ** (p / 4.0))
-        sd2_l.append(lp_norm(gradient(u), 3.0 * p))
+        sd2_l.append(row[k_grad])
         sd2_r.append(ip ** (1.0 / p) + np.sqrt(mu))
     return (
-        _make_report("SD1", p, mu, sd1_l, sd1_r, frozen.get("SD1")),
-        _make_report("SD4", p, mu, sd4_l, sd4_r, frozen.get("SD4")),
-        _make_report("SD2", p, mu, sd2_l, sd2_r, frozen.get("SD2")),
+        _make_report("SD1", p, mu, sd1_l, sd1_r, None),
+        _make_report("SD4", p, mu, sd4_l, sd4_r, None),
+        _make_report("SD2", p, mu, sd2_l, sd2_r, None),
     )
 
 
@@ -212,8 +227,7 @@ def check_lemma3(ensemble: FieldEnsemble, params: FluidParams,
 INTERP_SLACK = 1e-10
 
 
-def check_interpolations(ensemble: FieldEnsemble, p: float,
-                         frozen_d: float | None = None):
+def check_interpolations(table: list[dict], p: float):
     """Exact-constant norm interpolations of the gradient plus the
     mixed second-derivative/energy bound on ||grad u||_2.
 
@@ -224,26 +238,20 @@ def check_interpolations(ensemble: FieldEnsemble, p: float,
     b = (3.0 - p) / 2.0
     c = p / (3.0 * p - 2.0)
     d = 2.0 * p / (7.0 * p - 6.0)
+    k_g3, k_g3p, k_gp, k_g2, k_hess, k_u2 = TABLE_KEYS["interp"](p)
     c1_l, c1_r, c2_l, c2_r, d_l, d_r = [], [], [], [], [], []
-    for u in ensemble.samples:
-        G = gradient(u)
-        g3 = lp_norm(G, 3.0)
-        g3p = lp_norm(G, 3.0 * p)
-        gp = lp_norm(G, p)
-        g2 = lp_norm(G, 2.0)
+    for row in table:
+        g3, g3p, gp, g2 = row[k_g3], row[k_g3p], row[k_gp], row[k_g2]
         c1_l.append(g3)
         c1_r.append(g3p**b * gp ** (1.0 - b))
         c2_l.append(g3)
         c2_r.append(g3p**c * g2 ** (1.0 - c))
         d_l.append(g2)
-        d_r.append(
-            lp_norm(hessian_samples(u), p, grid=u.grid) ** d
-            * lp_norm(u, 2.0) ** (1.0 - d)
-        )
+        d_r.append(row[k_hess] ** d * row[k_u2] ** (1.0 - d))
     return {
         "c1": _make_report("c1", p, float("nan"), c1_l, c1_r, 1.0 + INTERP_SLACK),
         "c2": _make_report("c2", p, float("nan"), c2_l, c2_r, 1.0 + INTERP_SLACK),
-        "d_interp": _make_report("d_interp", p, float("nan"), d_l, d_r, frozen_d),
+        "d_interp": _make_report("d_interp", p, float("nan"), d_l, d_r, None),
     }
 
 
@@ -286,24 +294,18 @@ def check_cl_i(records: list[TrajectoryRecord], p: float) -> dict:
 AP3_SLACK = 1e-8
 
 
-def check_ap3(ensemble: FieldEnsemble, params: FluidParams) -> dict:
+def check_ap3(table: list[dict], params: FluidParams) -> dict:
     """Instantaneous differential inequality
         1/2 d/dt ||grad v||_2^2 + (p-1) I_p(v) <= ||grad v||_3^3
-    on Galerkin states built from the ensemble, with d/dt ||grad v||_2^2
+    on the Galerkin states of the table's fields, with d/dt ||grad v||_2^2
     taken from the right-hand side by the chain rule."""
     if params.mu <= 0:
         raise ValueError("the ap3 check needs mu > 0")
-    basis = full_basis(ensemble.grid)
-    lam = basis.eigenvalues
+    k_drho, k_ip, k_grad = TABLE_KEYS["ap3"](params)
     rows = []
     violations = 0
-    for u in ensemble.samples:
-        c = basis.project(u)
-        state = GalerkinState(basis, c, 0.0)
-        cdot = galerkin_rhs(state, params)
-        drho_half = float(np.dot(lam * c, cdot))  # = 1/2 d/dt ||grad v||^2
-        ip = I_p(u, params)
-        g3 = lp_norm(gradient(u), 3.0) ** 3
+    for row in table:
+        drho_half, ip, g3 = row[k_drho], row[k_ip], row[k_grad] ** 3
         lhs = drho_half + (params.p - 1.0) * ip
         scale = 1.0 + abs(drho_half) + (params.p - 1.0) * ip + g3
         ok = lhs <= g3 + AP3_SLACK * scale

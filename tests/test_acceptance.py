@@ -27,7 +27,12 @@ from plsf.gap import (
     lemma5_monotone_bound,
 )
 from plsf.grid import TorusGrid
-from plsf.inequalities import FieldEnsemble, check_interpolations
+from plsf.inequalities import (
+    TABLE_KEYS,
+    FieldEnsemble,
+    check_interpolations,
+    field_table,
+)
 
 L2PI = 2 * np.pi
 
@@ -136,7 +141,7 @@ def test_criterion_3_oo_identity():
 def test_criterion_4_interpolation_constant_one():
     ens = FieldEnsemble.generate(3, 12, L2PI, band=4, decay=1.5, seed=31,
                                  count=1000)
-    reports = check_interpolations(ens, 1.9)
+    reports = check_interpolations(field_table(ens.samples, TABLE_KEYS["interp"](1.9)), 1.9)
     c1v, c2v = reports["c1"].violations, reports["c2"].violations
     report("4 (interpolation inequalities at constant 1)", c1v == 0 and c2v == 0,
            f"violations c1={c1v} c2={c2v}, worst ratios "

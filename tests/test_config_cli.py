@@ -442,6 +442,23 @@ def test_cli_verify_suites_pass(tmp_path, capsys):
     assert all(v["pass"] for v in report.values())
 
 
+def test_cli_verify_channel_budget_per_field(tmp_path, monkeypatch):
+    # one pass per field in 2D: v 2, grad v 4, Hessian 6, grad D 6, RHS 4
+    from plsf.grid import TorusGrid
+
+    channels = []
+    to_physical = TorusGrid.to_physical
+
+    def counted(self, coeffs):
+        channels.append(int(np.prod(coeffs.shape[: coeffs.ndim - self.dim])))
+        return to_physical(self, coeffs)
+
+    monkeypatch.setattr(TorusGrid, "to_physical", counted)
+    cfg_path = write_config(tmp_path, VERIFY_CFG)
+    assert main(["verify", str(cfg_path), "--out", str(tmp_path / "v.json")]) == 0
+    assert 0 < sum(channels) <= 22 * 24
+
+
 def test_cli_verify_unknown_suite_exit_2(tmp_path):
     cfg_path = write_config(tmp_path, VERIFY_CFG)
     assert main(["verify", str(cfg_path), "--suites", "nonsense"]) == 2

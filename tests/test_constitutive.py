@@ -49,6 +49,8 @@ def test_params_validation():
         FluidParams(1.0, 1.0)
     with pytest.raises(ValueError):
         FluidParams(1.9, -0.1)
+    with pytest.raises(ValueError):
+        FluidParams(1.9, float("nan"))  # would take the zero-stress mu = 0 branch
     assert FluidParams(1.9, 1.0).theory_range
     assert not FluidParams(1.9, 0.0).theory_range
     assert not FluidParams(2.0, 1.0).theory_range

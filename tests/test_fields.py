@@ -8,6 +8,7 @@ import pytest
 from plsf.errors import FieldInvariantError, GridMismatchError
 from plsf.fields import (
     SpectralVelocity,
+    hessian_samples,
     inner_product,
     l2_norm_spectral,
     leray_project,
@@ -136,6 +137,22 @@ def test_lp_norm_examples(grid2d):
     x = g.points(padded=True)
     f = np.sin(2 * np.pi * x[0] / 3.0)
     assert lp_norm(f, 2.0, grid=g) == pytest.approx(3.0 / np.sqrt(2), rel=1e-12)
+
+
+@pytest.mark.parametrize("dim, M, seed", [(2, 16, 0), (2, 12, 1), (3, 8, 2), (3, 12, 3)])
+def test_hessian_upper_triangle_matches_full_transform(dim, M, seed):
+    grid = TorusGrid(dim, M, 2 * np.pi)
+    v = random_solenoidal(grid, band=M // 2 - 1, seed=seed)
+    k = grid.wavevectors
+    full = grid.to_physical(
+        -(k[np.newaxis, :, np.newaxis] * k[np.newaxis, np.newaxis, :]
+          * v.coeffs[:, np.newaxis, np.newaxis])
+    )  # all d^3 channels of d_j d_k v_i
+    hess = hessian_samples(v)
+    assert hess.flags.c_contiguous
+    assert np.array_equal(hess, full)
+    for q in (1.5, 1.9, 2.0, 3.0):
+        assert lp_norm(hess, q, grid=grid) == lp_norm(full, q, grid=grid)
 
 
 def test_lp_norm_rejects_q_below_one(grid2d):

@@ -302,6 +302,12 @@ def small_config(**kw):
     return SolverConfig(**base)
 
 
+def test_run_rejects_nan_mu():
+    # a hand-built config skips the config-file checks
+    with pytest.raises(ValueError):
+        run_trajectory(small_config(mu=float("nan")))
+
+
 def test_run_t_zero_single_sample():
     rec = run_trajectory(small_config(T=0.0))
     assert rec.times.size == 1

@@ -2,12 +2,19 @@ import numpy as np
 import pytest
 
 from plsf.basis import full_basis, make_basis
-from plsf.constitutive import FluidParams
+from plsf.constitutive import FluidParams, I_p
 from plsf.errors import ConfigError
-from plsf.fields import SpectralVelocity, gradient, lp_norm
-from plsf.galerkin import SolverConfig, run_trajectory
+from plsf.fields import (
+    SpectralVelocity,
+    gradient,
+    hessian_samples,
+    lp_norm,
+    sym_gradient,
+)
+from plsf.galerkin import GalerkinState, SolverConfig, galerkin_rhs, run_trajectory
 from plsf.grid import TorusGrid
 from plsf.inequalities import (
+    TABLE_KEYS,
     FieldEnsemble,
     check_ap3,
     check_cl_i,
@@ -15,6 +22,7 @@ from plsf.inequalities import (
     check_interpolations,
     check_lemma1,
     check_lemma3,
+    field_table,
 )
 
 
@@ -33,11 +41,15 @@ def ens2d():
     return FieldEnsemble.generate(2, 16, 2 * np.pi, band=5, decay=1.5, seed=2, count=50)
 
 
-def single_mode_ensemble(L, M=16):
+def single_mode_samples(L, M=16):
     grid = TorusGrid(2, M, L)
     basis = make_basis(grid, 2)
-    sample = basis.entry_field(1)  # sin mode at |n| = 1
-    return FieldEnsemble(2, M, L, 1, 0.0, 0, 1, samples=[sample])
+    return [basis.entry_field(1)]  # sin mode at |n| = 1
+
+
+def table(samples, check, arg):
+    """The per-field table holding what `check` reads at `arg`."""
+    return field_table(samples, TABLE_KEYS[check](arg))
 
 
 # -- lemma 1 (second derivatives control the lower norms) ----------------------
@@ -46,49 +58,47 @@ def single_mode_ensemble(L, M=16):
 def test_lemma1_single_mode_exact_ratio():
     # |k| = 2 pi / L; ratio (1 + |k|) / |k|^2 for q = 2
     L = np.pi
-    ens = single_mode_ensemble(L)
-    rep = check_lemma1(ens, 2.0)
+    rep = check_lemma1(table(single_mode_samples(L), "lemma1", 2.0), 2.0)
     k = 2 * np.pi / L
     assert rep.worst_ratio == pytest.approx((1 + k) / k**2, rel=1e-10)
 
 
 def test_lemma1_skips_zero_field():
     grid = TorusGrid(2, 16, 2 * np.pi)
-    ens = single_mode_ensemble(2 * np.pi)
-    ens.samples.append(SpectralVelocity.zero(grid))
-    ens.count = 2
-    rep = check_lemma1(ens, 1.9)
+    samples = single_mode_samples(2 * np.pi) + [SpectralVelocity.zero(grid)]
+    rep = check_lemma1(table(samples, "lemma1", 1.9), 1.9)
     assert rep.skipped == 1
     assert rep.count == 1
 
 
 def test_lemma1_no_violations_at_twice_empirical(ens3d, ens3d_fresh):
-    calibration = check_lemma1(ens3d, 1.9)
-    rep = check_lemma1(ens3d_fresh, 1.9, frozen_c=2.0 * calibration.empirical_C)
+    calibration = check_lemma1(table(ens3d.samples, "lemma1", 1.9), 1.9)
+    rep = check_lemma1(table(ens3d_fresh.samples, "lemma1", 1.9), 1.9,
+                       frozen_c=2.0 * calibration.empirical_C)
     assert rep.violations == 0
     # cross-ensemble stability of the constant itself
     assert rep.empirical_C == pytest.approx(calibration.empirical_C, rel=0.2)
 
 
 def test_lemma1_rejects_bad_exponent(ens2d):
+    rows = table(ens2d.samples, "lemma1", 1.0)
     with pytest.raises(ValueError):
-        check_lemma1(ens2d, 1.0)
+        check_lemma1(rows, 1.0)
 
 
 # -- Friedrichs ------------------------------------------------------------------
 
 
 def test_friedrichs_single_basis_mode_kappa_one():
-    ens = single_mode_ensemble(2 * np.pi)
-    rep = check_friedrichs(ens, 2.0, 0.5)
+    rep = check_friedrichs(table(single_mode_samples(2 * np.pi), "friedrichs", 2.0), 2.0, 0.5)
     assert rep.kappa <= 2  # the mode sits in the first shell
 
 
-def linear_scan_kappa(ensemble, q, epsilon):
+def linear_scan_kappa(samples, q, epsilon):
     """Reference: try kappa = 1, 2, ... in turn with the suite's inequality."""
-    basis = full_basis(ensemble.grid)
+    basis = full_basis(samples[0].grid)
     rows = []
-    for u in ensemble.samples:
+    for u in samples:
         c = np.concatenate([[0.0], np.cumsum(basis.project(u) ** 2)])
         rows.append((lp_norm(u, 2) ** 2, c, lp_norm(gradient(u), q) ** 2))
     for kappa in range(1, basis.size + 1):
@@ -101,32 +111,37 @@ def linear_scan_kappa(ensemble, q, epsilon):
 @pytest.mark.parametrize("epsilon", [0.2, 0.05, 0.01])
 @pytest.mark.parametrize("name", ["ens2d", "ens3d"])
 def test_friedrichs_kappa_matches_linear_scan(request, name, epsilon):
-    ens = request.getfixturevalue(name)
-    assert check_friedrichs(ens, 1.9, epsilon).kappa == linear_scan_kappa(ens, 1.9, epsilon)
+    samples = request.getfixturevalue(name).samples
+    rep = check_friedrichs(table(samples, "friedrichs", 1.9), 1.9, epsilon)
+    assert rep.kappa == linear_scan_kappa(samples, 1.9, epsilon)
 
 
 def test_friedrichs_single_mode_kappa_matches_linear_scan():
-    ens = single_mode_ensemble(2 * np.pi)
+    samples = single_mode_samples(2 * np.pi)
+    rows = table(samples, "friedrichs", 2.0)
     for epsilon in (0.5, 1e-3):
-        rep = check_friedrichs(ens, 2.0, epsilon)
-        assert rep.kappa == linear_scan_kappa(ens, 2.0, epsilon)
+        rep = check_friedrichs(rows, 2.0, epsilon)
+        assert rep.kappa == linear_scan_kappa(samples, 2.0, epsilon)
 
 
 def test_friedrichs_kappa_monotone_in_epsilon(ens2d):
-    r1 = check_friedrichs(ens2d, 1.9, 0.2)
-    r2 = check_friedrichs(ens2d, 1.9, 0.1)
-    r3 = check_friedrichs(ens2d, 1.9, 0.05)
+    rows = table(ens2d.samples, "friedrichs", 1.9)
+    r1 = check_friedrichs(rows, 1.9, 0.2)
+    r2 = check_friedrichs(rows, 1.9, 0.1)
+    r3 = check_friedrichs(rows, 1.9, 0.05)
     assert r1.kappa <= r2.kappa <= r3.kappa
 
 
 def test_friedrichs_terminates_at_exponent_boundary(ens2d):
-    rep = check_friedrichs(ens2d, 1.2 + 1e-6, 0.05)
+    q = 1.2 + 1e-6
+    rep = check_friedrichs(table(ens2d.samples, "friedrichs", q), q, 0.05)
     assert rep.kappa <= 2 * (16 // 2 - 1 + 16 // 2 - 1) ** 2  # finite, within band
 
 
 def test_friedrichs_rejects_low_exponent(ens2d):
+    rows = table(ens2d.samples, "friedrichs", 1.1)
     with pytest.raises(ValueError):
-        check_friedrichs(ens2d, 1.1, 0.1)
+        check_friedrichs(rows, 1.1, 0.1)
 
 
 # -- lemma 3 ----------------------------------------------------------------------
@@ -134,9 +149,9 @@ def test_friedrichs_rejects_low_exponent(ens2d):
 
 def test_lemma3_zero_field_sd4_volume_ratio():
     grid = TorusGrid(3, 12, 2 * np.pi)
-    ens = FieldEnsemble(3, 12, 2 * np.pi, 1, 0.0, 0, 1,
-                        samples=[SpectralVelocity.zero(grid)])
-    sd1, sd4, sd2 = check_lemma3(ens, FluidParams(1.85, 0.7))
+    params = FluidParams(1.85, 0.7)
+    sd1, sd4, sd2 = check_lemma3(table([SpectralVelocity.zero(grid)], "lemma3", params),
+                                 params)
     # u = 0: SD4 reads mu^(p/4) L^(d/2) <= c mu^(p/4)
     assert sd4.worst_ratio == pytest.approx((2 * np.pi) ** 1.5, rel=1e-10)
     assert sd1.worst_ratio == 0.0  # left side vanishes with u
@@ -144,11 +159,9 @@ def test_lemma3_zero_field_sd4_volume_ratio():
 
 def test_lemma3_p_near_two_collapses_sd1(ens3d):
     # p -> 2: SD1 approaches ||D^2 u||_2 <= c I_2(u)^(1/2) = c ||grad D u||_2
-    sd1, _, _ = check_lemma3(ens3d, FluidParams(2.0, 1.0))
+    params = FluidParams(2.0, 1.0)
+    sd1, _, _ = check_lemma3(table(ens3d.samples, "lemma3", params), params)
     sample = ens3d.samples[0]
-    from plsf.constitutive import I_p
-    from plsf.fields import hessian_samples
-
     lhs = lp_norm(hessian_samples(sample), 2.0, grid=sample.grid)
     rhs = np.sqrt(I_p(sample, FluidParams(2.0, 1.0)))
     assert sd1.left[0] == pytest.approx(lhs, rel=1e-12)
@@ -157,30 +170,33 @@ def test_lemma3_p_near_two_collapses_sd1(ens3d):
 
 
 def test_lemma3_constants_stable_across_ensembles(ens3d, ens3d_fresh):
-    for a, b in zip(check_lemma3(ens3d, FluidParams(1.85, 1.0)),
-                    check_lemma3(ens3d_fresh, FluidParams(1.85, 1.0))):
+    params = FluidParams(1.85, 1.0)
+    for a, b in zip(check_lemma3(table(ens3d.samples, "lemma3", params), params),
+                    check_lemma3(table(ens3d_fresh.samples, "lemma3", params), params)):
         assert a.empirical_C == pytest.approx(b.empirical_C, rel=0.2)
 
 
 def test_lemma3_mu_independence_surrogate(ens3d):
     constants = {"SD1": [], "SD4": [], "SD2": []}
     for mu in (1e-2, 1.0, 1e2):
-        for rep in check_lemma3(ens3d, FluidParams(1.85, mu)):
+        params = FluidParams(1.85, mu)
+        for rep in check_lemma3(table(ens3d.samples, "lemma3", params), params):
             constants[rep.id].append(rep.empirical_C)
     for name, vals in constants.items():
         assert max(vals) / min(vals) < 2.0, name
 
 
 def test_lemma3_requires_positive_mu(ens3d):
+    rows = table(ens3d.samples, "lemma3", FluidParams(1.85, 1.0))
     with pytest.raises(ValueError):
-        check_lemma3(ens3d, FluidParams(1.85, 0.0))
+        check_lemma3(rows, FluidParams(1.85, 0.0))
 
 
 # -- interpolation inequalities ------------------------------------------------------
 
 
 def test_interpolations_exact_constant(ens3d):
-    reports = check_interpolations(ens3d, 1.9)
+    reports = check_interpolations(table(ens3d.samples, "interp", 1.9), 1.9)
     assert reports["c1"].violations == 0
     assert reports["c2"].violations == 0
     assert reports["c1"].worst_ratio <= 1.0 + 1e-10
@@ -191,10 +207,10 @@ def test_interpolations_exact_constant(ens3d):
 
 def test_interpolations_degenerate_p2_single_mode():
     # p = 2 degenerate check: ||grad v||_3 <= ||grad v||_6^(1/2) ||grad v||_2^(1/2)
-    ens = single_mode_ensemble(2 * np.pi)
-    reports = check_interpolations(ens, 2.0)
+    samples = single_mode_samples(2 * np.pi)
+    reports = check_interpolations(table(samples, "interp", 2.0), 2.0)
     assert reports["c1"].worst_ratio <= 1.0 + 1e-12
-    v = ens.samples[0]
+    v = samples[0]
     G = gradient(v)
     direct = lp_norm(G, 6.0) ** 0.5 * lp_norm(G, 2.0) ** 0.5
     assert reports["c1"].right[0] == pytest.approx(direct, rel=1e-12)
@@ -202,15 +218,13 @@ def test_interpolations_degenerate_p2_single_mode():
 
 def test_interpolations_zero_field_trivial():
     grid = TorusGrid(2, 16, 2 * np.pi)
-    ens = FieldEnsemble(2, 16, 2 * np.pi, 1, 0.0, 0, 1,
-                        samples=[SpectralVelocity.zero(grid)])
-    reports = check_interpolations(ens, 1.9)
+    reports = check_interpolations(table([SpectralVelocity.zero(grid)], "interp", 1.9), 1.9)
     assert reports["c1"].violations == 0
     assert reports["c1"].left[0] == 0.0
 
 
 def test_interpolations_json_contract(ens2d):
-    rep = check_interpolations(ens2d, 1.9)["c1"]
+    rep = check_interpolations(table(ens2d.samples, "interp", 1.9), 1.9)["c1"]
     js = rep.to_json()
     assert set(js) == {"id", "p", "mu", "count", "worst_ratio", "empirical_C",
                        "frozen_C", "violations"}
@@ -267,15 +281,14 @@ def test_cl_i_zero_initial_data():
 
 def test_ap3_zero_state():
     grid = TorusGrid(2, 16, 2 * np.pi)
-    ens = FieldEnsemble(2, 16, 2 * np.pi, 1, 0.0, 0, 1,
-                        samples=[SpectralVelocity.zero(grid)])
-    report = check_ap3(ens, FluidParams(1.9, 1.0))
+    params = FluidParams(1.9, 1.0)
+    report = check_ap3(table([SpectralVelocity.zero(grid)], "ap3", params), params)
     assert report["violations"] == 0
 
 
 def test_ap3_newtonian_single_mode_strict():
-    ens = single_mode_ensemble(2 * np.pi)
-    report = check_ap3(ens, FluidParams(2.0, 1.0))
+    params = FluidParams(2.0, 1.0)
+    report = check_ap3(table(single_mode_samples(2 * np.pi), "ap3", params), params)
     assert report["violations"] == 0
     row = report["rows"][0]
     # the stress and strain contributions cancel; the bound is strict
@@ -285,20 +298,20 @@ def test_ap3_newtonian_single_mode_strict():
 
 
 def test_ap3_random_states_no_violations(ens2d, ens3d):
+    params = FluidParams(1.9, 1.0)
     for ens in (ens2d, ens3d):
-        report = check_ap3(ens, FluidParams(1.9, 1.0))
+        report = check_ap3(table(ens.samples, "ap3", params), params)
         assert report["violations"] == 0
 
 
 def test_ap3_requires_positive_mu(ens2d):
+    rows = table(ens2d.samples, "ap3", FluidParams(1.9, 1.0))
     with pytest.raises(ValueError):
-        check_ap3(ens2d, FluidParams(1.9, 0.0))
+        check_ap3(rows, FluidParams(1.9, 0.0))
 
 
 def test_sd3_strain_controlled_by_hessian(ens3d, ens3d_fresh):
     # proof tool of the second-derivative lemma: ||Du||_p <= c ||D^2 u||_p
-    from plsf.fields import hessian_samples, sym_gradient
-
     def empirical(ens):
         ratios = []
         for u in ens.samples:
@@ -311,3 +324,94 @@ def test_sd3_strain_controlled_by_hessian(ens3d, ens3d_fresh):
     c_a, c_b = empirical(ens3d), empirical(ens3d_fresh)
     assert np.isfinite(c_a)
     assert c_a == pytest.approx(c_b, rel=0.2)
+
+
+# -- the per-field table ----------------------------------------------------------
+
+
+def every_key(p, mu):
+    q = max(p, 1.3)
+    keys = [k for arg in (p, q) for check in ("lemma1", "friedrichs")
+            for k in TABLE_KEYS[check](arg)]
+    keys += TABLE_KEYS["interp"](p)
+    for m in (1e-2, 1.0, 1e2, mu):
+        keys += TABLE_KEYS["lemma3"](FluidParams(p, m))
+    return keys + TABLE_KEYS["ap3"](FluidParams(p, mu))
+
+
+def oracle_value(u, key, basis):
+    """What the per-suite loops computed from the public per-field calls."""
+    name, arg = key
+    if name == "u":
+        return lp_norm(u, arg)
+    if name == "grad":
+        return lp_norm(gradient(u), arg)
+    if name == "hess":
+        return lp_norm(hessian_samples(u), arg, grid=u.grid)
+    if name == "I_p":
+        return I_p(u, arg)
+    if name == "shifted":
+        D = sym_gradient(u)
+        shifted = np.sqrt(arg.mu + np.sum(D.values**2, axis=(0, 1)))
+        return lp_norm(shifted, arg.p, grid=u.grid)
+    c = basis.project(u)
+    if name == "proj_cumsum":
+        return np.concatenate([[0.0], np.cumsum(c**2)])
+    assert name == "drho_half"
+    cdot = galerkin_rhs(GalerkinState(basis, c, 0.0), arg)
+    return float(np.dot(basis.eigenvalues * c, cdot))
+
+
+@pytest.mark.parametrize("name", ["ens2d", "ens3d"])
+def test_table_matches_per_suite_oracle(request, name):
+    # equality, not a tolerance: the walk must keep the loops' summation order
+    samples = request.getfixturevalue(name).samples
+    keys = every_key(1.9, 0.5)
+    rows = field_table(samples, keys)
+    basis = full_basis(samples[0].grid)
+    assert len(rows) == len(samples)
+    for u, row in zip(samples, rows):
+        fresh = SpectralVelocity(u.grid, u.coeffs, validate=False)
+        assert set(row) == set(keys)
+        for key in keys:
+            expected = oracle_value(fresh, key, basis)
+            if key[0] == "proj_cumsum":
+                assert np.array_equal(row[key], expected), key
+            else:
+                assert row[key] == expected, key
+
+
+def test_table_leaves_no_derivative_cache_on_the_fields():
+    ens = FieldEnsemble.generate(3, 8, 2 * np.pi, band=3, decay=2.0, seed=4, count=3)
+    rows = field_table(ens.samples, every_key(1.85, 1.0))
+    assert len(rows) == 3
+    for u in ens.samples:
+        assert set(vars(u)) == {"grid", "coeffs"}
+
+
+def test_table_hessian_and_basis_formed_once(monkeypatch):
+    import plsf.inequalities as ineq_mod
+
+    calls = {"hessian": 0, "basis": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(ineq_mod, "hessian_samples",
+                        counted("hessian", ineq_mod.hessian_samples))
+    monkeypatch.setattr(ineq_mod, "full_basis", counted("basis", ineq_mod.full_basis))
+    ens = FieldEnsemble.generate(2, 16, 2 * np.pi, band=4, decay=2.0, seed=6, count=5)
+    keys = every_key(1.9, 1.0) + TABLE_KEYS["lemma1"](1.5)  # a second Hessian norm
+    field_table(ens.samples, keys)
+    assert calls == {"hessian": 5, "basis": 1}
+
+
+def test_nan_mu_rejected_before_any_check(ens2d):
+    rows = table(ens2d.samples, "ap3", FluidParams(1.9, 1.0))
+    with pytest.raises(ValueError):
+        check_ap3(rows, FluidParams(1.9, float("nan")))
+    with pytest.raises(ValueError):
+        check_lemma3(rows, FluidParams(1.9, float("nan")))
