@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -119,6 +120,23 @@ class StokesBasis:
         self._pos = _component_positions(grid, modes)  # (d, modes)
         self._mirror = _component_positions(grid, -modes)
         self._scale = np.sqrt(2.0 * grid.volume)
+        # flat position of each basis wavevector in one (M,)*dim block
+        self.mode_positions = self._pos[0]
+        # work buffers of the Galerkin kernels on this basis: built by
+        # plsf.galerkin on their first call, freed with the basis
+        self.arena = None
+
+    @cached_property
+    def _work(self) -> SimpleNamespace:
+        """Per-mode scratch of synthesize_coeffs and project_modes."""
+        d, count = self.grid.dim, len(self._modes)
+        return SimpleNamespace(
+            table=np.zeros((count, d - 1, 2)),  # slots outside _slot stay 0
+            line=np.empty(count),
+            prod=np.empty((d, count)),
+            vals=np.empty((d, count), dtype=np.complex128),
+            amp=np.empty((d - 1, 2, count)),
+        )
 
     @property
     def size(self) -> int:
@@ -146,39 +164,51 @@ class StokesBasis:
 
     def project_coeffs(self, coeffs: np.ndarray) -> np.ndarray:
         """Inner products (f, a^r) straight from spectral coefficients."""
+        return self.project_modes(coeffs.reshape(-1)[self._pos])
+
+    def project_modes(self, sub: np.ndarray) -> np.ndarray:
+        """project_coeffs from the coefficients at the basis wavevectors
+        alone: sub[i, m] is component i at the wavevector of flat position
+        mode_positions[m].  Returns a fresh array."""
         d = self.grid.dim
-        sub = coeffs.reshape(-1)[self._pos]  # (d, modes)
+        w = self._work
         # e . c(n) per polarization, accumulated from zero in component order
-        amp = np.zeros((d - 1, 2, len(self._modes)))
+        amp = w.amp
+        amp.fill(0.0)
         for p in range(d - 1):
             for i in range(d):
-                amp[p, 0] += self._directions[p, i] * sub[i].real
-                amp[p, 1] += self._directions[p, i] * sub[i].imag
+                amp[p, 0] += np.multiply(self._directions[p, i], sub[i].real, out=w.line)
+                amp[p, 1] += np.multiply(self._directions[p, i], sub[i].imag, out=w.line)
         amp[:, 1] *= -1.0  # (f, a_sin) = -scale Im(e . c(n))
-        return self._scale * amp.transpose(2, 0, 1).reshape(-1)[self._slot]
+        return np.multiply(self._scale, amp.transpose(2, 0, 1)).reshape(-1)[self._slot]
 
     def project(self, v: SpectralVelocity) -> np.ndarray:
         if v.grid != self.grid:
             raise GridMismatchError(f"{v.grid!r} vs {self.grid!r}")
         return self.project_coeffs(v.coeffs)
 
-    def synthesize_coeffs(self, c: np.ndarray) -> np.ndarray:
-        """Spectral coefficients of sum_r c_r a^r."""
+    def synthesize_coeffs(self, c: np.ndarray, out=None) -> np.ndarray:
+        """Spectral coefficients of sum_r c_r a^r.
+
+        Written into `out` ((dim,) + shape complex128, C-contiguous) when
+        it is given; a fresh array otherwise.
+        """
         c = np.asarray(c, dtype=np.float64)
         if c.shape != (self.size,):
             raise ValueError(f"coefficient vector must have length {self.size}")
         d = self.grid.dim
-        table = np.zeros((len(self._modes), d - 1, 2))  # unused slots stay 0
-        table.reshape(-1)[self._slot] = c
+        w = self._work
+        w.table.reshape(-1)[self._slot] = c
         inv = 1.0 / self._scale
-        cos = table[..., 0].T * inv
-        sin = table[..., 1].T * -inv  # a_sin carries -i e / scale on mode n
-        # accumulate from zero in polarization order, the order of the entries
-        vals = np.zeros((d, len(self._modes)), dtype=np.complex128)
+        # accumulate from zero in polarization order, the order of the entries;
+        # a_cos carries e / scale on mode n and a_sin carries -i e / scale
+        vals = w.vals
+        vals.fill(0.0)
         for p in range(d - 1):
-            vals.real += cos[p] * self._directions[p]
-            vals.imag += sin[p] * self._directions[p]
-        return _with_mirrors(self.grid, vals, self._pos, self._mirror)
+            for part, trig, factor in ((vals.real, 0, inv), (vals.imag, 1, -inv)):
+                coef = np.multiply(w.table[:, p, trig], factor, out=w.line)
+                part += np.multiply(coef, self._directions[p], out=w.prod)
+        return _with_mirrors(self.grid, vals, self._pos, self._mirror, out=out)
 
     def synthesize(self, c: np.ndarray, validate: bool = False) -> SpectralVelocity:
         return SpectralVelocity(self.grid, self.synthesize_coeffs(c), validate=validate)

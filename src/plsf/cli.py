@@ -215,6 +215,10 @@ def _suite_ap3(table, params):
 
 
 def cmd_verify(cfg: RunConfig, suites: list[str], out: str | None) -> int:
+    unknown = [suite for suite in suites if suite not in SUITES]
+    if unknown:
+        raise ConfigError([f"unknown suite {suite!r}; choose from {SUITES}"
+                           for suite in unknown])
     needs_mu = {"lemma3", "oo", "ap3"} & set(suites)
     if needs_mu and cfg.solver.mu <= 0:
         raise ConfigError(
@@ -248,10 +252,8 @@ def cmd_verify(cfg: RunConfig, suites: list[str], out: str | None) -> int:
         elif suite == "oo":
             passed, detail = _suite_oo(cfg.solver.dim, params, cfg.verify_count,
                                        cfg.verify_seed)
-        elif suite == "ap3":
+        else:  # "ap3": every name was checked above
             passed, detail = _suite_ap3(table, params)
-        else:
-            raise ConfigError([f"unknown suite {suite!r}; choose from {SUITES}"])
         results[suite] = {"pass": passed, "detail": detail}
         all_pass = all_pass and passed
         print(f"verify {suite:<12} {'PASS' if passed else 'FAIL'}")

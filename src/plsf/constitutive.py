@@ -49,16 +49,20 @@ class FluidParams:
         return 1.8 < self.p < 2.0 and self.mu > 0
 
 
-def _stress_factor(dd_sq: np.ndarray, params: FluidParams) -> np.ndarray:
-    """(mu + |D|^2)^((p-2)/2) with the continuous extension at 0^negative."""
-    base = params.mu + dd_sq
+def _stress_factor(dd_sq: np.ndarray, params: FluidParams, out=None, mask=None) -> np.ndarray:
+    """(mu + |D|^2)^((p-2)/2) with the continuous extension at 0^negative.
+
+    Written into `out` when it is given (dd_sq itself will do); `mask`, a
+    bool array shaped like dd_sq, is then the scratch of the mu = 0 case.
+    """
+    base = np.add(params.mu, dd_sq, out=out)
     expo = 0.5 * (params.p - 2.0)
     if params.mu > 0 or expo == 0.0:
-        return base**expo
-    out = np.zeros_like(np.asarray(base, dtype=np.float64))
-    nz = base > 0
-    out[nz] = base[nz] ** expo
-    return out
+        return np.power(base, expo, out=base)
+    nz = np.greater(base, 0.0, out=mask)
+    np.power(base, expo, out=base, where=nz)
+    np.copyto(base, 0.0, where=np.logical_not(nz, out=nz))
+    return base
 
 
 def stress(D: TensorField, params: FluidParams) -> TensorField:

@@ -71,8 +71,11 @@ class SpectralVelocity:
 
     @cached_property
     def physical(self) -> np.ndarray:
-        """Real samples on the padded grid, shape (dim,) + padded_shape."""
-        return self.grid.to_physical(self.coeffs)
+        """Real samples on the padded grid, shape (dim,) + padded_shape;
+        read-only, as every later norm of the field reads them."""
+        samples = self.grid.to_physical(self.coeffs)
+        samples.setflags(write=False)
+        return samples
 
     @cached_property
     def _gradient(self) -> "TensorField":
@@ -90,7 +93,8 @@ class SpectralVelocity:
     @cached_property
     def grad_strain_sq(self) -> np.ndarray:
         """Pointwise |grad D|^2, the sum of (d_s D_ij)^2, on the padded grid."""
-        sq = np.sum(grad_sym_gradient_samples(self) ** 2, axis=(0, 1, 2))
+        shape = self.grid.padded_shape
+        sq = _grad_strain_sq(_strain_gradient(self), np.empty(shape), np.empty(shape))
         sq.setflags(write=False)
         return sq
 
@@ -175,20 +179,64 @@ def symmetric_components(dim: int):
     return rows, cols, pos
 
 
+def _strain_gradient_pairs(grid: TorusGrid, ik, coeffs, out, spec, work=None) -> np.ndarray:
+    """Samples of d_s D_ij for the pairs i <= j, written into `out` of
+    shape (pair, d) + padded_shape, one pair per transform.
+
+    `ik` is 1j * grid.wavevectors and `spec` a (d + 2,) + shape complex
+    scratch array; `work` goes to the transform.
+    """
+    d = grid.dim
+    rows, cols, _ = symmetric_components(d)
+    inputs, dhat, other = spec[:d], spec[d], spec[d + 1]
+    for a, (i, j) in enumerate(zip(rows, cols)):
+        # D_ij from d_j v_i = ik_j c_i and its transpose
+        np.multiply(ik[j], coeffs[i], out=dhat)
+        np.add(dhat, np.multiply(ik[i], coeffs[j], out=other), out=dhat)
+        np.multiply(0.5, dhat, out=dhat)
+        grid.to_physical(np.multiply(ik, dhat, out=inputs), out=out[a], work=work)
+    return out
+
+
+def _strain_gradient(v: SpectralVelocity) -> np.ndarray:
+    g = v.grid
+    pairs = (len(symmetric_components(g.dim)[0]), g.dim)
+    return _strain_gradient_pairs(
+        g, 1j * g.wavevectors, v.coeffs, np.empty(pairs + g.padded_shape),
+        np.empty((g.dim + 2,) + g.shape, dtype=np.complex128),
+    )
+
+
 def grad_sym_gradient_samples(v: SpectralVelocity) -> np.ndarray:
     """Samples of the strain-rate gradient, shape (d, d, d) + padded_shape.
 
     Entry (s, i, j) holds d_s D_ij; used by the weighted second-order
     dissipation functional.
     """
-    g = v.grid
-    ik = 1j * g.wavevectors
-    rows, cols, pos = symmetric_components(g.dim)
-    ghat = ik[np.newaxis, :] * v.coeffs[:, np.newaxis]
-    dhat = 0.5 * (ghat[rows, cols] + ghat[cols, rows])  # D_ij for i <= j
-    upper = g.to_physical(ik[np.newaxis] * dhat[:, np.newaxis])  # (pair, s)
+    pos = symmetric_components(v.grid.dim)[2]
     # D is symmetric, so the lower triangle is the mirror: (i, j, s) -> (s, i, j)
-    return np.moveaxis(upper[pos], 2, 0)
+    return np.moveaxis(_strain_gradient(v)[pos], 2, 0)
+
+
+def _sum_of_squares(channels, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """out = sum of the squared channels, added one at a time in the given
+    order, which is how np.sum(x**2, axis=...) reduces leading axes: in
+    memory order, so C order for a C-contiguous x."""
+    np.square(channels[0], out=out)
+    for ch in channels[1:]:
+        out += np.square(ch, out=tmp)
+    return out
+
+
+def _grad_strain_sq(pairs: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """|grad D|^2 from pairs[pair, s] = d_s D_pair, summed over (i, j, s) in
+    that order, the memory order of grad_sym_gradient_samples: one pair's
+    samples at a time, so no (d, d, d) array is formed."""
+    d = pairs.shape[1]
+    pos = symmetric_components(d)[2]
+    return _sum_of_squares(
+        [pairs[pos[i, j], s] for i in range(d) for j in range(d) for s in range(d)], out, tmp
+    )
 
 
 def hessian_samples(v: SpectralVelocity) -> np.ndarray:
@@ -265,11 +313,15 @@ def lp_norm(f, q: float, grid: TorusGrid | None = None) -> float:
         samples = f
     else:
         samples, grid = _samples_and_grid(f)
-    mag = pointwise_magnitude(samples, grid)
+    return _norm_of_magnitude(pointwise_magnitude(samples, grid), q, grid)
+
+
+def _norm_of_magnitude(mag: np.ndarray, q: float, grid: TorusGrid) -> float:
+    """L^q norm by quadrature of pointwise magnitudes; overwrites `mag`."""
     if q == 2.0:
-        total = float(np.sum(mag**2))
+        total = float(np.sum(np.square(mag, out=mag)))
         return float(np.sqrt(total * grid.quad_weight))
-    total = float(np.sum(mag**q))
+    total = float(np.sum(np.power(mag, q, out=mag)))
     return float((total * grid.quad_weight) ** (1.0 / q))
 
 
@@ -389,16 +441,20 @@ def _component_positions(grid: TorusGrid, modes: np.ndarray) -> np.ndarray:
     return pos + grid.M**grid.dim * np.arange(grid.dim)[:, np.newaxis]
 
 
-def _with_mirrors(grid: TorusGrid, vals: np.ndarray, pos, mirror) -> np.ndarray:
+def _with_mirrors(grid: TorusGrid, vals: np.ndarray, pos, mirror, out=None) -> np.ndarray:
     """Coefficients holding vals (dim, count) at the flat positions `pos`,
-    their conjugates at `mirror` (the positions of -n) and zero elsewhere.
+    their conjugates at `mirror` (the positions of -n) and zero elsewhere,
+    written into `out` (C-contiguous) when it is given.
 
     The arithmetic is that of c + conj(reflect(c)) for c holding vals at
     pos: v + conj(0) at pos and 0 + conj(v) at mirror, so the signs of
     vanishing parts come out the same (+0.0, but for an imaginary -0.0 kept
     at pos).  `vals` is used as the work buffer and overwritten.
     """
-    out = np.zeros((grid.dim,) + grid.shape, dtype=np.complex128)
+    if out is None:
+        out = np.zeros((grid.dim,) + grid.shape, dtype=np.complex128)
+    else:
+        out.fill(0.0)
     flat = out.reshape(-1)
     vals += complex(0.0, -0.0)
     flat[pos] = vals

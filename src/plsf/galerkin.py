@@ -27,6 +27,8 @@ import io
 import math
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -34,10 +36,15 @@ from . import constitutive as law
 from .basis import StokesBasis, basis_capacity, count_modes_below, make_basis
 from .constitutive import FluidParams
 from .errors import GridMismatchError, StiffnessError
-from .fields import (
+# gradient and lp_norm stay importable from here: perfbench/spans.py patches
+# them in this module's namespace
+from .fields import (  # noqa: F401
     SpectralVelocity,
+    _grad_strain_sq,
+    _norm_of_magnitude,
+    _strain_gradient_pairs,
+    _sum_of_squares,
     gradient,
-    hessian_samples,
     load_checkpoint,
     lp_norm,
     random_solenoidal,
@@ -69,6 +76,119 @@ def project_initial_data(v0: SpectralVelocity, basis: StokesBasis) -> GalerkinSt
     return GalerkinState(basis, basis.project(v0), 0.0)
 
 
+# -- work arena --------------------------------------------------------------
+
+_ALIGN = 64  # bytes between the starts of two arena views
+
+
+def _layout(specs) -> tuple[int, list]:
+    """Byte offsets of (name, shape, dtype) views laid out one after another."""
+    placed, offset = [], 0
+    for name, shape, dtype in specs:
+        nbytes = math.prod(shape) * np.dtype(dtype).itemsize
+        placed.append((name, shape, dtype, offset, nbytes))
+        offset += -(-nbytes // _ALIGN) * _ALIGN
+    return offset, placed
+
+
+def _carve(buf: np.ndarray, placed) -> SimpleNamespace:
+    return SimpleNamespace(**{
+        name: buf[offset : offset + nbytes].view(dtype).reshape(shape)
+        for name, shape, dtype, offset, nbytes in placed
+    })
+
+
+class _Arena:
+    """Work buffers of `_rhs_parts` and `state_functionals` on one basis.
+
+    An RHS evaluation and a trajectory sample are never live together, so
+    their buffers (`views("rhs")` and `views("sample")`) are two layouts of
+    one byte buffer, sized for the larger of the kernels called so far.
+    Every call writes a buffer before it reads it.  The constants beside
+    them are computed once.
+    """
+
+    def __init__(self, basis: StokesBasis):
+        g = basis.grid
+        d = g.dim
+        rows, cols, pos = symmetric_components(d)
+        npair = len(rows)
+        n_ind = npair - 1  # every pair but the last, (d-1, d-1)
+        diag = pos.diagonal()[:-1]
+        off = rows[:n_ind] != cols[:n_ind]
+        self.grid = g
+        self.pos = pos
+        self.pairs = list(zip(rows.tolist(), cols.tolist()))
+        self.strain_pairs = self.pairs[:n_ind]
+        self.rot_pairs = [] if g.dealiased else [
+            pair for pair, o in zip(self.strain_pairs, off) if o
+        ]
+        self.diag = slice(diag[0], diag[-1] + 1, max(1, diag[-1] - diag[0]))
+        self.w_off = 1.0 + off  # off-diagonal pairs count twice in |D|^2
+        self.ik = 1j * g.wavevectors
+        self.ikm = self.ik.reshape(d, -1)[:, basis.mode_positions]
+
+        # RHS padded channels: v, the rotation's strict upper triangle (off
+        # a dealiased grid only), D's upper triangle with D_dd last, then
+        # v . grad v (off a dealiased grid only).  sigma replaces D, and
+        # the upper triangle of v (x) v replaces D and D_dd after it.
+        n_rot = len(self.rot_pairs)
+        skew = d if n_rot else 0
+        self.n_in = d + n_rot + n_ind  # v, the rotation and D go in
+        n_fwd = max(n_ind, npair + skew)  # sigma, then v (x) v and v . grad v
+        grid, spec, modes = g.padded_shape, g.shape, (len(basis.mode_positions),)
+        f8, c16 = np.float64, np.complex128
+        rhs = [
+            ("phys", (d + n_rot + npair + skew,) + grid, f8),
+            ("fac", grid, f8), ("tmp", grid, f8), ("mask", grid, np.bool_),
+            ("strain_row", (skew,) + grid, f8),
+            ("spec", (max(self.n_in + 1, n_fwd),) + spec, c16),
+            ("work", (max(g.work_size(self.n_in, False), g.work_size(n_fwd, True)),), c16),
+            ("gath", (2 * npair + skew,) + modes, c16),
+            ("tensor_row", (d,) + modes, c16),
+            ("div", (d,) + modes, c16), ("conv", (d,) + modes, c16),
+        ]
+        # sample: the padded grids of grad v, of d_s D_ij (i <= j) or of the
+        # Hessian's j <= k triangle, transformed a row, pair or component
+        # at a time from v (the first d spectral channels)
+        sample = [
+            ("phys", (max(d * d, npair * d),) + grid, f8),
+            ("acc", grid, f8), ("fac", grid, f8), ("tmp", grid, f8),
+            ("mask", grid, np.bool_),
+            ("spec", (d + max(d + 2, npair),) + spec, c16),
+            ("work", (g.work_size(max(d, npair), False),), c16),
+        ]
+        self._layouts = {"rhs": _layout(rhs), "sample": _layout(sample)}
+        self._buf = np.empty(0, dtype=np.uint8)
+        self._views = {}
+
+    def views(self, kernel: str) -> SimpleNamespace:
+        """The buffers of `kernel`, "rhs" or "sample"."""
+        views = self._views.get(kernel)
+        if views is None:
+            size, placed = self._layouts[kernel]
+            if size > self._buf.nbytes:
+                # drop the smaller buffer before allocating its successor
+                self._views.clear()
+                self._buf = None
+                self._buf = np.empty(size, dtype=np.uint8)
+            views = self._views[kernel] = _carve(self._buf, placed)
+        return views
+
+    @cached_property
+    def kk(self) -> np.ndarray:
+        """k_j k_k for the pairs j <= k, as complex (the Hessian's factor)."""
+        k = self.grid.wavevectors
+        rows, cols = zip(*self.pairs)
+        return (k[list(rows)] * k[list(cols)]).astype(np.complex128)
+
+
+def _arena(basis: StokesBasis) -> _Arena:
+    if basis.arena is None:
+        basis.arena = _Arena(basis)
+    return basis.arena
+
+
 # -- right-hand side -------------------------------------------------------
 
 
@@ -79,51 +199,73 @@ def _rhs_parts(basis: StokesBasis, params: FluidParams, c: np.ndarray):
     of D without D_dd on the way in (tr D = 0 gives D_dd pointwise), the
     same components of sigma and the upper triangle of v (x) v on the way
     out.  Off a dealiased grid the strict upper triangle of the rotation
-    (grad v)_A goes in and v . grad v comes out in the same two calls.
+    (grad v)_A goes in and v . grad v comes out with them.  The
+    divergences are formed at the basis wavevectors alone.  All work
+    happens in the basis's arena; only the returned vectors are new.
     """
+    arena = _arena(basis)
+    a = arena.views("rhs")
     g = basis.grid
     d = g.dim
-    rows, cols, pos = symmetric_components(d)
-    n_ind = len(rows) - 1  # every pair but the last, (d-1, d-1)
-    diag = pos.diagonal()[:-1]
-    off = rows[:n_ind] != cols[:n_ind]
-    ik = 1j * g.wavevectors
-    vhat = basis.synthesize_coeffs(c)
-    ghat = ik[np.newaxis, :] * vhat[:, np.newaxis]  # ghat[i, j] = d_j v_i
-    dhat = 0.5 * (ghat[rows[:n_ind], cols[:n_ind]] + ghat[cols[:n_ind], rows[:n_ind]])
-    inv = [vhat, dhat]
-    if not g.dealiased:
+    ik = arena.ik
+    n_rot = len(arena.rot_pairs)
+    n_ind = len(arena.strain_pairs)
+    npair = n_ind + 1
+    at = basis.mode_positions
+    spec, S = a.spec, a.gath  # S: sigma, v (x) v, v . grad v at the basis wavevectors
+    vhat = basis.synthesize_coeffs(c, out=spec[:d])
+    # ghat[i, j] = d_j v_i; the rotation and D from its two triangles
+    tmp = spec[arena.n_in]
+    for k, (i, j) in enumerate(arena.rot_pairs + arena.strain_pairs):
+        half = np.multiply(ik[j], vhat[i], out=spec[d + k])
+        np.multiply(ik[i], vhat[j], out=tmp)
+        (np.subtract if k < n_rot else np.add)(half, tmp, out=half)
+        np.multiply(0.5, half, out=half)
+    phys = a.phys
+    g.to_physical(spec[: arena.n_in], out=phys[: arena.n_in], work=a.work)
+    V = phys[:d]
+    strain = phys[d + n_rot : d + n_rot + npair]  # D's upper triangle, D_dd last
+    D, D_dd = strain[:n_ind], strain[n_ind]
+    np.negative(np.sum(D[arena.diag], axis=0, out=D_dd), out=D_dd)
+    # |D|^2, the off-diagonal pairs counted twice
+    dd_sq = np.einsum("k...,k...,k->...", D, D, arena.w_off, out=a.fac)
+    dd_sq += np.square(D_dd, out=a.tmp)
+    fac = law._stress_factor(dd_sq, params, out=dd_sq, mask=a.mask)
+    if n_rot:
         # v (x) v aliases into the band, so the divergence form alone is not
         # energy-neutral; it is averaged with the advective form v . grad v,
-        # whose discrete trilinear form cancels it exactly
-        ra, ca = rows[:n_ind][off], cols[:n_ind][off]
-        inv.append(0.5 * (ghat[ra, ca] - ghat[ca, ra]))
-    phys = g.to_physical(np.concatenate(inv))
-    V = phys[:d]
-    D = phys[d : d + n_ind]
-    D_dd = -D[diag].sum(axis=0)
-    # |D|^2, the off-diagonal pairs counted twice
-    dd_sq = np.einsum("k...,k...,k->...", D, D, 1.0 + off) + D_dd**2
-    sigma = law._stress_factor(dd_sq, params)[np.newaxis] * D
-    out = [sigma, V[rows] * V[cols]]  # sigma and the upper triangle of v (x) v
-    if not g.dealiased:
+        # whose discrete trilinear form cancels it exactly:
         # (v . grad v)_i = sum_j v_j (D_ij + R_ij), R antisymmetric
-        w1 = np.einsum("j...,ij...->i...", V, np.concatenate([D, D_dd[np.newaxis]])[pos])
-        for a, R in enumerate(phys[d + n_ind :]):
-            w1[ra[a]] += V[ca[a]] * R
-            w1[ca[a]] -= V[ra[a]] * R
-        out.append(w1)
+        w1 = phys[d + n_rot + npair :]
+        for i, row in enumerate(arena.pos):
+            np.take(strain, row, axis=0, out=a.strain_row, mode="clip")
+            np.einsum("j...,j...->...", V, a.strain_row, out=w1[i])
+        for R, (i, j) in zip(phys[d : d + n_rot], arena.rot_pairs):
+            w1[i] += np.multiply(V[j], R, out=a.tmp)
+            w1[j] -= np.multiply(V[i], R, out=a.tmp)
 
-    fwd = g.to_spectral(np.concatenate(out))
-    sig_hat = fwd[:n_ind]
-    sig_hat = np.concatenate([sig_hat, -sig_hat[diag].sum(axis=0, keepdims=True)])
-    z_hat = fwd[n_ind : n_ind + len(rows)]
-    div_sig = np.einsum("j...,ij...->i...", ik, sig_hat[pos])
-    conv_hat = np.einsum("j...,ij...->i...", ik, z_hat[pos])
-    if not g.dealiased:
-        conv_hat = 0.5 * (fwd[n_ind + len(rows) :] + conv_hat)
+    # sigma, then v (x) v over the strain channels (with v . grad v after
+    # them), each gathered at the basis wavevectors from its transform
+    sigma = np.multiply(fac, D, out=D)
+    F = g.to_spectral(sigma, out=spec[:n_ind], work=a.work)
+    np.take(F.reshape(n_ind, -1), at, axis=1, out=S[:n_ind], mode="clip")
+    for z, (i, j) in zip(strain, arena.pairs):
+        np.multiply(V[i], V[j], out=z)
+    fwd = phys[d + n_rot :]
+    F = g.to_spectral(fwd, out=spec[: len(fwd)], work=a.work)
+    np.take(F.reshape(len(fwd), -1), at, axis=1, out=S[npair:], mode="clip")
+    # the last diagonal of sigma from tr sigma = 0
+    np.negative(np.sum(S[arena.diag], axis=0, out=S[n_ind]), out=S[n_ind])
+    div_sig, conv = a.div, a.conv
+    for i, row in enumerate(arena.pos):
+        # div_i = sum_j ik_j T_ij, one row of the symmetric tensor at a time
+        for T, div in ((S[:npair], div_sig), (S[npair : 2 * npair], conv)):
+            np.take(T, row, axis=0, out=a.tensor_row, mode="clip")
+            np.einsum("j...,j...->...", arena.ikm, a.tensor_row, out=div[i])
+    if n_rot:
+        np.multiply(0.5, np.add(S[2 * npair :], conv, out=conv), out=conv)
 
-    return basis.project_coeffs(div_sig), basis.project_coeffs(conv_hat)
+    return basis.project_modes(div_sig), basis.project_modes(conv)
 
 
 def galerkin_rhs(state: GalerkinState, params: FluidParams) -> np.ndarray:
@@ -136,22 +278,70 @@ def state_functionals(state: GalerkinState, params: FluidParams, record_d2: bool
     """All scalar functionals one trajectory sample records.
 
     energy and rho use the exact coefficient sums (basis orthonormality
-    and the eigenvalue relation); the nonlinear functionals go through
-    the shared quadrature kernels.
+    and the eigenvalue relation).  The nonlinear functionals equal, bit for
+    bit, the public operations on `state.velocity()`: `rho_tilde`,
+    `lp_norm(gradient(v), p)`, `I_p` and `lp_norm(hessian_samples(v), p)`.
+    They are formed in the basis's arena with the same transforms and the
+    same order of every sum, and no (d, d, d)-tensor grid is held.
     """
-    c = state.c
-    energy = float(np.dot(c, c))
-    rho = float(np.dot(state.basis.eigenvalues * c, c))
-    v = state.basis.synthesize(c)
+    basis, c = state.basis, state.c
+    g = basis.grid
+    d = g.dim
+    arena = _arena(basis)
+    a = arena.views("sample")
+    ik, pos = arena.ik, arena.pos
     out = {
-        "energy": energy,
-        "rho": rho,
-        "rho_tilde": law.rho_tilde(v, params),
-        "grad_p_norm": lp_norm(gradient(v), params.p),
-        "Ip": law.I_p(v, params) if params.mu > 0 else float("nan"),
+        "energy": float(np.dot(c, c)),
+        "rho": float(np.dot(basis.eigenvalues * c, c)),
     }
+    vhat = basis.synthesize_coeffs(c, out=a.spec[:d])
+    scratch = a.spec[d:]
+    work = a.work
+
+    # the velocity gradient, d_j v_i at channel d*i + j, one row per transform
+    G = a.phys[: d * d]
+    for i in range(d):
+        inputs = np.multiply(ik, vhat[i], out=scratch[:d])
+        g.to_physical(inputs, out=G[d * i : d * i + d], work=work)
+    grad_mag = np.sqrt(_sum_of_squares(G, a.acc, a.tmp), out=a.acc)
+    grad_p_norm = _norm_of_magnitude(grad_mag, params.p, g)
+
+    # D = (grad v + grad v^T)/2 over G, then the stress contracted with it
+    for i in range(d):
+        for j in range(i, d):
+            Dij = np.add(G[d * i + j], G[d * j + i], out=G[d * i + j])
+            np.multiply(0.5, Dij, out=Dij)
+            G[d * j + i] = Dij
+    fac = _sum_of_squares(G, a.fac, a.tmp)
+    fac = law._stress_factor(fac, params, out=fac, mask=a.mask)
+    for Dk in G:
+        np.multiply(np.multiply(fac, Dk, out=a.tmp), Dk, out=Dk)
+    out["rho_tilde"] = float(np.sum(G) * g.quad_weight)
+    out["grad_p_norm"] = grad_p_norm
+
+    npair = len(arena.pairs)
+    if params.mu > 0:
+        # I_p weighs |grad D|^2 with the same factor
+        pairs = a.phys[: npair * d].reshape((npair, d) + g.padded_shape)
+        _strain_gradient_pairs(g, ik, vhat, pairs, scratch, work=work)
+        sq = _grad_strain_sq(pairs, a.acc, a.tmp)
+        out["Ip"] = float(np.sum(np.multiply(fac, sq, out=sq)) * g.quad_weight)
+    else:
+        out["Ip"] = float("nan")
+
     if record_d2:
-        out[CSV_D2_COLUMN] = lp_norm(hessian_samples(v), params.p, grid=v.grid)
+        # d_j d_k v_i = -(k_j k_k) c_i for the pairs j <= k, at channel
+        # npair*i + pair; the magnitude sums over (i, j, k) in that order
+        P = a.phys[: d * npair]
+        for i in range(d):
+            inputs = np.multiply(arena.kk, vhat[i], out=scratch[:npair])
+            np.negative(inputs, out=inputs)
+            g.to_physical(inputs, out=P[npair * i : npair * (i + 1)], work=work)
+        mag = _sum_of_squares(
+            [P[npair * i + pos[j, k]] for i in range(d) for j in range(d) for k in range(d)],
+            a.acc, a.tmp,
+        )
+        out[CSV_D2_COLUMN] = _norm_of_magnitude(np.sqrt(mag, out=mag), params.p, g)
     return out
 
 

@@ -145,47 +145,84 @@ class TorusGrid:
 
     @cached_property
     def _band_gather(self):
-        """Where each band mode sits in the kept padded half-spectrum.
+        """Where each native-layout mode sits in the padded half-spectrum.
 
-        Returns (pos, src, sign): flat native-layout positions of the band
-        modes, flat kept-spectrum indices they are read from, and -1.0
-        where the mode has a negative last index and is read as the
-        conjugate of its mirror c(-n) (+1.0 elsewhere).
+        Returns (src, sign, outside): for every flat position of a
+        (M,)*dim block, the flat index into the padded rfft half-spectrum
+        (shape padded_shape[:-1] + (padded_M // 2 + 1,)) it is read from,
+        -1.0 where the mode has a negative last index and is read as the
+        conjugate of its mirror c(-n) (+1.0 elsewhere), and the flat
+        positions outside the band, which are set to zero.
         """
-        n = self.mode_grid[:, self.band_mask]  # (dim, band size)
-        pos = np.ravel_multi_index(tuple(n % self.M), self.shape)
+        n = self.mode_grid.reshape(self.dim, -1)
         neg = n[-1] < 0
-        src = np.ravel_multi_index(
-            tuple(np.where(neg, -n, n) % self.padded_M), self._kept_shape
-        )
-        return pos, src, np.where(neg, -1.0, 1.0)
+        half_shape = self.padded_shape[:-1] + (self.padded_M // 2 + 1,)
+        src = np.ravel_multi_index(tuple(np.where(neg, -n, n) % self.padded_M), half_shape)
+        outside = np.flatnonzero(~self.band_mask)
+        src[outside] = 0
+        return src, np.where(neg, -1.0, 1.0), outside
 
-    def to_physical(self, coeffs: np.ndarray) -> np.ndarray:
-        """Sample band-limited Hermitian coefficients on the padded grid."""
+    def work_size(self, channels: int, forward: bool) -> int:
+        """Complex elements of the `work` array a transform of `channels`
+        channels takes: the padded half-spectrum, restricted to the band's
+        last-axis modes 0 .. M/2-1 on the way in (`forward` false)."""
+        last = self.padded_M // 2 + 1 if forward else self.M // 2
+        return channels * self.padded_M ** (self.dim - 1) * last
+
+    def to_physical(self, coeffs: np.ndarray, out=None, work=None) -> np.ndarray:
+        """Sample band-limited Hermitian coefficients on the padded grid.
+
+        The samples are written into `out` (lead + padded_shape float64)
+        when it is given.  `work`, a flat complex128 array of at least
+        `work_size(channels, forward=False)` elements, then holds the
+        intermediate spectrum, so that the call allocates no grid array.
+        """
         lead = coeffs.shape[: coeffs.ndim - self.dim]
         half = self.M // 2
-        spec = np.zeros(lead + self._kept_shape, dtype=np.complex128)
+        kept = lead + self._kept_shape
+        if work is None:
+            spec = np.zeros(kept, dtype=np.complex128)
+        else:
+            spec = work[: math.prod(kept)].reshape(kept)
+            spec.fill(0.0)
         for src, dst in self._lead_blocks:
             spec[(Ellipsis,) + dst + (slice(None),)] = coeffs[
                 (Ellipsis,) + src + (slice(0, half),)
             ]
         axes = tuple(range(len(lead), len(lead) + self.dim - 1))
-        spec = np.fft.ifftn(spec, axes=axes, norm="forward")
+        np.fft.ifftn(spec, axes=axes, norm="forward", out=spec)
         # irfft zero-fills the last axis up to padded_M // 2 + 1 modes
-        return np.fft.irfft(spec, n=self.padded_M, axis=-1, norm="forward")
+        return np.fft.irfft(spec, n=self.padded_M, axis=-1, norm="forward", out=out)
 
-    def to_spectral(self, samples: np.ndarray) -> np.ndarray:
-        """Forward transform real padded-grid samples, truncated to the band."""
+    def to_spectral(self, samples: np.ndarray, out=None, work=None) -> np.ndarray:
+        """Forward transform real padded-grid samples, truncated to the band.
+
+        The coefficients are written into `out` (lead + shape complex128,
+        C-contiguous) when it is given.  `work`, a flat complex128 array of
+        at least `work_size(channels, forward=True)` elements, then holds
+        the padded half-spectrum, so that the call allocates no grid array.
+        """
         lead = samples.shape[: samples.ndim - self.dim]
-        spec = np.fft.rfft(samples, axis=-1, norm="forward")[..., : self.M // 2]
+        half_shape = lead + self.padded_shape[:-1] + (self.padded_M // 2 + 1,)
+        spec = None if work is None else work[: math.prod(half_shape)].reshape(half_shape)
+        spec = np.fft.rfft(samples, axis=-1, norm="forward", out=spec)
         axes = tuple(range(len(lead), len(lead) + self.dim - 1))
-        spec = np.fft.fftn(spec, axes=axes, norm="forward")
-        pos, src, sign = self._band_gather
-        vals = spec.reshape(lead + (-1,))[..., src]
-        vals.imag *= sign  # c(n_lead, -j) = conj(spec(-n_lead, j))
-        out = np.zeros(lead + (self.M**self.dim,), dtype=np.complex128)
-        out[..., pos] = vals
-        return out.reshape(lead + self.shape)
+        band = spec[..., : self.M // 2]
+        np.fft.fftn(band, axes=axes, norm="forward", out=band)
+        if out is None:
+            out = np.empty(lead + self.shape, dtype=np.complex128)
+        elif not out.flags.c_contiguous:
+            raise ValueError("to_spectral needs a C-contiguous out array")
+        flat = out.reshape(lead + (-1,))
+        src, sign, outside = self._band_gather
+        # mode="clip" (every index is in range) lets take write straight into
+        # out; the default mode buffers the whole result first
+        np.take(spec.reshape(lead + (-1,)), src, axis=-1, out=flat, mode="clip")
+        for channel in flat.reshape(-1, flat.shape[-1]):
+            # one channel at a time: numpy copies a strided in-place operand
+            channel.imag *= sign  # c(n_lead, -j) = conj(spec(-n_lead, j))
+        flat[..., outside] = 0.0
+        return out
 
     def reflect(self, coeffs: np.ndarray) -> np.ndarray:
         """Return the array g with g(n) = coeffs(-n) in fftn layout."""

@@ -449,9 +449,9 @@ def test_cli_verify_channel_budget_per_field(tmp_path, monkeypatch):
     channels = []
     to_physical = TorusGrid.to_physical
 
-    def counted(self, coeffs):
+    def counted(self, coeffs, **buffers):
         channels.append(int(np.prod(coeffs.shape[: coeffs.ndim - self.dim])))
-        return to_physical(self, coeffs)
+        return to_physical(self, coeffs, **buffers)
 
     monkeypatch.setattr(TorusGrid, "to_physical", counted)
     cfg_path = write_config(tmp_path, VERIFY_CFG)
@@ -462,6 +462,23 @@ def test_cli_verify_channel_budget_per_field(tmp_path, monkeypatch):
 def test_cli_verify_unknown_suite_exit_2(tmp_path):
     cfg_path = write_config(tmp_path, VERIFY_CFG)
     assert main(["verify", str(cfg_path), "--suites", "nonsense"]) == 2
+
+
+def test_cli_verify_checks_suite_names_before_any_work(tmp_path, monkeypatch, capsys):
+    from plsf import inequalities
+
+    def generate(*args, **kwargs):
+        raise AssertionError("the ensemble was generated")
+
+    monkeypatch.setattr(inequalities.FieldEnsemble, "generate", generate)
+    cfg_path = write_config(tmp_path, VERIFY_CFG)
+    out = tmp_path / "v.json"
+    code = main(["verify", str(cfg_path), "--suites", "lemma1,nonsense", "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "nonsense" in captured.err
+    assert "verify" not in captured.out
+    assert not out.exists()
 
 
 # -- CLI gap ----------------------------------------------------------------------

@@ -193,6 +193,15 @@ def test_pointwise_magnitude_shapes(grid2d):
     assert np.all(mag >= 0)
 
 
+def test_physical_samples_are_read_only(grid2d):
+    # the cached samples serve every later norm of the field
+    v = random_solenoidal(grid2d, band=6, seed=13)
+    before = lp_norm(v, 2.0)
+    with pytest.raises(ValueError):
+        v.physical[0] *= 2.0
+    assert lp_norm(v, 2.0) == before
+
+
 # -- constructors -------------------------------------------------------------
 
 

@@ -413,22 +413,98 @@ def test_csv_wrong_header_rejected(tmp_path):
         TrajectoryRecord.from_csv(path)
 
 
-def test_functionals_match_public_operations(grid2d):
+@pytest.mark.parametrize("record_d2", [False, True], ids=["no-d2", "d2"])
+@pytest.mark.parametrize("mu", [1.0, 0.0], ids=["mu1", "mu0"])
+@pytest.mark.parametrize(
+    "dim,M,dealias,N",
+    [(2, 16, 1.5, 30), (3, 8, 1.5, 101), (2, 10, 1.2, None)],
+    ids=["2d", "3d", "2d-aliased"],
+)
+def test_functionals_match_public_operations(dim, M, dealias, N, mu, record_d2):
+    # the sample runs in the basis's work arena; the public operations are
+    # the reference, bit for bit (energy and rho are the coefficient sums,
+    # exact in theory only, so they match the quadrature to rounding)
     from plsf.constitutive import I_p
-    from plsf.fields import gradient
+    from plsf.fields import gradient, hessian_samples
 
-    basis = make_basis(grid2d, 30)
-    rng = np.random.default_rng(11)
-    c = rng.standard_normal(30) * 0.5
+    grid = TorusGrid(dim, M, 2 * np.pi, dealias_factor=dealias)
+    basis = make_basis(grid, N or basis_capacity(grid))
+    c = np.random.default_rng(11).standard_normal(basis.size) * 0.5
     state = GalerkinState(basis, c, 0.0)
-    params = FluidParams(1.9, 1.0)
-    vals = state_functionals(state, params)
+    params = FluidParams(1.9, mu)
+    vals = state_functionals(state, params, record_d2=record_d2)
     v = state.velocity()
     assert vals["energy"] == pytest.approx(lp_norm(v, 2) ** 2, rel=1e-10)
     assert vals["rho"] == pytest.approx(lp_norm(gradient(v), 2) ** 2, rel=1e-10)
-    assert vals["rho_tilde"] == pytest.approx(rho_tilde(v, params), rel=1e-12)
-    assert vals["Ip"] == pytest.approx(I_p(v, params), rel=1e-12)
-    assert vals["grad_p_norm"] == pytest.approx(lp_norm(gradient(v), 1.9), rel=1e-12)
+    assert vals["rho_tilde"] == rho_tilde(v, params)
+    assert vals["grad_p_norm"] == lp_norm(gradient(v), 1.9)
+    if mu > 0:
+        assert vals["Ip"] == I_p(v, params)
+    else:
+        assert np.isnan(vals["Ip"])
+    if record_d2:
+        assert vals["d2_p_norm"] == lp_norm(hessian_samples(v), 1.9, grid=grid)
+    else:
+        assert "d2_p_norm" not in vals
+
+
+def _full_basis(dim, M, dealias):
+    grid = TorusGrid(dim, M, 2 * np.pi, dealias_factor=dealias)
+    return make_basis(grid, basis_capacity(grid))
+
+
+def test_arena_calls_match_cold_calls():
+    # RHS and sample share each basis's work buffers: warm calls on two
+    # bases, interleaved over two states each, give what a cold call on a
+    # fresh basis gives, and what callers do to returned arrays stays theirs
+    params = FluidParams(1.9, 1.0)
+    kinds = [(2, 16, 1.5), (3, 8, 1.0)]  # dealiased, and the skew path
+    warm = {kind: _full_basis(*kind) for kind in kinds}
+    rng = np.random.default_rng(21)
+    coeffs = {kind: [rng.standard_normal(warm[kind].size) for _ in range(2)]
+              for kind in kinds}
+
+    def evaluate(basis, c):
+        visc, conv = _rhs_parts(basis, params, c)
+        vals = state_functionals(GalerkinState(basis, c, 0.0), params, record_d2=True)
+        return visc, conv, vals, basis.synthesize_coeffs(c)
+
+    for _ in range(2):
+        for n in range(2):
+            for kind in kinds:
+                c = coeffs[kind][n]
+                got = evaluate(warm[kind], c)
+                cold = evaluate(_full_basis(*kind), c)
+                assert np.array_equal(got[0], cold[0])
+                assert np.array_equal(got[1], cold[1])
+                assert got[2] == cold[2]
+                assert np.array_equal(got[3], cold[3])
+                for returned in (got[0], got[1], got[3]):
+                    returned[...] = np.nan
+
+
+@pytest.mark.parametrize("kernel", ["rhs", "sample"])
+def test_warm_kernels_allocate_under_four_padded_channels(kernel):
+    # a warm call works in the basis's arena: what it allocates is the
+    # returned vectors and small bookkeeping, not grid-sized temporaries
+    import tracemalloc
+
+    basis = _full_basis(2, 32, 1.5)
+    params = FluidParams(1.9, 1.0)
+    c = np.random.default_rng(8).standard_normal(basis.size)
+    if kernel == "rhs":
+        call = lambda: _rhs_parts(basis, params, c)
+    else:
+        call = lambda: state_functionals(GalerkinState(basis, c, 0.0), params)
+    call()
+    tracemalloc.start()
+    try:
+        call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    channel = 8 * basis.grid.padded_M**2
+    assert peak < 4 * channel
 
 
 def test_lambda_cut_truncation():

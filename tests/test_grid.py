@@ -48,6 +48,25 @@ def test_spectral_physical_roundtrip(dim, M, dealias, lead):
     assert np.all(back[..., ~g.band_mask] == 0)
 
 
+@pytest.mark.parametrize("dim,M,dealias", [(2, 16, 1.5), (3, 8, 1.3)], ids=["2d", "3d"])
+def test_transforms_into_given_buffers(dim, M, dealias):
+    # out and work arrays full of junk give the allocating result bit for bit
+    g = TorusGrid(dim, M, 2 * np.pi, dealias_factor=dealias)
+    rng = np.random.default_rng(4)
+    c = rng.standard_normal((3,) + g.shape) + 1j * rng.standard_normal((3,) + g.shape)
+    c = c * g.band_mask
+    c = 0.5 * (c + np.conj(g.reflect(c)))
+    work = np.full(max(g.work_size(3, False), g.work_size(3, True)), complex(np.nan, np.nan))
+    out = np.full((3,) + g.padded_shape, np.nan)
+    phys = g.to_physical(c, out=out, work=work)
+    assert phys is out
+    assert np.array_equal(phys, g.to_physical(c))
+    spec = np.full(c.shape, complex(np.nan, np.nan))
+    back = g.to_spectral(phys, out=spec, work=work)
+    assert back is spec
+    assert np.array_equal(back, g.to_spectral(phys))
+
+
 def test_reflect_is_negation_map():
     g = TorusGrid(2, 8, 1.0)
     rng = np.random.default_rng(5)
