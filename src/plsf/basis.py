@@ -15,16 +15,15 @@ before sine, so the sequence is reproducible across runs.  Entry j of
 that order is therefore representative j // 2(d-1), polarization
 (j // 2) mod (d-1), and a cosine when j is even.
 
-A basis is held as flat arrays: the wavevectors it touches, their
-polarization vectors, and for each entry its slot (mode, polarization,
-cos|sin) in a C-ordered (modes, d-1, 2) table, which in the canonical
-order is slot j for entry j.  Synthesis and projection go through that
-table, once per mode rather than once per entry.
+A basis is held as flat arrays: the wavevectors it touches (`modes`,
+the first ceil(N / 2(d-1)) representatives) and their polarization
+vectors.  Coefficient j fills slot j of a C-ordered (modes, d-1, 2)
+table (mode, polarization, cos|sin), and synthesis and projection go
+through that table, once per mode rather than once per entry.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
 from types import SimpleNamespace
 
@@ -38,15 +37,6 @@ from .fields import (
     representative_modes,
 )
 from .grid import TorusGrid
-
-
-@dataclass(frozen=True)
-class BasisEntry:
-    eigenvalue: float
-    wavevector: tuple[int, ...]
-    polarization: int
-    trig: str  # "cos" | "sin"
-    direction: np.ndarray = field(repr=False, compare=False)
 
 
 def _unit(e: np.ndarray) -> np.ndarray:
@@ -81,47 +71,23 @@ def _mode_eigenvalues(grid: TorusGrid, modes: np.ndarray) -> np.ndarray:
 class StokesBasis:
     """The first N real Stokes eigenfunctions in the canonical order.
 
-    `make_basis` builds one from the canonical enumeration; the
-    constructor takes an explicit entry list in any order.
+    Raises CapacityError unless 0 <= N <= basis_capacity(grid).
     """
 
-    def __init__(self, grid: TorusGrid, entries: list[BasisEntry]):
-        entries = list(entries)
-        d = grid.dim
-        wave = np.array([e.wavevector for e in entries], dtype=np.int64).reshape(-1, d)
-        modes, mode_of = np.unique(wave, axis=0, return_inverse=True)
-        mode_of = mode_of.reshape(-1)
-        pol = np.array([e.polarization for e in entries], dtype=np.int64)
-        directions = np.zeros((len(modes), d - 1, d))
-        directions[mode_of, pol] = np.array([e.direction for e in entries]).reshape(-1, d)
-        is_sin = np.array([e.trig == "sin" for e in entries], dtype=np.int64)
-        slot = (mode_of * (d - 1) + pol) * 2 + is_sin
-        eigenvalues = np.array([e.eigenvalue for e in entries], dtype=np.float64)
-        self._setup(grid, modes, directions, slot, eigenvalues)
-
-    @classmethod
-    def _canonical(cls, grid: TorusGrid, N: int) -> "StokesBasis":
-        """First N entries of the canonical order, straight from the arrays."""
+    def __init__(self, grid: TorusGrid, N: int):
+        capacity = basis_capacity(grid)
+        if N < 0 or N > capacity:
+            raise CapacityError(N, capacity)
         per_mode = 2 * (grid.dim - 1)
         modes = representative_modes(grid)[: -(-N // per_mode)]
-        eigenvalues = np.repeat(_mode_eigenvalues(grid, modes), per_mode)[:N]
-        basis = cls.__new__(cls)
-        basis._setup(grid, modes, _polarizations(modes), slice(0, N), eigenvalues)
-        return basis
-
-    def _setup(self, grid, modes, directions, slot, eigenvalues):
         self.grid = grid
-        self.eigenvalues = eigenvalues
-        self._modes = modes  # (modes, d) wavevectors
+        self.eigenvalues = np.repeat(_mode_eigenvalues(grid, modes), per_mode)[:N]
+        self.modes = modes  # (modes, d) wavevectors
         # polarization p, component i of every mode: (d-1, d, modes)
-        self._directions = np.ascontiguousarray(directions.transpose(1, 2, 0))
-        # entry -> flat slot in the (modes, d-1, 2) table; slice(0, N) when canonical
-        self._slot = slot
+        self._directions = np.ascontiguousarray(_polarizations(modes).transpose(1, 2, 0))
         self._pos = _component_positions(grid, modes)  # (d, modes)
         self._mirror = _component_positions(grid, -modes)
         self._scale = np.sqrt(2.0 * grid.volume)
-        # flat position of each basis wavevector in one (M,)*dim block
-        self.mode_positions = self._pos[0]
         # work buffers of the Galerkin kernels on this basis: built by
         # plsf.galerkin on their first call, freed with the basis
         self.arena = None
@@ -129,9 +95,9 @@ class StokesBasis:
     @cached_property
     def _work(self) -> SimpleNamespace:
         """Per-mode scratch of synthesize_coeffs and project_modes."""
-        d, count = self.grid.dim, len(self._modes)
+        d, count = self.grid.dim, len(self.modes)
         return SimpleNamespace(
-            table=np.zeros((count, d - 1, 2)),  # slots outside _slot stay 0
+            table=np.zeros((count, d - 1, 2)),  # slots past N stay 0
             line=np.empty(count),
             prod=np.empty((d, count)),
             vals=np.empty((d, count), dtype=np.complex128),
@@ -142,24 +108,6 @@ class StokesBasis:
     def size(self) -> int:
         return len(self.eigenvalues)
 
-    @cached_property
-    def entries(self) -> list[BasisEntry]:
-        """One record per entry, built on first access (the solver never
-        reads it)."""
-        d = self.grid.dim
-        slots = np.arange(len(self._modes) * 2 * (d - 1))[self._slot]
-        mode, pol = np.divmod(slots // 2, d - 1)
-        return [
-            BasisEntry(
-                float(lam),
-                tuple(int(x) for x in self._modes[m]),
-                int(p),
-                "sin" if s % 2 else "cos",
-                self._directions[p, :, m].copy(),
-            )
-            for lam, m, p, s in zip(self.eigenvalues, mode, pol, slots)
-        ]
-
     # -- coefficient transforms ------------------------------------------
 
     def project_coeffs(self, coeffs: np.ndarray) -> np.ndarray:
@@ -168,8 +116,8 @@ class StokesBasis:
 
     def project_modes(self, sub: np.ndarray) -> np.ndarray:
         """project_coeffs from the coefficients at the basis wavevectors
-        alone: sub[i, m] is component i at the wavevector of flat position
-        mode_positions[m].  Returns a fresh array."""
+        alone: sub[i, m] is component i at wavevector modes[m].  Returns a
+        fresh array."""
         d = self.grid.dim
         w = self._work
         # e . c(n) per polarization, accumulated from zero in component order
@@ -180,7 +128,7 @@ class StokesBasis:
                 amp[p, 0] += np.multiply(self._directions[p, i], sub[i].real, out=w.line)
                 amp[p, 1] += np.multiply(self._directions[p, i], sub[i].imag, out=w.line)
         amp[:, 1] *= -1.0  # (f, a_sin) = -scale Im(e . c(n))
-        return np.multiply(self._scale, amp.transpose(2, 0, 1)).reshape(-1)[self._slot]
+        return np.multiply(self._scale, amp.transpose(2, 0, 1)).reshape(-1)[: self.size]
 
     def project(self, v: SpectralVelocity) -> np.ndarray:
         if v.grid != self.grid:
@@ -198,7 +146,7 @@ class StokesBasis:
             raise ValueError(f"coefficient vector must have length {self.size}")
         d = self.grid.dim
         w = self._work
-        w.table.reshape(-1)[self._slot] = c
+        w.table.reshape(-1)[: self.size] = c
         inv = 1.0 / self._scale
         # accumulate from zero in polarization order, the order of the entries;
         # a_cos carries e / scale on mode n and a_sin carries -i e / scale
@@ -228,10 +176,7 @@ def basis_capacity(grid: TorusGrid) -> int:
 
 def make_basis(grid: TorusGrid, N: int) -> StokesBasis:
     """First N basis entries under the canonical ordering."""
-    capacity = basis_capacity(grid)
-    if N < 0 or N > capacity:
-        raise CapacityError(N, capacity)
-    return StokesBasis._canonical(grid, N)
+    return StokesBasis(grid, N)
 
 
 def full_basis(grid: TorusGrid) -> StokesBasis:

@@ -100,8 +100,23 @@ def _load_manifest(path: str):
     for key in ("p", "trajectories"):
         if key not in manifest:
             raise ConfigError([f"manifest {path} lacks the {key!r} field"])
+    entries = manifest["trajectories"]
+    if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
+        raise ConfigError([f"manifest {path}: 'trajectories' must be a list of objects"])
+    problems, first = [], {}
+    for k, entry in enumerate(entries):
+        problems += [f"manifest {path} trajectory {k} lacks the {key!r} field"
+                     for key in ("N", "path") if key not in entry]
+        if "N" in entry:
+            N = int(entry["N"])
+            if N in first:
+                problems.append(f"manifest {path} trajectory {k} repeats N = {N} "
+                                f"of trajectory {first[N]}")
+            first.setdefault(N, k)
+    if problems:
+        raise ConfigError(problems)
     records = []
-    for entry in manifest["trajectories"]:
+    for entry in entries:
         traj_path = Path(entry["path"])
         if not traj_path.is_absolute():
             traj_path = Path(path).parent / traj_path

@@ -292,11 +292,19 @@ def _samples_and_grid(f):
 
 
 def pointwise_magnitude(samples: np.ndarray, grid: TorusGrid) -> np.ndarray:
-    """Euclidean/Frobenius magnitude over the leading tensor axes."""
+    """Euclidean/Frobenius magnitude over the leading tensor axes.
+
+    The squares are added one channel at a time in C order, so no second
+    array of the input's size is formed; for C-contiguous samples that is
+    the order, and so the bits, of np.sum(samples**2, axis=lead axes).
+    """
     lead = samples.ndim - grid.dim
     if lead == 0:
         return np.abs(samples)
-    return np.sqrt(np.sum(samples**2, axis=tuple(range(lead))))
+    shape = samples.shape[lead:]
+    channels = [samples[i] for i in np.ndindex(samples.shape[:lead])]
+    mag = _sum_of_squares(channels, np.empty(shape), np.empty(shape))
+    return np.sqrt(mag, out=mag)
 
 
 def lp_norm(f, q: float, grid: TorusGrid | None = None) -> float:

@@ -126,7 +126,10 @@ class _Arena:
         self.diag = slice(diag[0], diag[-1] + 1, max(1, diag[-1] - diag[0]))
         self.w_off = 1.0 + off  # off-diagonal pairs count twice in |D|^2
         self.ik = 1j * g.wavevectors
-        self.ikm = self.ik.reshape(d, -1)[:, basis.mode_positions]
+        # where the forward transforms read the basis wavevectors, and
+        # 1j * k there (the arithmetic of g.wavevectors)
+        self.index = g.band_index(basis.modes)
+        self.ikm = 1j * ((2.0 * np.pi / g.L) * basis.modes.T.astype(np.float64, order="C"))
 
         # RHS padded channels: v, the rotation's strict upper triangle (off
         # a dealiased grid only), D's upper triangle with D_dd last, then
@@ -136,13 +139,13 @@ class _Arena:
         skew = d if n_rot else 0
         self.n_in = d + n_rot + n_ind  # v, the rotation and D go in
         n_fwd = max(n_ind, npair + skew)  # sigma, then v (x) v and v . grad v
-        grid, spec, modes = g.padded_shape, g.shape, (len(basis.mode_positions),)
+        grid, spec, modes = g.padded_shape, g.shape, (len(basis.modes),)
         f8, c16 = np.float64, np.complex128
         rhs = [
             ("phys", (d + n_rot + npair + skew,) + grid, f8),
             ("fac", grid, f8), ("tmp", grid, f8), ("mask", grid, np.bool_),
             ("strain_row", (skew,) + grid, f8),
-            ("spec", (max(self.n_in + 1, n_fwd),) + spec, c16),
+            ("spec", (self.n_in + 1,) + spec, c16),
             ("work", (max(g.work_size(self.n_in, False), g.work_size(n_fwd, True)),), c16),
             ("gath", (2 * npair + skew,) + modes, c16),
             ("tensor_row", (d,) + modes, c16),
@@ -211,7 +214,6 @@ def _rhs_parts(basis: StokesBasis, params: FluidParams, c: np.ndarray):
     n_rot = len(arena.rot_pairs)
     n_ind = len(arena.strain_pairs)
     npair = n_ind + 1
-    at = basis.mode_positions
     spec, S = a.spec, a.gath  # S: sigma, v (x) v, v . grad v at the basis wavevectors
     vhat = basis.synthesize_coeffs(c, out=spec[:d])
     # ghat[i, j] = d_j v_i; the rotation and D from its two triangles
@@ -245,15 +247,12 @@ def _rhs_parts(basis: StokesBasis, params: FluidParams, c: np.ndarray):
             w1[j] -= np.multiply(V[i], R, out=a.tmp)
 
     # sigma, then v (x) v over the strain channels (with v . grad v after
-    # them), each gathered at the basis wavevectors from its transform
+    # them), each transformed at the basis wavevectors alone
     sigma = np.multiply(fac, D, out=D)
-    F = g.to_spectral(sigma, out=spec[:n_ind], work=a.work)
-    np.take(F.reshape(n_ind, -1), at, axis=1, out=S[:n_ind], mode="clip")
+    g.to_spectral(sigma, arena.index, out=S[:n_ind], work=a.work)
     for z, (i, j) in zip(strain, arena.pairs):
         np.multiply(V[i], V[j], out=z)
-    fwd = phys[d + n_rot :]
-    F = g.to_spectral(fwd, out=spec[: len(fwd)], work=a.work)
-    np.take(F.reshape(len(fwd), -1), at, axis=1, out=S[npair:], mode="clip")
+    g.to_spectral(phys[d + n_rot :], arena.index, out=S[npair:], work=a.work)
     # the last diagonal of sigma from tr sigma = 0
     np.negative(np.sum(S[arena.diag], axis=0, out=S[n_ind]), out=S[n_ind])
     div_sig, conv = a.div, a.conv
@@ -464,7 +463,9 @@ def advance(
         for row in _DP_A[1:]:
             yi = y0 + dt * sum(a * k for a, k in zip(row, ks) if a != 0.0)
             ks.append(f(yi))
-        y5 = y0 + dt * sum(b * k for b, k in zip(_DP_B5, ks) if b != 0.0)
+        # FSAL: the last stage is evaluated at the 5th-order solution
+        # (_DP_A[-1] is _DP_B5 without its zero last weight)
+        y5 = yi
         err = dt * sum(
             (b5 - b4) * k for b5, b4, k in zip(_DP_B5, _DP_B4, ks) if b5 != b4
         )

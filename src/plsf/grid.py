@@ -143,24 +143,26 @@ class TorusGrid:
         """Padded half-spectrum restricted to last-axis modes 0 .. M/2-1."""
         return (self.padded_M,) * (self.dim - 1) + (self.M // 2,)
 
-    @cached_property
-    def _band_gather(self):
-        """Where each native-layout mode sits in the padded half-spectrum.
+    def band_index(self, modes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Where each wavevector row of `modes` (shape (count, dim)) is read
+        from in the padded rfft half-spectrum, for `to_spectral`.
 
-        Returns (src, sign, outside): for every flat position of a
-        (M,)*dim block, the flat index into the padded rfft half-spectrum
-        (shape padded_shape[:-1] + (padded_M // 2 + 1,)) it is read from,
-        -1.0 where the mode has a negative last index and is read as the
-        conjugate of its mirror c(-n) (+1.0 elsewhere), and the flat
-        positions outside the band, which are set to zero.
+        Returns (src, sign): the flat index into the half-spectrum (shape
+        padded_shape[:-1] + (padded_M // 2 + 1,)), and -1.0 where the mode
+        has a negative last index and is read as the conjugate of its
+        mirror c(-n) (+1.0 elsewhere).  Raises ValueError for a wavevector
+        outside the band.
         """
-        n = self.mode_grid.reshape(self.dim, -1)
+        n = np.asarray(modes)
+        if n.ndim != 2 or n.shape[1] != self.dim:
+            raise ValueError(f"modes must have shape (count, {self.dim}), got {n.shape}")
+        if np.any(np.abs(n) > self.M // 2 - 1):
+            raise ValueError(f"a wavevector lies outside the band |n_i| <= {self.M // 2 - 1}")
+        n = n.T
         neg = n[-1] < 0
         half_shape = self.padded_shape[:-1] + (self.padded_M // 2 + 1,)
         src = np.ravel_multi_index(tuple(np.where(neg, -n, n) % self.padded_M), half_shape)
-        outside = np.flatnonzero(~self.band_mask)
-        src[outside] = 0
-        return src, np.where(neg, -1.0, 1.0), outside
+        return src, np.where(neg, -1.0, 1.0)
 
     def work_size(self, channels: int, forward: bool) -> int:
         """Complex elements of the `work` array a transform of `channels`
@@ -194,13 +196,15 @@ class TorusGrid:
         # irfft zero-fills the last axis up to padded_M // 2 + 1 modes
         return np.fft.irfft(spec, n=self.padded_M, axis=-1, norm="forward", out=out)
 
-    def to_spectral(self, samples: np.ndarray, out=None, work=None) -> np.ndarray:
-        """Forward transform real padded-grid samples, truncated to the band.
+    def to_spectral(self, samples: np.ndarray, index, out=None, work=None) -> np.ndarray:
+        """Forward transform real padded-grid samples at the band modes of
+        `index`, which is `band_index(modes)`.
 
-        The coefficients are written into `out` (lead + shape complex128,
-        C-contiguous) when it is given.  `work`, a flat complex128 array of
-        at least `work_size(channels, forward=True)` elements, then holds
-        the padded half-spectrum, so that the call allocates no grid array.
+        Returns lead + (count,) coefficients, the one of mode row m at
+        [..., m], written into `out` when it is given.  `work`, a flat
+        complex128 array of at least `work_size(channels, forward=True)`
+        elements, then holds the padded half-spectrum, so that the call
+        allocates no grid array.
         """
         lead = samples.shape[: samples.ndim - self.dim]
         half_shape = lead + self.padded_shape[:-1] + (self.padded_M // 2 + 1,)
@@ -209,19 +213,15 @@ class TorusGrid:
         axes = tuple(range(len(lead), len(lead) + self.dim - 1))
         band = spec[..., : self.M // 2]
         np.fft.fftn(band, axes=axes, norm="forward", out=band)
+        src, sign = index
         if out is None:
-            out = np.empty(lead + self.shape, dtype=np.complex128)
-        elif not out.flags.c_contiguous:
-            raise ValueError("to_spectral needs a C-contiguous out array")
-        flat = out.reshape(lead + (-1,))
-        src, sign, outside = self._band_gather
+            out = np.empty(lead + src.shape, dtype=np.complex128)
         # mode="clip" (every index is in range) lets take write straight into
         # out; the default mode buffers the whole result first
-        np.take(spec.reshape(lead + (-1,)), src, axis=-1, out=flat, mode="clip")
-        for channel in flat.reshape(-1, flat.shape[-1]):
+        np.take(spec.reshape(lead + (-1,)), src, axis=-1, out=out, mode="clip")
+        for channel in np.ndindex(lead):
             # one channel at a time: numpy copies a strided in-place operand
-            channel.imag *= sign  # c(n_lead, -j) = conj(spec(-n_lead, j))
-        flat[..., outside] = 0.0
+            out[channel].imag *= sign  # c(n_lead, -j) = conj(spec(-n_lead, j))
         return out
 
     def reflect(self, coeffs: np.ndarray) -> np.ndarray:

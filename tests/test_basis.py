@@ -31,8 +31,24 @@ def test_first_shell_2d(grid2d):
     # L = 2 pi, N = 4: the whole lambda = 1 shell (k = +-e1, +-e2)
     basis = make_basis(grid2d, 4)
     assert np.allclose(basis.eigenvalues, 1.0)
-    assert [e.wavevector for e in basis.entries] == [(0, 1), (0, 1), (1, 0), (1, 0)]
-    assert [e.trig for e in basis.entries] == ["cos", "sin", "cos", "sin"]
+    assert basis.modes.tolist() == [[0, 1], [1, 0]]
+    # entries alternate cos | sin: real, then imaginary coefficients at n
+    for r, n in enumerate([(0, 1), (0, 1), (1, 0), (1, 0)]):
+        c = basis.entry_field(r).coeffs[(slice(None),) + n]
+        assert np.all(c.imag == 0.0) if r % 2 == 0 else np.all(c.real == 0.0)
+        assert np.max(np.abs(c)) > 0.1
+
+
+def test_constructor_is_canonical_and_checks_capacity():
+    g = TorusGrid(3, 8, 1.0)
+    basis = StokesBasis(g, 13)  # a partial last mode: 4 entries per mode
+    assert basis.size == 13
+    assert np.array_equal(basis.modes, representative_modes(g)[:4])
+    c = np.random.default_rng(2).standard_normal(13)
+    assert basis.synthesize_coeffs(c).tobytes() == make_basis(g, 13).synthesize_coeffs(c).tobytes()
+    for N in (-1, basis_capacity(g) + 1):
+        with pytest.raises(CapacityError):
+            StokesBasis(g, N)
 
 
 def test_single_entry_unit_norm():
@@ -184,10 +200,15 @@ def test_full_basis_matches_per_mode_oracle(dim, M, L):
     assert basis.size == len(want) == basis_capacity(g)
     lam = np.array([w[0] for w in want])
     assert basis.eigenvalues.tobytes() == lam.tobytes()
-    got = basis.entries
-    assert [(e.wavevector, e.polarization, e.trig) for e in got] == [w[1:4] for w in want]
+    # entry j is mode j // 2(d-1), polarization (j // 2) mod (d-1); the
+    # cos | sin slots are pinned by the synthesize/project oracle below
+    per_mode = 2 * (dim - 1)
+    assert [tuple(n) for n in np.repeat(basis.modes, per_mode, axis=0).tolist()] == [
+        w[1] for w in want
+    ]
     # polarization vectors bit for bit, signed zeros included
-    dirs = np.array([e.direction for e in got])
+    pol = basis._directions.transpose(2, 0, 1).reshape(-1, dim)  # (mode, pol) rows
+    dirs = np.repeat(pol, 2, axis=0)
     assert dirs.tobytes() == np.array([w[4] for w in want]).tobytes()
 
 
@@ -234,39 +255,6 @@ def test_full_basis_3d_m64_builds():
     basis = full_basis(g)
     assert basis.size == 500_092
     assert np.all(np.diff(basis.eigenvalues) >= 0)
-    assert "entries" not in basis.__dict__
-
-
-def test_solver_path_builds_no_entry_records(monkeypatch):
-    from plsf import galerkin
-    from plsf.galerkin import SolverConfig, run_trajectory
-
-    built = []
-
-    def recording_make_basis(grid, N):
-        built.append(make_basis(grid, N))
-        return built[-1]
-
-    monkeypatch.setattr(galerkin, "make_basis", recording_make_basis)
-    run_trajectory(SolverConfig(dim=2, M=16, N=20, T=0.05, sample_dt=0.01))
-    assert len(built) == 1
-    assert "entries" not in built[0].__dict__
-    assert "entries" not in make_basis(TorusGrid(3, 8, 1.0), 30).__dict__
-
-
-def test_explicit_entry_order_round_trips():
-    # a basis from a permuted entry list synthesizes the same fields
-    g = TorusGrid(3, 8, 1.0)
-    canonical = make_basis(g, 14)
-    order = np.random.default_rng(3).permutation(14)
-    permuted = StokesBasis(g, [canonical.entries[k] for k in order])
-    assert [e.wavevector for e in permuted.entries] == [
-        canonical.entries[k].wavevector for k in order
-    ]
-    c = np.random.default_rng(4).standard_normal(14)
-    v = canonical.synthesize_coeffs(c)
-    assert np.max(np.abs(permuted.synthesize_coeffs(c[order]) - v)) <= 1e-15
-    assert np.max(np.abs(permuted.project_coeffs(v) - c[order])) <= 1e-13
 
 
 @pytest.mark.parametrize("dim, M, N", [(2, 16, 37), (3, 8, 101), (3, 8, 416)])
@@ -279,11 +267,11 @@ def test_synthesize_and_project_match_per_entry_oracle(dim, M, N):
     c = rng.standard_normal(N)
     c[::5] = 0.0
     c[1::7] = -0.0
-    entries = basis.entries
-    flat = np.array([np.ravel_multi_index([x % M for x in e.wavevector], g.shape)
-                     for e in entries])
-    E = np.array([e.direction for e in entries])
-    is_cos = np.array([e.trig == "cos" for e in entries])
+    entries = _oracle_entries(g)[:N]
+    flat = np.array([np.ravel_multi_index([x % M for x in n], g.shape)
+                     for _, n, _, _, _ in entries])
+    E = np.array([e for *_, e in entries])
+    is_cos = np.array([trig == "cos" for _, _, _, trig, _ in entries])
     scale = np.sqrt(2.0 * g.volume)
     buf = np.zeros((dim, M**dim), dtype=np.complex128)
     amp = np.where(is_cos, c, -1j * c) / scale

@@ -543,6 +543,24 @@ def test_cli_gap_missing_file_no_partial_report(tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("entries, named", [
+    ([{"N": 4, "path": "a.csv"}, {"path": "b.csv"}], "trajectory 1 lacks the 'N' field"),
+    ([{"N": 4, "path": "a.csv"}, {"N": 4, "path": "b.csv"}],
+     "trajectory 1 repeats N = 4 of trajectory 0"),
+    ([{"N": 4, "path": "a.csv"}, 5], "'trajectories' must be a list of objects"),
+], ids=["missing-N", "duplicate-N", "not-an-object"])
+def test_cli_gap_rejects_bad_manifest_entries(tmp_path, capsys, entries, named):
+    # checked before any trajectory is read: the files need not exist
+    mpath = tmp_path / "manifest.json"
+    mpath.write_text(json.dumps({"p": 1.9, "trajectories": entries}))
+    out = tmp_path / "gap.json"
+    code = main(["gap", str(mpath), "--s", "0", "--t", "1",
+                 "--alphas", "1.0", "--out", str(out)])
+    assert code == 2
+    assert named in capsys.readouterr().err
+    assert not out.exists()
+
+
 # -- CLI converge ------------------------------------------------------------------
 
 

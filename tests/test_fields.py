@@ -1,6 +1,7 @@
 import itertools
 import math
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from plsf.errors import FieldInvariantError, GridMismatchError
 from plsf.fields import (
     SpectralVelocity,
+    gradient,
     hessian_samples,
     inner_product,
     l2_norm_spectral,
@@ -191,6 +193,32 @@ def test_pointwise_magnitude_shapes(grid2d):
     mag = pointwise_magnitude(v.physical, grid2d)
     assert mag.shape == grid2d.padded_shape
     assert np.all(mag >= 0)
+
+
+@pytest.mark.parametrize("dim, M", [(2, 16), (3, 8)])
+def test_pointwise_magnitude_matches_squared_sum(dim, M):
+    # one channel at a time in C order is the order np.sum reduces leading
+    # axes of C-contiguous samples in, so the bits agree
+    g = TorusGrid(dim, M, 2 * np.pi)
+    v = random_solenoidal(g, band=3, seed=dim)
+    for samples in (v.physical, gradient(v).values, hessian_samples(v)):
+        lead = tuple(range(samples.ndim - dim))
+        want = np.sqrt(np.sum(samples**2, axis=lead))
+        assert pointwise_magnitude(samples, g).tobytes() == want.tobytes()
+
+
+def test_pointwise_magnitude_forms_no_second_input_array():
+    g = TorusGrid(3, 12, 1.0)
+    hess = hessian_samples(random_solenoidal(g, band=3, seed=9))  # 27 channels
+    channel = hess[0, 0, 0].nbytes
+    pointwise_magnitude(hess, g)  # warm up
+    tracemalloc.start()
+    try:
+        pointwise_magnitude(hess, g)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * channel < hess.nbytes
 
 
 def test_physical_samples_are_read_only(grid2d):

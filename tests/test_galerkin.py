@@ -3,11 +3,13 @@ import warnings
 import numpy as np
 import pytest
 
-from plsf.basis import StokesBasis, basis_capacity, make_basis
+from plsf.basis import basis_capacity, make_basis
 from plsf.constitutive import FluidParams, rho_tilde
 from plsf.errors import StiffnessError
 from plsf.fields import lp_norm, random_solenoidal
 from plsf.galerkin import (
+    _DP_A,
+    _DP_B5,
     GalerkinState,
     SolverConfig,
     StepController,
@@ -164,13 +166,29 @@ def test_convection_equals_skew_average(dim, M, dealias):
     V = g.to_physical(vhat)
     G = g.to_physical(ik[np.newaxis, :] * vhat[:, np.newaxis])  # d_j v_i
     w1 = np.einsum("j...,ij...->i...", V, G)
-    z_hat = g.to_spectral(V[:, np.newaxis] * V[np.newaxis, :])
-    skew = 0.5 * (g.to_spectral(w1) + np.sum(ik[np.newaxis] * z_hat, axis=1))
-    expected = basis.project_coeffs(skew)
+    # both forms at the basis wavevectors, where the projection reads them
+    index = g.band_index(basis.modes)
+    ikm = 1j * (2 * np.pi / g.L) * basis.modes.T
+    z_hat = g.to_spectral(V[:, np.newaxis] * V[np.newaxis, :], index)
+    skew = 0.5 * (g.to_spectral(w1, index) + np.sum(ikm[np.newaxis] * z_hat, axis=1))
+    expected = basis.project_modes(skew)
     assert np.max(np.abs(conv - expected)) <= 1e-12 * np.max(np.abs(expected))
 
 
 # -- adaptive stepping ------------------------------------------------------------
+
+
+def test_dormand_prince_last_stage_is_the_solution(grid2d):
+    # DP5(4) is FSAL: the stage-7 input sums the 5th-order weights, so
+    # advance returns that input as y5 and its RHS is the last stage
+    assert _DP_A[-1] == _DP_B5[:-1]
+    assert _DP_B5[-1] == 0.0
+    basis = make_basis(grid2d, 24)
+    params = FluidParams(1.9, 1.0)
+    state = project_initial_data(random_solenoidal(grid2d, band=3, seed=8), basis)
+    ctrl = StepController(rtol=1e-8)
+    out = advance(state, params, ctrl)
+    assert np.array_equal(ctrl.last_segment.stages[-1], galerkin_rhs(out, params))
 
 
 def test_zero_state_stays_zero(grid2d):
@@ -518,27 +536,3 @@ def test_galerkin_nesting(grid2d):
     small = project_initial_data(v, make_basis(grid2d, 10))
     large = project_initial_data(v, make_basis(grid2d, 40))
     assert np.array_equal(small.c, large.c[:10])
-
-
-def test_shell_order_insensitivity(grid2d):
-    # permuting entries inside full eigenvalue shells leaves the dynamics
-    # invariant (the span is the same); check the energy trace agrees
-    basis = make_basis(grid2d, 8)  # two complete shells
-    entries = list(basis.entries)
-    first_shell = [entries[2], entries[0], entries[3], entries[1]]
-    second_shell = [entries[7], entries[5], entries[4], entries[6]]
-    alt = StokesBasis(grid2d, first_shell + second_shell)
-    assert [e.wavevector for e in alt.entries] != [e.wavevector for e in entries] or [
-        e.trig for e in alt.entries
-    ] != [e.trig for e in entries]
-    v = random_solenoidal(grid2d, band=2, seed=14)
-    params = FluidParams(1.9, 1.0)
-    s1 = project_initial_data(v, basis)
-    s2 = project_initial_data(v, alt)
-    c1, c2 = StepController(rtol=1e-9), StepController(rtol=1e-9)
-    for _ in range(3):
-        s1 = advance(s1, params, c1, dt_cap=0.05)
-        s2 = advance(s2, params, c2, dt_cap=0.05)
-    e1 = float(np.dot(s1.c, s1.c))
-    e2 = float(np.dot(s2.c, s2.c))
-    assert e1 == pytest.approx(e2, rel=1e-9)

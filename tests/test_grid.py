@@ -1,7 +1,15 @@
+import math
+
 import numpy as np
 import pytest
 
+from plsf.fields import representative_modes
 from plsf.grid import TorusGrid
+
+
+def _band_modes(g):
+    """Every band wavevector, one row each, in fftn order."""
+    return g.mode_grid[:, g.band_mask].T
 
 
 @pytest.mark.parametrize("dim,M", [(2, 8), (2, 16), (3, 12)])
@@ -42,10 +50,10 @@ def test_spectral_physical_roundtrip(dim, M, dealias, lead):
     phys = g.to_physical(c)
     assert phys.shape == lead + g.padded_shape
     assert phys.dtype == np.float64
-    back = g.to_spectral(phys)
-    assert back.shape == c.shape
-    assert np.max(np.abs(back - c)) <= 1e-13 * np.max(np.abs(c))
-    assert np.all(back[..., ~g.band_mask] == 0)
+    back = g.to_spectral(phys, g.band_index(_band_modes(g)))
+    want = c[..., g.band_mask]
+    assert back.shape == want.shape
+    assert np.max(np.abs(back - want)) <= 1e-13 * np.max(np.abs(c))
 
 
 @pytest.mark.parametrize("dim,M,dealias", [(2, 16, 1.5), (3, 8, 1.3)], ids=["2d", "3d"])
@@ -61,10 +69,11 @@ def test_transforms_into_given_buffers(dim, M, dealias):
     phys = g.to_physical(c, out=out, work=work)
     assert phys is out
     assert np.array_equal(phys, g.to_physical(c))
-    spec = np.full(c.shape, complex(np.nan, np.nan))
-    back = g.to_spectral(phys, out=spec, work=work)
+    index = g.band_index(_band_modes(g))
+    spec = np.full((3, index[0].size), complex(np.nan, np.nan))
+    back = g.to_spectral(phys, index, out=spec, work=work)
     assert back is spec
-    assert np.array_equal(back, g.to_spectral(phys))
+    assert np.array_equal(back, g.to_spectral(phys, index))
 
 
 def test_reflect_is_negation_map():
@@ -87,8 +96,8 @@ def test_transform_roundtrip_and_single_mode():
     x = g.points(padded=True)
     expected = np.cos(3 * x[0] + 2 * x[1])
     assert np.max(np.abs(phys - expected)) < 1e-12
-    back = g.to_spectral(phys[np.newaxis])
-    assert np.max(np.abs(back - c)) < 1e-13
+    back = g.to_spectral(phys[np.newaxis], g.band_index(np.array([[3, 2], [-3, -2], [3, -2]])))
+    assert np.max(np.abs(back - [[0.5, 0.5, 0.0]])) < 1e-13
 
 
 def test_quadrature_weight_integrates_constants():
@@ -110,13 +119,81 @@ def test_padded_M_even_and_at_least_M():
 )
 def test_dealiased_matches_product_aliasing(M, dealias, padded_M):
     # the square of the top band mode h = M/2 - 1 has mode 2h, which lands
-    # in the band at 2h - padded_M exactly when the grid is not dealiased
+    # in the band at 2h - padded_M exactly when the grid is not dealiased;
+    # its band part is otherwise the mean 1/2 alone
     g = TorusGrid(2, M, 2 * np.pi, dealias_factor=dealias)
     assert g.padded_M == padded_M
     h = g.M // 2 - 1
     c = np.zeros(g.shape, dtype=complex)
     c[h, 0] = c[-h, 0] = 0.5
     u = g.to_physical(c)
-    prod = g.to_spectral(u * u)
-    alias = prod[(2 * h - g.padded_M) % g.M, 0]
-    assert bool(abs(alias) > 0.1) == (not g.dealiased)
+    modes = _band_modes(g)
+    prod = g.to_spectral(u * u, g.band_index(modes))
+    mean = np.all(modes == 0, axis=1)
+    assert abs(prod[mean][0] - 0.5) < 1e-14
+    assert (2 * h - g.padded_M >= -h) == (not g.dealiased)
+    assert bool(np.max(np.abs(prod[~mean])) > 0.1) == (not g.dealiased)
+
+
+def _full_band_gather(g, samples):
+    """The forward transform as it once filled the whole (M,)*dim band:
+    every fftn-layout mode read from the padded rfft half-spectrum, as the
+    conjugate of its mirror where the last index is negative, and zero
+    outside the band."""
+    lead = samples.shape[: samples.ndim - g.dim]
+    spec = np.fft.rfft(samples, axis=-1, norm="forward")
+    band = spec[..., : g.M // 2]
+    band[...] = np.fft.fftn(band, axes=tuple(range(len(lead), len(lead) + g.dim - 1)),
+                            norm="forward")
+    n = g.mode_grid.reshape(g.dim, -1)
+    neg = n[-1] < 0
+    src = np.ravel_multi_index(tuple(np.where(neg, -n, n) % g.padded_M), spec.shape[len(lead):])
+    src[~g.band_mask.reshape(-1)] = 0
+    out = np.take(spec.reshape(lead + (-1,)), src, axis=-1)
+    for channel in out.reshape(-1, out.shape[-1]):
+        channel.imag *= np.where(neg, -1.0, 1.0)
+    out[..., ~g.band_mask.reshape(-1)] = 0.0
+    return out.reshape(lead + g.shape)
+
+
+@pytest.mark.parametrize(
+    "dim,M,dealias,lead",
+    [(2, 16, 1.5, (2,)), (2, 10, 1.0, (3,)), (3, 8, 1.3, (2, 3))],
+    ids=["2d", "2d-unpadded", "3d-lead2x3"],
+)
+def test_to_spectral_matches_full_band_gather(dim, M, dealias, lead):
+    # bit for bit, signed zeros included: random samples, and a zero
+    # channel, whose +0.0 imaginary parts the conjugate rule turns into
+    # -0.0 at negative last indices
+    g = TorusGrid(dim, M, 2 * np.pi, dealias_factor=dealias)
+    rng = np.random.default_rng(7)
+    samples = rng.standard_normal(lead + g.padded_shape)
+    samples[(0,) * len(lead)] = 0.0
+    want = _full_band_gather(g, samples)
+    modes = np.concatenate([_band_modes(g), representative_modes(g)[::3]])
+    rng.shuffle(modes)
+    index = g.band_index(modes)
+    want = want[(Ellipsis,) + tuple((modes % M).T)]
+    assert np.any(np.signbit(want.imag) & (want.imag == 0.0))
+    got = g.to_spectral(samples, index)
+    assert got.shape == lead + (len(modes),)
+    assert got.tobytes() == want.tobytes()
+    one = (1,) * len(lead)
+    assert g.to_spectral(samples[one], index).tobytes() == want[one].tobytes()
+    # junk out and work arrays, the out a strided view
+    work = np.full(g.work_size(math.prod(lead), True), complex(np.nan, np.nan))
+    out = np.full(lead + (len(modes), 2), complex(np.nan, np.nan))[..., 0]
+    assert g.to_spectral(samples, index, out=out, work=work) is out
+    assert np.ascontiguousarray(out).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_band_index_rejects_modes_outside_the_band(dim):
+    g = TorusGrid(dim, 8, 1.0)
+    for bad in ([4] + [0] * (dim - 1), [0] * (dim - 1) + [-4], [0] * (dim - 1) + [5]):
+        with pytest.raises(ValueError, match="outside the band"):
+            g.band_index(np.array([[1] * dim, bad]))
+    with pytest.raises(ValueError):
+        g.band_index(np.zeros((2, dim + 1), dtype=int))
+    src, sign = g.band_index(np.array([[0] * (dim - 1) + [-3], [3] * dim]))
+    assert sign.tolist() == [-1.0, 1.0]
