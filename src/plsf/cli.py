@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -37,22 +38,26 @@ from .galerkin import TrajectoryRecord, run_trajectory
 
 
 def _jsonify(obj):
+    """obj in JSON types; a non-finite float, which RFC 8259 JSON cannot
+    hold, becomes null."""
     if isinstance(obj, dict):
         return {k: _jsonify(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonify(v) for v in obj]
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
     if isinstance(obj, np.ndarray):
         return [_jsonify(v) for v in obj.tolist()]
+    if isinstance(obj, (np.floating, np.integer)):
+        obj = obj.item()
     if isinstance(obj, (np.bool_,)):
         return bool(obj)
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return None
     return obj
 
 
 def _write_json(path, obj) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(_jsonify(obj), fh, indent=2, sort_keys=True)
+        json.dump(_jsonify(obj), fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 
@@ -234,6 +239,10 @@ def cmd_verify(cfg: RunConfig, suites: list[str], out: str | None) -> int:
     if unknown:
         raise ConfigError([f"unknown suite {suite!r}; choose from {SUITES}"
                            for suite in unknown])
+    if "lemma1" in suites and cfg.verify_count < 2:
+        # lemma1 calibrates its constant on one half of the ensemble
+        raise ConfigError([f"suite lemma1 needs [verify] count >= 2, "
+                           f"got {cfg.verify_count}"])
     needs_mu = {"lemma3", "oo", "ap3"} & set(suites)
     if needs_mu and cfg.solver.mu <= 0:
         raise ConfigError(

@@ -120,7 +120,8 @@ _SETTINGS = (
     _Setting("verify", "seed", "verify_seed", _INT),
     _Setting("verify", "band", "verify_band", _INT, lambda v: v >= 1, "band >= 1"),
     _Setting("verify", "decay", "verify_decay", _FLOAT),
-    _Setting("verify", "amplitude", "verify_amplitude", _FLOAT),
+    _Setting("verify", "amplitude", "verify_amplitude", _FLOAT, lambda v: v != 0,
+             "amplitude != 0"),
 )
 
 _SOLVER_ATTRS = frozenset(f.name for f in fields(SolverConfig))

@@ -179,6 +179,15 @@ def symmetric_components(dim: int):
     return rows, cols, pos
 
 
+def _multiply_channels(factors, c, out) -> np.ndarray:
+    """out[j] = factors[j] * c for every channel j, one channel at a time:
+    a complex multiply broadcasting c over the whole stack allocates a
+    buffer of up to 8192 elements in numpy (128 kB, e.g. at 3D 16^3)."""
+    for factor, channel in zip(factors, out):
+        np.multiply(factor, c, out=channel)
+    return out
+
+
 def _strain_gradient_pairs(grid: TorusGrid, ik, coeffs, out, spec, work=None) -> np.ndarray:
     """Samples of d_s D_ij for the pairs i <= j, written into `out` of
     shape (pair, d) + padded_shape, one pair per transform.
@@ -194,7 +203,7 @@ def _strain_gradient_pairs(grid: TorusGrid, ik, coeffs, out, spec, work=None) ->
         np.multiply(ik[j], coeffs[i], out=dhat)
         np.add(dhat, np.multiply(ik[i], coeffs[j], out=other), out=dhat)
         np.multiply(0.5, dhat, out=dhat)
-        grid.to_physical(np.multiply(ik, dhat, out=inputs), out=out[a], work=work)
+        grid.to_physical(_multiply_channels(ik, dhat, inputs), out=out[a], work=work)
     return out
 
 
@@ -226,6 +235,12 @@ def _sum_of_squares(channels, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
     for ch in channels[1:]:
         out += np.square(ch, out=tmp)
     return out
+
+
+def _magnitude(channels, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """out = the pointwise Euclidean norm over the channels, whose squares
+    are added by _sum_of_squares."""
+    return np.sqrt(_sum_of_squares(channels, out, tmp), out=out)
 
 
 def _grad_strain_sq(pairs: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
@@ -303,8 +318,7 @@ def pointwise_magnitude(samples: np.ndarray, grid: TorusGrid) -> np.ndarray:
         return np.abs(samples)
     shape = samples.shape[lead:]
     channels = [samples[i] for i in np.ndindex(samples.shape[:lead])]
-    mag = _sum_of_squares(channels, np.empty(shape), np.empty(shape))
-    return np.sqrt(mag, out=mag)
+    return _magnitude(channels, np.empty(shape), np.empty(shape))
 
 
 def lp_norm(f, q: float, grid: TorusGrid | None = None) -> float:
@@ -324,12 +338,14 @@ def lp_norm(f, q: float, grid: TorusGrid | None = None) -> float:
     return _norm_of_magnitude(pointwise_magnitude(samples, grid), q, grid)
 
 
-def _norm_of_magnitude(mag: np.ndarray, q: float, grid: TorusGrid) -> float:
-    """L^q norm by quadrature of pointwise magnitudes; overwrites `mag`."""
+def _norm_of_magnitude(mag: np.ndarray, q: float, grid: TorusGrid, out=None) -> float:
+    """L^q norm by quadrature of pointwise magnitudes.  The powers are
+    written into `out`, a grid like `mag`, or over `mag` when it is None."""
+    out = mag if out is None else out
     if q == 2.0:
-        total = float(np.sum(np.square(mag, out=mag)))
+        total = float(np.sum(np.square(mag, out=out)))
         return float(np.sqrt(total * grid.quad_weight))
-    total = float(np.sum(np.power(mag, q, out=mag)))
+    total = float(np.sum(np.power(mag, q, out=out)))
     return float((total * grid.quad_weight) ** (1.0 / q))
 
 

@@ -41,6 +41,8 @@ from .errors import GridMismatchError, StiffnessError
 from .fields import (  # noqa: F401
     SpectralVelocity,
     _grad_strain_sq,
+    _magnitude,
+    _multiply_channels,
     _norm_of_magnitude,
     _strain_gradient_pairs,
     _sum_of_squares,
@@ -99,10 +101,11 @@ def _carve(buf: np.ndarray, placed) -> SimpleNamespace:
 
 
 class _Arena:
-    """Work buffers of `_rhs_parts` and `state_functionals` on one basis.
+    """Work buffers of `_rhs_parts`, `state_functionals` and the rows of
+    `plsf.inequalities.field_table` on one basis.
 
-    An RHS evaluation and a trajectory sample are never live together, so
-    their buffers (`views("rhs")` and `views("sample")`) are two layouts of
+    No two of these kernels are live together, so their buffers
+    (`views("rhs")`, `views("sample")` and `views("table")`) are layouts of
     one byte buffer, sized for the larger of the kernels called so far.
     Every call writes a buffer before it reads it.  The constants beside
     them are computed once.
@@ -161,12 +164,22 @@ class _Arena:
             ("spec", (d + max(d + 2, npair),) + spec, c16),
             ("work", (g.work_size(max(d, npair), False),), c16),
         ]
-        self._layouts = {"rhs": _layout(rhs), "sample": _layout(sample)}
+        # table: the sample's padded grids, for a field whose coefficients
+        # are given, plus |D|^2, kept while |grad D|^2 is formed
+        table = [
+            ("phys", (max(d * d, npair * d),) + grid, f8),
+            ("mag", grid, f8), ("dd", grid, f8), ("tmp", grid, f8),
+            ("spec", (max(d + 2, npair),) + spec, c16),
+            ("work", (g.work_size(max(d, npair), False),), c16),
+        ]
+        self._layouts = {
+            "rhs": _layout(rhs), "sample": _layout(sample), "table": _layout(table),
+        }
         self._buf = np.empty(0, dtype=np.uint8)
         self._views = {}
 
     def views(self, kernel: str) -> SimpleNamespace:
-        """The buffers of `kernel`, "rhs" or "sample"."""
+        """The buffers of `kernel`: "rhs", "sample" or "table"."""
         views = self._views.get(kernel)
         if views is None:
             size, placed = self._layouts[kernel]
@@ -190,6 +203,60 @@ def _arena(basis: StokesBasis) -> _Arena:
     if basis.arena is None:
         basis.arena = _Arena(basis)
     return basis.arena
+
+
+# -- padded-grid phases of the sample and the inequality table ---------------
+#
+# Each transforms from the coefficients `vhat` ((d,) + shape) into arena
+# views, with `scratch` a complex (channels,) + shape array and `work` the
+# transform's; the squares are added in the order of the public operations
+# in plsf.fields, so every value equals theirs bit for bit.
+
+
+def _velocity_gradient(g: TorusGrid, ik, vhat, G, scratch, work) -> np.ndarray:
+    """d_j v_i into channel d*i + j of G (gradient(v) in C order), one row
+    per transform; `ik` is 1j * g.wavevectors."""
+    d = g.dim
+    for i in range(d):
+        inputs = _multiply_channels(ik, vhat[i], scratch[:d])
+        g.to_physical(inputs, out=G[d * i : d * i + d], work=work)
+    return G
+
+
+def _strain_sq(G: np.ndarray, d: int, out, tmp) -> np.ndarray:
+    """Overwrite G = grad v by D = (grad v + grad v^T)/2 and return |D|^2,
+    summed over (i, j) in C order, in `out`."""
+    for i in range(d):
+        for j in range(i, d):
+            Dij = np.add(G[d * i + j], G[d * j + i], out=G[d * i + j])
+            np.multiply(0.5, Dij, out=Dij)
+            G[d * j + i] = Dij
+    return _sum_of_squares(G, out, tmp)
+
+
+def _strain_gradient_sq(g: TorusGrid, arena: _Arena, vhat, phys, scratch, work, out, tmp):
+    """|grad D|^2 in `out`: d_s D_ij for the pairs i <= j over phys, one
+    pair per transform, reduced pair by pair."""
+    npair = len(arena.pairs)
+    pairs = phys[: npair * g.dim].reshape((npair, g.dim) + g.padded_shape)
+    _strain_gradient_pairs(g, arena.ik, vhat, pairs, scratch, work=work)
+    return _grad_strain_sq(pairs, out, tmp)
+
+
+def _hessian_magnitude(g: TorusGrid, arena: _Arena, vhat, P, scratch, work, out, tmp):
+    """|D^2 v| in `out`: d_j d_k v_i = -(k_j k_k) c_i for the pairs j <= k
+    at channel npair*i + pair of P, one component per transform, and the
+    squares summed over (i, j, k) in that order (hessian_samples' mirror)."""
+    d, pos = g.dim, arena.pos
+    npair = len(arena.pairs)
+    for i in range(d):
+        inputs = _multiply_channels(arena.kk, vhat[i], scratch[:npair])
+        np.negative(inputs, out=inputs)
+        g.to_physical(inputs, out=P[npair * i : npair * (i + 1)], work=work)
+    return _magnitude(
+        [P[npair * i + pos[j, k]] for i in range(d) for j in range(d) for k in range(d)],
+        out, tmp,
+    )
 
 
 # -- right-hand side -------------------------------------------------------
@@ -288,7 +355,6 @@ def state_functionals(state: GalerkinState, params: FluidParams, record_d2: bool
     d = g.dim
     arena = _arena(basis)
     a = arena.views("sample")
-    ik, pos = arena.ik, arena.pos
     out = {
         "energy": float(np.dot(c, c)),
         "rho": float(np.dot(basis.eigenvalues * c, c)),
@@ -297,50 +363,27 @@ def state_functionals(state: GalerkinState, params: FluidParams, record_d2: bool
     scratch = a.spec[d:]
     work = a.work
 
-    # the velocity gradient, d_j v_i at channel d*i + j, one row per transform
-    G = a.phys[: d * d]
-    for i in range(d):
-        inputs = np.multiply(ik, vhat[i], out=scratch[:d])
-        g.to_physical(inputs, out=G[d * i : d * i + d], work=work)
-    grad_mag = np.sqrt(_sum_of_squares(G, a.acc, a.tmp), out=a.acc)
-    grad_p_norm = _norm_of_magnitude(grad_mag, params.p, g)
+    G = _velocity_gradient(g, arena.ik, vhat, a.phys[: d * d], scratch, work)
+    grad_p_norm = _norm_of_magnitude(_magnitude(G, a.acc, a.tmp), params.p, g)
 
-    # D = (grad v + grad v^T)/2 over G, then the stress contracted with it
-    for i in range(d):
-        for j in range(i, d):
-            Dij = np.add(G[d * i + j], G[d * j + i], out=G[d * i + j])
-            np.multiply(0.5, Dij, out=Dij)
-            G[d * j + i] = Dij
-    fac = _sum_of_squares(G, a.fac, a.tmp)
+    # D over G, then the stress contracted with it
+    fac = _strain_sq(G, d, a.fac, a.tmp)
     fac = law._stress_factor(fac, params, out=fac, mask=a.mask)
     for Dk in G:
         np.multiply(np.multiply(fac, Dk, out=a.tmp), Dk, out=Dk)
     out["rho_tilde"] = float(np.sum(G) * g.quad_weight)
     out["grad_p_norm"] = grad_p_norm
 
-    npair = len(arena.pairs)
     if params.mu > 0:
         # I_p weighs |grad D|^2 with the same factor
-        pairs = a.phys[: npair * d].reshape((npair, d) + g.padded_shape)
-        _strain_gradient_pairs(g, ik, vhat, pairs, scratch, work=work)
-        sq = _grad_strain_sq(pairs, a.acc, a.tmp)
+        sq = _strain_gradient_sq(g, arena, vhat, a.phys, scratch, work, a.acc, a.tmp)
         out["Ip"] = float(np.sum(np.multiply(fac, sq, out=sq)) * g.quad_weight)
     else:
         out["Ip"] = float("nan")
 
     if record_d2:
-        # d_j d_k v_i = -(k_j k_k) c_i for the pairs j <= k, at channel
-        # npair*i + pair; the magnitude sums over (i, j, k) in that order
-        P = a.phys[: d * npair]
-        for i in range(d):
-            inputs = np.multiply(arena.kk, vhat[i], out=scratch[:npair])
-            np.negative(inputs, out=inputs)
-            g.to_physical(inputs, out=P[npair * i : npair * (i + 1)], work=work)
-        mag = _sum_of_squares(
-            [P[npair * i + pos[j, k]] for i in range(d) for j in range(d) for k in range(d)],
-            a.acc, a.tmp,
-        )
-        out[CSV_D2_COLUMN] = _norm_of_magnitude(np.sqrt(mag, out=mag), params.p, g)
+        mag = _hessian_magnitude(g, arena, vhat, a.phys, scratch, work, a.acc, a.tmp)
+        out[CSV_D2_COLUMN] = _norm_of_magnitude(mag, params.p, g)
     return out
 
 

@@ -8,23 +8,30 @@ reports are evidence, never proof.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import constitutive as law
 from .basis import full_basis
-from .constitutive import FluidParams, I_p
-from .errors import ConfigError
+from .constitutive import FluidParams
+from .errors import ConfigError, GridMismatchError
 from .fields import (
     SpectralVelocity,
-    gradient,
-    hessian_samples,
-    lp_norm,
+    _magnitude,
+    _norm_of_magnitude,
     random_solenoidal,
-    sym_gradient,
 )
-from .galerkin import GalerkinState, TrajectoryRecord, galerkin_rhs
+from .galerkin import (
+    GalerkinState,
+    TrajectoryRecord,
+    _arena,
+    _hessian_magnitude,
+    _strain_gradient_sq,
+    _strain_sq,
+    _velocity_gradient,
+    galerkin_rhs,
+)
 from .grid import TorusGrid
 
 
@@ -101,32 +108,75 @@ def field_table(samples, keys) -> list[dict]:
     params) for ||(mu + |Du|^2)^(1/2)||_p; ("drho_half", params) for 1/2 d/dt
     ||grad v||_2^2 at the Galerkin state of u; and ("proj_cumsum", None) for
     0, then the running sums of the squared full-basis coefficients of u.
-    TABLE_KEYS[name](arg) lists the keys check `name` reads.  A field is
-    read through a transient copy whose cached samples serve its whole row
-    and die with it; its Hessian and projection, and the full basis, are
-    formed at most once.
+    TABLE_KEYS[name](arg) lists the keys check `name` reads.  Every value
+    equals the public operation's (lp_norm, gradient, hessian_samples, I_p,
+    galerkin_rhs) bit for bit.  The full basis is built once, and every row
+    works in its arena (see `table_row`).
     """
-    basis = functools.cache(lambda: full_basis(samples[0].grid))
+    keys = list(dict.fromkeys(keys))
+    if not samples:
+        return []
+    basis = full_basis(samples[0].grid)
+    return [table_row(u, keys, basis) for u in samples]
 
-    def row(u):
-        hess = functools.cache(lambda: hessian_samples(u))
-        c = functools.cache(lambda: basis().project(u))
-        quantity = {
-            "u": lambda q: lp_norm(u, q),
-            "grad": lambda q: lp_norm(gradient(u), q),
-            "hess": lambda q: lp_norm(hess(), q, grid=u.grid),
-            "I_p": lambda params: I_p(u, params),
-            "shifted": lambda params: lp_norm(
-                np.sqrt(params.mu + np.sum(sym_gradient(u).values**2, axis=(0, 1))),
-                params.p, grid=u.grid),
-            "drho_half": lambda params: float(np.dot(
-                basis().eigenvalues * c(),
-                galerkin_rhs(GalerkinState(basis(), c(), 0.0), params))),
-            "proj_cumsum": lambda _: np.concatenate([[0.0], np.cumsum(c() ** 2)]),
-        }
-        return {key: quantity[key[0]](key[1]) for key in dict.fromkeys(keys)}
 
-    return [row(SpectralVelocity(u.grid, u.coeffs, validate=False)) for u in samples]
+def table_row(u: SpectralVelocity, keys, basis) -> dict:
+    """The row of field_table for u, in the arena of `basis`, the full
+    basis of u's grid.
+
+    Each pointwise magnitude that a key reads (|u|, |grad u|, |Du|^2,
+    |grad Du|^2 and |D^2 u|) is formed once, by the trajectory sample's
+    padded-grid phases, and every (quantity, q) key is reduced from it
+    through a scratch grid.  The projection and the Galerkin RHS come
+    first: the RHS's buffers and the table's share the arena's memory.
+    Once the arena is built, a row allocates no grid-sized array.
+    """
+    if u.grid != basis.grid:
+        raise GridMismatchError(f"{u.grid!r} vs {basis.grid!r}")
+    g = u.grid
+    d = g.dim
+    args = {}
+    for name, arg in keys:
+        args.setdefault(name, []).append(arg)
+    values = {}
+    if "proj_cumsum" in args or "drho_half" in args:
+        c = basis.project(u)
+        if "proj_cumsum" in args:
+            values["proj_cumsum", None] = np.concatenate([[0.0], np.cumsum(c**2)])
+        for params in args.get("drho_half", ()):
+            values["drho_half", params] = float(np.dot(
+                basis.eigenvalues * c, galerkin_rhs(GalerkinState(basis, c, 0.0), params)))
+
+    arena = _arena(basis)
+    a = arena.views("table")
+    vhat, scratch, work = u.coeffs, a.spec, a.work
+
+    def reduce(name, mag):
+        for q in args.get(name, ()):
+            values[name, q] = _norm_of_magnitude(mag, q, g, out=a.tmp)
+
+    if "u" in args:
+        reduce("u", _magnitude(g.to_physical(vhat, out=a.phys[:d], work=work), a.mag, a.tmp))
+    strain = "I_p" in args or "shifted" in args
+    if "grad" in args or strain:
+        G = _velocity_gradient(g, arena.ik, vhat, a.phys[: d * d], scratch, work)
+    if "grad" in args:
+        reduce("grad", _magnitude(G, a.mag, a.tmp))
+    if strain:
+        dd = _strain_sq(G, d, a.dd, a.tmp)
+        for params in args.get("shifted", ()):
+            root = np.sqrt(np.add(params.mu, dd, out=a.tmp), out=a.tmp)
+            values["shifted", params] = _norm_of_magnitude(root, params.p, g)
+    if "I_p" in args:
+        sq = _strain_gradient_sq(g, arena, vhat, a.phys, scratch, work, a.mag, a.tmp)
+        for params in args["I_p"]:
+            if params.mu <= 0:
+                raise ValueError("I_p is only defined for mu > 0 (integrand singular at Dv = 0)")
+            fac = law._stress_factor(dd, params, out=a.tmp)
+            values["I_p", params] = float(np.sum(np.multiply(fac, sq, out=fac)) * g.quad_weight)
+    if "hess" in args:
+        reduce("hess", _hessian_magnitude(g, arena, vhat, a.phys, scratch, work, a.mag, a.tmp))
+    return {key: values[key] for key in keys}
 
 
 # The keys each check reads, by check, as a function of its argument.

@@ -481,6 +481,47 @@ def test_cli_verify_checks_suite_names_before_any_work(tmp_path, monkeypatch, ca
     assert not out.exists()
 
 
+def test_cli_verify_lemma1_needs_two_fields(tmp_path, monkeypatch, capsys):
+    # lemma1 calibrates on the first half of the ensemble and checks the
+    # second; one field leaves nothing to calibrate on
+    from plsf import inequalities
+
+    def generate(*args, **kwargs):
+        raise AssertionError("the ensemble was generated")
+
+    monkeypatch.setattr(inequalities.FieldEnsemble, "generate", generate)
+    cfg_path = write_config(tmp_path, VERIFY_CFG.replace("count = 24", "count = 1"))
+    out = tmp_path / "v.json"
+    code = main(["verify", str(cfg_path), "--suites", "interp,lemma1", "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "[verify] count" in captured.err
+    assert "verify" not in captured.out
+    assert not out.exists()
+
+
+def test_cli_verify_one_field_without_lemma1(tmp_path):
+    cfg_path = write_config(tmp_path, VERIFY_CFG.replace("count = 24", "count = 1"))
+    assert main(["verify", str(cfg_path), "--suites", "interp,ap3"]) == 0
+
+
+def test_verify_amplitude_zero_rejected(tmp_path, capsys):
+    text = VERIFY_CFG + "amplitude = 0.0\n"
+    with pytest.raises(ConfigError) as exc:
+        parse_config(text)
+    assert any("amplitude" in v for v in exc.value.violations)
+    cfg_path = write_config(tmp_path, text)
+    assert main(["verify", str(cfg_path), "--suites", "lemma3"]) == 2
+    assert "[verify] amplitude" in capsys.readouterr().err
+
+
+def test_verify_negative_amplitude_runs(tmp_path):
+    text = VERIFY_CFG + "amplitude = -0.5\n"
+    assert parse_config(text).verify_amplitude == -0.5
+    cfg_path = write_config(tmp_path, text)
+    assert main(["verify", str(cfg_path), "--suites", "lemma3,interp"]) == 0
+
+
 # -- CLI gap ----------------------------------------------------------------------
 
 
@@ -523,6 +564,45 @@ def test_cli_gap_report(tmp_path):
     assert report["two_form_failures"] == []
     assert len(report["alphas"]) == 4
     assert report["M_estimate"] <= 1e-5
+
+
+def strict_json(path):
+    """Parse an artifact as RFC 8259 JSON, which has no NaN or Infinity."""
+    def reject(token):
+        raise ValueError(f"{path.name} holds the non-JSON constant {token}")
+    return json.loads(path.read_text(encoding="utf-8"), parse_constant=reject)
+
+
+def test_cli_artifacts_are_strict_json(tmp_path):
+    run_out = tmp_path / "run"
+    assert main(["run", str(write_config(tmp_path, FULL)), "--out", str(run_out)]) == 0
+    summary = strict_json(run_out / "summary.json")
+    assert summary["N"] == 20
+
+    mpath = make_family(tmp_path)
+    gap_out = tmp_path / "gap.json"
+    alphas = [float(np.arctan(r)) for r in (1e2, 1e12)]
+    assert main(["gap", str(mpath), "--s", "0.0", "--t", "0.3",
+                 "--alphas", ",".join(repr(a) for a in alphas),
+                 "--out", str(gap_out)]) == 0
+    assert strict_json(gap_out)["two_form_failures"] == []
+
+    verify_out = tmp_path / "verify.json"
+    assert main(["verify", str(write_config(tmp_path, VERIFY_CFG, "v.cfg")),
+                 "--out", str(verify_out)]) == 0
+    report = strict_json(verify_out)
+    # lemma1 and the interpolations have no mu: null, where NaN was written
+    assert report["lemma1"]["detail"]["mu"] is None
+    assert report["interp"]["detail"]["c1"]["mu"] is None
+
+
+def test_jsonify_maps_non_finite_floats_to_null():
+    from plsf.cli import _jsonify
+
+    data = {"a": float("nan"), "b": [np.float64("inf"), -np.inf, 1.5],
+            "c": np.array([np.nan, 2.0]), "d": (np.float32(3.0), 4)}
+    assert _jsonify(data) == {"a": None, "b": [None, None, 1.5],
+                              "c": [None, 2.0], "d": [3.0, 4]}
 
 
 def test_cli_gap_bad_window_exit_2(tmp_path):

@@ -3,7 +3,7 @@ import pytest
 
 from plsf.basis import full_basis, make_basis
 from plsf.constitutive import FluidParams, I_p
-from plsf.errors import ConfigError
+from plsf.errors import ConfigError, GridMismatchError
 from plsf.fields import (
     SpectralVelocity,
     gradient,
@@ -34,6 +34,14 @@ def ens3d():
 @pytest.fixture(scope="module")
 def ens3d_fresh():
     return FieldEnsemble.generate(3, 12, 2 * np.pi, band=4, decay=2.0, seed=901, count=60)
+
+
+@pytest.fixture(scope="module")
+def ens3d_unpadded():
+    # dealias 1.0: the padded grid is the native one, and the RHS of the
+    # drho_half key takes the skew-symmetric path
+    return FieldEnsemble.generate(3, 10, 2 * np.pi, band=4, decay=2.0, seed=3, count=12,
+                                  dealias=1.0)
 
 
 @pytest.fixture(scope="module")
@@ -362,7 +370,7 @@ def oracle_value(u, key, basis):
     return float(np.dot(basis.eigenvalues * c, cdot))
 
 
-@pytest.mark.parametrize("name", ["ens2d", "ens3d"])
+@pytest.mark.parametrize("name", ["ens2d", "ens3d", "ens3d_unpadded"])
 def test_table_matches_per_suite_oracle(request, name):
     # equality, not a tolerance: the walk must keep the loops' summation order
     samples = request.getfixturevalue(name).samples
@@ -389,24 +397,89 @@ def test_table_leaves_no_derivative_cache_on_the_fields():
         assert set(vars(u)) == {"grid", "coeffs"}
 
 
-def test_table_hessian_and_basis_formed_once(monkeypatch):
+def test_table_transforms_each_field_once(monkeypatch):
+    # 2D dealiased, per field: v 2, grad v 4, grad D 6 (3 pairs), the
+    # Hessian's upper triangle 6 and the RHS 4, whatever the number of keys
     import plsf.inequalities as ineq_mod
 
-    calls = {"hessian": 0, "basis": 0}
+    channels, basis_calls = [], []
+    to_physical = TorusGrid.to_physical
 
-    def counted(name, fn):
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
-        return wrapper
+    def counted(self, coeffs, **buffers):
+        channels.append(int(np.prod(coeffs.shape[: coeffs.ndim - self.dim])))
+        return to_physical(self, coeffs, **buffers)
 
-    monkeypatch.setattr(ineq_mod, "hessian_samples",
-                        counted("hessian", ineq_mod.hessian_samples))
-    monkeypatch.setattr(ineq_mod, "full_basis", counted("basis", ineq_mod.full_basis))
+    def full(grid):
+        basis_calls.append(grid)
+        return full_basis(grid)
+
     ens = FieldEnsemble.generate(2, 16, 2 * np.pi, band=4, decay=2.0, seed=6, count=5)
     keys = every_key(1.9, 1.0) + TABLE_KEYS["lemma1"](1.5)  # a second Hessian norm
+    monkeypatch.setattr(TorusGrid, "to_physical", counted)
+    monkeypatch.setattr(ineq_mod, "full_basis", full)
     field_table(ens.samples, keys)
-    assert calls == {"hessian": 5, "basis": 1}
+    assert sum(channels) == 22 * 5
+    assert len(basis_calls) == 1
+
+
+def test_table_forms_only_what_its_keys_read(monkeypatch):
+    channels = []
+    to_physical = TorusGrid.to_physical
+
+    def counted(self, coeffs, **buffers):
+        channels.append(int(np.prod(coeffs.shape[: coeffs.ndim - self.dim])))
+        return to_physical(self, coeffs, **buffers)
+
+    ens = FieldEnsemble.generate(3, 8, 2 * np.pi, band=3, decay=2.0, seed=2, count=2)
+    monkeypatch.setattr(TorusGrid, "to_physical", counted)
+    for keys, per_field in (
+        ([("u", 2.0)], 3),
+        ([("grad", 3.0), ("grad", 5.7)], 9),
+        ([("shifted", FluidParams(1.9, 1.0))], 9),  # |Du|^2 from grad v
+        ([("hess", 1.9)], 18),
+        ([("proj_cumsum", None)], 0),
+    ):
+        channels.clear()
+        field_table(ens.samples, keys)
+        assert sum(channels) == per_field * 2, keys
+
+
+def test_warm_table_row_allocates_no_padded_grid():
+    # a warm row works in the full basis's arena: its magnitudes allocate
+    # nothing grid-sized, and the projection and the RHS only basis-length
+    # vectors (each about 0.5 padded channels here)
+    import tracemalloc
+
+    from plsf.inequalities import table_row
+
+    ens = FieldEnsemble.generate(3, 12, 2 * np.pi, band=4, decay=2.0, seed=7, count=2)
+    basis = full_basis(ens.samples[0].grid)
+    keys = list(dict.fromkeys(every_key(1.9, 1.0)))
+    padded = [key for key in keys if key[0] not in ("proj_cumsum", "drho_half")]
+    channel = 8 * basis.grid.padded_M**3
+    table_row(ens.samples[0], keys, basis)
+    for row_keys, bound in ((padded, channel), (keys, 4 * channel)):
+        tracemalloc.start()
+        try:
+            table_row(ens.samples[1], row_keys, basis)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound, len(row_keys)
+
+
+def test_table_rejects_fields_on_another_grid():
+    # the rows share the arena of the first field's full basis; a field on
+    # a torus of another size would read its wavevectors
+    ens = FieldEnsemble.generate(2, 16, 2 * np.pi, band=3, decay=2.0, seed=1, count=1)
+    other = FieldEnsemble.generate(2, 16, np.pi, band=3, decay=2.0, seed=1, count=1)
+    with pytest.raises(GridMismatchError):
+        field_table(ens.samples + other.samples, [("grad", 2.0)])
+
+
+def test_table_rejects_I_p_without_mu(ens2d):
+    with pytest.raises(ValueError):
+        field_table(ens2d.samples, [("grad", 2.0), ("I_p", FluidParams(1.9, 0.0))])
 
 
 def test_nan_mu_rejected_before_any_check(ens2d):
