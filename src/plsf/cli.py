@@ -196,11 +196,19 @@ def _suite_lemma3(table, params):
     detail = {}
     passed = True
     for name, vals in constants.items():
-        spread = max(vals) / min(vals)
-        ok = spread < 2.0
+        entry = {"constants_by_mu": dict(zip(map(str, LEMMA3_MUS), vals))}
+        if all(math.isfinite(v) and v > 0 for v in vals):
+            spread = max(vals) / min(vals)
+            ok = spread < 2.0
+            entry.update(spread=spread, mu_stable=ok)
+        else:
+            # e.g. a field so small that its squares underflow
+            ok = False
+            entry.update(spread=None, mu_stable=False,
+                         reason="an empirical constant is 0 or non-finite, "
+                                "so its spread over mu is undefined")
         passed = passed and ok
-        detail[name] = {"constants_by_mu": dict(zip(map(str, LEMMA3_MUS), vals)),
-                        "spread": spread, "mu_stable": ok}
+        detail[name] = entry
     return passed, detail
 
 

@@ -3,18 +3,30 @@
 The velocity is expanded in the first N Stokes eigenfunctions,
 v = sum_r c_r(t) a^r, and the coefficients evolve by
 
-    dc_r/dt = (div sigma(Dv) - conv(v), a^r),
+    dc_r/dt = (div T, a^r),      T = sigma(Dv) - s v (x) v,
 
-where conv is the convection term, projected from its band part.  On a
-dealiased grid (`TorusGrid.dealiased`: padded_M >= 3(M/2 - 1) + 1) the
-product v (x) v of two band fields is alias-free on the band, so the
+one flux, transformed to the band once per evaluation.  On a dealiased
+grid (`TorusGrid.dealiased`: padded_M >= 3(M/2 - 1) + 1) the product
+v (x) v of two band fields is alias-free on the band, so s = 1 and the
 divergence form div(v (x) v) alone is used: its contribution to
 d/dt ||v||_2^2 is the exact integral of v . div(v (x) v) = 0 and vanishes
-at rounding level.  On a coarser grid aliasing breaks that, and conv is
-the skew-symmetric average ((v.grad v) + div(v (x) v))/2, whose discrete
-trilinear form is exactly antisymmetric whatever the aliasing.  Either
-way the semi-discrete energy balance d/dt ||v||_2^2 + 2 rho_tilde = 0 is
-a machine-checkable identity rather than an approximation casualty.
+at rounding level.  On a coarser grid aliasing breaks that, and the
+convection term is the skew-symmetric average ((v.grad v) + div(v (x) v))/2,
+whose discrete trilinear form is exactly antisymmetric whatever the
+aliasing: s = 1/2, and (v.grad v)/2 is subtracted as well.
+
+The basis is divergence-free, so it annihilates gradients, which is what
+removes the pressure: (grad q, a^r) = 0.  An isotropic part q I of the
+flux has div(q I) = grad q, so T_dd is subtracted from T's diagonal
+without changing the RHS, and T keeps the (d-1)(d+2)/2 independent
+channels of a traceless symmetric tensor, as D does.
+
+The energy law stays exact.  D is band-limited, so by discrete Parseval
+c . P div sigma = -(sigma, Dv) is the padded-grid quadrature of
+sigma : Dv, which is rho_tilde, whatever sigma aliases into.  The
+dropped T_dd and the convection term add rounding only, so the
+semi-discrete balance d/dt ||v||_2^2 + 2 rho_tilde = 0 is a
+machine-checkable identity rather than an approximation casualty.
 
 Time integration is an embedded explicit Dormand-Prince 5(4) pair with a
 PI step controller; the 5th-order solution is propagated.
@@ -135,24 +147,26 @@ class _Arena:
         self.ikm = 1j * ((2.0 * np.pi / g.L) * basis.modes.T.astype(np.float64, order="C"))
 
         # RHS padded channels: v, the rotation's strict upper triangle (off
-        # a dealiased grid only), D's upper triangle with D_dd last, then
-        # v . grad v (off a dealiased grid only).  sigma replaces D, and
-        # the upper triangle of v (x) v replaces D and D_dd after it.
+        # a dealiased grid only) and D's upper triangle without D_dd go in;
+        # the traceless flux T over D's channels, then v . grad v (off a
+        # dealiased grid only), come out.  D_dd has a grid of its own.
         n_rot = len(self.rot_pairs)
         skew = d if n_rot else 0
         self.n_in = d + n_rot + n_ind  # v, the rotation and D go in
-        n_fwd = max(n_ind, npair + skew)  # sigma, then v (x) v and v . grad v
+        n_fwd = n_ind + skew  # T, then v . grad v
+        # div_i = sum_j ik_j T_ij over T's channels: T_dd = 0 leaves the
+        # last row one term short
+        self.flux_rows = [row[: d - 1] if i == d - 1 else row for i, row in enumerate(pos)]
         grid, spec, modes = g.padded_shape, g.shape, (len(basis.modes),)
         f8, c16 = np.float64, np.complex128
         rhs = [
-            ("phys", (d + n_rot + npair + skew,) + grid, f8),
-            ("fac", grid, f8), ("tmp", grid, f8), ("mask", grid, np.bool_),
-            ("strain_row", (skew,) + grid, f8),
+            ("phys", (self.n_in + skew,) + grid, f8),
+            ("dd", grid, f8), ("fac", grid, f8), ("tmp", grid, f8),
+            ("mask", grid, np.bool_),
             ("spec", (self.n_in + 1,) + spec, c16),
             ("work", (max(g.work_size(self.n_in, False), g.work_size(n_fwd, True)),), c16),
-            ("gath", (2 * npair + skew,) + modes, c16),
-            ("tensor_row", (d,) + modes, c16),
-            ("div", (d,) + modes, c16), ("conv", (d,) + modes, c16),
+            ("gath", (n_fwd,) + modes, c16),
+            ("tensor_row", (d,) + modes, c16), ("div", (d,) + modes, c16),
         ]
         # sample: the padded grids of grad v, of d_s D_ij (i <= j) or of the
         # Hessian's j <= k triangle, transformed a row, pair or component
@@ -262,16 +276,19 @@ def _hessian_magnitude(g: TorusGrid, arena: _Arena, vhat, P, scratch, work, out,
 # -- right-hand side -------------------------------------------------------
 
 
-def _rhs_parts(basis: StokesBasis, params: FluidParams, c: np.ndarray):
-    """Stress and convection projections, each as a length-N vector.
+def _rhs_parts(basis: StokesBasis, params: FluidParams, c: np.ndarray) -> np.ndarray:
+    """dc/dt = P div T, with T = sigma - s v (x) v the one flux of the RHS.
 
-    Only independent components are transformed: v and the upper triangle
-    of D without D_dd on the way in (tr D = 0 gives D_dd pointwise), the
-    same components of sigma and the upper triangle of v (x) v on the way
-    out.  Off a dealiased grid the strict upper triangle of the rotation
-    (grad v)_A goes in and v . grad v comes out with them.  The
-    divergences are formed at the basis wavevectors alone.  All work
-    happens in the basis's arena; only the returned vectors are new.
+    s is 1 on a dealiased grid.  Off it, s is 1/2 and P (v . grad v)/2 is
+    subtracted as well: the skew-symmetric average of the two convection
+    forms.  T_dd is subtracted from T's diagonal, which leaves P div T
+    unchanged (see the module docstring), so only T's upper triangle
+    without T_dd is transformed.  v and the upper triangle of D without D_dd
+    go in (tr D = 0 gives D_dd pointwise); off a dealiased grid the strict
+    upper triangle of the rotation (grad v)_A goes in too and v . grad v
+    comes out with T.  The divergence is formed at the basis wavevectors
+    alone.  All work happens in the basis's arena; only the returned
+    vector is new.
     """
     arena = _arena(basis)
     a = arena.views("rhs")
@@ -280,8 +297,7 @@ def _rhs_parts(basis: StokesBasis, params: FluidParams, c: np.ndarray):
     ik = arena.ik
     n_rot = len(arena.rot_pairs)
     n_ind = len(arena.strain_pairs)
-    npair = n_ind + 1
-    spec, S = a.spec, a.gath  # S: sigma, v (x) v, v . grad v at the basis wavevectors
+    spec = a.spec
     vhat = basis.synthesize_coeffs(c, out=spec[:d])
     # ghat[i, j] = d_j v_i; the rotation and D from its two triangles
     tmp = spec[arena.n_in]
@@ -293,8 +309,7 @@ def _rhs_parts(basis: StokesBasis, params: FluidParams, c: np.ndarray):
     phys = a.phys
     g.to_physical(spec[: arena.n_in], out=phys[: arena.n_in], work=a.work)
     V = phys[:d]
-    strain = phys[d + n_rot : d + n_rot + npair]  # D's upper triangle, D_dd last
-    D, D_dd = strain[:n_ind], strain[n_ind]
+    D, D_dd = phys[d + n_rot : arena.n_in], a.dd  # D's upper triangle but D_dd
     np.negative(np.sum(D[arena.diag], axis=0, out=D_dd), out=D_dd)
     # |D|^2, the off-diagonal pairs counted twice
     dd_sq = np.einsum("k...,k...,k->...", D, D, arena.w_off, out=a.fac)
@@ -305,39 +320,40 @@ def _rhs_parts(basis: StokesBasis, params: FluidParams, c: np.ndarray):
         # energy-neutral; it is averaged with the advective form v . grad v,
         # whose discrete trilinear form cancels it exactly:
         # (v . grad v)_i = sum_j v_j (D_ij + R_ij), R antisymmetric
-        w1 = phys[d + n_rot + npair :]
+        strain = [*D, D_dd]  # the pairs in the order arena.pos indexes
+        w1 = phys[arena.n_in :]
         for i, row in enumerate(arena.pos):
-            np.take(strain, row, axis=0, out=a.strain_row, mode="clip")
-            np.einsum("j...,j...->...", V, a.strain_row, out=w1[i])
+            np.multiply(V[0], strain[row[0]], out=w1[i])
+            for j in range(1, d):
+                w1[i] += np.multiply(V[j], strain[row[j]], out=a.tmp)
         for R, (i, j) in zip(phys[d : d + n_rot], arena.rot_pairs):
             w1[i] += np.multiply(V[j], R, out=a.tmp)
             w1[j] -= np.multiply(V[i], R, out=a.tmp)
 
-    # sigma, then v (x) v over the strain channels (with v . grad v after
-    # them), each transformed at the basis wavevectors alone
-    sigma = np.multiply(fac, D, out=D)
-    g.to_spectral(sigma, arena.index, out=S[:n_ind], work=a.work)
-    for z, (i, j) in zip(strain, arena.pairs):
-        np.multiply(V[i], V[j], out=z)
-    g.to_spectral(phys[d + n_rot :], arena.index, out=S[npair:], work=a.work)
-    # the last diagonal of sigma from tr sigma = 0
-    np.negative(np.sum(S[arena.diag], axis=0, out=S[n_ind]), out=S[n_ind])
-    div_sig, conv = a.div, a.conv
-    for i, row in enumerate(arena.pos):
-        # div_i = sum_j ik_j T_ij, one row of the symmetric tensor at a time
-        for T, div in ((S[:npair], div_sig), (S[npair : 2 * npair], conv)):
-            np.take(T, row, axis=0, out=a.tensor_row, mode="clip")
-            np.einsum("j...,j...->...", arena.ikm, a.tensor_row, out=div[i])
+    # T over D's channels: sigma_ij - s v_i v_j, minus T_dd on the diagonal
+    D[arena.diag] -= D_dd
+    s = 0.5 if n_rot else 1.0
+    t_dd = np.multiply(s, np.square(V[d - 1], out=D_dd), out=D_dd)
+    for T, (i, j) in zip(D, arena.strain_pairs):
+        np.multiply(fac, T, out=T)
+        T -= np.multiply(s, np.multiply(V[i], V[j], out=a.tmp), out=a.tmp)
+        if i == j:
+            T += t_dd
+    # T, with v . grad v after it, transformed at the basis wavevectors alone
+    S = g.to_spectral(phys[d + n_rot :], arena.index, out=a.gath, work=a.work)
+    div = a.div
+    for i, entries in enumerate(arena.flux_rows):
+        n = len(entries)
+        row = np.take(S, entries, axis=0, out=a.tensor_row[:n], mode="clip")
+        np.einsum("j...,j...->...", arena.ikm[:n], row, out=div[i])
     if n_rot:
-        np.multiply(0.5, np.add(S[2 * npair :], conv, out=conv), out=conv)
-
-    return basis.project_modes(div_sig), basis.project_modes(conv)
+        div -= np.multiply(0.5, S[n_ind:], out=S[n_ind:])
+    return basis.project_modes(div)
 
 
 def galerkin_rhs(state: GalerkinState, params: FluidParams) -> np.ndarray:
     """dc/dt for the Galerkin system."""
-    visc, conv = _rhs_parts(state.basis, params, state.c)
-    return visc - conv
+    return _rhs_parts(state.basis, params, state.c)
 
 
 def state_functionals(state: GalerkinState, params: FluidParams, record_d2: bool = False):
@@ -491,21 +507,21 @@ def advance(
     """One accepted adaptive step; ctrl carries the step-size state."""
 
     def f(y):
-        visc, conv = _rhs_parts(state.basis, params, y)
-        return visc - conv
+        return _rhs_parts(state.basis, params, y)
 
     y0 = state.c
-    k1 = f(y0)
+    # the stages, filled in place and handed to the step's segment
+    ks = np.empty((len(_DP_A), y0.size))
+    ks[0] = f(y0)
     if ctrl.dt is None:
-        ctrl.dt = _initial_dt(k1, y0, ctrl, dt_cap if dt_cap is not None else 1.0)
+        ctrl.dt = _initial_dt(ks[0], y0, ctrl, dt_cap if dt_cap is not None else 1.0)
     dt = min(ctrl.dt, ctrl.dt_max)
     if dt_cap is not None:
         dt = min(dt, dt_cap)
     while True:
-        ks = [k1]
-        for row in _DP_A[1:]:
+        for s, row in enumerate(_DP_A[1:], start=1):
             yi = y0 + dt * sum(a * k for a, k in zip(row, ks) if a != 0.0)
-            ks.append(f(yi))
+            ks[s] = f(yi)
         # FSAL: the last stage is evaluated at the 5th-order solution
         # (_DP_A[-1] is _DP_B5 without its zero last weight)
         y5 = yi
@@ -526,7 +542,7 @@ def advance(
             ctrl.dt = min(proposal, ctrl.dt_max)
             ctrl.err_prev = max(err_norm, 1e-4)
             ctrl.naccept += 1
-            ctrl.last_segment = StepSegment(state.t, dt, y0, np.array(ks))
+            ctrl.last_segment = StepSegment(state.t, dt, y0, ks)
             return GalerkinState(state.basis, y5, state.t + dt)
         ctrl.nreject += 1
         dt = dt * max(0.1, ctrl.safety * err_norm ** (-0.2))

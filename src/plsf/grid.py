@@ -123,14 +123,26 @@ class TorusGrid:
     # transforms run on those M/2 columns alone: the other columns of the
     # padded half-spectrum are zero on the way in and discarded on the way
     # out.  On each leading axis the band is one low and one high block.
+    # In 3D the same holds for the two leading axes against each other: the
+    # inverse second-axis pass runs on the first axis's band rows alone (the
+    # other rows are zero), and the forward first-axis pass on the second
+    # axis's band columns alone (the other columns are discarded).  Every
+    # lane that runs is the 1D transform ifftn/fftn would apply to it, in
+    # the same axis order, so the results are theirs bit for bit.
+
+    @cached_property
+    def _padded_band(self) -> tuple[slice, slice]:
+        """The band's low and high block on one leading axis of the padded
+        spectrum."""
+        half, Mp = self.M // 2, self.padded_M
+        return slice(0, half), slice(Mp - (half - 1), Mp)
 
     @cached_property
     def _lead_blocks(self):
         """(native, padded) corner blocks over the leading dim-1 axes."""
         half = self.M // 2
-        Mp = self.padded_M
         src = (slice(0, half), slice(self.M - (half - 1), self.M))
-        dst = (slice(0, half), slice(Mp - (half - 1), Mp))
+        dst = self._padded_band
         pairs = []
         for choice in np.ndindex(*([2] * (self.dim - 1))):
             pairs.append(
@@ -191,8 +203,11 @@ class TorusGrid:
             spec[(Ellipsis,) + dst + (slice(None),)] = coeffs[
                 (Ellipsis,) + src + (slice(0, half),)
             ]
-        axes = tuple(range(len(lead), len(lead) + self.dim - 1))
-        np.fft.ifftn(spec, axes=axes, norm="forward", out=spec)
+        if self.dim == 3:
+            for rows in self._padded_band:
+                block = spec[..., rows, :, :]
+                np.fft.ifft(block, axis=-2, norm="forward", out=block)
+        np.fft.ifft(spec, axis=-self.dim, norm="forward", out=spec)
         # irfft zero-fills the last axis up to padded_M // 2 + 1 modes
         return np.fft.irfft(spec, n=self.padded_M, axis=-1, norm="forward", out=out)
 
@@ -210,9 +225,12 @@ class TorusGrid:
         half_shape = lead + self.padded_shape[:-1] + (self.padded_M // 2 + 1,)
         spec = None if work is None else work[: math.prod(half_shape)].reshape(half_shape)
         spec = np.fft.rfft(samples, axis=-1, norm="forward", out=spec)
-        axes = tuple(range(len(lead), len(lead) + self.dim - 1))
         band = spec[..., : self.M // 2]
-        np.fft.fftn(band, axes=axes, norm="forward", out=band)
+        np.fft.fft(band, axis=-2, norm="forward", out=band)
+        if self.dim == 3:
+            for cols in self._padded_band:
+                block = band[..., cols, :]
+                np.fft.fft(block, axis=-3, norm="forward", out=block)
         src, sign = index
         if out is None:
             out = np.empty(lead + src.shape, dtype=np.complex128)

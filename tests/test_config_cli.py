@@ -1,5 +1,6 @@
 import json
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -520,6 +521,26 @@ def test_verify_negative_amplitude_runs(tmp_path):
     assert parse_config(text).verify_amplitude == -0.5
     cfg_path = write_config(tmp_path, text)
     assert main(["verify", str(cfg_path), "--suites", "lemma3,interp"]) == 0
+
+
+@pytest.mark.parametrize("amplitude", ["1e-200", "1e-160"])
+def test_verify_lemma3_underflow_fails_without_a_spread(tmp_path, capsys, amplitude):
+    # the squares of so small a field underflow and an empirical constant
+    # reads 0: the suite fails with a reason instead of dividing by it
+    text = VERIFY_CFG.replace("count = 24", "count = 6") + f"amplitude = {amplitude}\n"
+    cfg_path = write_config(tmp_path, text)
+    out = tmp_path / "verify.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["verify", str(cfg_path), "--suites", "lemma3", "--out", str(out)]) == 1
+    assert capsys.readouterr().out.split() == ["verify", "lemma3", "FAIL"]
+    result = json.loads(out.read_text())["lemma3"]
+    assert result["pass"] is False
+    broken = [entry for entry in result["detail"].values() if entry["spread"] is None]
+    assert broken
+    for entry in broken:
+        assert entry["mu_stable"] is False
+        assert "0 or non-finite" in entry["reason"]
 
 
 # -- CLI gap ----------------------------------------------------------------------

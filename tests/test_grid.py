@@ -187,6 +187,37 @@ def test_to_spectral_matches_full_band_gather(dim, M, dealias, lead):
     assert np.ascontiguousarray(out).tobytes() == want.tobytes()
 
 
+def _full_inverse(g, coeffs):
+    """to_physical over every lane: the band scattered by signed wavevector
+    into the padded half-spectrum, then ifftn over every leading axis."""
+    lead = coeffs.shape[: coeffs.ndim - g.dim]
+    half = g.M // 2
+    lanes = np.ix_(*[np.arange(-(half - 1), half)] * (g.dim - 1))
+    spec = np.zeros(lead + (g.padded_M,) * (g.dim - 1) + (half,), dtype=np.complex128)
+    spec[(Ellipsis,) + tuple(n % g.padded_M for n in lanes) + (slice(None),)] = coeffs[
+        (Ellipsis,) + tuple(n % g.M for n in lanes) + (slice(0, half),)
+    ]
+    spec = np.fft.ifftn(spec, axes=tuple(range(len(lead), len(lead) + g.dim - 1)),
+                        norm="forward")
+    return np.fft.irfft(spec, n=g.padded_M, axis=-1, norm="forward")
+
+
+@pytest.mark.parametrize("dealias", [1.0, 1.2, 1.5])
+@pytest.mark.parametrize("M", [8, 10, 16])
+def test_pruned_3d_passes_equal_full_transforms(M, dealias):
+    # the 3D leading-axis passes skip the rows known to be zero (inverse)
+    # and the columns thrown away (forward); what they keep is bit for bit
+    # the transform over every lane
+    g = TorusGrid(3, M, 2 * np.pi, dealias_factor=dealias)
+    rng = np.random.default_rng(M)
+    coeffs = rng.standard_normal((2,) + g.shape) + 1j * rng.standard_normal((2,) + g.shape)
+    assert g.to_physical(coeffs).tobytes() == _full_inverse(g, coeffs).tobytes()
+    samples = rng.standard_normal((2,) + g.padded_shape)
+    modes = _band_modes(g)
+    want = _full_band_gather(g, samples)[(Ellipsis,) + tuple((modes % M).T)]
+    assert g.to_spectral(samples, g.band_index(modes)).tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("dim", [2, 3])
 def test_band_index_rejects_modes_outside_the_band(dim):
     g = TorusGrid(dim, 8, 1.0)
