@@ -109,6 +109,11 @@ def _load_manifest(path: str):
     if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
         raise ConfigError([f"manifest {path}: 'trajectories' must be a list of objects"])
     problems, first = [], {}
+    p = manifest["p"]
+    # gamma, the exponent of the exceedance sets, is defined on (5/3, 2] only
+    if isinstance(p, bool) or not isinstance(p, (int, float)) or not 5.0 / 3.0 < p <= 2.0:
+        problems.append(f"manifest {path}: 'p' must be a finite number in (5/3, 2], "
+                        f"got {p!r}")
     for k, entry in enumerate(entries):
         problems += [f"manifest {path} trajectory {k} lacks the {key!r} field"
                      for key in ("N", "path") if key not in entry]
@@ -168,35 +173,39 @@ FRIEDRICHS_MIN_Q = 1.3
 
 # A suite that reads the per-field table takes `table`, its memoised
 # builder: the one pass over the ensemble runs inside the first such suite.
+# Its second argument is its entry of cmd_verify's `check_args`, the
+# arguments its check is called with.
 
 
-def _suite_lemma1(table, params):
+def _suite_lemma1(table, args):
+    (q,) = args
     rows = table()
     half = len(rows) // 2
-    calibration = ineq.check_lemma1(rows[:half], params.p)
-    report = ineq.check_lemma1(rows[half:], params.p, frozen_c=2.0 * calibration.empirical_C)
+    calibration = ineq.check_lemma1(rows[:half], q)
+    report = ineq.check_lemma1(rows[half:], q, frozen_c=2.0 * calibration.empirical_C)
     passed = report.violations == 0
     return passed, {"calibrated_C": calibration.empirical_C,
                     "frozen_C": report.frozen_C, **report.to_json()}
 
 
-def _suite_friedrichs(table, params):
-    q = max(params.p, FRIEDRICHS_MIN_Q)
+def _suite_friedrichs(table, args):
+    (q,) = args
     r1 = ineq.check_friedrichs(table(), q, 0.1)
     r2 = ineq.check_friedrichs(table(), q, 0.05)
     passed = r2.kappa >= r1.kappa
     return passed, {"kappa_eps_0.1": r1.kappa, "kappa_eps_0.05": r2.kappa,
                     "monotone_in_eps": passed}
 
-def _suite_lemma3(table, params):
+
+def _suite_lemma3(table, args):
     constants = {"SD1": [], "SD4": [], "SD2": []}
-    for mu in LEMMA3_MUS:
-        for rep in ineq.check_lemma3(table(), FluidParams(params.p, mu)):
+    for params in args:
+        for rep in ineq.check_lemma3(table(), params):
             constants[rep.id].append(rep.empirical_C)
     detail = {}
     passed = True
     for name, vals in constants.items():
-        entry = {"constants_by_mu": dict(zip(map(str, LEMMA3_MUS), vals))}
+        entry = {"constants_by_mu": {str(params.mu): v for params, v in zip(args, vals)}}
         if all(math.isfinite(v) and v > 0 for v in vals):
             spread = max(vals) / min(vals)
             ok = spread < 2.0
@@ -212,8 +221,9 @@ def _suite_lemma3(table, params):
     return passed, detail
 
 
-def _suite_interp(table, params):
-    reports = ineq.check_interpolations(table(), params.p)
+def _suite_interp(table, args):
+    (p,) = args
+    reports = ineq.check_interpolations(table(), p)
     passed = reports["c1"].violations == 0 and reports["c2"].violations == 0
     return passed, {k: r.to_json() for k, r in reports.items()}
 
@@ -236,7 +246,8 @@ def _suite_oo(d, params, count, seed):
                            "worst_scaled_residual": worst}
 
 
-def _suite_ap3(table, params):
+def _suite_ap3(table, args):
+    (params,) = args
     report = ineq.check_ap3(table(), params)
     report.pop("rows")
     return report["violations"] == 0, report
@@ -273,19 +284,13 @@ def cmd_verify(cfg: RunConfig, suites: list[str], out: str | None) -> int:
     results = {}
     all_pass = True
     for suite in suites:
-        if suite == "lemma1":
-            passed, detail = _suite_lemma1(table, params)
-        elif suite == "friedrichs":
-            passed, detail = _suite_friedrichs(table, params)
-        elif suite == "lemma3":
-            passed, detail = _suite_lemma3(table, params)
-        elif suite == "interp":
-            passed, detail = _suite_interp(table, params)
-        elif suite == "oo":
+        if suite == "oo":
             passed, detail = _suite_oo(cfg.solver.dim, params, cfg.verify_count,
                                        cfg.verify_seed)
-        else:  # "ap3": every name was checked above
-            passed, detail = _suite_ap3(table, params)
+        else:
+            # every name was checked above; looked up in the module now, so
+            # that a function rebound there after import is the one called
+            passed, detail = globals()[f"_suite_{suite}"](table, check_args[suite])
         results[suite] = {"pass": passed, "detail": detail}
         all_pass = all_pass and passed
         print(f"verify {suite:<12} {'PASS' if passed else 'FAIL'}")

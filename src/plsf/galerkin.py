@@ -113,14 +113,14 @@ def _carve(buf: np.ndarray, placed) -> SimpleNamespace:
 
 
 class _Arena:
-    """Work buffers of `_rhs_parts`, `state_functionals` and the rows of
-    `plsf.inequalities.field_table` on one basis.
+    """Work buffers of the two padded-grid kernels on one basis:
+    `_rhs_parts`, and `_padded_values`, which serves `state_functionals`
+    and the rows of `plsf.inequalities.field_table`.
 
-    No two of these kernels are live together, so their buffers
-    (`views("rhs")`, `views("sample")` and `views("table")`) are layouts of
-    one byte buffer, sized for the larger of the kernels called so far.
-    Every call writes a buffer before it reads it.  The constants beside
-    them are computed once.
+    The two are never live together, so their buffers (`views("rhs")` and
+    `views("functionals")`) are layouts of one byte buffer, sized for the
+    larger of the kernels called so far.  Every call writes a buffer
+    before it reads it.  The constants beside them are computed once.
     """
 
     def __init__(self, basis: StokesBasis):
@@ -168,32 +168,23 @@ class _Arena:
             ("gath", (n_fwd,) + modes, c16),
             ("tensor_row", (d,) + modes, c16), ("div", (d,) + modes, c16),
         ]
-        # sample: the padded grids of grad v, of d_s D_ij (i <= j) or of the
-        # Hessian's j <= k triangle, transformed a row, pair or component
-        # at a time from v (the first d spectral channels)
-        sample = [
+        # functionals: the padded grids of grad v, of d_s D_ij (i <= j) or
+        # of the Hessian's j <= k triangle, transformed a row, pair or
+        # component at a time; |Dv|^2, kept while the others are formed; and
+        # the coefficients of a sampled state in the first d spectral channels
+        functionals = [
             ("phys", (max(d * d, npair * d),) + grid, f8),
-            ("acc", grid, f8), ("fac", grid, f8), ("tmp", grid, f8),
+            ("mag", grid, f8), ("dd", grid, f8), ("tmp", grid, f8),
             ("mask", grid, np.bool_),
             ("spec", (d + max(d + 2, npair),) + spec, c16),
             ("work", (g.work_size(max(d, npair), False),), c16),
         ]
-        # table: the sample's padded grids, for a field whose coefficients
-        # are given, plus |D|^2, kept while |grad D|^2 is formed
-        table = [
-            ("phys", (max(d * d, npair * d),) + grid, f8),
-            ("mag", grid, f8), ("dd", grid, f8), ("tmp", grid, f8),
-            ("spec", (max(d + 2, npair),) + spec, c16),
-            ("work", (g.work_size(max(d, npair), False),), c16),
-        ]
-        self._layouts = {
-            "rhs": _layout(rhs), "sample": _layout(sample), "table": _layout(table),
-        }
+        self._layouts = {"rhs": _layout(rhs), "functionals": _layout(functionals)}
         self._buf = np.empty(0, dtype=np.uint8)
         self._views = {}
 
     def views(self, kernel: str) -> SimpleNamespace:
-        """The buffers of `kernel`: "rhs", "sample" or "table"."""
+        """The buffers of `kernel`: "rhs" or "functionals"."""
         views = self._views.get(kernel)
         if views is None:
             size, placed = self._layouts[kernel]
@@ -219,58 +210,92 @@ def _arena(basis: StokesBasis) -> _Arena:
     return basis.arena
 
 
-# -- padded-grid phases of the sample and the inequality table ---------------
-#
-# Each transforms from the coefficients `vhat` ((d,) + shape) into arena
-# views, with `scratch` a complex (channels,) + shape array and `work` the
-# transform's; the squares are added in the order of the public operations
-# in plsf.fields, so every value equals theirs bit for bit.
+def _padded_values(basis: StokesBasis, vhat: np.ndarray, keys) -> dict:
+    """The padded-grid functionals of the field with coefficients `vhat`
+    ((d,) + shape) on the grid of `basis`, by key: ("u", q), ("grad", q)
+    and ("hess", q) for ||v||_q, ||grad v||_q and ||D^2 v||_q; ("shifted",
+    params) for ||(mu + |Dv|^2)^(1/2)||_p; ("rho_tilde", params) and
+    ("I_p", params).
 
-
-def _velocity_gradient(g: TorusGrid, ik, vhat, G, scratch, work) -> np.ndarray:
-    """d_j v_i into channel d*i + j of G (gradient(v) in C order), one row
-    per transform; `ik` is 1j * g.wavevectors."""
-    d = g.dim
-    for i in range(d):
-        inputs = _multiply_channels(ik, vhat[i], scratch[:d])
-        g.to_physical(inputs, out=G[d * i : d * i + d], work=work)
-    return G
-
-
-def _strain_sq(G: np.ndarray, d: int, out, tmp) -> np.ndarray:
-    """Overwrite G = grad v by D = (grad v + grad v^T)/2 and return |D|^2,
-    summed over (i, j) in C order, in `out`."""
-    for i in range(d):
-        for j in range(i, d):
-            Dij = np.add(G[d * i + j], G[d * j + i], out=G[d * i + j])
-            np.multiply(0.5, Dij, out=Dij)
-            G[d * j + i] = Dij
-    return _sum_of_squares(G, out, tmp)
-
-
-def _strain_gradient_sq(g: TorusGrid, arena: _Arena, vhat, phys, scratch, work, out, tmp):
-    """|grad D|^2 in `out`: d_s D_ij for the pairs i <= j over phys, one
-    pair per transform, reduced pair by pair."""
-    npair = len(arena.pairs)
-    pairs = phys[: npair * g.dim].reshape((npair, g.dim) + g.padded_shape)
-    _strain_gradient_pairs(g, arena.ik, vhat, pairs, scratch, work=work)
-    return _grad_strain_sq(pairs, out, tmp)
-
-
-def _hessian_magnitude(g: TorusGrid, arena: _Arena, vhat, P, scratch, work, out, tmp):
-    """|D^2 v| in `out`: d_j d_k v_i = -(k_j k_k) c_i for the pairs j <= k
-    at channel npair*i + pair of P, one component per transform, and the
-    squares summed over (i, j, k) in that order (hessian_samples' mirror)."""
+    Every value equals the public operation's (lp_norm, gradient,
+    hessian_samples, rho_tilde, I_p) bit for bit: the same transforms, and
+    the squares added in the order of the public operations in
+    plsf.fields.  Each pointwise magnitude a key reads is formed once, in
+    the basis's arena, and each (quantity, q) key is reduced from it
+    through a scratch grid; no (d, d, d)-tensor grid is held.  rho_tilde's
+    products overwrite Dv, so one call takes one rho_tilde law.
+    """
+    args = {}
+    for name, arg in keys:
+        args.setdefault(name, []).append(arg)
+    if len(args.get("rho_tilde", ())) > 1:
+        raise ValueError("one ('rho_tilde', params) key per call: its products overwrite Dv")
+    arena = _arena(basis)
+    a = arena.views("functionals")
+    g = basis.grid
     d, pos = g.dim, arena.pos
     npair = len(arena.pairs)
-    for i in range(d):
-        inputs = _multiply_channels(arena.kk, vhat[i], scratch[:npair])
-        np.negative(inputs, out=inputs)
-        g.to_physical(inputs, out=P[npair * i : npair * (i + 1)], work=work)
-    return _magnitude(
-        [P[npair * i + pos[j, k]] for i in range(d) for j in range(d) for k in range(d)],
-        out, tmp,
-    )
+    phys, mag, tmp = a.phys, a.mag, a.tmp
+    scratch, work = a.spec[d:], a.work
+    values = {}
+
+    def reduce(name, magnitude):
+        for q in args[name]:
+            values[name, q] = _norm_of_magnitude(magnitude, q, g, out=tmp)
+
+    if "u" in args:
+        reduce("u", _magnitude(g.to_physical(vhat, out=phys[:d], work=work), mag, tmp))
+    strain = args.keys() & {"shifted", "rho_tilde", "I_p"}
+    if "grad" in args or strain:
+        # d_j v_i into channel d*i + j of G (gradient(v) in C order), a row
+        # per transform
+        G = phys[: d * d]
+        for i in range(d):
+            inputs = _multiply_channels(arena.ik, vhat[i], scratch[:d])
+            g.to_physical(inputs, out=G[d * i : d * i + d], work=work)
+    if "grad" in args:
+        reduce("grad", _magnitude(G, mag, tmp))
+    if strain:
+        # G becomes D = (grad v + grad v^T)/2, and dd |D|^2, summed in C order
+        for i in range(d):
+            for j in range(i, d):
+                Dij = np.add(G[d * i + j], G[d * j + i], out=G[d * i + j])
+                np.multiply(0.5, Dij, out=Dij)
+                G[d * j + i] = Dij
+        dd = _sum_of_squares(G, a.dd, tmp)
+        for params in args.get("shifted", ()):
+            root = np.sqrt(np.add(params.mu, dd, out=tmp), out=tmp)
+            values["shifted", params] = _norm_of_magnitude(root, params.p, g)
+        for params in args.get("rho_tilde", ()):
+            # the stress contracted with D, summed over the whole (d, d) stack
+            fac = law._stress_factor(dd, params, out=tmp, mask=a.mask)
+            for Dk in G:
+                np.multiply(np.multiply(fac, Dk, out=mag), Dk, out=Dk)
+            values["rho_tilde", params] = float(np.sum(G) * g.quad_weight)
+    if "I_p" in args:
+        # |grad D|^2 from d_s D_ij for the pairs i <= j, a pair per transform,
+        # weighed by the stress factor
+        pairs = phys[: npair * d].reshape((npair, d) + g.padded_shape)
+        _strain_gradient_pairs(g, arena.ik, vhat, pairs, scratch, work=work)
+        sq = _grad_strain_sq(pairs, mag, tmp)
+        for params in args["I_p"]:
+            if params.mu <= 0:
+                raise ValueError("I_p is only defined for mu > 0 (integrand singular at Dv = 0)")
+            fac = law._stress_factor(dd, params, out=tmp)
+            values["I_p", params] = float(np.sum(np.multiply(fac, sq, out=fac)) * g.quad_weight)
+    if "hess" in args:
+        # d_j d_k v_i = -(k_j k_k) c_i for the pairs j <= k at channel
+        # npair*i + pair, a component per transform, and the squares summed
+        # over (i, j, k) in that order (hessian_samples' mirror)
+        for i in range(d):
+            inputs = _multiply_channels(arena.kk, vhat[i], scratch[:npair])
+            np.negative(inputs, out=inputs)
+            g.to_physical(inputs, out=phys[npair * i : npair * (i + 1)], work=work)
+        reduce("hess", _magnitude(
+            [phys[npair * i + pos[j, k]] for i in range(d) for j in range(d) for k in range(d)],
+            mag, tmp,
+        ))
+    return values
 
 
 # -- right-hand side -------------------------------------------------------
@@ -360,46 +385,28 @@ def state_functionals(state: GalerkinState, params: FluidParams, record_d2: bool
     """All scalar functionals one trajectory sample records.
 
     energy and rho use the exact coefficient sums (basis orthonormality
-    and the eigenvalue relation).  The nonlinear functionals equal, bit for
-    bit, the public operations on `state.velocity()`: `rho_tilde`,
-    `lp_norm(gradient(v), p)`, `I_p` and `lp_norm(hessian_samples(v), p)`.
-    They are formed in the basis's arena with the same transforms and the
-    same order of every sum, and no (d, d, d)-tensor grid is held.
+    and the eigenvalue relation).  The nonlinear functionals come from
+    `_padded_values` and equal, bit for bit, the public operations on
+    `state.velocity()`: `rho_tilde`, `lp_norm(gradient(v), p)`, `I_p` and
+    `lp_norm(hessian_samples(v), p)`.
     """
     basis, c = state.basis, state.c
-    g = basis.grid
-    d = g.dim
-    arena = _arena(basis)
-    a = arena.views("sample")
+    keys = [("grad", params.p), ("rho_tilde", params)]
+    if params.mu > 0:
+        keys.append(("I_p", params))
+    if record_d2:
+        keys.append(("hess", params.p))
+    spec = _arena(basis).views("functionals").spec
+    values = _padded_values(basis, basis.synthesize_coeffs(c, out=spec[: basis.grid.dim]), keys)
     out = {
         "energy": float(np.dot(c, c)),
         "rho": float(np.dot(basis.eigenvalues * c, c)),
+        "rho_tilde": values["rho_tilde", params],
+        "grad_p_norm": values["grad", params.p],
+        "Ip": values.get(("I_p", params), float("nan")),
     }
-    vhat = basis.synthesize_coeffs(c, out=a.spec[:d])
-    scratch = a.spec[d:]
-    work = a.work
-
-    G = _velocity_gradient(g, arena.ik, vhat, a.phys[: d * d], scratch, work)
-    grad_p_norm = _norm_of_magnitude(_magnitude(G, a.acc, a.tmp), params.p, g)
-
-    # D over G, then the stress contracted with it
-    fac = _strain_sq(G, d, a.fac, a.tmp)
-    fac = law._stress_factor(fac, params, out=fac, mask=a.mask)
-    for Dk in G:
-        np.multiply(np.multiply(fac, Dk, out=a.tmp), Dk, out=Dk)
-    out["rho_tilde"] = float(np.sum(G) * g.quad_weight)
-    out["grad_p_norm"] = grad_p_norm
-
-    if params.mu > 0:
-        # I_p weighs |grad D|^2 with the same factor
-        sq = _strain_gradient_sq(g, arena, vhat, a.phys, scratch, work, a.acc, a.tmp)
-        out["Ip"] = float(np.sum(np.multiply(fac, sq, out=sq)) * g.quad_weight)
-    else:
-        out["Ip"] = float("nan")
-
     if record_d2:
-        mag = _hessian_magnitude(g, arena, vhat, a.phys, scratch, work, a.acc, a.tmp)
-        out[CSV_D2_COLUMN] = _norm_of_magnitude(mag, params.p, g)
+        out[CSV_D2_COLUMN] = values["hess", params.p]
     return out
 
 

@@ -239,7 +239,7 @@ def exceedance_partition(
     is entered already at s) and t (when it is still open at t) they pair
     off into intervals.
     """
-    if s >= t:
+    if not s < t:  # NaN fails it too
         raise ValueError(f"need s < t, got s={s}, t={t}")
     t0, t1 = record.span
     if s < t0 - 1e-12 or t > t1 + 1e-12:
@@ -279,7 +279,7 @@ def exceedance_partition(
 def energy_residual(record: TrajectoryRecord, s: float, t: float) -> float:
     """| ||v(t)||^2 + 2 int_s^t rho_tilde - ||v(s)||^2 | with the integral
     by composite trapezoid over the samples."""
-    if s >= t:
+    if not s < t:  # NaN fails it too
         raise ValueError(f"need s < t, got s={s}, t={t}")
     e_t = _interp(record.times, record.energy, t)
     e_s = _interp(record.times, record.energy, s)
@@ -418,6 +418,8 @@ def gap_estimate(
             f"gap extrapolation needs at least 2 resolutions, got {len(records)}"
         )
     alphas = sorted(float(a) for a in alphas)
+    if not alphas:
+        raise ValueError("the alpha grid is empty")
     est = GapEstimate(s=s, t=t, gamma=gamma, alphas=alphas)
 
     times, mask = converged_times_mask(records)
@@ -546,4 +548,6 @@ def gap_report_json(est: GapEstimate, table: ExponentTable) -> dict:
         "gamma": table.gamma,
         "zeta": table.zeta,
         "beta_variant_used": table.beta_variant,
+        # the bound on p that the exponents assume and p violates, or null
+        "violation": table.violation,
     }

@@ -12,26 +12,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import constitutive as law
 from .basis import full_basis
 from .constitutive import FluidParams
 from .errors import ConfigError, GridMismatchError
-from .fields import (
-    SpectralVelocity,
-    _magnitude,
-    _norm_of_magnitude,
-    random_solenoidal,
-)
-from .galerkin import (
-    GalerkinState,
-    TrajectoryRecord,
-    _arena,
-    _hessian_magnitude,
-    _strain_gradient_sq,
-    _strain_sq,
-    _velocity_gradient,
-    galerkin_rhs,
-)
+from .fields import SpectralVelocity, random_solenoidal
+from .galerkin import GalerkinState, TrajectoryRecord, _padded_values, galerkin_rhs
 from .grid import TorusGrid
 
 
@@ -104,14 +89,16 @@ def _make_report(name, p, mu, left, right, frozen_c, skipped=0):
 def field_table(samples, keys) -> list[dict]:
     """One pass over the fields: row i maps each key to its value on
     samples[i].  The keys are ("u", q), ("grad", q) and ("hess", q) for
-    ||u||_q, ||grad u||_q and ||D^2 u||_q; ("I_p", params); ("shifted",
-    params) for ||(mu + |Du|^2)^(1/2)||_p; ("drho_half", params) for 1/2 d/dt
-    ||grad v||_2^2 at the Galerkin state of u; and ("proj_cumsum", None) for
-    0, then the running sums of the squared full-basis coefficients of u.
-    TABLE_KEYS[name](arg) lists the keys check `name` reads.  Every value
-    equals the public operation's (lp_norm, gradient, hessian_samples, I_p,
-    galerkin_rhs) bit for bit.  The full basis is built once, and every row
-    works in its arena (see `table_row`).
+    ||u||_q, ||grad u||_q and ||D^2 u||_q; ("I_p", params) and
+    ("rho_tilde", params), at most one of the latter; ("shifted", params)
+    for ||(mu + |Du|^2)^(1/2)||_p; ("drho_half", params) for 1/2 d/dt
+    ||grad v||_2^2 at the Galerkin state of u; and ("proj_cumsum", None)
+    for 0, then the running sums of the squared full-basis coefficients of
+    u.  TABLE_KEYS[name](arg) lists the keys check `name` reads.  Every
+    value equals the public operation's (lp_norm, gradient,
+    hessian_samples, I_p, rho_tilde, galerkin_rhs) bit for bit.  The full
+    basis is built once, and every row works in its arena (see
+    `table_row`).
     """
     keys = list(dict.fromkeys(keys))
     if not samples:
@@ -124,58 +111,27 @@ def table_row(u: SpectralVelocity, keys, basis) -> dict:
     """The row of field_table for u, in the arena of `basis`, the full
     basis of u's grid.
 
-    Each pointwise magnitude that a key reads (|u|, |grad u|, |Du|^2,
-    |grad Du|^2 and |D^2 u|) is formed once, by the trajectory sample's
-    padded-grid phases, and every (quantity, q) key is reduced from it
-    through a scratch grid.  The projection and the Galerkin RHS come
-    first: the RHS's buffers and the table's share the arena's memory.
-    Once the arena is built, a row allocates no grid-sized array.
+    The projection keys come from the full-basis coefficients of u, and
+    the Galerkin RHS for drho_half; every other key goes to the padded-grid
+    kernel of the trajectory sample, `plsf.galerkin._padded_values`, which
+    forms each pointwise magnitude once.  The RHS's buffers and the
+    kernel's share the arena's memory.  Once the arena is built, a row
+    allocates no grid-sized array.
     """
     if u.grid != basis.grid:
         raise GridMismatchError(f"{u.grid!r} vs {basis.grid!r}")
-    g = u.grid
-    d = g.dim
-    args = {}
-    for name, arg in keys:
-        args.setdefault(name, []).append(arg)
+    projected = [key for key in keys if key[0] in ("proj_cumsum", "drho_half")]
     values = {}
-    if "proj_cumsum" in args or "drho_half" in args:
+    if projected:
         c = basis.project(u)
-        if "proj_cumsum" in args:
-            values["proj_cumsum", None] = np.concatenate([[0.0], np.cumsum(c**2)])
-        for params in args.get("drho_half", ()):
-            values["drho_half", params] = float(np.dot(
-                basis.eigenvalues * c, galerkin_rhs(GalerkinState(basis, c, 0.0), params)))
-
-    arena = _arena(basis)
-    a = arena.views("table")
-    vhat, scratch, work = u.coeffs, a.spec, a.work
-
-    def reduce(name, mag):
-        for q in args.get(name, ()):
-            values[name, q] = _norm_of_magnitude(mag, q, g, out=a.tmp)
-
-    if "u" in args:
-        reduce("u", _magnitude(g.to_physical(vhat, out=a.phys[:d], work=work), a.mag, a.tmp))
-    strain = "I_p" in args or "shifted" in args
-    if "grad" in args or strain:
-        G = _velocity_gradient(g, arena.ik, vhat, a.phys[: d * d], scratch, work)
-    if "grad" in args:
-        reduce("grad", _magnitude(G, a.mag, a.tmp))
-    if strain:
-        dd = _strain_sq(G, d, a.dd, a.tmp)
-        for params in args.get("shifted", ()):
-            root = np.sqrt(np.add(params.mu, dd, out=a.tmp), out=a.tmp)
-            values["shifted", params] = _norm_of_magnitude(root, params.p, g)
-    if "I_p" in args:
-        sq = _strain_gradient_sq(g, arena, vhat, a.phys, scratch, work, a.mag, a.tmp)
-        for params in args["I_p"]:
-            if params.mu <= 0:
-                raise ValueError("I_p is only defined for mu > 0 (integrand singular at Dv = 0)")
-            fac = law._stress_factor(dd, params, out=a.tmp)
-            values["I_p", params] = float(np.sum(np.multiply(fac, sq, out=fac)) * g.quad_weight)
-    if "hess" in args:
-        reduce("hess", _hessian_magnitude(g, arena, vhat, a.phys, scratch, work, a.mag, a.tmp))
+        for name, params in projected:
+            if name == "proj_cumsum":
+                values[name, params] = np.concatenate([[0.0], np.cumsum(c**2)])
+            else:
+                values[name, params] = float(np.dot(
+                    basis.eigenvalues * c, galerkin_rhs(GalerkinState(basis, c, 0.0), params)))
+    padded = [key for key in keys if key[0] not in ("proj_cumsum", "drho_half")]
+    values.update(_padded_values(basis, u.coeffs, padded))
     return {key: values[key] for key in keys}
 
 

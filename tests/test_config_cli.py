@@ -644,6 +644,55 @@ def test_cli_gap_missing_file_no_partial_report(tmp_path):
     assert not out.exists()
 
 
+@pytest.fixture(scope="module")
+def family_manifest(tmp_path_factory):
+    return make_family(tmp_path_factory.mktemp("family"))
+
+
+def gap_args(mpath, s="0.0", t="0.3", alphas="1.0"):
+    return ["gap", str(mpath), "--s", s, "--t", t, "--alphas", alphas,
+            "--out", str(mpath.parent / "gap_out.json")]
+
+
+@pytest.mark.parametrize("s, t", [("nan", "0.3"), ("0.0", "nan")], ids=["s-nan", "t-nan"])
+def test_cli_gap_nan_window_exit_2(family_manifest, capsys, s, t):
+    assert main(gap_args(family_manifest, s=s, t=t)) == 2
+    assert "need s < t" in capsys.readouterr().err
+
+
+def test_cli_gap_empty_alpha_grid_exit_2(family_manifest, capsys):
+    assert main(gap_args(family_manifest, alphas=",")) == 2
+    assert "alpha" in capsys.readouterr().err
+
+
+def with_p(mpath, text):
+    """A copy of the manifest at mpath whose "p" field is the JSON `text`."""
+    manifest = json.loads(mpath.read_text())
+    manifest["p"] = "@P@"
+    other = mpath.parent / "manifest_p.json"
+    other.write_text(json.dumps(manifest).replace('"@P@"', text))
+    return other
+
+
+@pytest.mark.parametrize("text", ['"1.9"', "NaN", "true", "1.6", "Infinity", "2.5", "null"])
+def test_cli_gap_rejects_p_without_gamma(family_manifest, capsys, text):
+    # gamma is defined for p in (5/3, 2] only; a string used to raise a
+    # TypeError, and the rest ran to a report with gamma null
+    out = family_manifest.parent / "gap_out.json"
+    out.unlink(missing_ok=True)
+    assert main(gap_args(with_p(family_manifest, text))) == 2
+    assert "'p' must be a finite number in (5/3, 2]" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_gap_report_names_the_violated_exponent_bound(family_manifest):
+    assert main(gap_args(with_p(family_manifest, "1.75"))) == 0
+    report = strict_json(family_manifest.parent / "gap_out.json")
+    assert "p > 9/5" in report["violation"]
+    assert main(gap_args(family_manifest)) == 0
+    assert strict_json(family_manifest.parent / "gap_out.json")["violation"] is None
+
+
 @pytest.mark.parametrize("entries, named", [
     ([{"N": 4, "path": "a.csv"}, {"path": "b.csv"}], "trajectory 1 lacks the 'N' field"),
     ([{"N": 4, "path": "a.csv"}, {"N": 4, "path": "b.csv"}],

@@ -518,10 +518,16 @@ def _full_basis(dim, M, dealias):
 
 
 def test_arena_calls_match_cold_calls():
-    # RHS and sample share each basis's work buffers: warm calls on two
-    # bases, interleaved over two states each, give what a cold call on a
-    # fresh basis gives, and what callers do to returned arrays stays theirs
+    # RHS, table row and sample share each basis's work buffers: warm calls
+    # on two bases, interleaved over two states each, give what a cold call
+    # on a fresh basis gives, and what callers do to returned arrays stays
+    # theirs
+    from plsf.fields import SpectralVelocity
+    from plsf.inequalities import table_row
+
     params = FluidParams(1.9, 1.0)
+    keys = [("u", 2.0), ("grad", 1.9), ("shifted", params), ("rho_tilde", params),
+            ("I_p", params), ("hess", 1.9), ("drho_half", params), ("proj_cumsum", None)]
     kinds = [(2, 16, 1.5), (3, 8, 1.0)]  # dealiased, and the skew path
     warm = {kind: _full_basis(*kind) for kind in kinds}
     rng = np.random.default_rng(21)
@@ -530,8 +536,10 @@ def test_arena_calls_match_cold_calls():
 
     def evaluate(basis, c):
         rhs = _rhs_parts(basis, params, c)
+        u = SpectralVelocity(basis.grid, basis.synthesize_coeffs(c), validate=False)
+        row = table_row(u, keys, basis)
         vals = state_functionals(GalerkinState(basis, c, 0.0), params, record_d2=True)
-        return rhs, vals, basis.synthesize_coeffs(c)
+        return rhs, vals, basis.synthesize_coeffs(c), row
 
     for _ in range(2):
         for n in range(2):
@@ -542,6 +550,14 @@ def test_arena_calls_match_cold_calls():
                 assert np.array_equal(got[0], cold[0])
                 assert got[1] == cold[1]
                 assert np.array_equal(got[2], cold[2])
+                assert got[3].keys() == cold[3].keys()
+                assert all(np.array_equal(got[3][key], cold[3][key]) for key in keys)
+                # the row and the sample share one kernel: the same field,
+                # the same bits
+                row, vals = got[3], got[1]
+                assert [row["grad", 1.9], row["rho_tilde", params], row["I_p", params],
+                        row["hess", 1.9]] == [vals["grad_p_norm"], vals["rho_tilde"],
+                                              vals["Ip"], vals["d2_p_norm"]]
                 for returned in (got[0], got[2]):
                     returned[...] = np.nan
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from plsf.basis import full_basis, make_basis
-from plsf.constitutive import FluidParams, I_p
+from plsf.constitutive import FluidParams, I_p, rho_tilde
 from plsf.errors import ConfigError, GridMismatchError
 from plsf.fields import (
     SpectralVelocity,
@@ -358,6 +358,8 @@ def oracle_value(u, key, basis):
         return lp_norm(hessian_samples(u), arg, grid=u.grid)
     if name == "I_p":
         return I_p(u, arg)
+    if name == "rho_tilde":
+        return rho_tilde(u, arg)
     if name == "shifted":
         D = sym_gradient(u)
         shifted = np.sqrt(arg.mu + np.sum(D.values**2, axis=(0, 1)))
@@ -374,7 +376,7 @@ def oracle_value(u, key, basis):
 def test_table_matches_per_suite_oracle(request, name):
     # equality, not a tolerance: the walk must keep the loops' summation order
     samples = request.getfixturevalue(name).samples
-    keys = every_key(1.9, 0.5)
+    keys = every_key(1.9, 0.5) + [("rho_tilde", FluidParams(1.9, 0.5))]
     rows = field_table(samples, keys)
     basis = full_basis(samples[0].grid)
     assert len(rows) == len(samples)
@@ -480,6 +482,13 @@ def test_table_rejects_fields_on_another_grid():
 def test_table_rejects_I_p_without_mu(ens2d):
     with pytest.raises(ValueError):
         field_table(ens2d.samples, [("grad", 2.0), ("I_p", FluidParams(1.9, 0.0))])
+
+
+def test_table_takes_one_rho_tilde_law(ens2d):
+    # rho_tilde's products overwrite Du, which a second law would read
+    keys = [("rho_tilde", FluidParams(1.9, 1.0)), ("rho_tilde", FluidParams(1.9, 0.0))]
+    with pytest.raises(ValueError, match="rho_tilde"):
+        field_table(ens2d.samples[:1], keys)
 
 
 def test_nan_mu_rejected_before_any_check(ens2d):
