@@ -81,6 +81,7 @@ def cmd_run(cfg: RunConfig, out_dir: str | None) -> int:
             "T": cfg.solver.T,
             "steps": record.steps,
             "rejections": record.rejections,
+            "rhs_evaluations": record.rhs_evaluations,
             "samples": int(record.times.size),
             "final_energy": float(record.energy[-1]),
             "initial_energy": float(record.energy[0]),
@@ -99,9 +100,22 @@ def cmd_run(cfg: RunConfig, out_dir: str | None) -> int:
 # -- gap ---------------------------------------------------------------------
 
 
+def _is_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _load_manifest(path: str):
+    """The manifest at `path` and the records of its trajectories.  Every
+    field is checked, and each violation named, before any file is read;
+    `dim` defaults to 3."""
     with open(path, encoding="utf-8") as fh:
         manifest = json.load(fh)
+    if not isinstance(manifest, dict):
+        raise ConfigError([f"manifest {path} must be a JSON object"])
     for key in ("p", "trajectories"):
         if key not in manifest:
             raise ConfigError([f"manifest {path} lacks the {key!r} field"])
@@ -111,39 +125,51 @@ def _load_manifest(path: str):
     problems, first = [], {}
     p = manifest["p"]
     # gamma, the exponent of the exceedance sets, is defined on (5/3, 2] only
-    if isinstance(p, bool) or not isinstance(p, (int, float)) or not 5.0 / 3.0 < p <= 2.0:
+    if not _is_number(p) or not 5.0 / 3.0 < p <= 2.0:
         problems.append(f"manifest {path}: 'p' must be a finite number in (5/3, 2], "
                         f"got {p!r}")
+    mu = manifest.get("mu", float("nan"))
+    if "mu" in manifest and not (_is_number(mu) and math.isfinite(mu) and mu >= 0):
+        problems.append(f"manifest {path}: 'mu' must be a finite number >= 0, got {mu!r}")
+    dim = manifest.setdefault("dim", 3)
+    if not (_is_int(dim) and dim in (2, 3)):
+        problems.append(f"manifest {path}: 'dim' must be 2 or 3, got {dim!r}")
+    members = []
     for k, entry in enumerate(entries):
         problems += [f"manifest {path} trajectory {k} lacks the {key!r} field"
                      for key in ("N", "path") if key not in entry]
-        if "N" in entry:
-            N = int(entry["N"])
-            if N in first:
-                problems.append(f"manifest {path} trajectory {k} repeats N = {N} "
-                                f"of trajectory {first[N]}")
-            first.setdefault(N, k)
+        name = entry.get("path", "")
+        if not isinstance(name, str):
+            problems.append(f"manifest {path} trajectory {k}: 'path' must be a string, "
+                            f"got {name!r}")
+        if "N" not in entry:
+            continue
+        N = entry["N"]
+        if not _is_int(N) or N < 1:
+            problems.append(f"manifest {path} trajectory {k}: 'N' must be an integer >= 1, "
+                            f"got {N!r}")
+        elif N in first:
+            problems.append(f"manifest {path} trajectory {k} repeats N = {N} "
+                            f"of trajectory {first[N]}")
+        else:
+            first[N] = k
+        members.append((N, name))
     if problems:
         raise ConfigError(problems)
     records = []
-    for entry in entries:
-        traj_path = Path(entry["path"])
+    for N, name in members:
+        traj_path = Path(name)
         if not traj_path.is_absolute():
             traj_path = Path(path).parent / traj_path
         if not traj_path.exists():
             raise FileNotFoundError(f"manifest references missing file {traj_path}")
-        records.append(
-            TrajectoryRecord.from_csv(
-                traj_path, p=manifest["p"], mu=manifest.get("mu", float("nan")),
-                N=int(entry["N"]),
-            )
-        )
+        records.append(TrajectoryRecord.from_csv(traj_path, p=p, mu=mu, N=N))
     return manifest, records
 
 
 def cmd_gap(manifest_path: str, s: float, t: float, alphas, out: str | None) -> int:
     manifest, records = _load_manifest(manifest_path)
-    table = gapmod.exponents(manifest["p"])
+    table = gapmod.exponents(manifest["p"], dim=manifest["dim"])
     est = gapmod.gap_estimate(records, s, t, alphas, table.gamma)
     failures = []
     for row_group, parts, alpha in zip(est.per_alpha, est.partitions, est.alphas):

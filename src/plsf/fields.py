@@ -188,32 +188,33 @@ def _multiply_channels(factors, c, out) -> np.ndarray:
     return out
 
 
-def _strain_gradient_pairs(grid: TorusGrid, ik, coeffs, out, spec, work=None) -> np.ndarray:
-    """Samples of d_s D_ij for the pairs i <= j, written into `out` of
-    shape (pair, d) + padded_shape, one pair per transform.
+def _strain_pair_gradient(grid: TorusGrid, ik, coeffs, i: int, j: int, out, spec,
+                          work=None) -> np.ndarray:
+    """Samples of d_s D_ij for every s, written into `out` of shape
+    (d,) + padded_shape by one transform.
 
     `ik` is 1j * grid.wavevectors and `spec` a (d + 2,) + shape complex
     scratch array; `work` goes to the transform.
     """
     d = grid.dim
-    rows, cols, _ = symmetric_components(d)
     inputs, dhat, other = spec[:d], spec[d], spec[d + 1]
-    for a, (i, j) in enumerate(zip(rows, cols)):
-        # D_ij from d_j v_i = ik_j c_i and its transpose
-        np.multiply(ik[j], coeffs[i], out=dhat)
-        np.add(dhat, np.multiply(ik[i], coeffs[j], out=other), out=dhat)
-        np.multiply(0.5, dhat, out=dhat)
-        grid.to_physical(_multiply_channels(ik, dhat, inputs), out=out[a], work=work)
-    return out
+    # D_ij from d_j v_i = ik_j c_i and its transpose
+    np.multiply(ik[j], coeffs[i], out=dhat)
+    np.add(dhat, np.multiply(ik[i], coeffs[j], out=other), out=dhat)
+    np.multiply(0.5, dhat, out=dhat)
+    return grid.to_physical(_multiply_channels(ik, dhat, inputs), out=out, work=work)
 
 
 def _strain_gradient(v: SpectralVelocity) -> np.ndarray:
+    """d_s D_ij at [pair, s] for the pairs i <= j, one pair per transform."""
     g = v.grid
-    pairs = (len(symmetric_components(g.dim)[0]), g.dim)
-    return _strain_gradient_pairs(
-        g, 1j * g.wavevectors, v.coeffs, np.empty(pairs + g.padded_shape),
-        np.empty((g.dim + 2,) + g.shape, dtype=np.complex128),
-    )
+    rows, cols, _ = symmetric_components(g.dim)
+    out = np.empty((rows.size, g.dim) + g.padded_shape)
+    ik = 1j * g.wavevectors
+    spec = np.empty((g.dim + 2,) + g.shape, dtype=np.complex128)
+    for pair, (i, j) in enumerate(zip(rows, cols)):
+        _strain_pair_gradient(g, ik, v.coeffs, i, j, out[pair], spec)
+    return out
 
 
 def grad_sym_gradient_samples(v: SpectralVelocity) -> np.ndarray:

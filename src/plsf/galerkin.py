@@ -52,11 +52,10 @@ from .errors import GridMismatchError, StiffnessError
 # them in this module's namespace
 from .fields import (  # noqa: F401
     SpectralVelocity,
-    _grad_strain_sq,
     _magnitude,
     _multiply_channels,
     _norm_of_magnitude,
-    _strain_gradient_pairs,
+    _strain_pair_gradient,
     _sum_of_squares,
     gradient,
     load_checkpoint,
@@ -168,12 +167,13 @@ class _Arena:
             ("gath", (n_fwd,) + modes, c16),
             ("tensor_row", (d,) + modes, c16), ("div", (d,) + modes, c16),
         ]
-        # functionals: the padded grids of grad v, of d_s D_ij (i <= j) or
-        # of the Hessian's j <= k triangle, transformed a row, pair or
-        # component at a time; |Dv|^2, kept while the others are formed; and
-        # the coefficients of a sampled state in the first d spectral channels
+        # functionals: the padded grids of grad v, of d_s D_ij for up to d
+        # pairs or of one component's Hessian (npair <= d*d channels),
+        # transformed a row, pair or component at a time; |Dv|^2, kept while
+        # the others are formed; a magnitude or sum of squares; and the
+        # coefficients of a sampled state in the first d spectral channels
         functionals = [
-            ("phys", (max(d * d, npair * d),) + grid, f8),
+            ("phys", (d * d,) + grid, f8),
             ("mag", grid, f8), ("dd", grid, f8), ("tmp", grid, f8),
             ("mask", grid, np.bool_),
             ("spec", (d + max(d + 2, npair),) + spec, c16),
@@ -217,24 +217,25 @@ def _padded_values(basis: StokesBasis, vhat: np.ndarray, keys) -> dict:
     params) for ||(mu + |Dv|^2)^(1/2)||_p; ("rho_tilde", params) and
     ("I_p", params).
 
-    Every value equals the public operation's (lp_norm, gradient,
-    hessian_samples, rho_tilde, I_p) bit for bit: the same transforms, and
-    the squares added in the order of the public operations in
-    plsf.fields.  Each pointwise magnitude a key reads is formed once, in
-    the basis's arena, and each (quantity, q) key is reduced from it
-    through a scratch grid; no (d, d, d)-tensor grid is held.  rho_tilde's
-    products overwrite Dv, so one call takes one rho_tilde law.
+    The channels are trace-free: div v = 0 and tr D = 0 give d_d v_d and
+    d_s D_dd pointwise as minus the sums of the other diagonal entries, so
+    neither is transformed.  The "u" and "hess" values equal the public
+    operations' (lp_norm, hessian_samples) bit for bit; the others equal
+    them (gradient, rho_tilde, I_p) within 1e-14 relative, the rounding of
+    the trace-free channels.  rho_tilde is the quadrature of
+    (mu + |Dv|^2)^((p-2)/2) |Dv|^2.  Each pointwise magnitude a key reads is
+    formed once, in the basis's arena, and each (quantity, q) key is reduced
+    from it through a scratch grid; no (d, d, d)-tensor grid is held.
     """
     args = {}
     for name, arg in keys:
         args.setdefault(name, []).append(arg)
-    if len(args.get("rho_tilde", ())) > 1:
-        raise ValueError("one ('rho_tilde', params) key per call: its products overwrite Dv")
+    if any(params.mu <= 0 for params in args.get("I_p", ())):
+        raise ValueError("I_p is only defined for mu > 0 (integrand singular at Dv = 0)")
     arena = _arena(basis)
     a = arena.views("functionals")
     g = basis.grid
     d, pos = g.dim, arena.pos
-    npair = len(arena.pairs)
     phys, mag, tmp = a.phys, a.mag, a.tmp
     scratch, work = a.spec[d:], a.work
     values = {}
@@ -243,16 +244,27 @@ def _padded_values(basis: StokesBasis, vhat: np.ndarray, keys) -> dict:
         for q in args[name]:
             values[name, q] = _norm_of_magnitude(magnitude, q, g, out=tmp)
 
+    def add_squares(channels, weight=1.0):
+        # mag += weight * ch**2 for each channel in turn
+        for ch in channels:
+            sq = np.square(ch, out=tmp)
+            if weight != 1.0:
+                sq *= weight
+            np.add(mag, sq, out=mag)
+
     if "u" in args:
         reduce("u", _magnitude(g.to_physical(vhat, out=phys[:d], work=work), mag, tmp))
     strain = args.keys() & {"shifted", "rho_tilde", "I_p"}
     if "grad" in args or strain:
         # d_j v_i into channel d*i + j of G (gradient(v) in C order), a row
-        # per transform
+        # per transform; the last, d_d v_d, is minus the other diagonal
+        # entries' sum
         G = phys[: d * d]
         for i in range(d):
-            inputs = _multiply_channels(arena.ik, vhat[i], scratch[:d])
-            g.to_physical(inputs, out=G[d * i : d * i + d], work=work)
+            n = d - 1 if i == d - 1 else d
+            inputs = _multiply_channels(arena.ik[:n], vhat[i], scratch[:n])
+            g.to_physical(inputs, out=G[d * i : d * i + n], work=work)
+        np.negative(np.sum(G[: d * d - 1 : d + 1], axis=0, out=G[-1]), out=G[-1])
     if "grad" in args:
         reduce("grad", _magnitude(G, mag, tmp))
     if strain:
@@ -267,34 +279,39 @@ def _padded_values(basis: StokesBasis, vhat: np.ndarray, keys) -> dict:
             root = np.sqrt(np.add(params.mu, dd, out=tmp), out=tmp)
             values["shifted", params] = _norm_of_magnitude(root, params.p, g)
         for params in args.get("rho_tilde", ()):
-            # the stress contracted with D, summed over the whole (d, d) stack
+            # sigma : D = (mu + |D|^2)^((p-2)/2) |D|^2
             fac = law._stress_factor(dd, params, out=tmp, mask=a.mask)
-            for Dk in G:
-                np.multiply(np.multiply(fac, Dk, out=mag), Dk, out=Dk)
-            values["rho_tilde", params] = float(np.sum(G) * g.quad_weight)
+            values["rho_tilde", params] = float(
+                np.sum(np.multiply(fac, dd, out=fac)) * g.quad_weight)
     if "I_p" in args:
-        # |grad D|^2 from d_s D_ij for the pairs i <= j, a pair per transform,
-        # weighed by the stress factor
-        pairs = phys[: npair * d].reshape((npair, d) + g.padded_shape)
-        _strain_gradient_pairs(g, arena.ik, vhat, pairs, scratch, work=work)
-        sq = _grad_strain_sq(pairs, mag, tmp)
+        # |grad D|^2 into mag, adding (d_s D_ij)^2 over the pairs i <= j in
+        # row order and s, the off-diagonal pairs twice.  A pair per
+        # transform, but the last, (d, d): d_s D_dd = -sum_i d_s D_ii, so
+        # diagonal pair (i, i) keeps slot i until then, and the others
+        # take the last slot.
+        slots = phys[: d * d].reshape((d, d) + g.padded_shape)
+        mag.fill(0.0)
+        for (i, j), weight in zip(arena.strain_pairs, arena.w_off):
+            slot = slots[i if i == j else d - 1]
+            _strain_pair_gradient(g, arena.ik, vhat, i, j, slot, scratch, work=work)
+            add_squares(slot, weight)
+        last = slots[d - 1]
+        add_squares(np.negative(np.sum(slots[: d - 1], axis=0, out=last), out=last))
         for params in args["I_p"]:
-            if params.mu <= 0:
-                raise ValueError("I_p is only defined for mu > 0 (integrand singular at Dv = 0)")
             fac = law._stress_factor(dd, params, out=tmp)
-            values["I_p", params] = float(np.sum(np.multiply(fac, sq, out=fac)) * g.quad_weight)
+            values["I_p", params] = float(np.sum(np.multiply(fac, mag, out=fac)) * g.quad_weight)
     if "hess" in args:
-        # d_j d_k v_i = -(k_j k_k) c_i for the pairs j <= k at channel
-        # npair*i + pair, a component per transform, and the squares summed
-        # over (i, j, k) in that order (hessian_samples' mirror)
+        # d_j d_k v_i = -(k_j k_k) c_i for the pairs j <= k, a component per
+        # transform, its squares added over (j, k) before the next i: the
+        # (i, j, k) order of hessian_samples' magnitude
+        H = phys[: len(arena.pairs)]
+        mag.fill(0.0)
         for i in range(d):
-            inputs = _multiply_channels(arena.kk, vhat[i], scratch[:npair])
+            inputs = _multiply_channels(arena.kk, vhat[i], scratch[: len(H)])
             np.negative(inputs, out=inputs)
-            g.to_physical(inputs, out=phys[npair * i : npair * (i + 1)], work=work)
-        reduce("hess", _magnitude(
-            [phys[npair * i + pos[j, k]] for i in range(d) for j in range(d) for k in range(d)],
-            mag, tmp,
-        ))
+            g.to_physical(inputs, out=H, work=work)
+            add_squares([H[pos[j, k]] for j in range(d) for k in range(d)])
+        reduce("hess", np.sqrt(mag, out=mag))
     return values
 
 
@@ -386,9 +403,9 @@ def state_functionals(state: GalerkinState, params: FluidParams, record_d2: bool
 
     energy and rho use the exact coefficient sums (basis orthonormality
     and the eigenvalue relation).  The nonlinear functionals come from
-    `_padded_values` and equal, bit for bit, the public operations on
-    `state.velocity()`: `rho_tilde`, `lp_norm(gradient(v), p)`, `I_p` and
-    `lp_norm(hessian_samples(v), p)`.
+    `_padded_values`, on trace-free channels: `rho_tilde`,
+    `lp_norm(gradient(v), p)` and `I_p` of `state.velocity()` to within
+    1e-14 relative, and `lp_norm(hessian_samples(v), p)` bit for bit.
     """
     basis, c = state.basis, state.c
     keys = [("grad", params.p), ("rho_tilde", params)]
@@ -464,7 +481,8 @@ class StepController:
     """Embedded-pair error control with a PI step-size law.
 
     `last_segment` holds the stages of the most recent accepted step so
-    callers can densely sample inside it.
+    callers can densely sample inside it.  `nrhs` counts the RHS
+    evaluations `advance` makes.
     """
 
     rtol: float = 1e-8
@@ -476,6 +494,7 @@ class StepController:
     err_prev: float = 1.0
     naccept: int = 0
     nreject: int = 0
+    nrhs: int = 0
     last_segment: StepSegment | None = None
 
     def __post_init__(self):
@@ -514,6 +533,7 @@ def advance(
     """One accepted adaptive step; ctrl carries the step-size state."""
 
     def f(y):
+        ctrl.nrhs += 1
         return _rhs_parts(state.basis, params, y)
 
     y0 = state.c
@@ -634,6 +654,7 @@ class TrajectoryRecord:
     d2_p_norm: np.ndarray | None = None
     steps: int = 0
     rejections: int = 0
+    rhs_evaluations: int = 0
 
     def __post_init__(self):
         self.times = np.asarray(self.times, dtype=np.float64)
@@ -792,4 +813,5 @@ def _rows_to_record(config, params, N, rows, ctrl) -> TrajectoryRecord:
         d2_p_norm=get(CSV_D2_COLUMN) if config.record_d2 else None,
         steps=ctrl.naccept,
         rejections=ctrl.nreject,
+        rhs_evaluations=ctrl.nrhs,
     )

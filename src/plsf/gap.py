@@ -49,6 +49,7 @@ class ExponentTable:
     valid_zeta_only: bool
     violation: str | None
     dim_warning: str | None = None
+    dim: int = 3
 
     @property
     def beta(self) -> float:
@@ -119,7 +120,7 @@ def exponents(p: float, dim: int = 3) -> ExponentTable:
         nan = float("nan")
         return ExponentTable(p, nan, nan, nan, (3 - p) / 2, p / (3 * p - 2),
                              2 * p / (7 * p - 6), nan, nan, nan, "undefined", nan,
-                             False, False, violation, dim_warning)
+                             False, False, violation, dim_warning, dim)
     zeta = 3.0 * (p - 1.0) / (3.0 * p - 5.0)
     gamma = zeta - 1.0
     lam = 2.0 * (3.0 - p) / (3.0 * p - 5.0)
@@ -140,7 +141,7 @@ def exponents(p: float, dim: int = 3) -> ExponentTable:
         beta_statement=beta_s, beta_proof=beta_p, beta_balance=beta_bal,
         beta_variant=variant, beta_discrepancy=disc,
         valid_full=valid_full, valid_zeta_only=valid_zeta and not valid_full,
-        violation=violation, dim_warning=dim_warning,
+        violation=violation, dim_warning=dim_warning, dim=dim,
     )
 
 
@@ -550,4 +551,7 @@ def gap_report_json(est: GapEstimate, table: ExponentTable) -> dict:
         "beta_variant_used": table.beta_variant,
         # the bound on p that the exponents assume and p violates, or null
         "violation": table.violation,
+        # the family's dimension, and a note when the 3D exponents are not its
+        "dim": table.dim,
+        "dim_warning": table.dim_warning,
     }

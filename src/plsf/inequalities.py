@@ -90,13 +90,15 @@ def field_table(samples, keys) -> list[dict]:
     """One pass over the fields: row i maps each key to its value on
     samples[i].  The keys are ("u", q), ("grad", q) and ("hess", q) for
     ||u||_q, ||grad u||_q and ||D^2 u||_q; ("I_p", params) and
-    ("rho_tilde", params), at most one of the latter; ("shifted", params)
-    for ||(mu + |Du|^2)^(1/2)||_p; ("drho_half", params) for 1/2 d/dt
+    ("rho_tilde", params); ("shifted", params) for
+    ||(mu + |Du|^2)^(1/2)||_p; ("drho_half", params) for 1/2 d/dt
     ||grad v||_2^2 at the Galerkin state of u; and ("proj_cumsum", None)
     for 0, then the running sums of the squared full-basis coefficients of
-    u.  TABLE_KEYS[name](arg) lists the keys check `name` reads.  Every
-    value equals the public operation's (lp_norm, gradient,
-    hessian_samples, I_p, rho_tilde, galerkin_rhs) bit for bit.  The full
+    u.  TABLE_KEYS[name](arg) lists the keys check `name` reads.  The u,
+    Hessian, projection and drho_half values equal the public operations'
+    (lp_norm, hessian_samples, galerkin_rhs) bit for bit; those of grad,
+    shifted, I_p and rho_tilde come from trace-free channels and agree
+    with gradient, I_p and rho_tilde within 1e-14 relative.  The full
     basis is built once, and every row works in its arena (see
     `table_row`).
     """

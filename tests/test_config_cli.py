@@ -315,6 +315,8 @@ def test_cli_run_deterministic_artifacts(tmp_path):
     summary = json.loads((out1 / "summary.json").read_text())
     assert summary["N"] == 20
     assert summary["final_energy"] < summary["initial_energy"]
+    steps, rejections = summary["steps"], summary["rejections"]
+    assert summary["rhs_evaluations"] == steps + 6 * (steps + rejections)
 
 
 def test_cli_run_checkpoint_format(tmp_path):
@@ -444,7 +446,7 @@ def test_cli_verify_suites_pass(tmp_path, capsys):
 
 
 def test_cli_verify_channel_budget_per_field(tmp_path, monkeypatch):
-    # one pass per field in 2D: v 2, grad v 4, Hessian 6, grad D 6, RHS 4
+    # one pass per field in 2D: v 2, grad v 3, Hessian 6, grad D 4, RHS 4
     from plsf.grid import TorusGrid
 
     channels = []
@@ -457,7 +459,7 @@ def test_cli_verify_channel_budget_per_field(tmp_path, monkeypatch):
     monkeypatch.setattr(TorusGrid, "to_physical", counted)
     cfg_path = write_config(tmp_path, VERIFY_CFG)
     assert main(["verify", str(cfg_path), "--out", str(tmp_path / "v.json")]) == 0
-    assert 0 < sum(channels) <= 22 * 24
+    assert 0 < sum(channels) <= 19 * 24
 
 
 def test_cli_verify_unknown_suite_exit_2(tmp_path):
@@ -665,12 +667,13 @@ def test_cli_gap_empty_alpha_grid_exit_2(family_manifest, capsys):
     assert "alpha" in capsys.readouterr().err
 
 
-def with_p(mpath, text):
-    """A copy of the manifest at mpath whose "p" field is the JSON `text`."""
+def with_field(mpath, text, key="p", entry=None):
+    """A copy of the manifest at mpath whose `key` field, at the top level
+    or in trajectory `entry`, is the JSON `text`."""
     manifest = json.loads(mpath.read_text())
-    manifest["p"] = "@P@"
-    other = mpath.parent / "manifest_p.json"
-    other.write_text(json.dumps(manifest).replace('"@P@"', text))
+    (manifest if entry is None else manifest["trajectories"][entry])[key] = "@V@"
+    other = mpath.parent / "manifest_edit.json"
+    other.write_text(json.dumps(manifest).replace('"@V@"', text))
     return other
 
 
@@ -680,17 +683,62 @@ def test_cli_gap_rejects_p_without_gamma(family_manifest, capsys, text):
     # TypeError, and the rest ran to a report with gamma null
     out = family_manifest.parent / "gap_out.json"
     out.unlink(missing_ok=True)
-    assert main(gap_args(with_p(family_manifest, text))) == 2
+    assert main(gap_args(with_field(family_manifest, text))) == 2
     assert "'p' must be a finite number in (5/3, 2]" in capsys.readouterr().err
     assert not out.exists()
 
 
 def test_cli_gap_report_names_the_violated_exponent_bound(family_manifest):
-    assert main(gap_args(with_p(family_manifest, "1.75"))) == 0
+    assert main(gap_args(with_field(family_manifest, "1.75"))) == 0
     report = strict_json(family_manifest.parent / "gap_out.json")
     assert "p > 9/5" in report["violation"]
     assert main(gap_args(family_manifest)) == 0
     assert strict_json(family_manifest.parent / "gap_out.json")["violation"] is None
+
+
+@pytest.mark.parametrize("text", ["24.9", "true", "0", "-3", '"24"', "null", "24.0"])
+def test_cli_gap_rejects_N_that_is_not_a_positive_integer(family_manifest, capsys, text):
+    # int() used to turn 24.9 into 24 and true into 1
+    out = family_manifest.parent / "gap_out.json"
+    out.unlink(missing_ok=True)
+    assert main(gap_args(with_field(family_manifest, text, "N", entry=0))) == 2
+    assert "trajectory 0: 'N' must be an integer >= 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("text", ['"abc"', "NaN", "Infinity", "-1", "true", "null"])
+def test_cli_gap_rejects_mu_that_is_not_a_finite_nonnegative_number(family_manifest, capsys,
+                                                                   text):
+    out = family_manifest.parent / "gap_out.json"
+    out.unlink(missing_ok=True)
+    assert main(gap_args(with_field(family_manifest, text, "mu"))) == 2
+    assert "'mu' must be a finite number >= 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("text", ["5", "[1.9]", "null"])
+def test_cli_gap_rejects_a_manifest_that_is_not_an_object(tmp_path, capsys, text):
+    mpath = tmp_path / "manifest.json"
+    mpath.write_text(text)
+    assert main(gap_args(mpath)) == 2
+    assert "must be a JSON object" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", ["4", "1", "3.0", "true", '"3"'])
+def test_cli_gap_rejects_dim_other_than_2_or_3(family_manifest, capsys, text):
+    assert main(gap_args(with_field(family_manifest, text, "dim"))) == 2
+    assert "'dim' must be 2 or 3" in capsys.readouterr().err
+
+
+def test_cli_gap_report_states_its_dimension(family_manifest):
+    # the exponents are derived in 3D: a 2D family's report says so
+    assert main(gap_args(family_manifest)) == 0
+    report = strict_json(family_manifest.parent / "gap_out.json")
+    assert (report["dim"], report["dim_warning"]) == (3, None)
+    assert main(gap_args(with_field(family_manifest, "2", "dim"))) == 0
+    report = strict_json(family_manifest.parent / "gap_out.json")
+    assert report["dim"] == 2
+    assert "dim = 3" in report["dim_warning"]
 
 
 @pytest.mark.parametrize("entries, named", [
@@ -698,7 +746,8 @@ def test_cli_gap_report_names_the_violated_exponent_bound(family_manifest):
     ([{"N": 4, "path": "a.csv"}, {"N": 4, "path": "b.csv"}],
      "trajectory 1 repeats N = 4 of trajectory 0"),
     ([{"N": 4, "path": "a.csv"}, 5], "'trajectories' must be a list of objects"),
-], ids=["missing-N", "duplicate-N", "not-an-object"])
+    ([{"N": 4, "path": 5}], "trajectory 0: 'path' must be a string"),
+], ids=["missing-N", "duplicate-N", "not-an-object", "path-not-a-string"])
 def test_cli_gap_rejects_bad_manifest_entries(tmp_path, capsys, entries, named):
     # checked before any trajectory is read: the files need not exist
     mpath = tmp_path / "manifest.json"

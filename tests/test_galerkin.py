@@ -366,6 +366,19 @@ def small_config(**kw):
     return SolverConfig(**base)
 
 
+def test_rhs_evaluations_are_counted(grid2d):
+    # advance evaluates k1 once per call and six stages per attempt
+    rec = run_trajectory(small_config())
+    assert rec.steps > 0
+    assert rec.rhs_evaluations == rec.steps + 6 * (rec.steps + rec.rejections)
+    basis = make_basis(grid2d, 24)
+    state = project_initial_data(random_solenoidal(grid2d, band=3, seed=8), basis)
+    ctrl = StepController(rtol=1e-8, dt=10.0)  # far too long a first attempt
+    advance(state, FluidParams(1.9, 1.0), ctrl)
+    assert ctrl.nreject > 0
+    assert ctrl.nrhs == 1 + 6 * (ctrl.naccept + ctrl.nreject)
+
+
 def test_run_rejects_nan_mu():
     # a hand-built config skips the config-file checks
     with pytest.raises(ValueError):
@@ -477,39 +490,106 @@ def test_csv_wrong_header_rejected(tmp_path):
         TrajectoryRecord.from_csv(path)
 
 
-@pytest.mark.parametrize("record_d2", [False, True], ids=["no-d2", "d2"])
-@pytest.mark.parametrize("mu", [1.0, 0.0], ids=["mu1", "mu0"])
-@pytest.mark.parametrize(
+FUNCTIONAL_CASES = pytest.mark.parametrize(
     "dim,M,dealias,N",
     [(2, 16, 1.5, 30), (3, 8, 1.5, 101), (2, 10, 1.2, None)],
     ids=["2d", "3d", "2d-aliased"],
 )
-def test_functionals_match_public_operations(dim, M, dealias, N, mu, record_d2):
-    # the sample runs in the basis's work arena; the public operations are
-    # the reference, bit for bit (energy and rho are the coefficient sums,
-    # exact in theory only, so they match the quadrature to rounding)
-    from plsf.constitutive import I_p
-    from plsf.fields import gradient, hessian_samples
 
+
+def _sampled_state(dim, M, dealias, N):
     grid = TorusGrid(dim, M, 2 * np.pi, dealias_factor=dealias)
     basis = make_basis(grid, N or basis_capacity(grid))
     c = np.random.default_rng(11).standard_normal(basis.size) * 0.5
-    state = GalerkinState(basis, c, 0.0)
+    return GalerkinState(basis, c, 0.0)
+
+
+@pytest.mark.parametrize("record_d2", [False, True], ids=["no-d2", "d2"])
+@pytest.mark.parametrize("mu", [1.0, 0.0], ids=["mu1", "mu0"])
+@FUNCTIONAL_CASES
+def test_functionals_match_public_operations(dim, M, dealias, N, mu, record_d2):
+    # the sample runs in the basis's work arena on trace-free channels; the
+    # public operations transform every channel, so the two agree to
+    # rounding, and the Hessian, which has no trace-free channel, bit for
+    # bit (energy and rho are the coefficient sums, exact in theory only,
+    # so they match the quadrature to rounding)
+    from plsf.constitutive import I_p
+    from plsf.fields import gradient, hessian_samples
+
+    state = _sampled_state(dim, M, dealias, N)
     params = FluidParams(1.9, mu)
     vals = state_functionals(state, params, record_d2=record_d2)
     v = state.velocity()
     assert vals["energy"] == pytest.approx(lp_norm(v, 2) ** 2, rel=1e-10)
     assert vals["rho"] == pytest.approx(lp_norm(gradient(v), 2) ** 2, rel=1e-10)
-    assert vals["rho_tilde"] == rho_tilde(v, params)
-    assert vals["grad_p_norm"] == lp_norm(gradient(v), 1.9)
+    assert vals["rho_tilde"] == pytest.approx(rho_tilde(v, params), rel=1e-14)
+    assert vals["grad_p_norm"] == pytest.approx(lp_norm(gradient(v), 1.9), rel=1e-14)
     if mu > 0:
-        assert vals["Ip"] == I_p(v, params)
+        assert vals["Ip"] == pytest.approx(I_p(v, params), rel=1e-14)
     else:
         assert np.isnan(vals["Ip"])
     if record_d2:
-        assert vals["d2_p_norm"] == lp_norm(hessian_samples(v), 1.9, grid=grid)
+        assert vals["d2_p_norm"] == lp_norm(hessian_samples(v), 1.9, grid=state.basis.grid)
     else:
         assert "d2_p_norm" not in vals
+
+
+@pytest.mark.parametrize("mu", [1.0, 0.0], ids=["mu1", "mu0"])
+@FUNCTIONAL_CASES
+def test_functionals_match_trace_free_oracle(trace_free_oracle, dim, M, dealias, N, mu):
+    # equality, not a tolerance: the kernel keeps the oracle's channels and
+    # sum order, for the sample and for every key of the kernel
+    from plsf.galerkin import _padded_values
+
+    state = _sampled_state(dim, M, dealias, N)
+    params = FluidParams(1.9, mu)
+    vals = state_functionals(state, params, record_d2=True)
+    v = state.velocity()
+    assert vals["rho_tilde"] == trace_free_oracle(v, ("rho_tilde", params))
+    assert vals["grad_p_norm"] == trace_free_oracle(v, ("grad", 1.9))
+    assert vals["d2_p_norm"] == trace_free_oracle(v, ("hess", 1.9))
+    if mu > 0:
+        assert vals["Ip"] == trace_free_oracle(v, ("I_p", params))
+    keys = [("u", 2.0), ("u", 1.5), ("grad", 3.0), ("hess", 2.0), ("shifted", params),
+            ("rho_tilde", params), ("rho_tilde", FluidParams(1.7, 0.5))]
+    keys += [("I_p", FluidParams(1.9, 1e-2))] + ([("I_p", params)] if mu > 0 else [])
+    got = _padded_values(state.basis, v.coeffs, keys)
+    assert got == {key: trace_free_oracle(v, key) for key in keys}
+
+
+@pytest.mark.parametrize("record_d2", [False, True], ids=["no-d2", "d2"])
+@pytest.mark.parametrize(
+    "dim,M,dealias,grad,strain,hess",
+    [(2, 16, 1.5, [2, 1], [2, 2], [3, 3]), (3, 8, 1.0, [3, 3, 2], [3] * 5, [6, 6, 6])],
+    ids=["2d", "3d"],
+)
+def test_sample_transform_channel_budget(monkeypatch, dim, M, dealias, grad, strain, hess,
+                                         record_d2):
+    # one sample: grad v without d_d v_d (7 channels in 2D, 23 in 3D with
+    # d_s D_ij below) a row per call, d_s D_ij for the pairs i <= j but
+    # (d, d) a pair per call, and the Hessian's j <= k triangle a component
+    # per call
+    seen, transform = [], TorusGrid.to_physical
+
+    def counted(self, data, *args, **kw):
+        seen.append(math.prod(data.shape[: data.ndim - self.dim]))
+        return transform(self, data, *args, **kw)
+
+    basis = _full_basis(dim, M, dealias)
+    c = np.random.default_rng(4).standard_normal(basis.size)
+    monkeypatch.setattr(TorusGrid, "to_physical", counted)
+    state_functionals(GalerkinState(basis, c, 0.0), FluidParams(1.9, 1.0), record_d2=record_d2)
+    assert seen == grad + strain + (hess if record_d2 else [])
+    assert sum(grad + strain) == {2: 7, 3: 23}[dim]
+
+
+@pytest.mark.parametrize("M", [16, 32])
+def test_functionals_layout_no_larger_than_the_rhs(M):
+    # in 3D the RHS's layout sets the arena's size
+    from plsf.galerkin import _Arena
+
+    layouts = _Arena(_full_basis(3, M, 1.5))._layouts
+    assert layouts["functionals"][0] <= layouts["rhs"][0]
 
 
 def _full_basis(dim, M, dealias):

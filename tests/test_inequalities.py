@@ -372,9 +372,15 @@ def oracle_value(u, key, basis):
     return float(np.dot(basis.eigenvalues * c, cdot))
 
 
+# the keys read from the trace-free channels of the padded-grid kernel
+TRACE_FREE = ("grad", "shifted", "rho_tilde", "I_p")
+
+
 @pytest.mark.parametrize("name", ["ens2d", "ens3d", "ens3d_unpadded"])
 def test_table_matches_per_suite_oracle(request, name):
-    # equality, not a tolerance: the walk must keep the loops' summation order
+    # equality, not a tolerance, where the walk transforms what the loops
+    # transformed and must keep their summation order; the trace-free keys
+    # agree to rounding (their exact oracle is the next test's)
     samples = request.getfixturevalue(name).samples
     keys = every_key(1.9, 0.5) + [("rho_tilde", FluidParams(1.9, 0.5))]
     rows = field_table(samples, keys)
@@ -387,8 +393,21 @@ def test_table_matches_per_suite_oracle(request, name):
             expected = oracle_value(fresh, key, basis)
             if key[0] == "proj_cumsum":
                 assert np.array_equal(row[key], expected), key
+            elif key[0] in TRACE_FREE:
+                assert row[key] == pytest.approx(expected, rel=1e-14), key
             else:
                 assert row[key] == expected, key
+
+
+@pytest.mark.parametrize("name", ["ens2d", "ens3d", "ens3d_unpadded"])
+def test_table_matches_trace_free_oracle(request, trace_free_oracle, name):
+    samples = request.getfixturevalue(name).samples
+    keys = [key for key in every_key(1.9, 0.5) + [("rho_tilde", FluidParams(1.9, 0.5))]
+            if key[0] not in ("proj_cumsum", "drho_half")]
+    rows = field_table(samples, keys)
+    for u, row in zip(samples, rows):
+        fresh = SpectralVelocity(u.grid, u.coeffs, validate=False)
+        assert row == {key: trace_free_oracle(fresh, key) for key in keys}
 
 
 def test_table_leaves_no_derivative_cache_on_the_fields():
@@ -400,8 +419,9 @@ def test_table_leaves_no_derivative_cache_on_the_fields():
 
 
 def test_table_transforms_each_field_once(monkeypatch):
-    # 2D dealiased, per field: v 2, grad v 4, grad D 6 (3 pairs), the
-    # Hessian's upper triangle 6 and the RHS 4, whatever the number of keys
+    # 2D dealiased, per field: v 2, grad v 3 (no d_2 v_2), grad D 4 (the
+    # pairs but (2, 2)), the Hessian's upper triangle 6 and the RHS 4,
+    # whatever the number of keys
     import plsf.inequalities as ineq_mod
 
     channels, basis_calls = [], []
@@ -420,7 +440,7 @@ def test_table_transforms_each_field_once(monkeypatch):
     monkeypatch.setattr(TorusGrid, "to_physical", counted)
     monkeypatch.setattr(ineq_mod, "full_basis", full)
     field_table(ens.samples, keys)
-    assert sum(channels) == 22 * 5
+    assert sum(channels) == 19 * 5
     assert len(basis_calls) == 1
 
 
@@ -436,8 +456,8 @@ def test_table_forms_only_what_its_keys_read(monkeypatch):
     monkeypatch.setattr(TorusGrid, "to_physical", counted)
     for keys, per_field in (
         ([("u", 2.0)], 3),
-        ([("grad", 3.0), ("grad", 5.7)], 9),
-        ([("shifted", FluidParams(1.9, 1.0))], 9),  # |Du|^2 from grad v
+        ([("grad", 3.0), ("grad", 5.7)], 8),  # d_3 u_3 = -d_1 u_1 - d_2 u_2
+        ([("shifted", FluidParams(1.9, 1.0))], 8),  # |Du|^2 from grad u
         ([("hess", 1.9)], 18),
         ([("proj_cumsum", None)], 0),
     ):
@@ -484,11 +504,14 @@ def test_table_rejects_I_p_without_mu(ens2d):
         field_table(ens2d.samples, [("grad", 2.0), ("I_p", FluidParams(1.9, 0.0))])
 
 
-def test_table_takes_one_rho_tilde_law(ens2d):
-    # rho_tilde's products overwrite Du, which a second law would read
-    keys = [("rho_tilde", FluidParams(1.9, 1.0)), ("rho_tilde", FluidParams(1.9, 0.0))]
-    with pytest.raises(ValueError, match="rho_tilde"):
-        field_table(ens2d.samples[:1], keys)
+def test_table_takes_two_rho_tilde_laws(ens2d):
+    # rho_tilde reads |Du|^2 and leaves Du as it was, so each law in one
+    # call gets its value from a call of its own
+    laws = [FluidParams(1.9, 1.0), FluidParams(1.9, 0.0), FluidParams(1.7, 0.5)]
+    both = field_table(ens2d.samples[:3], [("rho_tilde", law) for law in laws])
+    for law in laws:
+        alone = field_table(ens2d.samples[:3], [("rho_tilde", law)])
+        assert [row["rho_tilde", law] for row in both] == [row["rho_tilde", law] for row in alone]
 
 
 def test_nan_mu_rejected_before_any_check(ens2d):
