@@ -154,6 +154,9 @@ def _load_manifest(path: str):
         else:
             first[N] = k
         members.append((N, name))
+    if len(entries) < 2:
+        # the gap extrapolates over resolutions
+        problems.append(f"manifest {path} needs at least 2 trajectories, got {len(entries)}")
     if problems:
         raise ConfigError(problems)
     records = []

@@ -95,7 +95,7 @@ _SETTINGS = (
     _Setting("grid", "dealias", "dealias", _FLOAT, lambda v: v >= 1, "dealias >= 1"),
     _Setting("fluid", "p", "p", _FLOAT, lambda v: 1.0 < v <= 2.0, "p in (1, 2]"),
     _Setting("fluid", "mu", "mu", _FLOAT, lambda v: v >= 0, "mu >= 0"),
-    _Setting("galerkin", "N", "N", _INT, lambda v: v >= 0, "N >= 0"),
+    _Setting("galerkin", "N", "N", _INT, lambda v: v >= 1, "N >= 1"),
     _Setting("galerkin", "lambda_cut", "lambda_cut", _FLOAT, lambda v: v > 0,
              "lambda_cut > 0"),
     _Setting("galerkin", "record_d2", "record_d2", _BOOL),
@@ -112,7 +112,8 @@ _SETTINGS = (
     _Setting("init", "path", "path", _STR),
     _Setting("output", "directory", "output_dir", _STR),
     _Setting("output", "formats", "output_formats", _STR_LIST),
-    _Setting("study", "N_list", "study_N_list", _INT_LIST),
+    _Setting("study", "N_list", "study_N_list", _INT_LIST, lambda v: all(n >= 1 for n in v),
+             "every N >= 1"),
     _Setting("study", "q_list", "study_q_list", _FLOAT_LIST),
     _Setting("study", "state_dt", "study_state_dt", _FLOAT, lambda v: v > 0,
              "state_dt > 0"),

@@ -40,7 +40,6 @@ import math
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -91,35 +90,16 @@ def project_initial_data(v0: SpectralVelocity, basis: StokesBasis) -> GalerkinSt
 
 # -- work arena --------------------------------------------------------------
 
-_ALIGN = 64  # bytes between the starts of two arena views
-
-
-def _layout(specs) -> tuple[int, list]:
-    """Byte offsets of (name, shape, dtype) views laid out one after another."""
-    placed, offset = [], 0
-    for name, shape, dtype in specs:
-        nbytes = math.prod(shape) * np.dtype(dtype).itemsize
-        placed.append((name, shape, dtype, offset, nbytes))
-        offset += -(-nbytes // _ALIGN) * _ALIGN
-    return offset, placed
-
-
-def _carve(buf: np.ndarray, placed) -> SimpleNamespace:
-    return SimpleNamespace(**{
-        name: buf[offset : offset + nbytes].view(dtype).reshape(shape)
-        for name, shape, dtype, offset, nbytes in placed
-    })
-
 
 class _Arena:
     """Work buffers of the two padded-grid kernels on one basis:
     `_rhs_parts`, and `_padded_values`, which serves `state_functionals`
     and the rows of `plsf.inequalities.field_table`.
 
-    The two are never live together, so their buffers (`views("rhs")` and
-    `views("functionals")`) are layouts of one byte buffer, sized for the
-    larger of the kernels called so far.  Every call writes a buffer
-    before it reads it.  The constants beside them are computed once.
+    The two are never live together, so they share one set of named
+    buffers, each allocated once and sized for the larger of the two
+    kernels' needs.  Every call writes a buffer before it reads it.  The
+    constants beside them are computed once.
     """
 
     def __init__(self, basis: StokesBasis):
@@ -152,49 +132,30 @@ class _Arena:
         n_rot = len(self.rot_pairs)
         skew = d if n_rot else 0
         self.n_in = d + n_rot + n_ind  # v, the rotation and D go in
+        self.n_rhs = self.n_in + skew  # and v . grad v comes out after T
         n_fwd = n_ind + skew  # T, then v . grad v
         # div_i = sum_j ik_j T_ij over T's channels: T_dd = 0 leaves the
         # last row one term short
         self.flux_rows = [row[: d - 1] if i == d - 1 else row for i, row in enumerate(pos)]
+        # One buffer per role, sized for both kernels.  phys: the RHS's
+        # padded channels, or the functionals' grad v, d_s D_ij for up to d
+        # pairs or one component's Hessian (npair <= d*d channels).  spec:
+        # the RHS's inputs and one scratch channel, or a sampled state's
+        # coefficients and the functionals' inputs.  dd: D_dd (RHS) or |Dv|^2
+        # (functionals).  mag: |D|^2 and then the stress factor (RHS), or a
+        # magnitude or sum of squares (functionals).
         grid, spec, modes = g.padded_shape, g.shape, (len(basis.modes),)
-        f8, c16 = np.float64, np.complex128
-        rhs = [
-            ("phys", (self.n_in + skew,) + grid, f8),
-            ("dd", grid, f8), ("fac", grid, f8), ("tmp", grid, f8),
-            ("mask", grid, np.bool_),
-            ("spec", (self.n_in + 1,) + spec, c16),
-            ("work", (max(g.work_size(self.n_in, False), g.work_size(n_fwd, True)),), c16),
-            ("gath", (n_fwd,) + modes, c16),
-            ("tensor_row", (d,) + modes, c16), ("div", (d,) + modes, c16),
-        ]
-        # functionals: the padded grids of grad v, of d_s D_ij for up to d
-        # pairs or of one component's Hessian (npair <= d*d channels),
-        # transformed a row, pair or component at a time; |Dv|^2, kept while
-        # the others are formed; a magnitude or sum of squares; and the
-        # coefficients of a sampled state in the first d spectral channels
-        functionals = [
-            ("phys", (d * d,) + grid, f8),
-            ("mag", grid, f8), ("dd", grid, f8), ("tmp", grid, f8),
-            ("mask", grid, np.bool_),
-            ("spec", (d + max(d + 2, npair),) + spec, c16),
-            ("work", (g.work_size(max(d, npair), False),), c16),
-        ]
-        self._layouts = {"rhs": _layout(rhs), "functionals": _layout(functionals)}
-        self._buf = np.empty(0, dtype=np.uint8)
-        self._views = {}
-
-    def views(self, kernel: str) -> SimpleNamespace:
-        """The buffers of `kernel`: "rhs" or "functionals"."""
-        views = self._views.get(kernel)
-        if views is None:
-            size, placed = self._layouts[kernel]
-            if size > self._buf.nbytes:
-                # drop the smaller buffer before allocating its successor
-                self._views.clear()
-                self._buf = None
-                self._buf = np.empty(size, dtype=np.uint8)
-            views = self._views[kernel] = _carve(self._buf, placed)
-        return views
+        self.phys = np.empty((max(self.n_rhs, d * d),) + grid)
+        self.dd = np.empty(grid)
+        self.mag = np.empty(grid)
+        self.tmp = np.empty(grid)
+        self.mask = np.empty(grid, dtype=np.bool_)
+        self.spec = np.empty((max(self.n_in + 1, d + max(d + 2, npair)),) + spec, np.complex128)
+        self.work = np.empty(max(g.work_size(self.n_in, False), g.work_size(n_fwd, True),
+                                 g.work_size(max(d, npair), False)), np.complex128)
+        self.gath = np.empty((n_fwd,) + modes, np.complex128)
+        self.tensor_row = np.empty((d,) + modes, np.complex128)
+        self.div = np.empty((d,) + modes, np.complex128)
 
     @cached_property
     def kk(self) -> np.ndarray:
@@ -233,11 +194,10 @@ def _padded_values(basis: StokesBasis, vhat: np.ndarray, keys) -> dict:
     if any(params.mu <= 0 for params in args.get("I_p", ())):
         raise ValueError("I_p is only defined for mu > 0 (integrand singular at Dv = 0)")
     arena = _arena(basis)
-    a = arena.views("functionals")
     g = basis.grid
     d, pos = g.dim, arena.pos
-    phys, mag, tmp = a.phys, a.mag, a.tmp
-    scratch, work = a.spec[d:], a.work
+    phys, mag, tmp = arena.phys, arena.mag, arena.tmp
+    scratch, work = arena.spec[d:], arena.work
     values = {}
 
     def reduce(name, magnitude):
@@ -274,13 +234,13 @@ def _padded_values(basis: StokesBasis, vhat: np.ndarray, keys) -> dict:
                 Dij = np.add(G[d * i + j], G[d * j + i], out=G[d * i + j])
                 np.multiply(0.5, Dij, out=Dij)
                 G[d * j + i] = Dij
-        dd = _sum_of_squares(G, a.dd, tmp)
+        dd = _sum_of_squares(G, arena.dd, tmp)
         for params in args.get("shifted", ()):
             root = np.sqrt(np.add(params.mu, dd, out=tmp), out=tmp)
             values["shifted", params] = _norm_of_magnitude(root, params.p, g)
         for params in args.get("rho_tilde", ()):
             # sigma : D = (mu + |D|^2)^((p-2)/2) |D|^2
-            fac = law._stress_factor(dd, params, out=tmp, mask=a.mask)
+            fac = law._stress_factor(dd, params, out=tmp, mask=arena.mask)
             values["rho_tilde", params] = float(
                 np.sum(np.multiply(fac, dd, out=fac)) * g.quad_weight)
     if "I_p" in args:
@@ -333,13 +293,12 @@ def _rhs_parts(basis: StokesBasis, params: FluidParams, c: np.ndarray) -> np.nda
     vector is new.
     """
     arena = _arena(basis)
-    a = arena.views("rhs")
     g = basis.grid
     d = g.dim
     ik = arena.ik
     n_rot = len(arena.rot_pairs)
     n_ind = len(arena.strain_pairs)
-    spec = a.spec
+    spec = arena.spec
     vhat = basis.synthesize_coeffs(c, out=spec[:d])
     # ghat[i, j] = d_j v_i; the rotation and D from its two triangles
     tmp = spec[arena.n_in]
@@ -348,29 +307,29 @@ def _rhs_parts(basis: StokesBasis, params: FluidParams, c: np.ndarray) -> np.nda
         np.multiply(ik[i], vhat[j], out=tmp)
         (np.subtract if k < n_rot else np.add)(half, tmp, out=half)
         np.multiply(0.5, half, out=half)
-    phys = a.phys
-    g.to_physical(spec[: arena.n_in], out=phys[: arena.n_in], work=a.work)
+    phys = arena.phys
+    g.to_physical(spec[: arena.n_in], out=phys[: arena.n_in], work=arena.work)
     V = phys[:d]
-    D, D_dd = phys[d + n_rot : arena.n_in], a.dd  # D's upper triangle but D_dd
+    D, D_dd = phys[d + n_rot : arena.n_in], arena.dd  # D's upper triangle but D_dd
     np.negative(np.sum(D[arena.diag], axis=0, out=D_dd), out=D_dd)
     # |D|^2, the off-diagonal pairs counted twice
-    dd_sq = np.einsum("k...,k...,k->...", D, D, arena.w_off, out=a.fac)
-    dd_sq += np.square(D_dd, out=a.tmp)
-    fac = law._stress_factor(dd_sq, params, out=dd_sq, mask=a.mask)
+    dd_sq = np.einsum("k...,k...,k->...", D, D, arena.w_off, out=arena.mag)
+    dd_sq += np.square(D_dd, out=arena.tmp)
+    fac = law._stress_factor(dd_sq, params, out=dd_sq, mask=arena.mask)
     if n_rot:
         # v (x) v aliases into the band, so the divergence form alone is not
         # energy-neutral; it is averaged with the advective form v . grad v,
         # whose discrete trilinear form cancels it exactly:
         # (v . grad v)_i = sum_j v_j (D_ij + R_ij), R antisymmetric
         strain = [*D, D_dd]  # the pairs in the order arena.pos indexes
-        w1 = phys[arena.n_in :]
+        w1 = phys[arena.n_in : arena.n_rhs]
         for i, row in enumerate(arena.pos):
             np.multiply(V[0], strain[row[0]], out=w1[i])
             for j in range(1, d):
-                w1[i] += np.multiply(V[j], strain[row[j]], out=a.tmp)
+                w1[i] += np.multiply(V[j], strain[row[j]], out=arena.tmp)
         for R, (i, j) in zip(phys[d : d + n_rot], arena.rot_pairs):
-            w1[i] += np.multiply(V[j], R, out=a.tmp)
-            w1[j] -= np.multiply(V[i], R, out=a.tmp)
+            w1[i] += np.multiply(V[j], R, out=arena.tmp)
+            w1[j] -= np.multiply(V[i], R, out=arena.tmp)
 
     # T over D's channels: sigma_ij - s v_i v_j, minus T_dd on the diagonal
     D[arena.diag] -= D_dd
@@ -378,15 +337,16 @@ def _rhs_parts(basis: StokesBasis, params: FluidParams, c: np.ndarray) -> np.nda
     t_dd = np.multiply(s, np.square(V[d - 1], out=D_dd), out=D_dd)
     for T, (i, j) in zip(D, arena.strain_pairs):
         np.multiply(fac, T, out=T)
-        T -= np.multiply(s, np.multiply(V[i], V[j], out=a.tmp), out=a.tmp)
+        T -= np.multiply(s, np.multiply(V[i], V[j], out=arena.tmp), out=arena.tmp)
         if i == j:
             T += t_dd
     # T, with v . grad v after it, transformed at the basis wavevectors alone
-    S = g.to_spectral(phys[d + n_rot :], arena.index, out=a.gath, work=a.work)
-    div = a.div
+    S = g.to_spectral(phys[d + n_rot : arena.n_rhs], arena.index, out=arena.gath,
+                      work=arena.work)
+    div = arena.div
     for i, entries in enumerate(arena.flux_rows):
         n = len(entries)
-        row = np.take(S, entries, axis=0, out=a.tensor_row[:n], mode="clip")
+        row = np.take(S, entries, axis=0, out=arena.tensor_row[:n], mode="clip")
         np.einsum("j...,j...->...", arena.ikm[:n], row, out=div[i])
     if n_rot:
         div -= np.multiply(0.5, S[n_ind:], out=S[n_ind:])
@@ -413,7 +373,7 @@ def state_functionals(state: GalerkinState, params: FluidParams, record_d2: bool
         keys.append(("I_p", params))
     if record_d2:
         keys.append(("hess", params.p))
-    spec = _arena(basis).views("functionals").spec
+    spec = _arena(basis).spec
     values = _padded_values(basis, basis.synthesize_coeffs(c, out=spec[: basis.grid.dim]), keys)
     out = {
         "energy": float(np.dot(c, c)),
@@ -613,10 +573,20 @@ class SolverConfig:
         return FluidParams(self.p, self.mu)
 
     def resolve_N(self, grid: TorusGrid) -> int:
+        """The basis size: N, the modes with eigenvalue <= lambda_cut, or
+        the grid's capacity.  An empty Galerkin system is a ValueError."""
         if self.N is not None:
+            if self.N < 1:
+                raise ValueError(f"N = {self.N} selects no mode; need N >= 1")
             return self.N
         if self.lambda_cut is not None:
-            return count_modes_below(grid, self.lambda_cut)
+            N = count_modes_below(grid, self.lambda_cut)
+            if N == 0:
+                raise ValueError(
+                    f"lambda_cut = {self.lambda_cut!r} selects no mode: the lowest "
+                    f"eigenvalue is (2 pi / L)^2 = {(2.0 * np.pi / grid.L) ** 2!r}"
+                )
+            return N
         return basis_capacity(grid)
 
     def build_initial(self, grid: TorusGrid) -> SpectralVelocity:

@@ -111,6 +111,18 @@ def test_q_list_must_stay_below_p():
     assert "q in [1, p)" in str(exc.value)
 
 
+@pytest.mark.parametrize("text, rule", [
+    ("[galerkin]\nN = 0\n", "N >= 1"),
+    ("[galerkin]\nN = -2\n", "N >= 1"),
+    ("[study]\nN_list = 0,4,8\n", "every N >= 1"),
+    ("[study]\nN_list = -4,4,8\n", "every N >= 1"),
+], ids=["N-0", "N-negative", "N_list-0", "N_list-negative"])
+def test_empty_galerkin_system_rejected(text, rule):
+    with pytest.raises(ConfigError) as exc:
+        parse_config(text)
+    assert any(v.endswith(f"violates {rule}") for v in exc.value.violations)
+
+
 def test_study_n_list_length():
     with pytest.raises(ConfigError) as exc:
         parse_config("[study]\nN_list = 4,8\n")
@@ -336,6 +348,21 @@ def test_cli_run_bad_config_exit_2(tmp_path):
 def test_cli_run_overlarge_N_exit_2(tmp_path):
     cfg_path = write_config(tmp_path, "[grid]\nM = 16\n\n[galerkin]\nN = 100000\n")
     assert main(["run", str(cfg_path), "--out", str(tmp_path / "x")]) == 2
+
+
+@pytest.mark.parametrize("galerkin, named", [
+    ("N = 0", "[galerkin] N = 0 violates N >= 1"),
+    ("lambda_cut = 0.5", "the lowest eigenvalue is (2 pi / L)^2 = 1.0"),
+], ids=["N-0", "lambda_cut-below-first-eigenvalue"])
+def test_cli_run_empty_galerkin_system_exit_2(tmp_path, capsys, galerkin, named):
+    # a usage error, not a stiffness failure (exit 3) in the integrator
+    cfg_path = write_config(tmp_path, f"[grid]\nM = 8\n\n[galerkin]\n{galerkin}\n\n"
+                                      f"[time]\nT = 0.1\n")
+    assert main(["run", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert named in err
+    assert "too stiff" not in err
+    assert not (tmp_path / "o" / "trajectory.csv").exists()
 
 
 def test_cli_run_stiffness_exit_3(tmp_path):
@@ -636,7 +663,8 @@ def test_cli_gap_bad_window_exit_2(tmp_path):
 
 
 def test_cli_gap_missing_file_no_partial_report(tmp_path):
-    manifest = {"p": 1.9, "trajectories": [{"N": 4, "path": "missing.csv"}]}
+    manifest = {"p": 1.9, "trajectories": [{"N": 4, "path": "missing.csv"},
+                                           {"N": 8, "path": "missing_too.csv"}]}
     mpath = tmp_path / "manifest.json"
     mpath.write_text(json.dumps(manifest))
     out = tmp_path / "gap.json"
@@ -747,7 +775,10 @@ def test_cli_gap_report_states_its_dimension(family_manifest):
      "trajectory 1 repeats N = 4 of trajectory 0"),
     ([{"N": 4, "path": "a.csv"}, 5], "'trajectories' must be a list of objects"),
     ([{"N": 4, "path": 5}], "trajectory 0: 'path' must be a string"),
-], ids=["missing-N", "duplicate-N", "not-an-object", "path-not-a-string"])
+    ([], "needs at least 2 trajectories, got 0"),
+    ([{"N": 4, "path": "a.csv"}], "needs at least 2 trajectories, got 1"),
+], ids=["missing-N", "duplicate-N", "not-an-object", "path-not-a-string", "no-trajectory",
+        "one-trajectory"])
 def test_cli_gap_rejects_bad_manifest_entries(tmp_path, capsys, entries, named):
     # checked before any trajectory is read: the files need not exist
     mpath = tmp_path / "manifest.json"
@@ -823,6 +854,14 @@ def test_cli_converge_state_times_one_ulp_below_T(tmp_path):
 def test_cli_converge_without_study_exit_2(tmp_path):
     cfg_path = write_config(tmp_path, MINIMAL)
     assert main(["converge", str(cfg_path)]) == 2
+
+
+def test_cli_converge_N_list_holding_0_exit_2(tmp_path, capsys):
+    cfg_path = write_config(tmp_path, MINIMAL + "\n[study]\nN_list = 0,4,8\n")
+    out = tmp_path / "conv.json"
+    assert main(["converge", str(cfg_path), "--out", str(out)]) == 2
+    assert "[study] N_list = (0, 4, 8) violates every N >= 1" in capsys.readouterr().err
+    assert not out.exists()
 
 
 RESOLVED_CFG = """

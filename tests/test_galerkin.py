@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -583,13 +584,20 @@ def test_sample_transform_channel_budget(monkeypatch, dim, M, dealias, grad, str
     assert sum(grad + strain) == {2: 7, 3: 23}[dim]
 
 
+# the bytes the RHS's buffers alone take at 3D M^3, full band, dealias 1.5
+RHS_ONLY_BYTES = {16: 2_716_224, 32: 21_901_504}
+
+
 @pytest.mark.parametrize("M", [16, 32])
-def test_functionals_layout_no_larger_than_the_rhs(M):
-    # in 3D the RHS's layout sets the arena's size
+def test_arena_within_the_rhs_budget_plus_one_padded_grid(M):
+    # one set of buffers serves both kernels: in 3D the functionals' d*d
+    # gradient grids cost at most one padded channel over the RHS's own
     from plsf.galerkin import _Arena
 
-    layouts = _Arena(_full_basis(3, M, 1.5))._layouts
-    assert layouts["functionals"][0] <= layouts["rhs"][0]
+    arena = _Arena(_full_basis(3, M, 1.5))
+    names = ("phys", "dd", "mag", "tmp", "mask", "spec", "work", "gath", "tensor_row", "div")
+    total = sum(getattr(arena, name).nbytes for name in names)
+    assert total <= RHS_ONLY_BYTES[M] + arena.grid.padded_M ** 3 * 8
 
 
 def _full_basis(dim, M, dealias):
@@ -608,7 +616,9 @@ def test_arena_calls_match_cold_calls():
     params = FluidParams(1.9, 1.0)
     keys = [("u", 2.0), ("grad", 1.9), ("shifted", params), ("rho_tilde", params),
             ("I_p", params), ("hess", 1.9), ("drho_half", params), ("proj_cumsum", None)]
-    kinds = [(2, 16, 1.5), (3, 8, 1.0)]  # dealiased, and the skew path
+    # dealiased, the skew path, and 3D dealiased, where phys is longer than
+    # the RHS's channels
+    kinds = [(2, 16, 1.5), (3, 8, 1.0), (3, 8, 1.5)]
     warm = {kind: _full_basis(*kind) for kind in kinds}
     rng = np.random.default_rng(21)
     coeffs = {kind: [rng.standard_normal(warm[kind].size) for _ in range(2)]
@@ -670,6 +680,20 @@ def test_lambda_cut_truncation():
     cfg = small_config(N=None, lambda_cut=2.0)
     rec = run_trajectory(cfg)
     assert rec.N == 8  # lambda <= 2 holds the first two shells
+
+
+@pytest.mark.parametrize("kw, named", [
+    (dict(N=0), "N = 0 selects no mode"),
+    (dict(N=None, lambda_cut=0.5), "lowest eigenvalue is (2 pi / L)^2 = 1.0"),
+    (dict(N=None, lambda_cut=0.5, L=np.pi), "lowest eigenvalue is (2 pi / L)^2 = 4.0"),
+], ids=["N-0", "lambda_cut-2pi", "lambda_cut-pi"])
+def test_empty_galerkin_system_is_a_value_error(kw, named):
+    # an empty system must not reach the integrator, where it fails as too stiff
+    cfg = small_config(**kw)
+    with pytest.raises(ValueError, match=re.escape(named)):
+        cfg.resolve_N(cfg.build_grid())
+    with pytest.raises(ValueError, match=re.escape(named)):
+        run_trajectory(cfg)
 
 
 def test_galerkin_nesting(grid2d):
