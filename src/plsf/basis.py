@@ -141,6 +141,38 @@ class StokesBasis:
         Written into `out` ((dim,) + shape complex128, C-contiguous) when
         it is given; a fresh array otherwise.
         """
+        return _with_mirrors(self.grid, self._mode_values(c), self._pos, self._mirror, out=out)
+
+    @cached_property
+    def kept(self) -> tuple[np.ndarray, np.ndarray, int]:
+        """The basis's kept positions in the padded half-spectrum that
+        `TorusGrid.to_physical` transforms: `grid.kept_index(self.modes)`."""
+        return self.grid.kept_index(self.modes)
+
+    def kept_coeffs(self, c: np.ndarray, out=None) -> np.ndarray:
+        """synthesize_coeffs(c) at the kept wavevectors alone, bit for bit:
+        shape (dim, len(kept[0])), entry e at the wavevector of kept entry
+        e.  Written into `out` (C-contiguous) when it is given.
+
+        The arithmetic is _with_mirrors': v + complex(0.0, -0.0) at a mode,
+        and conj of that plus 0.0 at its mirror.
+        """
+        vals = self._mode_values(c)
+        _, rows, split = self.kept
+        if out is None:
+            out = np.empty((self.grid.dim, len(rows)), dtype=np.complex128)
+        for channel, v in zip(out, vals):
+            # mode="clip" (every index is in range) lets take write straight into out
+            np.take(v, rows, out=channel, mode="clip")
+        out += complex(0.0, -0.0)
+        mirrored = out[:, split:]
+        np.conjugate(mirrored, out=mirrored)
+        mirrored += 0.0
+        return out
+
+    def _mode_values(self, c: np.ndarray) -> np.ndarray:
+        """The coefficient of sum_r c_r a^r at each basis wavevector,
+        shape (dim, modes), in the basis's scratch."""
         c = np.asarray(c, dtype=np.float64)
         if c.shape != (self.size,):
             raise ValueError(f"coefficient vector must have length {self.size}")
@@ -156,7 +188,7 @@ class StokesBasis:
             for part, trig, factor in ((vals.real, 0, inv), (vals.imag, 1, -inv)):
                 coef = np.multiply(w.table[:, p, trig], factor, out=w.line)
                 part += np.multiply(coef, self._directions[p], out=w.prod)
-        return _with_mirrors(self.grid, vals, self._pos, self._mirror, out=out)
+        return vals
 
     def synthesize(self, c: np.ndarray, validate: bool = False) -> SpectralVelocity:
         return SpectralVelocity(self.grid, self.synthesize_coeffs(c), validate=validate)

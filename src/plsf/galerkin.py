@@ -52,9 +52,7 @@ from .errors import GridMismatchError, StiffnessError
 from .fields import (  # noqa: F401
     SpectralVelocity,
     _magnitude,
-    _multiply_channels,
     _norm_of_magnitude,
-    _strain_pair_gradient,
     _sum_of_squares,
     gradient,
     load_checkpoint,
@@ -100,6 +98,12 @@ class _Arena:
     buffers, each allocated once and sized for the larger of the two
     kernels' needs.  Every call writes a buffer before it reads it.  The
     constants beside them are computed once.
+
+    No full (M,)^d spectrum is formed.  A kernel's transform inputs are
+    formed at the basis's kept positions (`StokesBasis.kept`: the band
+    modes with last index >= 0 that the basis reaches) and scattered
+    straight into the kept padded half-spectrum that `TorusGrid.to_physical`
+    transforms, which lives in `work`.
     """
 
     def __init__(self, basis: StokesBasis):
@@ -119,11 +123,16 @@ class _Arena:
         ]
         self.diag = slice(diag[0], diag[-1] + 1, max(1, diag[-1] - diag[0]))
         self.w_off = 1.0 + off  # off-diagonal pairs count twice in |D|^2
-        self.ik = 1j * g.wavevectors
+        # where the kept coefficients are scattered, their wavevectors, and
+        # 1j * k there (the arithmetic of 1j * g.wavevectors)
+        self.kept = basis.kept
+        self.dst = self.kept[0]
+        self.modes = basis.modes
+        self.kept_ik = 1j * _wavevectors(g, self.kept_modes())
         # where the forward transforms read the basis wavevectors, and
-        # 1j * k there (the arithmetic of g.wavevectors)
+        # 1j * k there
         self.index = g.band_index(basis.modes)
-        self.ikm = 1j * ((2.0 * np.pi / g.L) * basis.modes.T.astype(np.float64, order="C"))
+        self.ikm = 1j * _wavevectors(g, basis.modes)
 
         # RHS padded channels: v, the rotation's strict upper triangle (off
         # a dealiased grid only) and D's upper triangle without D_dd go in;
@@ -139,18 +148,21 @@ class _Arena:
         self.flux_rows = [row[: d - 1] if i == d - 1 else row for i, row in enumerate(pos)]
         # One buffer per role, sized for both kernels.  phys: the RHS's
         # padded channels, or the functionals' grad v, d_s D_ij for up to d
-        # pairs or one component's Hessian (npair <= d*d channels).  spec:
-        # the RHS's inputs and one scratch channel, or a sampled state's
-        # coefficients and the functionals' inputs.  dd: D_dd (RHS) or |Dv|^2
-        # (functionals).  mag: |D|^2 and then the stress factor (RHS), or a
-        # magnitude or sum of squares (functionals).
-        grid, spec, modes = g.padded_shape, g.shape, (len(basis.modes),)
+        # pairs or one component's Hessian (npair <= d*d channels).  coef:
+        # the state's coefficients at the kept positions, and row: two
+        # kept-position scratch rows, where each transform input is formed.
+        # work: the kept padded half-spectrum of the largest transform.
+        # dd: D_dd (RHS) or |Dv|^2 (functionals).  mag: |D|^2 and then the
+        # stress factor (RHS), or a magnitude or sum of squares
+        # (functionals).
+        grid, kept, modes = g.padded_shape, (len(self.dst),), (len(basis.modes),)
         self.phys = np.empty((max(self.n_rhs, d * d),) + grid)
         self.dd = np.empty(grid)
         self.mag = np.empty(grid)
         self.tmp = np.empty(grid)
         self.mask = np.empty(grid, dtype=np.bool_)
-        self.spec = np.empty((max(self.n_in + 1, d + max(d + 2, npair)),) + spec, np.complex128)
+        self.coef = np.empty((d,) + kept, np.complex128)
+        self.row = np.empty((2,) + kept, np.complex128)
         self.work = np.empty(max(g.work_size(self.n_in, False), g.work_size(n_fwd, True),
                                  g.work_size(max(d, npair), False)), np.complex128)
         self.gath = np.empty((n_fwd,) + modes, np.complex128)
@@ -158,11 +170,41 @@ class _Arena:
         self.div = np.empty((d,) + modes, np.complex128)
 
     @cached_property
-    def kk(self) -> np.ndarray:
-        """k_j k_k for the pairs j <= k, as complex (the Hessian's factor)."""
-        k = self.grid.wavevectors
+    def kept_kk(self) -> np.ndarray:
+        """k_j k_k at the kept positions for the pairs j <= k, as complex
+        (the Hessian's factor)."""
+        k = _wavevectors(self.grid, self.kept_modes())
         rows, cols = zip(*self.pairs)
         return (k[list(rows)] * k[list(cols)]).astype(np.complex128)
+
+    @cached_property
+    def full_index(self) -> np.ndarray:
+        """Flat index of each kept wavevector in one channel of an (M,)^d
+        spectrum, where `_padded_values` gathers a field's coefficients."""
+        g = self.grid
+        return np.ravel_multi_index(tuple((self.kept_modes() % g.M).T), g.shape)
+
+    def kept_modes(self) -> np.ndarray:
+        """The wavevector of each kept entry, shape (count, d)."""
+        _, rows, split = self.kept
+        modes = self.modes[rows]
+        np.negative(modes[split:], out=modes[split:])
+        return modes
+
+    def inputs(self, channels: int) -> tuple[np.ndarray, np.ndarray]:
+        """`channels` zeroed channels of the kept padded half-spectrum in
+        `work`, for `to_physical`, and the same memory as (channels, -1):
+        scatter a row into channel j as flat[j][self.dst] = row."""
+        shape = (channels,) + self.grid.kept_shape
+        spec = self.work[: math.prod(shape)].reshape(shape)
+        spec.fill(0.0)
+        return spec, spec.reshape(channels, -1)
+
+
+def _wavevectors(g: TorusGrid, modes: np.ndarray) -> np.ndarray:
+    """k = (2*pi/L) * n of the wavevector rows, shape (d, count): the
+    arithmetic of g.wavevectors."""
+    return (2.0 * np.pi / g.L) * modes.T.astype(np.float64, order="C")
 
 
 def _arena(basis: StokesBasis) -> _Arena:
@@ -172,11 +214,16 @@ def _arena(basis: StokesBasis) -> _Arena:
 
 
 def _padded_values(basis: StokesBasis, vhat: np.ndarray, keys) -> dict:
-    """The padded-grid functionals of the field with coefficients `vhat`
-    ((d,) + shape) on the grid of `basis`, by key: ("u", q), ("grad", q)
-    and ("hess", q) for ||v||_q, ||grad v||_q and ||D^2 v||_q; ("shifted",
-    params) for ||(mu + |Dv|^2)^(1/2)||_p; ("rho_tilde", params) and
-    ("I_p", params).
+    """The padded-grid functionals of the field with coefficients `vhat` on
+    the grid of `basis`, by key: ("u", q), ("grad", q) and ("hess", q) for
+    ||v||_q, ||grad v||_q and ||D^2 v||_q; ("shifted", params) for
+    ||(mu + |Dv|^2)^(1/2)||_p; ("rho_tilde", params) and ("I_p", params).
+
+    `vhat` holds the coefficients at the basis's kept positions, (d, kept)
+    as `StokesBasis.kept_coeffs` gives them, or is a (d,) + shape spectrum,
+    which is read at those positions alone: a field on the basis's
+    wavevectors.  Each transform input is formed there and scattered into
+    the kept padded half-spectrum, so no (M,)^d spectrum is built.
 
     The channels are trace-free: div v = 0 and tr D = 0 give d_d v_d and
     d_s D_dd pointwise as minus the sums of the other diagonal entries, so
@@ -184,7 +231,8 @@ def _padded_values(basis: StokesBasis, vhat: np.ndarray, keys) -> dict:
     operations' (lp_norm, hessian_samples) bit for bit; the others equal
     them (gradient, rho_tilde, I_p) within 1e-14 relative, the rounding of
     the trace-free channels.  rho_tilde is the quadrature of
-    (mu + |Dv|^2)^((p-2)/2) |Dv|^2.  Each pointwise magnitude a key reads is
+    (mu + |Dv|^2)^((p-2)/2) |Dv|^2, and an I_p key with the same params
+    reuses its stress factor.  Each pointwise magnitude a key reads is
     formed once, in the basis's arena, and each (quantity, q) key is reduced
     from it through a scratch grid; no (d, d, d)-tensor grid is held.
     """
@@ -193,27 +241,46 @@ def _padded_values(basis: StokesBasis, vhat: np.ndarray, keys) -> dict:
         args.setdefault(name, []).append(arg)
     if any(params.mu <= 0 for params in args.get("I_p", ())):
         raise ValueError("I_p is only defined for mu > 0 (integrand singular at Dv = 0)")
+    if not args:
+        return {}
     arena = _arena(basis)
     g = basis.grid
-    d, pos = g.dim, arena.pos
-    phys, mag, tmp = arena.phys, arena.mag, arena.tmp
-    scratch, work = arena.spec[d:], arena.work
+    d, pos, dst = g.dim, arena.pos, arena.dst
+    phys, mag, tmp, work = arena.phys, arena.mag, arena.tmp, arena.work
+    ik, row, other = arena.kept_ik, arena.row[0], arena.row[1]
+    if vhat.ndim == 2:
+        coef = vhat
+    else:
+        coef = np.take(vhat.reshape(d, -1), arena.full_index, axis=1, out=arena.coef,
+                       mode="clip")
     values = {}
 
     def reduce(name, magnitude):
         for q in args[name]:
             values[name, q] = _norm_of_magnitude(magnitude, q, g, out=tmp)
 
-    def add_squares(channels, weight=1.0):
+    def add_squares(channels, weight=1.0, scratch=tmp):
         # mag += weight * ch**2 for each channel in turn
         for ch in channels:
-            sq = np.square(ch, out=tmp)
+            sq = np.square(ch, out=scratch)
             if weight != 1.0:
                 sq *= weight
             np.add(mag, sq, out=mag)
 
+    def transform(factors, c, out, negate=False):
+        # samples of factors[j] * c, a channel each, into out
+        spec, flat = arena.inputs(len(factors))
+        for channel, factor in zip(flat, factors):
+            np.multiply(factor, c, out=row)
+            if negate:
+                np.negative(row, out=row)
+            channel[dst] = row
+        return g.to_physical(spec, out=out, work=work)
+
     if "u" in args:
-        reduce("u", _magnitude(g.to_physical(vhat, out=phys[:d], work=work), mag, tmp))
+        spec, flat = arena.inputs(d)
+        flat[:, dst] = coef
+        reduce("u", _magnitude(g.to_physical(spec, out=phys[:d], work=work), mag, tmp))
     strain = args.keys() & {"shifted", "rho_tilde", "I_p"}
     if "grad" in args or strain:
         # d_j v_i into channel d*i + j of G (gradient(v) in C order), a row
@@ -222,11 +289,11 @@ def _padded_values(basis: StokesBasis, vhat: np.ndarray, keys) -> dict:
         G = phys[: d * d]
         for i in range(d):
             n = d - 1 if i == d - 1 else d
-            inputs = _multiply_channels(arena.ik[:n], vhat[i], scratch[:n])
-            g.to_physical(inputs, out=G[d * i : d * i + n], work=work)
+            transform(ik[:n], coef[i], G[d * i : d * i + n])
         np.negative(np.sum(G[: d * d - 1 : d + 1], axis=0, out=G[-1]), out=G[-1])
     if "grad" in args:
         reduce("grad", _magnitude(G, mag, tmp))
+    shared = None  # the params whose stress factor tmp keeps for I_p
     if strain:
         # G becomes D = (grad v + grad v^T)/2, and dd |D|^2, summed in C order
         for i in range(d):
@@ -238,27 +305,40 @@ def _padded_values(basis: StokesBasis, vhat: np.ndarray, keys) -> dict:
         for params in args.get("shifted", ()):
             root = np.sqrt(np.add(params.mu, dd, out=tmp), out=tmp)
             values["shifted", params] = _norm_of_magnitude(root, params.p, g)
-        for params in args.get("rho_tilde", ()):
+        rho = args.get("rho_tilde", [])
+        ip = set(args.get("I_p", ()))
+        if len(ip) == 1 and ip <= set(rho):
+            # the I_p factor is the last rho_tilde's, and dd is dead after it
+            (shared,) = ip
+            rho = [params for params in rho if params != shared] + [shared]
+        for params in rho:
             # sigma : D = (mu + |D|^2)^((p-2)/2) |D|^2
             fac = law._stress_factor(dd, params, out=tmp, mask=arena.mask)
-            values["rho_tilde", params] = float(
-                np.sum(np.multiply(fac, dd, out=fac)) * g.quad_weight)
+            prod = np.multiply(fac, dd, out=dd if params == shared else fac)
+            values["rho_tilde", params] = float(np.sum(prod) * g.quad_weight)
     if "I_p" in args:
         # |grad D|^2 into mag, adding (d_s D_ij)^2 over the pairs i <= j in
         # row order and s, the off-diagonal pairs twice.  A pair per
         # transform, but the last, (d, d): d_s D_dd = -sum_i d_s D_ii, so
         # diagonal pair (i, i) keeps slot i until then, and the others
-        # take the last slot.
+        # take the last slot.  The squares go through dd when tmp keeps
+        # the shared stress factor.
+        scratch = tmp if shared is None else arena.dd
         slots = phys[: d * d].reshape((d, d) + g.padded_shape)
         mag.fill(0.0)
         for (i, j), weight in zip(arena.strain_pairs, arena.w_off):
             slot = slots[i if i == j else d - 1]
-            _strain_pair_gradient(g, arena.ik, vhat, i, j, slot, scratch, work=work)
-            add_squares(slot, weight)
+            # d_s D_ij from D_ij = (ik_j c_i + ik_i c_j)/2
+            np.multiply(ik[j], coef[i], out=other)
+            np.add(other, np.multiply(ik[i], coef[j], out=row), out=other)
+            np.multiply(0.5, other, out=other)
+            transform(ik, other, slot)
+            add_squares(slot, weight, scratch)
         last = slots[d - 1]
-        add_squares(np.negative(np.sum(slots[: d - 1], axis=0, out=last), out=last))
+        add_squares(np.negative(np.sum(slots[: d - 1], axis=0, out=last), out=last),
+                    scratch=scratch)
         for params in args["I_p"]:
-            fac = law._stress_factor(dd, params, out=tmp)
+            fac = tmp if params == shared else law._stress_factor(dd, params, out=tmp)
             values["I_p", params] = float(np.sum(np.multiply(fac, mag, out=fac)) * g.quad_weight)
     if "hess" in args:
         # d_j d_k v_i = -(k_j k_k) c_i for the pairs j <= k, a component per
@@ -267,9 +347,7 @@ def _padded_values(basis: StokesBasis, vhat: np.ndarray, keys) -> dict:
         H = phys[: len(arena.pairs)]
         mag.fill(0.0)
         for i in range(d):
-            inputs = _multiply_channels(arena.kk, vhat[i], scratch[: len(H)])
-            np.negative(inputs, out=inputs)
-            g.to_physical(inputs, out=H, work=work)
+            transform(arena.kept_kk, coef[i], H, negate=True)
             add_squares([H[pos[j, k]] for j in range(d) for k in range(d)])
         reduce("hess", np.sqrt(mag, out=mag))
     return values
@@ -288,27 +366,30 @@ def _rhs_parts(basis: StokesBasis, params: FluidParams, c: np.ndarray) -> np.nda
     without T_dd is transformed.  v and the upper triangle of D without D_dd
     go in (tr D = 0 gives D_dd pointwise); off a dealiased grid the strict
     upper triangle of the rotation (grad v)_A goes in too and v . grad v
-    comes out with T.  The divergence is formed at the basis wavevectors
-    alone.  All work happens in the basis's arena; only the returned
-    vector is new.
+    comes out with T.  The inputs are formed at the basis's kept positions
+    and scattered into the padded half-spectrum, and the divergence is
+    formed at the basis wavevectors alone.  All work happens in the
+    basis's arena; only the returned vector is new.
     """
     arena = _arena(basis)
     g = basis.grid
-    d = g.dim
-    ik = arena.ik
+    d, dst = g.dim, arena.dst
+    ik = arena.kept_ik
     n_rot = len(arena.rot_pairs)
     n_ind = len(arena.strain_pairs)
-    spec = arena.spec
-    vhat = basis.synthesize_coeffs(c, out=spec[:d])
+    vhat = basis.kept_coeffs(c, out=arena.coef)
+    spec, flat = arena.inputs(arena.n_in)
+    flat[:d, dst] = vhat
     # ghat[i, j] = d_j v_i; the rotation and D from its two triangles
-    tmp = spec[arena.n_in]
+    half, other = arena.row
     for k, (i, j) in enumerate(arena.rot_pairs + arena.strain_pairs):
-        half = np.multiply(ik[j], vhat[i], out=spec[d + k])
-        np.multiply(ik[i], vhat[j], out=tmp)
-        (np.subtract if k < n_rot else np.add)(half, tmp, out=half)
+        np.multiply(ik[j], vhat[i], out=half)
+        np.multiply(ik[i], vhat[j], out=other)
+        (np.subtract if k < n_rot else np.add)(half, other, out=half)
         np.multiply(0.5, half, out=half)
+        flat[d + k][dst] = half
     phys = arena.phys
-    g.to_physical(spec[: arena.n_in], out=phys[: arena.n_in], work=arena.work)
+    g.to_physical(spec, out=phys[: arena.n_in], work=arena.work)
     V = phys[:d]
     D, D_dd = phys[d + n_rot : arena.n_in], arena.dd  # D's upper triangle but D_dd
     np.negative(np.sum(D[arena.diag], axis=0, out=D_dd), out=D_dd)
@@ -332,12 +413,17 @@ def _rhs_parts(basis: StokesBasis, params: FluidParams, c: np.ndarray) -> np.nda
             w1[j] -= np.multiply(V[i], R, out=arena.tmp)
 
     # T over D's channels: sigma_ij - s v_i v_j, minus T_dd on the diagonal
+    # (s = 1/2 off a dealiased grid; s = 1 takes no multiply)
     D[arena.diag] -= D_dd
-    s = 0.5 if n_rot else 1.0
-    t_dd = np.multiply(s, np.square(V[d - 1], out=D_dd), out=D_dd)
+    t_dd = np.square(V[d - 1], out=D_dd)
+    if n_rot:
+        np.multiply(0.5, t_dd, out=t_dd)
     for T, (i, j) in zip(D, arena.strain_pairs):
         np.multiply(fac, T, out=T)
-        T -= np.multiply(s, np.multiply(V[i], V[j], out=arena.tmp), out=arena.tmp)
+        vv = np.multiply(V[i], V[j], out=arena.tmp)
+        if n_rot:
+            np.multiply(0.5, vv, out=vv)
+        T -= vv
         if i == j:
             T += t_dd
     # T, with v . grad v after it, transformed at the basis wavevectors alone
@@ -365,7 +451,9 @@ def state_functionals(state: GalerkinState, params: FluidParams, record_d2: bool
     and the eigenvalue relation).  The nonlinear functionals come from
     `_padded_values`, on trace-free channels: `rho_tilde`,
     `lp_norm(gradient(v), p)` and `I_p` of `state.velocity()` to within
-    1e-14 relative, and `lp_norm(hessian_samples(v), p)` bit for bit.
+    1e-14 relative, and `lp_norm(hessian_samples(v), p)` bit for bit.  The
+    kernel reads the state's coefficients at the basis's kept positions
+    (`StokesBasis.kept_coeffs`); v is never synthesized.
     """
     basis, c = state.basis, state.c
     keys = [("grad", params.p), ("rho_tilde", params)]
@@ -373,8 +461,7 @@ def state_functionals(state: GalerkinState, params: FluidParams, record_d2: bool
         keys.append(("I_p", params))
     if record_d2:
         keys.append(("hess", params.p))
-    spec = _arena(basis).spec
-    values = _padded_values(basis, basis.synthesize_coeffs(c, out=spec[: basis.grid.dim]), keys)
+    values = _padded_values(basis, basis.kept_coeffs(c, out=_arena(basis).coef), keys)
     out = {
         "energy": float(np.dot(c, c)),
         "rho": float(np.dot(basis.eigenvalues * c, c)),
@@ -441,8 +528,9 @@ class StepController:
     """Embedded-pair error control with a PI step-size law.
 
     `last_segment` holds the stages of the most recent accepted step so
-    callers can densely sample inside it.  `nrhs` counts the RHS
-    evaluations `advance` makes.
+    callers can densely sample inside it.  Its stages live in the
+    controller's stage buffer, so it is valid until the next `advance` on
+    the same controller.  `nrhs` counts the RHS evaluations `advance` makes.
     """
 
     rtol: float = 1e-8
@@ -456,6 +544,9 @@ class StepController:
     nreject: int = 0
     nrhs: int = 0
     last_segment: StepSegment | None = None
+    # the (7, N) stages and two N-vectors of stage sums, reallocated when N
+    # changes
+    _buffers: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         # written so that NaN fails every check
@@ -484,21 +575,36 @@ def _initial_dt(f0: np.ndarray, y0: np.ndarray, ctrl: StepController, horizon: f
     return float(np.clip(h, ctrl.dt_min, min(ctrl.dt_max, horizon or h)))
 
 
+def _weighted_sum(weights, ks, acc: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """sum(w * k for w, k in zip(weights, ks) if w != 0.0) into acc, bit for
+    bit: Python's sum starts from int 0, so the first term gets + 0.0."""
+    terms = [(w, k) for w, k in zip(weights, ks) if w != 0.0]
+    np.multiply(terms[0][0], terms[0][1], out=acc)
+    acc += 0.0
+    for w, k in terms[1:]:
+        acc += np.multiply(w, k, out=tmp)
+    return acc
+
+
 def advance(
     state: GalerkinState,
     params: FluidParams,
     ctrl: StepController,
     dt_cap: float | None = None,
 ) -> GalerkinState:
-    """One accepted adaptive step; ctrl carries the step-size state."""
+    """One accepted adaptive step; ctrl carries the step-size state and
+    the stage buffers."""
 
     def f(y):
         ctrl.nrhs += 1
         return _rhs_parts(state.basis, params, y)
 
     y0 = state.c
-    # the stages, filled in place and handed to the step's segment
-    ks = np.empty((len(_DP_A), y0.size))
+    # the stages, filled in place and handed to the step's segment, and
+    # the stage sums, all in the controller's buffers
+    if ctrl._buffers is None or ctrl._buffers.shape[1] != y0.size:
+        ctrl._buffers = np.empty((len(_DP_A) + 2, y0.size))
+    ks, acc, tmp = ctrl._buffers[:-2], ctrl._buffers[-2], ctrl._buffers[-1]
     ks[0] = f(y0)
     if ctrl.dt is None:
         ctrl.dt = _initial_dt(ks[0], y0, ctrl, dt_cap if dt_cap is not None else 1.0)
@@ -507,14 +613,16 @@ def advance(
         dt = min(dt, dt_cap)
     while True:
         for s, row in enumerate(_DP_A[1:], start=1):
-            yi = y0 + dt * sum(a * k for a, k in zip(row, ks) if a != 0.0)
+            # y0 + dt * sum(a * k); the last stage state is the step's
+            # solution, so it gets an array of its own
+            incr = np.multiply(dt, _weighted_sum(row, ks, acc, tmp), out=acc)
+            yi = np.add(y0, incr, out=None if s == len(_DP_A) - 1 else tmp)
             ks[s] = f(yi)
         # FSAL: the last stage is evaluated at the 5th-order solution
         # (_DP_A[-1] is _DP_B5 without its zero last weight)
         y5 = yi
-        err = dt * sum(
-            (b5 - b4) * k for b5, b4, k in zip(_DP_B5, _DP_B4, ks) if b5 != b4
-        )
+        weights = [b5 - b4 for b5, b4 in zip(_DP_B5, _DP_B4)]
+        err = np.multiply(dt, _weighted_sum(weights, ks, acc, tmp), out=acc)
         err_norm = ctrl.error_norm(err, y0, y5)
         if not math.isfinite(err_norm):
             # also catches a non-finite dt (a NaN k1 gives a NaN initial step):

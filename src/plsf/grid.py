@@ -151,9 +151,44 @@ class TorusGrid:
         return pairs
 
     @property
-    def _kept_shape(self) -> tuple[int, ...]:
-        """Padded half-spectrum restricted to last-axis modes 0 .. M/2-1."""
+    def kept_shape(self) -> tuple[int, ...]:
+        """Padded half-spectrum restricted to last-axis modes 0 .. M/2-1:
+        the layout `to_physical` transforms."""
         return (self.padded_M,) * (self.dim - 1) + (self.M // 2,)
+
+    def _check_band(self, n: np.ndarray) -> None:
+        if n.ndim != 2 or n.shape[1] != self.dim:
+            raise ValueError(f"modes must have shape (count, {self.dim}), got {n.shape}")
+        if np.any(np.abs(n) > self.M // 2 - 1):
+            raise ValueError(f"a wavevector lies outside the band |n_i| <= {self.M // 2 - 1}")
+
+    def kept_index(self, modes: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
+        """Where the Hermitian pairs n, -n of the wavevector rows of `modes`
+        (shape (count, dim), nonzero) are written into the kept padded
+        half-spectrum (`kept_shape`), for `to_physical`: the scatter
+        counterpart of `band_index`.
+
+        The kept wavevectors of a pair are those with last index >= 0: n or
+        -n, and both on the plane where the last index is 0.  Returns (dst,
+        rows, split): kept entry e is the wavevector modes[rows[e]] for
+        e < split and its mirror -modes[rows[e]] (whose coefficient is the
+        conjugate of n's) from split on, and dst[e] is its flat index into
+        kept_shape.  Each part is in ascending dst order.  Raises ValueError
+        for a wavevector outside the band or a zero row.
+        """
+        n = np.asarray(modes)
+        self._check_band(n)
+        if np.any(np.all(n == 0, axis=1)):
+            raise ValueError("the zero wavevector has no mirror pair")
+        last = n[:, -1]
+        parts = []
+        for rows, sign in ((np.flatnonzero(last >= 0), 1), (np.flatnonzero(last <= 0), -1)):
+            w = (sign * n[rows]).T
+            dst = np.ravel_multi_index(tuple(w % self.padded_M), self.kept_shape)
+            order = np.argsort(dst)
+            parts.append((dst[order], rows[order]))
+        (dst_d, rows_d), (dst_m, rows_m) = parts
+        return np.concatenate([dst_d, dst_m]), np.concatenate([rows_d, rows_m]), len(rows_d)
 
     def band_index(self, modes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Where each wavevector row of `modes` (shape (count, dim)) is read
@@ -166,10 +201,7 @@ class TorusGrid:
         outside the band.
         """
         n = np.asarray(modes)
-        if n.ndim != 2 or n.shape[1] != self.dim:
-            raise ValueError(f"modes must have shape (count, {self.dim}), got {n.shape}")
-        if np.any(np.abs(n) > self.M // 2 - 1):
-            raise ValueError(f"a wavevector lies outside the band |n_i| <= {self.M // 2 - 1}")
+        self._check_band(n)
         n = n.T
         neg = n[-1] < 0
         half_shape = self.padded_shape[:-1] + (self.padded_M // 2 + 1,)
@@ -186,23 +218,31 @@ class TorusGrid:
     def to_physical(self, coeffs: np.ndarray, out=None, work=None) -> np.ndarray:
         """Sample band-limited Hermitian coefficients on the padded grid.
 
-        The samples are written into `out` (lead + padded_shape float64)
-        when it is given.  `work`, a flat complex128 array of at least
+        `coeffs` is a spectrum in fftn layout, lead + shape, or the band
+        already placed in the kept padded half-spectrum, lead + kept_shape
+        complex128 with zeros outside the band (see `kept_index`).  The
+        latter is transformed in place, so it is overwritten.  The samples
+        are written into `out` (lead + padded_shape float64) when it is
+        given.  `work`, a flat complex128 array of at least
         `work_size(channels, forward=False)` elements, then holds the
-        intermediate spectrum, so that the call allocates no grid array.
+        kept half-spectrum of an fftn-layout input, so that the call
+        allocates no grid array.
         """
         lead = coeffs.shape[: coeffs.ndim - self.dim]
-        half = self.M // 2
-        kept = lead + self._kept_shape
-        if work is None:
-            spec = np.zeros(kept, dtype=np.complex128)
+        if coeffs.shape[len(lead) :] == self.kept_shape:
+            spec = coeffs
         else:
-            spec = work[: math.prod(kept)].reshape(kept)
-            spec.fill(0.0)
-        for src, dst in self._lead_blocks:
-            spec[(Ellipsis,) + dst + (slice(None),)] = coeffs[
-                (Ellipsis,) + src + (slice(0, half),)
-            ]
+            half = self.M // 2
+            kept = lead + self.kept_shape
+            if work is None:
+                spec = np.zeros(kept, dtype=np.complex128)
+            else:
+                spec = work[: math.prod(kept)].reshape(kept)
+                spec.fill(0.0)
+            for src, dst in self._lead_blocks:
+                spec[(Ellipsis,) + dst + (slice(None),)] = coeffs[
+                    (Ellipsis,) + src + (slice(0, half),)
+                ]
         if self.dim == 3:
             for rows in self._padded_band:
                 block = spec[..., rows, :, :]

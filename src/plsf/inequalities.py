@@ -116,9 +116,9 @@ def table_row(u: SpectralVelocity, keys, basis) -> dict:
     The projection keys come from the full-basis coefficients of u, and
     the Galerkin RHS for drho_half; every other key goes to the padded-grid
     kernel of the trajectory sample, `plsf.galerkin._padded_values`, which
-    forms each pointwise magnitude once.  The RHS's buffers and the
-    kernel's share the arena's memory.  Once the arena is built, a row
-    allocates no grid-sized array.
+    gathers u.coeffs at the basis's kept positions and forms each pointwise
+    magnitude once.  The RHS's buffers and the kernel's share the arena's
+    memory.  Once the arena is built, a row allocates no grid-sized array.
     """
     if u.grid != basis.grid:
         raise GridMismatchError(f"{u.grid!r} vs {basis.grid!r}")

@@ -12,6 +12,7 @@ from plsf.fields import lp_norm, random_solenoidal
 from plsf.galerkin import (
     _DP_A,
     _DP_B5,
+    _padded_values,
     GalerkinState,
     SolverConfig,
     StepController,
@@ -584,25 +585,215 @@ def test_sample_transform_channel_budget(monkeypatch, dim, M, dealias, grad, str
     assert sum(grad + strain) == {2: 7, 3: 23}[dim]
 
 
-# the bytes the RHS's buffers alone take at 3D M^3, full band, dealias 1.5
+# the bytes the RHS's buffers alone took at 3D M^3, full band, dealias 1.5,
+# with a full (M,)^3 spectrum buffer of 9 channels
 RHS_ONLY_BYTES = {16: 2_716_224, 32: 21_901_504}
 
 
 @pytest.mark.parametrize("M", [16, 32])
 def test_arena_within_the_rhs_budget_plus_one_padded_grid(M):
-    # one set of buffers serves both kernels: in 3D the functionals' d*d
-    # gradient grids cost at most one padded channel over the RHS's own
+    # one set of buffers serves both kernels, and no kernel forms an (M,)^3
+    # spectrum: with the kept-position constants (1j k and the scatter and
+    # gather indices) the arena stays three spectral channels under the
+    # RHS-only bytes of the full-spectrum layout (it reads 2,495,936 and
+    # 20,281,536 B)
     from plsf.galerkin import _Arena
 
-    arena = _Arena(_full_basis(3, M, 1.5))
-    names = ("phys", "dd", "mag", "tmp", "mask", "spec", "work", "gath", "tensor_row", "div")
+    basis = _full_basis(3, M, 1.5)
+    arena = _Arena(basis)
+    names = ("phys", "dd", "mag", "tmp", "mask", "coef", "row", "work", "gath", "tensor_row",
+             "div", "kept_ik")
     total = sum(getattr(arena, name).nbytes for name in names)
-    assert total <= RHS_ONLY_BYTES[M] + arena.grid.padded_M ** 3 * 8
+    total += sum(index.nbytes for index in basis.kept[:2])
+    assert not any(hasattr(arena, gone) for gone in ("spec", "ik", "kk"))
+    assert total <= RHS_ONLY_BYTES[M] - 3 * M**3 * 16
 
 
 def _full_basis(dim, M, dealias):
     grid = TorusGrid(dim, M, 2 * np.pi, dealias_factor=dealias)
     return make_basis(grid, basis_capacity(grid))
+
+
+def _full_spectrum_rhs(basis, params, c):
+    """The Galerkin RHS with its inputs built the full-spectrum way:
+    synthesize_coeffs, derivative factors over every (M,)^d entry, then the
+    fftn-layout to_physical; the rest in the kernel's order of operations."""
+    from plsf.constitutive import _stress_factor
+    from plsf.fields import symmetric_components
+
+    g = basis.grid
+    d = g.dim
+    rows, cols, pos = symmetric_components(d)
+    strain = list(zip(rows.tolist(), cols.tolist()))[:-1]
+    rot = [] if g.dealiased else [(i, j) for i, j in strain if i != j]
+    n_rot = len(rot)
+    ik = 1j * g.wavevectors
+    vhat = basis.synthesize_coeffs(c)
+    inputs = list(vhat)
+    for k, (i, j) in enumerate(rot + strain):
+        half = np.multiply(ik[j], vhat[i])
+        (np.subtract if k < n_rot else np.add)(half, np.multiply(ik[i], vhat[j]), out=half)
+        inputs.append(np.multiply(0.5, half, out=half))
+    phys = g.to_physical(np.array(inputs))
+    V, D = phys[:d], phys[d + n_rot :]
+    diag = pos.diagonal()[:-1]
+    diag = slice(diag[0], diag[-1] + 1, max(1, diag[-1] - diag[0]))
+    D_dd = np.negative(np.sum(D[diag], axis=0))
+    w_off = np.array([1.0 + (i != j) for i, j in strain])
+    dd_sq = np.einsum("k...,k...,k->...", D, D, w_off, out=np.empty(g.padded_shape))
+    dd_sq += np.square(D_dd)
+    fac = _stress_factor(dd_sq, params, out=dd_sq, mask=np.empty(g.padded_shape, bool))
+    out = [D]
+    if n_rot:
+        full = [*D, D_dd]
+        w1 = np.array([sum(V[j] * full[pos[i, j]] for j in range(d)) for i in range(d)])
+        for R, (i, j) in zip(phys[d : d + n_rot], rot):
+            w1[i] += V[j] * R
+            w1[j] -= V[i] * R
+        out.append(w1)
+    D[diag] -= D_dd
+    s = 0.5 if n_rot else 1.0
+    t_dd = s * np.square(V[d - 1])
+    for T, (i, j) in zip(D, strain):
+        np.multiply(fac, T, out=T)
+        T -= s * (V[i] * V[j])
+        if i == j:
+            T += t_dd
+    S = g.to_spectral(np.concatenate(out), g.band_index(basis.modes))
+    ikm = 1j * ((2.0 * np.pi / g.L) * basis.modes.T.astype(np.float64, order="C"))
+    div = np.empty((d, len(basis.modes)), np.complex128)
+    for i in range(d):
+        n = d - 1 if i == d - 1 else d
+        np.einsum("j...,j...->...", ikm[:n], S[pos[i, :n]], out=div[i])
+    if n_rot:
+        div -= 0.5 * S[len(strain):]
+    return basis.project_modes(div)
+
+
+def _full_spectrum_values(grid, vhat, keys):
+    """The functional kernel's values with every input a full (M,)^d
+    spectrum through the fftn-layout to_physical, in the kernel's sum
+    orders."""
+    from plsf.constitutive import _stress_factor
+    from plsf.fields import (_magnitude, _norm_of_magnitude, _sum_of_squares,
+                             symmetric_components)
+
+    g = grid
+    d, shape = g.dim, g.padded_shape
+    rows, cols, pos = symmetric_components(d)
+    ik = 1j * g.wavevectors
+    kk = (g.wavevectors[rows] * g.wavevectors[cols]).astype(np.complex128)
+    norm = lambda mag, q: _norm_of_magnitude(mag, q, g, out=np.empty(shape))
+    mag = lambda channels: _magnitude(channels, np.empty(shape), np.empty(shape))
+    G = np.concatenate([g.to_physical(ik[: d - (i == d - 1)] * vhat[i]) for i in range(d)]
+                       + [np.empty((1,) + shape)])
+    G[-1] = -np.sum(G[: d * d - 1 : d + 1], axis=0)
+    D = G.copy()
+    for i in range(d):
+        for j in range(i, d):
+            D[d * i + j] = D[d * j + i] = 0.5 * (G[d * i + j] + G[d * j + i])
+    dd = _sum_of_squares(D, np.empty(shape), np.empty(shape))
+    dgrad_sq = np.zeros(shape)
+    for i, j in zip(rows[:-1], cols[:-1]):
+        dhat = 0.5 * (ik[j] * vhat[i] + ik[i] * vhat[j])
+        slot = g.to_physical(ik * dhat)
+        for ch in slot:
+            dgrad_sq += (1.0 if i == j else 2.0) * np.square(ch)
+        if i == j:
+            last = slot if i == 0 else last + slot
+    for ch in np.negative(last):
+        dgrad_sq += np.square(ch)
+    hess_sq = np.zeros(shape)
+    for i in range(d):
+        H = g.to_physical(np.negative(kk * vhat[i]))
+        for j in range(d):
+            for k in range(d):
+                hess_sq += np.square(H[pos[j, k]])
+    values = {}
+    for name, arg in keys:
+        if name == "u":
+            values[name, arg] = norm(mag(g.to_physical(vhat)), arg)
+        elif name == "grad":
+            values[name, arg] = norm(mag(G), arg)
+        elif name == "hess":
+            values[name, arg] = norm(np.sqrt(hess_sq), arg)
+        elif name == "shifted":
+            values[name, arg] = _norm_of_magnitude(np.sqrt(arg.mu + dd), arg.p, g)
+        else:
+            fac = _stress_factor(dd, arg, out=np.empty(shape), mask=np.empty(shape, bool))
+            values[name, arg] = float(np.sum(fac * (dd if name == "rho_tilde" else dgrad_sq))
+                                      * g.quad_weight)
+    return values
+
+
+@pytest.mark.parametrize("mu", [1.0, 0.0], ids=["mu1", "mu0"])
+@pytest.mark.parametrize(
+    "dim,M,dealias,N",
+    [(2, 16, 1.5, None), (3, 8, 1.0, None), (2, 16, 1.5, 13), (3, 8, 1.5, 13)],
+    ids=["2d", "3d-skew", "2d-N13", "3d-N13"],
+)
+def test_kept_inputs_match_the_full_spectrum_oracle(dim, M, dealias, N, mu):
+    # the kernels form their transform inputs at the basis's kept positions
+    # and scatter them into the padded half-spectrum; the oracle synthesizes
+    # the whole (M,)^d spectrum first.  Same operands, same bits.
+    grid = TorusGrid(dim, M, 2 * np.pi, dealias_factor=dealias)
+    basis = make_basis(grid, N or basis_capacity(grid))
+    rng = np.random.default_rng(17)
+    params = FluidParams(1.9, mu)
+    keys = [("u", 2.0), ("u", 1.5), ("grad", 1.9), ("grad", 3.0), ("hess", 2.0),
+            ("shifted", params), ("rho_tilde", params), ("rho_tilde", FluidParams(1.7, 0.5)),
+            ("I_p", FluidParams(1.9, 1e-2))]
+    for c in (rng.standard_normal(basis.size), np.where(rng.random(basis.size) < 0.5, 0.0,
+                                                       rng.standard_normal(basis.size))):
+        rhs = _rhs_parts(basis, params, c)
+        assert rhs.tobytes() == _full_spectrum_rhs(basis, params, c).tobytes()
+        expected = _full_spectrum_values(grid, basis.synthesize_coeffs(c), keys)
+        kept = basis.kept_coeffs(c)
+        assert _padded_values(basis, kept, keys) == expected
+        assert _padded_values(basis, basis.synthesize_coeffs(c), keys) == expected
+        # the sample shares rho_tilde's stress factor with I_p when mu > 0
+        sample = state_functionals(GalerkinState(basis, c, 0.0), params, record_d2=True)
+        shared = [("grad", 1.9), ("rho_tilde", params), ("hess", 1.9)]
+        shared += [("I_p", params)] if mu > 0 else []
+        oracle = _full_spectrum_values(grid, basis.synthesize_coeffs(c), shared)
+        assert [sample[name] for name in ("grad_p_norm", "rho_tilde", "d2_p_norm")] == [
+            oracle[key] for key in shared[:3]]
+        if mu > 0:
+            assert sample["Ip"] == oracle["I_p", params]
+
+
+def test_kept_coeffs_are_synthesize_coeffs_at_the_kept_wavevectors():
+    # both signs of a vanishing part, in 2D and 3D, full and truncated bands
+    for dim, M, N in [(2, 8, None), (2, 16, 13), (3, 8, None), (3, 12, 101)]:
+        grid = TorusGrid(dim, M, 2 * np.pi)
+        basis = make_basis(grid, N or basis_capacity(grid))
+        c = np.random.default_rng(dim * M).standard_normal(basis.size)
+        c[::3], c[1::5] = 0.0, -0.0
+        dst, rows, split = basis.kept
+        modes = basis.modes[rows]
+        modes[split:] *= -1
+        assert np.all(modes[:, -1] >= 0)
+        assert np.sum(modes[:, -1] == 0) == 2 * np.sum(basis.modes[:, -1] == 0)
+        flat = np.ravel_multi_index(tuple((modes % M).T), grid.shape)
+        full = basis.synthesize_coeffs(c).reshape(dim, -1)[:, flat]
+        assert basis.kept_coeffs(c).tobytes() == full.tobytes()
+
+
+def test_one_controller_steps_two_bases_of_different_size(grid2d):
+    # the stage buffers follow N; each step equals a fresh controller's
+    params = FluidParams(1.9, 1.0)
+    v = random_solenoidal(grid2d, band=3, seed=9)
+    states = [project_initial_data(v, make_basis(grid2d, n)) for n in (24, 40)]
+    ctrl = StepController(rtol=1e-8, dt=1e-3)
+    for _ in range(2):
+        for k, state in enumerate(states):
+            ref = StepController(rtol=1e-8, dt=ctrl.dt, err_prev=ctrl.err_prev)
+            expected = advance(state, params, ref)
+            got = advance(state, params, ctrl)
+            assert got.c.tobytes() == expected.c.tobytes() and got.t == expected.t
+            assert ctrl.last_segment.stages.tobytes() == ref.last_segment.stages.tobytes()
+            assert ctrl.last_segment.stages.shape == (7, state.basis.size)
+            states[k] = got
 
 
 def test_arena_calls_match_cold_calls():
@@ -701,3 +892,15 @@ def test_galerkin_nesting(grid2d):
     small = project_initial_data(v, make_basis(grid2d, 10))
     large = project_initial_data(v, make_basis(grid2d, 40))
     assert np.array_equal(small.c, large.c[:10])
+
+
+def test_stage_sums_keep_the_bits_of_pythons_sum():
+    # Python's sum starts from int 0: 0 + (-0.0) is +0.0, which the
+    # buffered stage sums reproduce
+    from plsf.galerkin import _weighted_sum
+
+    ks = np.array([[-0.0, 1.5, -0.0, 0.0], [-0.0, -2.0, 0.0, -0.0], [-0.0, 0.25, -0.0, -0.0]])
+    acc, tmp = np.empty(4), np.empty(4)
+    for weights in [(0.5,), (0.0, -1.0), (3 / 40, 9 / 40, 0.0), (-1.0, 0.0, 2.0)]:
+        expected = sum(w * k for w, k in zip(weights, ks) if w != 0.0)
+        assert _weighted_sum(weights, ks, acc, tmp).tobytes() == expected.tobytes()

@@ -228,3 +228,41 @@ def test_band_index_rejects_modes_outside_the_band(dim):
         g.band_index(np.zeros((2, dim + 1), dtype=int))
     src, sign = g.band_index(np.array([[0] * (dim - 1) + [-3], [3] * dim]))
     assert sign.tolist() == [-1.0, 1.0]
+
+
+@pytest.mark.parametrize("dim,M,dealias", [(2, 8, 1.5), (2, 10, 1.0), (3, 8, 1.5), (3, 10, 1.2)])
+def test_kept_layout_transform_equals_the_full_spectrum_transform(dim, M, dealias):
+    # a spectrum placed at the kept positions of every band pair (n and -n
+    # with last index >= 0) is what to_physical reads of the fftn layout,
+    # and its in-place transform gives the same bits
+    g = TorusGrid(dim, M, 2 * np.pi, dealias_factor=dealias)
+    rng = np.random.default_rng(dim * M)
+    coeffs = rng.standard_normal((2,) + g.shape) + 1j * rng.standard_normal((2,) + g.shape)
+    coeffs[(slice(None),) + (0,) * dim] = 0.0  # the zero mode is no pair's
+    reps = representative_modes(g)
+    dst, rows, split = g.kept_index(reps)
+    modes = reps[rows]
+    modes[split:] *= -1
+    assert np.all(modes[:, -1] >= 0) and len(set(dst.tolist())) == len(dst)
+    assert np.all(np.diff(dst[:split]) > 0) and np.all(np.diff(dst[split:]) > 0)
+    kept = np.zeros((2,) + g.kept_shape, dtype=np.complex128)
+    kept.reshape(2, -1)[:, dst] = coeffs[(slice(None),) + tuple((modes % M).T)]
+    want = g.to_physical(coeffs)
+    assert g.to_physical(kept).tobytes() == want.tobytes()
+    # the band's kept positions are every nonzero one of the layout's band
+    assert len(dst) == (M - 1) ** (dim - 1) * (M // 2) - 1
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_kept_index_rejects_bad_rows(dim):
+    g = TorusGrid(dim, 8, 1.0)
+    with pytest.raises(ValueError, match="outside the band"):
+        g.kept_index(np.array([[1] * dim, [4] + [0] * (dim - 1)]))
+    with pytest.raises(ValueError, match="zero wavevector"):
+        g.kept_index(np.array([[1] * dim, [0] * dim]))
+    with pytest.raises(ValueError):
+        g.kept_index(np.zeros((2, dim + 1), dtype=int))
+    dst, rows, split = g.kept_index(np.array([[1] * (dim - 1) + [-3], [1] + [0] * (dim - 1)]))
+    # (1, .., -3) is kept as its mirror; (1, 0, ..) as itself and its mirror,
+    # each part in ascending dst order
+    assert (rows.tolist(), split) == ([1, 1, 0], 1)
