@@ -5,10 +5,7 @@ inequality verification lab."""
 from .basis import StokesBasis, basis_capacity, full_basis, make_basis
 from .constitutive import (
     FluidParams,
-    I_p,
     oo_identity_residual,
-    rho_tilde,
-    stress,
     stress_difference_bound_check,
 )
 from .errors import (
@@ -30,7 +27,6 @@ from .fields import (
     lp_norm,
     random_solenoidal,
     save_checkpoint,
-    sym_gradient,
     taylor_green,
 )
 from .galerkin import (

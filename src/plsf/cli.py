@@ -25,7 +25,7 @@ import numpy as np
 
 from . import gap as gapmod
 from . import inequalities as ineq
-from .basis import basis_capacity
+from .basis import basis_capacity, make_basis
 from .config import RunConfig, load_config, serialize_config, with_overrides
 from .constitutive import (
     FluidParams,
@@ -33,8 +33,8 @@ from .constitutive import (
     oo_residual_scale,
 )
 from .errors import CapacityError, ConfigError, PlsfError, StiffnessError
-from .fields import SpectralVelocity, gradient, lp_norm, save_checkpoint
-from .galerkin import TrajectoryRecord, run_trajectory
+from .fields import save_checkpoint
+from .galerkin import TrajectoryRecord, _padded_values, run_trajectory
 
 
 def _jsonify(obj):
@@ -89,9 +89,7 @@ def cmd_run(cfg: RunConfig, out_dir: str | None) -> int:
         }
         _write_json(directory / "summary.json", summary)
     if want_ckpt:
-        grid = cfg.solver.build_grid()
-        save_checkpoint(directory / "final_state.plsf",
-                        SpectralVelocity(grid, states[-1], validate=False))
+        save_checkpoint(directory / "final_state.plsf", states[-1].velocity())
     print(f"run: N={record.N} steps={record.steps} "
           f"samples={record.times.size} -> {directory}")
     return 0
@@ -357,8 +355,10 @@ def _study_workers(raw: str, n_jobs: int) -> int:
 
 
 def _run_study_member(args):
+    # plain coefficient vectors: a worker returns no basis or arena
     solver_cfg, times = args
-    return run_trajectory(solver_cfg, collect_states_at=times)
+    record, states = run_trajectory(solver_cfg, collect_states_at=times)
+    return record, [st.c for st in states]
 
 
 def cmd_converge(cfg: RunConfig, out: str | None) -> int:
@@ -385,7 +385,10 @@ def cmd_converge(cfg: RunConfig, out: str | None) -> int:
     table = gapmod.exponents(cfg.solver.p)
     beta = table.beta if table.beta_variant != "undefined" else 1.0
     records = [rec for rec, _ in outputs]
-    states = [st for _, st in outputs]
+    # StokesBasis(grid, N) is the first N entries of one canonical order, so
+    # c_N zero-extends into the reference basis, where every norm is read
+    ref_basis = make_basis(grid, n_list[-1])
+    states = [[np.pad(c, (0, ref_basis.size - c.size)) for c in cs] for _, cs in outputs]
     ref_states = states[-1]
     report = {
         "N_list": n_list,
@@ -401,7 +404,7 @@ def cmd_converge(cfg: RunConfig, out: str | None) -> int:
     }
 
     def grad_norm(c, q):
-        return lp_norm(gradient(SpectralVelocity(grid, c, validate=False)), q)
+        return _padded_values(ref_basis, ref_basis.kept_coeffs(c), [("grad", q)])["grad", q]
 
     for member_states in states[:-1]:
         diffs = np.array([grad_norm(c_n - c_ref, cfg.solver.p)

@@ -1,9 +1,10 @@
-"""Power-law stress and the scalar functionals built from it.
+"""Power-law stress and the pointwise checks built on it.
 
 The constitutive law is sigma(D) = (mu + |D|^2)^((p-2)/2) D with |D| the
 Frobenius norm of the strain rate.  For p < 2 and mu = 0 the prefactor is
 singular at D = 0; the product still tends to zero there, so sigma is
-extended continuously by 0.
+extended continuously by 0.  `plsf.galerkin` integrates the dissipation
+functionals rho_tilde and I_p from `_stress_factor`.
 """
 
 from __future__ import annotations
@@ -11,13 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-from .fields import (
-    SpectralVelocity,
-    TensorField,
-    inner_product,
-    sym_gradient,
-)
 
 # Empirical constant for the stress-difference bound
 #   |sigma(A) - sigma(B)| <= C |A - B| / (mu + |A| + |B|)^(2-p).
@@ -65,15 +59,8 @@ def _stress_factor(dd_sq: np.ndarray, params: FluidParams, out=None, mask=None) 
     return base
 
 
-def stress(D: TensorField, params: FluidParams) -> TensorField:
-    """Pointwise power-law stress of a strain-rate field."""
-    dd_sq = np.sum(D.values**2, axis=(0, 1))
-    fac = _stress_factor(dd_sq, params)
-    return TensorField(D.grid, fac[np.newaxis, np.newaxis] * D.values)
-
-
 def stress_tensor(D: np.ndarray, params: FluidParams) -> np.ndarray:
-    """stress() for a single d x d tensor."""
+    """The power-law stress sigma(D) of a single d x d tensor."""
     D = np.asarray(D, dtype=np.float64)
     dd_sq = float(np.sum(D**2))
     base = params.mu + dd_sq
@@ -94,25 +81,6 @@ def stress_derivative(D: np.ndarray, dD: np.ndarray, params: FluidParams) -> np.
     fac2 = base ** (0.5 * (params.p - 4.0))
     ddot = float(np.sum(D * dD))
     return fac * dD + (params.p - 2.0) * fac2 * ddot * D
-
-
-def rho_tilde(v: SpectralVelocity, params: FluidParams) -> float:
-    """Integral of (mu + |Dv|^2)^((p-2)/2) |Dv|^2, the natural dissipation
-    density; by construction equals inner_product(stress(Dv), Dv)."""
-    D = sym_gradient(v)
-    return inner_product(stress(D, params), D)
-
-
-def I_p(v: SpectralVelocity, params: FluidParams) -> float:
-    """Weighted second-order dissipation
-    integral of (mu + |Dv|^2)^((p-2)/2) |grad Dv|^2; requires mu > 0."""
-    if params.mu <= 0:
-        raise ValueError("I_p is only defined for mu > 0 (integrand singular at Dv = 0)")
-    D = sym_gradient(v)
-    dd_sq = np.sum(D.values**2, axis=(0, 1))
-    fac = _stress_factor(dd_sq, params)
-    density = fac * v.grad_strain_sq  # cached: one transform for every mu
-    return float(np.sum(density) * v.grid.quad_weight)
 
 
 def oo_identity_residual(D: np.ndarray, dD: np.ndarray, params: FluidParams) -> float:

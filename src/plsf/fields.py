@@ -84,20 +84,6 @@ class SpectralVelocity:
         ghat = 1j * k[np.newaxis, :] * self.coeffs[:, np.newaxis]
         return TensorField(g, g.to_physical(ghat))
 
-    @cached_property
-    def _sym_gradient(self) -> "TensorField":
-        vals = self._gradient.values
-        sym = 0.5 * (vals + np.swapaxes(vals, 0, 1))
-        return TensorField(self.grid, sym)
-
-    @cached_property
-    def grad_strain_sq(self) -> np.ndarray:
-        """Pointwise |grad D|^2, the sum of (d_s D_ij)^2, on the padded grid."""
-        shape = self.grid.padded_shape
-        sq = _grad_strain_sq(_strain_gradient(self), np.empty(shape), np.empty(shape))
-        sq.setflags(write=False)
-        return sq
-
     def __add__(self, other: "SpectralVelocity") -> "SpectralVelocity":
         _require_same_grid(self, other)
         return SpectralVelocity(self.grid, self.coeffs + other.coeffs, validate=False)
@@ -155,11 +141,6 @@ def _check_invariants(grid: TorusGrid, coeffs: np.ndarray, rtol: float = 1e-10):
 # -- differential operators and projection ------------------------------
 
 
-def sym_gradient(v: SpectralVelocity) -> TensorField:
-    """Strain-rate tensor, the symmetric part of the velocity gradient."""
-    return v._sym_gradient
-
-
 def gradient(v: SpectralVelocity) -> TensorField:
     """Full velocity gradient with entries (i, j) -> d v_i / d x_j."""
     return v._gradient
@@ -179,55 +160,6 @@ def symmetric_components(dim: int):
     return rows, cols, pos
 
 
-def _multiply_channels(factors, c, out) -> np.ndarray:
-    """out[j] = factors[j] * c for every channel j, one channel at a time:
-    a complex multiply broadcasting c over the whole stack allocates a
-    buffer of up to 8192 elements in numpy (128 kB, e.g. at 3D 16^3)."""
-    for factor, channel in zip(factors, out):
-        np.multiply(factor, c, out=channel)
-    return out
-
-
-def _strain_pair_gradient(grid: TorusGrid, ik, coeffs, i: int, j: int, out, spec,
-                          work=None) -> np.ndarray:
-    """Samples of d_s D_ij for every s, written into `out` of shape
-    (d,) + padded_shape by one transform.
-
-    `ik` is 1j * grid.wavevectors and `spec` a (d + 2,) + shape complex
-    scratch array; `work` goes to the transform.
-    """
-    d = grid.dim
-    inputs, dhat, other = spec[:d], spec[d], spec[d + 1]
-    # D_ij from d_j v_i = ik_j c_i and its transpose
-    np.multiply(ik[j], coeffs[i], out=dhat)
-    np.add(dhat, np.multiply(ik[i], coeffs[j], out=other), out=dhat)
-    np.multiply(0.5, dhat, out=dhat)
-    return grid.to_physical(_multiply_channels(ik, dhat, inputs), out=out, work=work)
-
-
-def _strain_gradient(v: SpectralVelocity) -> np.ndarray:
-    """d_s D_ij at [pair, s] for the pairs i <= j, one pair per transform."""
-    g = v.grid
-    rows, cols, _ = symmetric_components(g.dim)
-    out = np.empty((rows.size, g.dim) + g.padded_shape)
-    ik = 1j * g.wavevectors
-    spec = np.empty((g.dim + 2,) + g.shape, dtype=np.complex128)
-    for pair, (i, j) in enumerate(zip(rows, cols)):
-        _strain_pair_gradient(g, ik, v.coeffs, i, j, out[pair], spec)
-    return out
-
-
-def grad_sym_gradient_samples(v: SpectralVelocity) -> np.ndarray:
-    """Samples of the strain-rate gradient, shape (d, d, d) + padded_shape.
-
-    Entry (s, i, j) holds d_s D_ij; used by the weighted second-order
-    dissipation functional.
-    """
-    pos = symmetric_components(v.grid.dim)[2]
-    # D is symmetric, so the lower triangle is the mirror: (i, j, s) -> (s, i, j)
-    return np.moveaxis(_strain_gradient(v)[pos], 2, 0)
-
-
 def _sum_of_squares(channels, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
     """out = sum of the squared channels, added one at a time in the given
     order, which is how np.sum(x**2, axis=...) reduces leading axes: in
@@ -242,31 +174,6 @@ def _magnitude(channels, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
     """out = the pointwise Euclidean norm over the channels, whose squares
     are added by _sum_of_squares."""
     return np.sqrt(_sum_of_squares(channels, out, tmp), out=out)
-
-
-def _grad_strain_sq(pairs: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
-    """|grad D|^2 from pairs[pair, s] = d_s D_pair, summed over (i, j, s) in
-    that order, the memory order of grad_sym_gradient_samples: one pair's
-    samples at a time, so no (d, d, d) array is formed."""
-    d = pairs.shape[1]
-    pos = symmetric_components(d)[2]
-    return _sum_of_squares(
-        [pairs[pos[i, j], s] for i in range(d) for j in range(d) for s in range(d)], out, tmp
-    )
-
-
-def hessian_samples(v: SpectralVelocity) -> np.ndarray:
-    """Second-derivative samples, shape (d, d, d) + padded_shape.
-
-    Entry (i, j, k) holds d_j d_k v_i.  Only j <= k is transformed, as
-    -(k_j k_k) c_i is symmetric bit for bit; the mirror is C-contiguous
-    because reductions over it sum in memory order.
-    """
-    g = v.grid
-    k = g.wavevectors
-    rows, cols, pos = symmetric_components(g.dim)
-    upper = g.to_physical(-(k[rows] * k[cols] * v.coeffs[:, np.newaxis]))
-    return np.ascontiguousarray(upper[:, pos])
 
 
 def leray_project(grid: TorusGrid, coeffs: np.ndarray) -> SpectralVelocity:
@@ -323,13 +230,11 @@ def pointwise_magnitude(samples: np.ndarray, grid: TorusGrid) -> np.ndarray:
 
 
 def lp_norm(f, q: float, grid: TorusGrid | None = None) -> float:
-    """L^q(Omega) norm by quadrature on the padded grid, q >= 1.
+    """L^q(Omega) norm by quadrature on the padded grid, q finite and >= 1.
 
     Accepts a SpectralVelocity, a TensorField, or a raw sample array on
     the padded grid together with its grid.
     """
-    if q < 1:
-        raise ValueError(f"q must be >= 1, got {q}")
     if isinstance(f, np.ndarray):
         if grid is None:
             raise ValueError("raw sample arrays need an explicit grid")
@@ -341,7 +246,11 @@ def lp_norm(f, q: float, grid: TorusGrid | None = None) -> float:
 
 def _norm_of_magnitude(mag: np.ndarray, q: float, grid: TorusGrid, out=None) -> float:
     """L^q norm by quadrature of pointwise magnitudes.  The powers are
-    written into `out`, a grid like `mag`, or over `mag` when it is None."""
+    written into `out`, a grid like `mag`, or over `mag` when it is None.
+    Every L^q norm is reduced here, so here q must be a finite number >= 1:
+    NaN passes `q < 1`, and q = inf would return 1.0."""
+    if not (math.isfinite(q) and q >= 1):
+        raise ValueError(f"q must be a finite number >= 1, got {q}")
     out = mag if out is None else out
     if q == 2.0:
         total = float(np.sum(np.square(mag, out=out)))

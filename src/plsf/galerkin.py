@@ -227,14 +227,15 @@ def _padded_values(basis: StokesBasis, vhat: np.ndarray, keys) -> dict:
 
     The channels are trace-free: div v = 0 and tr D = 0 give d_d v_d and
     d_s D_dd pointwise as minus the sums of the other diagonal entries, so
-    neither is transformed.  The "u" and "hess" values equal the public
-    operations' (lp_norm, hessian_samples) bit for bit; the others equal
-    them (gradient, rho_tilde, I_p) within 1e-14 relative, the rounding of
-    the trace-free channels.  rho_tilde is the quadrature of
-    (mu + |Dv|^2)^((p-2)/2) |Dv|^2, and an I_p key with the same params
-    reuses its stress factor.  Each pointwise magnitude a key reads is
-    formed once, in the basis's arena, and each (quantity, q) key is reduced
-    from it through a scratch grid; no (d, d, d)-tensor grid is held.
+    neither is transformed.  This is plsf's one implementation of these
+    functionals; the tests' full-channel oracle (`tests/conftest.py`)
+    gives the "u" and "hess" values bit for bit, and the others within
+    1e-14 relative, the rounding of the trace-free channels.  rho_tilde is
+    the quadrature of (mu + |Dv|^2)^((p-2)/2) |Dv|^2 = sigma : Dv, and an
+    I_p key with the same params reuses its stress factor.  Each pointwise
+    magnitude a key reads is formed once, in the basis's arena, and each
+    (quantity, q) key is reduced from it through a scratch grid; no
+    (d, d, d)-tensor grid is held.  q must be finite and >= 1.
     """
     args = {}
     for name, arg in keys:
@@ -343,7 +344,7 @@ def _padded_values(basis: StokesBasis, vhat: np.ndarray, keys) -> dict:
     if "hess" in args:
         # d_j d_k v_i = -(k_j k_k) c_i for the pairs j <= k, a component per
         # transform, its squares added over (j, k) before the next i: the
-        # (i, j, k) order of hessian_samples' magnitude
+        # (i, j, k) order of the magnitude of the full (d, d, d) Hessian
         H = phys[: len(arena.pairs)]
         mag.fill(0.0)
         for i in range(d):
@@ -448,11 +449,10 @@ def state_functionals(state: GalerkinState, params: FluidParams, record_d2: bool
     """All scalar functionals one trajectory sample records.
 
     energy and rho use the exact coefficient sums (basis orthonormality
-    and the eigenvalue relation).  The nonlinear functionals come from
-    `_padded_values`, on trace-free channels: `rho_tilde`,
-    `lp_norm(gradient(v), p)` and `I_p` of `state.velocity()` to within
-    1e-14 relative, and `lp_norm(hessian_samples(v), p)` bit for bit.  The
-    kernel reads the state's coefficients at the basis's kept positions
+    and the eigenvalue relation).  The nonlinear functionals -- rho_tilde,
+    ||grad v||_p, I_p (when mu > 0) and, with `record_d2`, ||D^2 v||_p --
+    come from `_padded_values`, on trace-free channels, which reads the
+    state's coefficients at the basis's kept positions
     (`StokesBasis.kept_coeffs`); v is never synthesized.
     """
     basis, c = state.basis, state.c
@@ -797,7 +797,8 @@ def run_trajectory(config: SolverConfig, collect_states_at=None):
     interpolant, so the sampling never perturbs the step sequence.
     Deterministic for a fixed config (the only randomness is the seeded
     initial data).  When `collect_states_at` is given, also returns the
-    spectral coefficient arrays at those times.
+    run's `GalerkinState` at each of those times, on the run's one basis,
+    each with the length-N vector sampled then, which no later step writes.
     """
     grid = config.build_grid()
     params = config.build_params()
@@ -829,7 +830,7 @@ def run_trajectory(config: SolverConfig, collect_states_at=None):
         st = GalerkinState(basis, c, t)
         rows.append((t, state_functionals(st, params, record_d2=config.record_d2)))
         if t in collect_set:
-            states[t] = basis.synthesize_coeffs(c)
+            states[t] = st
 
     record_coeffs(0.0, state.c)
     pending = list(target_list)

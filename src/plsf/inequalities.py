@@ -95,12 +95,12 @@ def field_table(samples, keys) -> list[dict]:
     ||grad v||_2^2 at the Galerkin state of u; and ("proj_cumsum", None)
     for 0, then the running sums of the squared full-basis coefficients of
     u.  TABLE_KEYS[name](arg) lists the keys check `name` reads.  The u,
-    Hessian, projection and drho_half values equal the public operations'
-    (lp_norm, hessian_samples, galerkin_rhs) bit for bit; those of grad,
-    shifted, I_p and rho_tilde come from trace-free channels and agree
-    with gradient, I_p and rho_tilde within 1e-14 relative.  The full
-    basis is built once, and every row works in its arena (see
-    `table_row`).
+    Hessian, projection and drho_half values equal bit for bit what
+    lp_norm, the full-channel Hessian, StokesBasis.project and
+    galerkin_rhs give; those of grad, shifted, I_p and rho_tilde come from
+    trace-free channels and agree with full-channel forms (the tests'
+    oracle) within 1e-14 relative.  The full basis is built once, and
+    every row works in its arena (see `table_row`).
     """
     keys = list(dict.fromkeys(keys))
     if not samples:

@@ -1,7 +1,76 @@
+"""The test oracle: plain full-channel forms of the padded-grid functionals
+that plsf computes in one kernel, `plsf.galerkin._padded_values`.
+
+Each form transforms every channel of a full (M,)^d spectrum with
+`grid.to_physical` and reduces with numpy sums: no trace-free channel, no
+arena and no `out=` buffer.  Tests import them from here.
+"""
+
 import numpy as np
 import pytest
 
-from plsf.fields import gradient, grad_sym_gradient_samples, hessian_samples, lp_norm
+from plsf.fields import TensorField, gradient, inner_product, lp_norm
+from plsf.grid import TorusGrid
+
+
+@pytest.fixture
+def grid2d():
+    return TorusGrid(2, 16, 2 * np.pi)
+
+
+def sym_gradient(u) -> TensorField:
+    """The strain rate D = (grad u + grad u^T)/2, entry (i, j) -> D_ij."""
+    G = gradient(u).values
+    return TensorField(u.grid, 0.5 * (G + np.swapaxes(G, 0, 1)))
+
+
+def grad_sym_gradient(u) -> np.ndarray:
+    """d_s D_ij at [s, i, j], shape (d, d, d) + padded_shape, from
+    D_ij = (ik_j c_i + ik_i c_j)/2."""
+    g = u.grid
+    ik = 1j * g.wavevectors
+    c = u.coeffs
+    dhat = 0.5 * (ik[np.newaxis, :] * c[:, np.newaxis] + ik[:, np.newaxis] * c[np.newaxis, :])
+    return g.to_physical(ik[:, np.newaxis, np.newaxis] * dhat[np.newaxis])
+
+
+def hessian(u) -> np.ndarray:
+    """d_j d_k u_i at [i, j, k], shape (d, d, d) + padded_shape."""
+    g = u.grid
+    k = g.wavevectors
+    return g.to_physical(
+        -(k[np.newaxis, :, np.newaxis] * k[np.newaxis, np.newaxis, :]
+          * u.coeffs[:, np.newaxis, np.newaxis])
+    )
+
+
+def stress_factor(dd, params) -> np.ndarray:
+    """(mu + |D|^2)^((p-2)/2) from dd = |D|^2, extended by 0 where
+    mu + |D|^2 = 0."""
+    base = params.mu + dd
+    with np.errstate(divide="ignore"):
+        return np.where(base > 0, np.power(base, 0.5 * (params.p - 2.0)), 0.0)
+
+
+def stress(D: TensorField, params) -> TensorField:
+    """The power-law stress sigma(D) = (mu + |D|^2)^((p-2)/2) D, pointwise."""
+    fac = stress_factor(np.sum(D.values**2, axis=(0, 1)), params)
+    return TensorField(D.grid, fac * D.values)
+
+
+def rho_tilde(u, params) -> float:
+    """(sigma(Du), Du), the quadrature of (mu + |Du|^2)^((p-2)/2) |Du|^2."""
+    D = sym_gradient(u)
+    return inner_product(stress(D, params), D)
+
+
+def I_p(u, params) -> float:
+    """The quadrature of (mu + |Du|^2)^((p-2)/2) |grad Du|^2; mu > 0."""
+    if params.mu <= 0:
+        raise ValueError("I_p is only defined for mu > 0")
+    fac = stress_factor(np.sum(sym_gradient(u).values ** 2, axis=(0, 1)), params)
+    sq = np.sum(grad_sym_gradient(u) ** 2, axis=(0, 1, 2))
+    return float(np.sum(fac * sq) * u.grid.quad_weight)
 
 
 def trace_free_value(u, key):
@@ -20,7 +89,7 @@ def trace_free_value(u, key):
     if name == "u":
         return lp_norm(u, arg)
     if name == "hess":
-        return lp_norm(hessian_samples(u), arg, grid=g)
+        return lp_norm(hessian(u), arg, grid=g)
     G = np.array(gradient(u).values)  # d_j u_i at [i, j]
     G[-1, -1] = -np.sum([G[i, i] for i in range(d - 1)], axis=0)
     if name == "grad":
@@ -29,13 +98,11 @@ def trace_free_value(u, key):
     dd = np.sum(D**2, axis=(0, 1))
     if name == "shifted":
         return lp_norm(np.sqrt(arg.mu + dd), arg.p, grid=g)
-    base = arg.mu + dd
-    fac = np.zeros_like(base)
-    np.power(base, 0.5 * (arg.p - 2.0), out=fac, where=base > 0)
+    fac = stress_factor(dd, arg)
     if name == "rho_tilde":
         return float(np.sum(fac * dd) * g.quad_weight)
     assert name == "I_p"
-    dD = np.array(grad_sym_gradient_samples(u))  # d_s D_ij at [s, i, j]
+    dD = grad_sym_gradient(u)  # d_s D_ij at [s, i, j]
     dD[:, -1, -1] = -np.sum([dD[:, i, i] for i in range(d - 1)], axis=0)
     sq = np.zeros(g.padded_shape)
     for i in range(d):
@@ -43,8 +110,3 @@ def trace_free_value(u, key):
             for s in range(d):
                 sq = sq + (1.0 if i == j else 2.0) * dD[s, i, j] ** 2
     return float(np.sum(fac * sq) * g.quad_weight)
-
-
-@pytest.fixture
-def trace_free_oracle():
-    return trace_free_value

@@ -22,11 +22,6 @@ from plsf.fields import (
 from plsf.grid import TorusGrid
 
 
-@pytest.fixture
-def grid2d():
-    return TorusGrid(2, 16, 2 * np.pi)
-
-
 def test_first_shell_2d(grid2d):
     # L = 2 pi, N = 4: the whole lambda = 1 shell (k = +-e1, +-e2)
     basis = make_basis(grid2d, 4)

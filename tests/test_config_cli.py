@@ -899,6 +899,40 @@ def test_cli_converge_resolved_dynamics_error_at_tolerance(tmp_path):
         assert all(e <= 1e-7 for e in report["errors"][q])
 
 
+@pytest.mark.parametrize("text", [CONVERGE_CFG, RESOLVED_CFG], ids=["random", "resolved"])
+def test_cli_converge_errors_match_full_channel_oracle(tmp_path, text):
+    # The study reads every norm from coefficients, in the reference basis.
+    # The oracle recomputes e_N = (int ||grad(v_N - v_ref)||_p^q dt)^(1/q)
+    # from each member's run: synthesized fields, their difference on the
+    # grid, the full-channel gradient and lp_norm.  The two round c_N - c_ref
+    # differently, so they agree within rounding of the operands: 1e-14 of
+    # e_N plus 1e-14 of the same norm of v_ref.  Measured on this config:
+    # a change of 0 (random) and 7e-17 of the v_ref norm (resolved, where
+    # e_N ~ 1e-11 is integrator noise, so 1e-5 of e_N itself).
+    from plsf.fields import gradient, lp_norm
+    from plsf.galerkin import run_trajectory
+
+    cfg_path = write_config(tmp_path, text)
+    out = tmp_path / "conv.json"
+    assert main(["converge", str(cfg_path), "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    cfg = load_config(cfg_path)
+    times, p = report["state_times"], cfg.solver.p
+    members = []
+    for N in report["N_list"]:
+        solver = with_overrides(cfg, N=N, lambda_cut=None).solver
+        _, states = run_trajectory(solver, collect_states_at=times)
+        members.append([st.velocity() for st in states])
+    ref = members[-1]
+    ref_norms = np.array([lp_norm(gradient(v), p) for v in ref])
+    for k, member in enumerate(members[:-1]):
+        diffs = np.array([lp_norm(gradient(v - v_ref), p) for v, v_ref in zip(member, ref)])
+        for q in cfg.study_q_list:
+            e = float(np.trapezoid(diffs**q, times) ** (1.0 / q))
+            scale = float(np.trapezoid(ref_norms**q, times) ** (1.0 / q))
+            assert abs(report["errors"][repr(q)][k] - e) <= 1e-14 * (e + scale)
+
+
 def test_cli_verify_check_failure_exit_1(tmp_path, monkeypatch):
     import plsf.inequalities as ineq_mod
 

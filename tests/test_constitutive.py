@@ -1,33 +1,40 @@
 import numpy as np
 import pytest
 
+from conftest import grad_sym_gradient, stress, sym_gradient
+from plsf.basis import make_basis
 from plsf.constitutive import (
     STRESS_DIFF_CONSTANT,
     FluidParams,
-    I_p,
     oo_identity_residual,
     oo_residual_scale,
-    rho_tilde,
-    stress,
     stress_derivative,
     stress_difference_bound_check,
     stress_tensor,
 )
 from plsf.fields import (
     SpectralVelocity,
-    grad_sym_gradient_samples,
     inner_product,
     lp_norm,
     random_solenoidal,
-    sym_gradient,
-    taylor_green,
 )
+from plsf.galerkin import GalerkinState, galerkin_rhs
 from plsf.grid import TorusGrid
+from plsf.inequalities import field_table
 
 
-@pytest.fixture
-def grid2d():
-    return TorusGrid(2, 16, 2 * np.pi)
+def kernel(u, *keys):
+    """The values of plsf's one padded-grid functional kernel on u, read
+    through the verify table."""
+    return field_table([u], keys)[0]
+
+
+def rho(u, params):
+    return kernel(u, ("rho_tilde", params))["rho_tilde", params]
+
+
+def ip(u, params):
+    return kernel(u, ("I_p", params))["I_p", params]
 
 
 def shear_mode(L=2 * np.pi, M=16, amplitude=1.0):
@@ -60,17 +67,26 @@ def test_params_validation():
 
 
 def test_stress_newtonian_identity(grid2d):
+    # sigma(D) = D at p = 2 whatever mu: the kernel's stress factor is 1, so
+    # rho_tilde is ||D||_2^2 for every mu, bit for bit
     v = random_solenoidal(grid2d, band=5, seed=1)
     D = sym_gradient(v)
+    values = [rho(v, FluidParams(2.0, mu)) for mu in (0.0, 0.3, 7.0)]
+    assert values[0] == values[1] == values[2]
+    assert values[0] == pytest.approx(lp_norm(D, 2) ** 2, rel=1e-12)
+    Dx = np.array([[0.3, -1.2], [-1.2, -0.3]])
     for mu in (0.0, 0.3, 7.0):
-        sigma = stress(D, FluidParams(2.0, mu))
-        assert np.array_equal(sigma.values, D.values)
+        assert np.array_equal(stress_tensor(Dx, FluidParams(2.0, mu)), Dx)
+
+
+def _rhs_of_zero_state(grid, params):
+    basis = make_basis(grid, 8)
+    return galerkin_rhs(GalerkinState(basis, np.zeros(basis.size), 0.0), params)
 
 
 def test_stress_zero_strain(grid2d):
-    D = sym_gradient(SpectralVelocity.zero(grid2d))
-    sigma = stress(D, FluidParams(1.8, 2.0))
-    assert np.all(sigma.values == 0)
+    # sigma(0) = 0: the RHS, whose flux is sigma(Dv) - v (x) v, vanishes at v = 0
+    assert np.all(_rhs_of_zero_state(grid2d, FluidParams(1.8, 2.0)) == 0)
 
 
 def test_stress_scale_factor_pointwise():
@@ -84,10 +100,12 @@ def test_stress_scale_factor_pointwise():
 def test_stress_continuous_extension_at_zero():
     sigma = stress_tensor(np.zeros((2, 2)), FluidParams(1.8, 0.0))
     assert np.all(sigma == 0)
+    # mu = 0, p < 2: the factor is singular at D = 0, and the kernels take
+    # sigma's continuous extension there
     g = TorusGrid(2, 8, 1.0)
-    D = sym_gradient(SpectralVelocity.zero(g))
-    sigma_field = stress(D, FluidParams(1.8, 0.0))
-    assert np.all(sigma_field.values == 0)
+    params = FluidParams(1.8, 0.0)
+    assert np.all(_rhs_of_zero_state(g, params) == 0)
+    assert rho(SpectralVelocity.zero(g), params) == 0.0
 
 
 def test_frame_indifference():
@@ -108,26 +126,26 @@ def test_frame_indifference():
         assert np.max(np.abs(lhs - rhs)) < 1e-12 * max(1.0, np.max(np.abs(rhs)))
 
 
-# -- rho_tilde and the natural dissipation ------------------------------------
+# -- rho_tilde and the natural dissipation, from the kernel -----------------
 
 
 def test_rho_tilde_zero(grid2d):
-    assert rho_tilde(SpectralVelocity.zero(grid2d), FluidParams(1.9, 1.0)) == 0.0
+    assert rho(SpectralVelocity.zero(grid2d), FluidParams(1.9, 1.0)) == 0.0
 
 
 def test_rho_tilde_newtonian(grid2d):
     v = random_solenoidal(grid2d, band=5, seed=2, amplitude=1.4)
     D = sym_gradient(v)
-    assert rho_tilde(v, FluidParams(2.0, 3.0)) == pytest.approx(
-        lp_norm(D, 2) ** 2, rel=1e-12
-    )
+    assert rho(v, FluidParams(2.0, 3.0)) == pytest.approx(lp_norm(D, 2) ** 2, rel=1e-12)
 
 
 def test_rho_tilde_duality_is_exact(grid2d):
+    # rho_tilde = (sigma(D), D); the oracle is that product, on full
+    # channels, so the kernel's trace-free channels leave only rounding
     v = random_solenoidal(grid2d, band=6, seed=3, amplitude=2.0)
     params = FluidParams(1.87, 0.6)
     D = sym_gradient(v)
-    assert rho_tilde(v, params) == inner_product(stress(D, params), D)
+    assert rho(v, params) == pytest.approx(inner_product(stress(D, params), D), rel=1e-14)
 
 
 def test_rho_tilde_refined_grid_oracle():
@@ -136,31 +154,31 @@ def test_rho_tilde_refined_grid_oracle():
     v = shear_mode(M=16)
     fine = TorusGrid(2, 16, 2 * np.pi, dealias_factor=6.0)
     v_fine = SpectralVelocity(fine, v.coeffs)
-    coarse_val = rho_tilde(v, params)
-    fine_val = rho_tilde(v_fine, params)
-    assert coarse_val == pytest.approx(fine_val, rel=1e-8)
+    assert rho(v, params) == pytest.approx(rho(v_fine, params), rel=1e-8)
 
 
 def test_rho_tilde_monotone_in_mu(grid2d):
     v = random_solenoidal(grid2d, band=5, seed=6, amplitude=1.0)
-    values = [rho_tilde(v, FluidParams(1.8, mu)) for mu in (0.1, 0.5, 1.0, 5.0)]
+    laws = [FluidParams(1.8, mu) for mu in (0.1, 0.5, 1.0, 5.0)]
+    row = kernel(v, *[("rho_tilde", law) for law in laws])
+    values = [row["rho_tilde", law] for law in laws]
     assert all(b < a for a, b in zip(values, values[1:]))
 
 
-# -- I_p -----------------------------------------------------------------------
+# -- I_p, from the kernel --------------------------------------------------------
 
 
 def test_ip_zero_and_mu_guard(grid2d):
-    assert I_p(SpectralVelocity.zero(grid2d), FluidParams(1.9, 1.0)) == 0.0
+    assert ip(SpectralVelocity.zero(grid2d), FluidParams(1.9, 1.0)) == 0.0
     with pytest.raises(ValueError):
-        I_p(SpectralVelocity.zero(grid2d), FluidParams(1.9, 0.0))
+        ip(SpectralVelocity.zero(grid2d), FluidParams(1.9, 0.0))
 
 
 def test_ip_newtonian_reduces_to_grad_strain_norm(grid2d):
     v = random_solenoidal(grid2d, band=5, seed=7)
-    dD = grad_sym_gradient_samples(v)
+    dD = grad_sym_gradient(v)
     expected = float(np.sum(dD**2) * grid2d.quad_weight)
-    assert I_p(v, FluidParams(2.0, 0.7)) == pytest.approx(expected, rel=1e-12)
+    assert ip(v, FluidParams(2.0, 0.7)) == pytest.approx(expected, rel=1e-12)
 
 
 def test_ip_refined_grid_oracle():
@@ -168,7 +186,7 @@ def test_ip_refined_grid_oracle():
     v = shear_mode(M=16, amplitude=1.3)
     fine = TorusGrid(2, 16, 2 * np.pi, dealias_factor=6.0)
     v_fine = SpectralVelocity(fine, v.coeffs)
-    assert I_p(v, params) == pytest.approx(I_p(v_fine, params), rel=1e-8)
+    assert ip(v, params) == pytest.approx(ip(v_fine, params), rel=1e-8)
 
 
 # -- the pointwise identity ----------------------------------------------------

@@ -6,11 +6,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from conftest import hessian, sym_gradient
+from plsf.constitutive import FluidParams
 from plsf.errors import FieldInvariantError, GridMismatchError
 from plsf.fields import (
     SpectralVelocity,
     gradient,
-    hessian_samples,
     inner_product,
     l2_norm_spectral,
     leray_project,
@@ -19,15 +20,10 @@ from plsf.fields import (
     pointwise_magnitude,
     random_solenoidal,
     save_checkpoint,
-    sym_gradient,
     taylor_green,
 )
 from plsf.grid import TorusGrid
-
-
-@pytest.fixture
-def grid2d():
-    return TorusGrid(2, 16, 2 * np.pi)
+from plsf.inequalities import field_table
 
 
 def hermitian_noise(grid, seed=0):
@@ -94,12 +90,18 @@ def test_field_is_real(grid2d):
     assert np.max(np.abs(herm)) < 1e-14
 
 
-# -- sym_gradient -------------------------------------------------------------
+# -- the strain rate: the oracle's, and the kernel's |D|^2 ----------------------
 
 
 def test_sym_gradient_zero(grid2d):
-    D = sym_gradient(SpectralVelocity.zero(grid2d))
-    assert np.all(D.values == 0)
+    zero = SpectralVelocity.zero(grid2d)
+    assert np.all(sym_gradient(zero).values == 0)
+    params = FluidParams(2.0, 1.0)
+    keys = [("rho_tilde", params), ("shifted", params)]
+    # at D = 0, rho_tilde = 0 and ||(mu + |D|^2)^(1/2)||_p = mu^(1/2) |Omega|^(1/p)
+    row = field_table([zero], keys)[0]
+    assert row[keys[0]] == 0.0
+    assert row[keys[1]] == pytest.approx(2 * np.pi, rel=1e-14)
 
 
 def test_sym_gradient_single_shear_mode():
@@ -116,9 +118,16 @@ def test_sym_gradient_single_shear_mode():
     assert np.max(np.abs(D.values[1, 0] - expected)) < 1e-12
     assert np.max(np.abs(D.values[0, 0])) < 1e-13
     assert np.max(np.abs(D.values[1, 1])) < 1e-13
+    # the kernel's |D|^2 = 2 (pi/L)^2 cos^2: at p = 2 rho_tilde integrates it
+    # to pi^2 whatever L, and ||grad v||_2^2 = (2 pi / L)^2 L^2 / 2 = 2 pi^2
+    params = FluidParams(2.0, 1.0)
+    row = field_table([v], [("rho_tilde", params), ("grad", 2.0)])[0]
+    assert row["rho_tilde", params] == pytest.approx(np.pi**2, rel=1e-12)
+    assert row["grad", 2.0] ** 2 == pytest.approx(2 * np.pi**2, rel=1e-12)
 
 
 def test_sym_gradient_trace_free(grid2d):
+    # tr D = 0, which lets the kernel form D_dd from the other diagonal entries
     v = random_solenoidal(grid2d, band=6, seed=8, amplitude=3.0)
     D = sym_gradient(v)
     trace = np.trace(D.values, axis1=0, axis2=1)
@@ -143,23 +152,40 @@ def test_lp_norm_examples(grid2d):
 
 @pytest.mark.parametrize("dim, M, seed", [(2, 16, 0), (2, 12, 1), (3, 8, 2), (3, 12, 3)])
 def test_hessian_upper_triangle_matches_full_transform(dim, M, seed):
+    # the kernel transforms the j <= k upper triangle of each component;
+    # its ||D^2 v||_q equals that of all d^3 channels bit for bit
     grid = TorusGrid(dim, M, 2 * np.pi)
     v = random_solenoidal(grid, band=M // 2 - 1, seed=seed)
-    k = grid.wavevectors
-    full = grid.to_physical(
-        -(k[np.newaxis, :, np.newaxis] * k[np.newaxis, np.newaxis, :]
-          * v.coeffs[:, np.newaxis, np.newaxis])
-    )  # all d^3 channels of d_j d_k v_i
-    hess = hessian_samples(v)
-    assert hess.flags.c_contiguous
-    assert np.array_equal(hess, full)
-    for q in (1.5, 1.9, 2.0, 3.0):
-        assert lp_norm(hess, q, grid=grid) == lp_norm(full, q, grid=grid)
+    full = hessian(v)  # all d^3 channels of d_j d_k v_i
+    qs = (1.5, 1.9, 2.0, 3.0)
+    row = field_table([v], [("hess", q) for q in qs])[0]
+    assert row == {("hess", q): lp_norm(full, q, grid=grid) for q in qs}
 
 
 def test_lp_norm_rejects_q_below_one(grid2d):
     with pytest.raises(ValueError):
         lp_norm(SpectralVelocity.zero(grid2d), 0.5)
+
+
+BAD_Q = pytest.mark.parametrize("q", [float("inf"), float("nan"), 0.5],
+                                ids=["inf", "nan", "half"])
+
+
+@BAD_Q
+def test_lp_norm_rejects_q_not_a_finite_number_at_least_one(grid2d, q):
+    # q = inf read as a power gives 1.0, and NaN passes `q < 1`
+    v = random_solenoidal(grid2d, band=4, seed=2)
+    for f, grid in ((v, None), (gradient(v), None), (v.physical, grid2d)):
+        with pytest.raises(ValueError, match="finite number >= 1"):
+            lp_norm(f, q, grid=grid)
+
+
+@BAD_Q
+@pytest.mark.parametrize("name", ["u", "grad", "hess"])
+def test_kernel_rejects_q_not_a_finite_number_at_least_one(grid2d, q, name):
+    v = random_solenoidal(grid2d, band=4, seed=2)
+    with pytest.raises(ValueError, match="finite number >= 1"):
+        field_table([v], [(name, 2.0), (name, q)])
 
 
 def test_parseval(grid2d):
@@ -201,7 +227,7 @@ def test_pointwise_magnitude_matches_squared_sum(dim, M):
     # axes of C-contiguous samples in, so the bits agree
     g = TorusGrid(dim, M, 2 * np.pi)
     v = random_solenoidal(g, band=3, seed=dim)
-    for samples in (v.physical, gradient(v).values, hessian_samples(v)):
+    for samples in (v.physical, gradient(v).values, hessian(v)):
         lead = tuple(range(samples.ndim - dim))
         want = np.sqrt(np.sum(samples**2, axis=lead))
         assert pointwise_magnitude(samples, g).tobytes() == want.tobytes()
@@ -209,7 +235,7 @@ def test_pointwise_magnitude_matches_squared_sum(dim, M):
 
 def test_pointwise_magnitude_forms_no_second_input_array():
     g = TorusGrid(3, 12, 1.0)
-    hess = hessian_samples(random_solenoidal(g, band=3, seed=9))  # 27 channels
+    hess = hessian(random_solenoidal(g, band=3, seed=9))  # 27 channels
     channel = hess[0, 0, 0].nbytes
     pointwise_magnitude(hess, g)  # warm up
     tracemalloc.start()

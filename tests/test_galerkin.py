@@ -5,8 +5,9 @@ import warnings
 import numpy as np
 import pytest
 
+from conftest import I_p, hessian, rho_tilde, stress, sym_gradient, trace_free_value
 from plsf.basis import basis_capacity, make_basis
-from plsf.constitutive import FluidParams, rho_tilde
+from plsf.constitutive import FluidParams
 from plsf.errors import StiffnessError
 from plsf.fields import lp_norm, random_solenoidal
 from plsf.galerkin import (
@@ -25,11 +26,6 @@ from plsf.galerkin import (
     state_functionals,
 )
 from plsf.grid import TorusGrid
-
-
-@pytest.fixture
-def grid2d():
-    return TorusGrid(2, 16, 2 * np.pi)
 
 
 # -- initial projection ---------------------------------------------------------
@@ -90,29 +86,18 @@ def test_rhs_newtonian_single_mode(grid2d):
 
 
 def _check_convection_neutrality(grid, N, seed, trials=5):
-    # c . P div sigma = -rho_tilde exactly by discrete Parseval (D is
-    # band-limited), so what the energy law leaves over at rounding level
-    # is c . conv
+    # the semi-discrete energy law -c . dc/dt = rho_tilde, with the rho_tilde
+    # a sample records: c . P div sigma = -rho_tilde exactly by discrete
+    # Parseval (D is band-limited), so what the law leaves over at rounding
+    # level is c . conv
     basis = make_basis(grid, N)
     rng = np.random.default_rng(seed)
     params = FluidParams(1.9, 1.0)
     for _ in range(trials):
         c = rng.standard_normal(N)
         production = -float(np.dot(c, _rhs_parts(basis, params, c)))
-        assert production == pytest.approx(rho_tilde(basis.synthesize(c), params), rel=1e-13)
-
-
-def _check_semidiscrete_energy_law(grid, N, seed, trials=5):
-    basis = make_basis(grid, N)
-    rng = np.random.default_rng(seed)
-    params = FluidParams(1.9, 1.0)
-    for _ in range(trials):
-        c = rng.standard_normal(N)
-        state = GalerkinState(basis, c, 0.0)
-        rhs = galerkin_rhs(state, params)
-        production = -2.0 * float(np.dot(c, rhs))
-        dissipation = 2.0 * rho_tilde(state.velocity(), params)
-        assert production == pytest.approx(dissipation, rel=1e-9)
+        sample = state_functionals(GalerkinState(basis, c, 0.0), params)
+        assert production == pytest.approx(sample["rho_tilde"], rel=1e-13)
 
 
 # 3D at full band takes the divergence form; the 2D 64^2 grid at dealias
@@ -133,16 +118,6 @@ def test_convection_energy_neutrality_full_band(dim, M, dealias):
     _check_convection_neutrality(grid, basis_capacity(grid), seed=2, trials=3)
 
 
-def test_semidiscrete_energy_law(grid2d):
-    _check_semidiscrete_energy_law(grid2d, 60, seed=3)
-
-
-@full_band_grids
-def test_semidiscrete_energy_law_full_band(dim, M, dealias):
-    grid = TorusGrid(dim, M, 2 * np.pi, dealias_factor=dealias)
-    _check_semidiscrete_energy_law(grid, basis_capacity(grid), seed=3, trials=3)
-
-
 def test_convection_neutrality_even_without_oversampling():
     # skew antisymmetry is exact independent of aliasing
     g = TorusGrid(2, 16, 2 * np.pi, dealias_factor=1.0)
@@ -155,12 +130,10 @@ def test_convection_neutrality_even_without_oversampling():
 def test_convection_equals_skew_average(dim, M, dealias):
     # oracle: P div sigma - conv, with conv the skew average
     # ((v.grad v) + div(v (x) v)) / 2, over full tensors, built here from
-    # the public transforms.  On a dealiased grid the divergence form alone
-    # agrees with it; elsewhere the solver takes it, and its rotation part,
-    # which adds no energy, is pinned only here.
-    from plsf.constitutive import stress
-    from plsf.fields import sym_gradient
-
+    # the public transforms and the full-channel stress of the test oracle.
+    # On a dealiased grid the divergence form alone agrees with it;
+    # elsewhere the solver takes it, and its rotation part, which adds no
+    # energy, is pinned only here.
     g = TorusGrid(dim, M, 2 * np.pi, dealias_factor=dealias)
     basis = make_basis(g, basis_capacity(g))
     c = np.random.default_rng(6).standard_normal(basis_capacity(g))
@@ -420,15 +393,42 @@ def test_cadence_snaps_near_duplicate_end_time():
         assert np.min(np.abs(rec.times - k * 0.03)) < 1e-12
 
 
-def test_collected_states_one_per_requested_time():
-    # requested times that snap onto the same sample still get a state each
+def test_collected_states_one_per_requested_time(monkeypatch):
+    # requested times that snap onto the same sample still get a state each.
+    # A state is the run's basis and the length-N vector sampled at its
+    # time: what it synthesizes is, bit for bit, the spectrum of the vector
+    # as it was sampled, so no later step wrote it, and it is no view of the
+    # step controller's buffers.
+    import plsf.galerkin as galerkin_mod
+
+    controllers, sampled = [], {}
+    sample = galerkin_mod.state_functionals
+
+    class Controller(StepController):
+        def __post_init__(self):
+            super().__post_init__()
+            controllers.append(self)
+
+    def spy(state, params, record_d2=False):
+        sampled[state.t] = state.basis.synthesize_coeffs(state.c)
+        return sample(state, params, record_d2=record_d2)
+
+    monkeypatch.setattr(galerkin_mod, "StepController", Controller)
+    monkeypatch.setattr(galerkin_mod, "state_functionals", spy)
     T = 0.33
     times = [k * 0.03 for k in range(12)] + [T]
     rec, states = run_trajectory(small_config(N=8, T=T, sample_dt=0.03),
                                  collect_states_at=times)
     assert len(states) == len(times)
-    assert np.array_equal(states[-2], states[-1])
+    assert states[-2] is states[-1]
     assert rec.times[-1] == T
+    (ctrl,) = controllers
+    basis = states[0].basis
+    for st in states:
+        assert isinstance(st, GalerkinState) and st.basis is basis
+        assert st.c.shape == (8,) and st.c.dtype == np.float64
+        assert not np.shares_memory(st.c, ctrl._buffers)
+        assert basis.synthesize_coeffs(st.c).tobytes() == sampled[st.t].tobytes()
 
 
 def test_energy_monotone_within_tolerance():
@@ -511,12 +511,12 @@ def _sampled_state(dim, M, dealias, N):
 @FUNCTIONAL_CASES
 def test_functionals_match_public_operations(dim, M, dealias, N, mu, record_d2):
     # the sample runs in the basis's work arena on trace-free channels; the
-    # public operations transform every channel, so the two agree to
-    # rounding, and the Hessian, which has no trace-free channel, bit for
-    # bit (energy and rho are the coefficient sums, exact in theory only,
-    # so they match the quadrature to rounding)
-    from plsf.constitutive import I_p
-    from plsf.fields import gradient, hessian_samples
+    # public gradient and the test oracle's full-channel forms transform
+    # every channel, so the two agree to rounding, and the Hessian, which
+    # has no trace-free channel, bit for bit (energy and rho are the
+    # coefficient sums, exact in theory only, so they match the quadrature
+    # to rounding)
+    from plsf.fields import gradient
 
     state = _sampled_state(dim, M, dealias, N)
     params = FluidParams(1.9, mu)
@@ -531,14 +531,14 @@ def test_functionals_match_public_operations(dim, M, dealias, N, mu, record_d2):
     else:
         assert np.isnan(vals["Ip"])
     if record_d2:
-        assert vals["d2_p_norm"] == lp_norm(hessian_samples(v), 1.9, grid=state.basis.grid)
+        assert vals["d2_p_norm"] == lp_norm(hessian(v), 1.9, grid=state.basis.grid)
     else:
         assert "d2_p_norm" not in vals
 
 
 @pytest.mark.parametrize("mu", [1.0, 0.0], ids=["mu1", "mu0"])
 @FUNCTIONAL_CASES
-def test_functionals_match_trace_free_oracle(trace_free_oracle, dim, M, dealias, N, mu):
+def test_functionals_match_trace_free_oracle(dim, M, dealias, N, mu):
     # equality, not a tolerance: the kernel keeps the oracle's channels and
     # sum order, for the sample and for every key of the kernel
     from plsf.galerkin import _padded_values
@@ -547,16 +547,16 @@ def test_functionals_match_trace_free_oracle(trace_free_oracle, dim, M, dealias,
     params = FluidParams(1.9, mu)
     vals = state_functionals(state, params, record_d2=True)
     v = state.velocity()
-    assert vals["rho_tilde"] == trace_free_oracle(v, ("rho_tilde", params))
-    assert vals["grad_p_norm"] == trace_free_oracle(v, ("grad", 1.9))
-    assert vals["d2_p_norm"] == trace_free_oracle(v, ("hess", 1.9))
+    assert vals["rho_tilde"] == trace_free_value(v, ("rho_tilde", params))
+    assert vals["grad_p_norm"] == trace_free_value(v, ("grad", 1.9))
+    assert vals["d2_p_norm"] == trace_free_value(v, ("hess", 1.9))
     if mu > 0:
-        assert vals["Ip"] == trace_free_oracle(v, ("I_p", params))
+        assert vals["Ip"] == trace_free_value(v, ("I_p", params))
     keys = [("u", 2.0), ("u", 1.5), ("grad", 3.0), ("hess", 2.0), ("shifted", params),
             ("rho_tilde", params), ("rho_tilde", FluidParams(1.7, 0.5))]
     keys += [("I_p", FluidParams(1.9, 1e-2))] + ([("I_p", params)] if mu > 0 else [])
     got = _padded_values(state.basis, v.coeffs, keys)
-    assert got == {key: trace_free_oracle(v, key) for key in keys}
+    assert got == {key: trace_free_value(v, key) for key in keys}
 
 
 @pytest.mark.parametrize("record_d2", [False, True], ids=["no-d2", "d2"])
@@ -670,62 +670,6 @@ def _full_spectrum_rhs(basis, params, c):
     return basis.project_modes(div)
 
 
-def _full_spectrum_values(grid, vhat, keys):
-    """The functional kernel's values with every input a full (M,)^d
-    spectrum through the fftn-layout to_physical, in the kernel's sum
-    orders."""
-    from plsf.constitutive import _stress_factor
-    from plsf.fields import (_magnitude, _norm_of_magnitude, _sum_of_squares,
-                             symmetric_components)
-
-    g = grid
-    d, shape = g.dim, g.padded_shape
-    rows, cols, pos = symmetric_components(d)
-    ik = 1j * g.wavevectors
-    kk = (g.wavevectors[rows] * g.wavevectors[cols]).astype(np.complex128)
-    norm = lambda mag, q: _norm_of_magnitude(mag, q, g, out=np.empty(shape))
-    mag = lambda channels: _magnitude(channels, np.empty(shape), np.empty(shape))
-    G = np.concatenate([g.to_physical(ik[: d - (i == d - 1)] * vhat[i]) for i in range(d)]
-                       + [np.empty((1,) + shape)])
-    G[-1] = -np.sum(G[: d * d - 1 : d + 1], axis=0)
-    D = G.copy()
-    for i in range(d):
-        for j in range(i, d):
-            D[d * i + j] = D[d * j + i] = 0.5 * (G[d * i + j] + G[d * j + i])
-    dd = _sum_of_squares(D, np.empty(shape), np.empty(shape))
-    dgrad_sq = np.zeros(shape)
-    for i, j in zip(rows[:-1], cols[:-1]):
-        dhat = 0.5 * (ik[j] * vhat[i] + ik[i] * vhat[j])
-        slot = g.to_physical(ik * dhat)
-        for ch in slot:
-            dgrad_sq += (1.0 if i == j else 2.0) * np.square(ch)
-        if i == j:
-            last = slot if i == 0 else last + slot
-    for ch in np.negative(last):
-        dgrad_sq += np.square(ch)
-    hess_sq = np.zeros(shape)
-    for i in range(d):
-        H = g.to_physical(np.negative(kk * vhat[i]))
-        for j in range(d):
-            for k in range(d):
-                hess_sq += np.square(H[pos[j, k]])
-    values = {}
-    for name, arg in keys:
-        if name == "u":
-            values[name, arg] = norm(mag(g.to_physical(vhat)), arg)
-        elif name == "grad":
-            values[name, arg] = norm(mag(G), arg)
-        elif name == "hess":
-            values[name, arg] = norm(np.sqrt(hess_sq), arg)
-        elif name == "shifted":
-            values[name, arg] = _norm_of_magnitude(np.sqrt(arg.mu + dd), arg.p, g)
-        else:
-            fac = _stress_factor(dd, arg, out=np.empty(shape), mask=np.empty(shape, bool))
-            values[name, arg] = float(np.sum(fac * (dd if name == "rho_tilde" else dgrad_sq))
-                                      * g.quad_weight)
-    return values
-
-
 @pytest.mark.parametrize("mu", [1.0, 0.0], ids=["mu1", "mu0"])
 @pytest.mark.parametrize(
     "dim,M,dealias,N",
@@ -734,8 +678,9 @@ def _full_spectrum_values(grid, vhat, keys):
 )
 def test_kept_inputs_match_the_full_spectrum_oracle(dim, M, dealias, N, mu):
     # the kernels form their transform inputs at the basis's kept positions
-    # and scatter them into the padded half-spectrum; the oracle synthesizes
-    # the whole (M,)^d spectrum first.  Same operands, same bits.
+    # and scatter them into the padded half-spectrum; the oracles synthesize
+    # the whole (M,)^d spectrum first (the functionals' is trace_free_value,
+    # in the kernel's sum orders).  Same operands, same bits.
     grid = TorusGrid(dim, M, 2 * np.pi, dealias_factor=dealias)
     basis = make_basis(grid, N or basis_capacity(grid))
     rng = np.random.default_rng(17)
@@ -747,7 +692,8 @@ def test_kept_inputs_match_the_full_spectrum_oracle(dim, M, dealias, N, mu):
                                                        rng.standard_normal(basis.size))):
         rhs = _rhs_parts(basis, params, c)
         assert rhs.tobytes() == _full_spectrum_rhs(basis, params, c).tobytes()
-        expected = _full_spectrum_values(grid, basis.synthesize_coeffs(c), keys)
+        v = basis.synthesize(c)
+        expected = {key: trace_free_value(v, key) for key in keys}
         kept = basis.kept_coeffs(c)
         assert _padded_values(basis, kept, keys) == expected
         assert _padded_values(basis, basis.synthesize_coeffs(c), keys) == expected
@@ -755,11 +701,8 @@ def test_kept_inputs_match_the_full_spectrum_oracle(dim, M, dealias, N, mu):
         sample = state_functionals(GalerkinState(basis, c, 0.0), params, record_d2=True)
         shared = [("grad", 1.9), ("rho_tilde", params), ("hess", 1.9)]
         shared += [("I_p", params)] if mu > 0 else []
-        oracle = _full_spectrum_values(grid, basis.synthesize_coeffs(c), shared)
-        assert [sample[name] for name in ("grad_p_norm", "rho_tilde", "d2_p_norm")] == [
-            oracle[key] for key in shared[:3]]
-        if mu > 0:
-            assert sample["Ip"] == oracle["I_p", params]
+        names = ["grad_p_norm", "rho_tilde", "d2_p_norm", "Ip"][: len(shared)]
+        assert [sample[name] for name in names] == [trace_free_value(v, key) for key in shared]
 
 
 def test_kept_coeffs_are_synthesize_coeffs_at_the_kept_wavevectors():

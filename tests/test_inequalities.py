@@ -1,16 +1,11 @@
 import numpy as np
 import pytest
 
+from conftest import I_p, hessian, rho_tilde, sym_gradient, trace_free_value
 from plsf.basis import full_basis, make_basis
-from plsf.constitutive import FluidParams, I_p, rho_tilde
+from plsf.constitutive import FluidParams
 from plsf.errors import ConfigError, GridMismatchError
-from plsf.fields import (
-    SpectralVelocity,
-    gradient,
-    hessian_samples,
-    lp_norm,
-    sym_gradient,
-)
+from plsf.fields import SpectralVelocity, gradient, lp_norm
 from plsf.galerkin import GalerkinState, SolverConfig, galerkin_rhs, run_trajectory
 from plsf.grid import TorusGrid
 from plsf.inequalities import (
@@ -170,7 +165,7 @@ def test_lemma3_p_near_two_collapses_sd1(ens3d):
     params = FluidParams(2.0, 1.0)
     sd1, _, _ = check_lemma3(table(ens3d.samples, "lemma3", params), params)
     sample = ens3d.samples[0]
-    lhs = lp_norm(hessian_samples(sample), 2.0, grid=sample.grid)
+    lhs = lp_norm(hessian(sample), 2.0, grid=sample.grid)
     rhs = np.sqrt(I_p(sample, FluidParams(2.0, 1.0)))
     assert sd1.left[0] == pytest.approx(lhs, rel=1e-12)
     # the shifted-strain factor carries exponent 0 at p = 2
@@ -324,7 +319,7 @@ def test_sd3_strain_controlled_by_hessian(ens3d, ens3d_fresh):
         ratios = []
         for u in ens.samples:
             num = lp_norm(sym_gradient(u), 1.85)
-            den = lp_norm(hessian_samples(u), 1.85, grid=u.grid)
+            den = lp_norm(hessian(u), 1.85, grid=u.grid)
             if den > 0:
                 ratios.append(num / den)
         return max(ratios)
@@ -348,14 +343,15 @@ def every_key(p, mu):
 
 
 def oracle_value(u, key, basis):
-    """What the per-suite loops computed from the public per-field calls."""
+    """What the per-suite loops computed from per-field calls, on the test
+    oracle's full-channel forms."""
     name, arg = key
     if name == "u":
         return lp_norm(u, arg)
     if name == "grad":
         return lp_norm(gradient(u), arg)
     if name == "hess":
-        return lp_norm(hessian_samples(u), arg, grid=u.grid)
+        return lp_norm(hessian(u), arg, grid=u.grid)
     if name == "I_p":
         return I_p(u, arg)
     if name == "rho_tilde":
@@ -400,14 +396,14 @@ def test_table_matches_per_suite_oracle(request, name):
 
 
 @pytest.mark.parametrize("name", ["ens2d", "ens3d", "ens3d_unpadded"])
-def test_table_matches_trace_free_oracle(request, trace_free_oracle, name):
+def test_table_matches_trace_free_oracle(request, name):
     samples = request.getfixturevalue(name).samples
     keys = [key for key in every_key(1.9, 0.5) + [("rho_tilde", FluidParams(1.9, 0.5))]
             if key[0] not in ("proj_cumsum", "drho_half")]
     rows = field_table(samples, keys)
     for u, row in zip(samples, rows):
         fresh = SpectralVelocity(u.grid, u.coeffs, validate=False)
-        assert row == {key: trace_free_oracle(fresh, key) for key in keys}
+        assert row == {key: trace_free_value(fresh, key) for key in keys}
 
 
 def test_table_leaves_no_derivative_cache_on_the_fields():

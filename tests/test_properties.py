@@ -3,8 +3,9 @@
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
+from conftest import sym_gradient
 from plsf.constitutive import FluidParams, oo_identity_residual, oo_residual_scale
-from plsf.fields import leray_project, lp_norm, random_solenoidal, sym_gradient
+from plsf.fields import leray_project, lp_norm, random_solenoidal
 from plsf.gap import weight_P
 from plsf.grid import TorusGrid
 
