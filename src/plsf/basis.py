@@ -30,12 +30,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from .errors import CapacityError, GridMismatchError
-from .fields import (
-    SpectralVelocity,
-    _component_positions,
-    _with_mirrors,
-    representative_modes,
-)
+from .fields import SpectralVelocity, _kept_entries, _kept_wavevectors, representative_modes
 from .grid import TorusGrid
 
 
@@ -85,8 +80,9 @@ class StokesBasis:
         self.modes = modes  # (modes, d) wavevectors
         # polarization p, component i of every mode: (d-1, d, modes)
         self._directions = np.ascontiguousarray(_polarizations(modes).transpose(1, 2, 0))
-        self._pos = _component_positions(grid, modes)  # (d, modes)
-        self._mirror = _component_positions(grid, -modes)
+        # where project_coeffs reads each wavevector in a half-layout
+        # spectrum: n, or the conjugate at -n
+        self._src, self._neg = grid.spectrum_index(modes)
         self._scale = np.sqrt(2.0 * grid.volume)
         # work buffers of the Galerkin kernels on this basis: built by
         # plsf.galerkin on their first call, freed with the basis
@@ -111,8 +107,11 @@ class StokesBasis:
     # -- coefficient transforms ------------------------------------------
 
     def project_coeffs(self, coeffs: np.ndarray) -> np.ndarray:
-        """Inner products (f, a^r) straight from spectral coefficients."""
-        return self.project_modes(coeffs.reshape(-1)[self._pos])
+        """Inner products (f, a^r) straight from half-layout spectral
+        coefficients."""
+        sub = coeffs.reshape(self.grid.dim, -1)[:, self._src]
+        np.conjugate(sub, out=sub, where=self._neg)
+        return self.project_modes(sub)
 
     def project_modes(self, sub: np.ndarray) -> np.ndarray:
         """project_coeffs from the coefficients at the basis wavevectors
@@ -136,12 +135,19 @@ class StokesBasis:
         return self.project_coeffs(v.coeffs)
 
     def synthesize_coeffs(self, c: np.ndarray, out=None) -> np.ndarray:
-        """Spectral coefficients of sum_r c_r a^r.
+        """Half-layout spectral coefficients of sum_r c_r a^r: kept_coeffs(c)
+        scattered to their wavevectors.
 
-        Written into `out` ((dim,) + shape complex128, C-contiguous) when
-        it is given; a fresh array otherwise.
+        Written into `out` ((dim,) + spectral_shape complex128,
+        C-contiguous) when it is given; a fresh array otherwise.
         """
-        return _with_mirrors(self.grid, self._mode_values(c), self._pos, self._mirror, out=out)
+        g = self.grid
+        if out is None:
+            out = np.zeros((g.dim,) + g.spectral_shape, dtype=np.complex128)
+        else:
+            out.fill(0.0)
+        out.reshape(g.dim, -1)[:, self.kept_positions] = self.kept_coeffs(c)
+        return out
 
     @cached_property
     def kept(self) -> tuple[np.ndarray, np.ndarray, int]:
@@ -149,26 +155,18 @@ class StokesBasis:
         `TorusGrid.to_physical` transforms: `grid.kept_index(self.modes)`."""
         return self.grid.kept_index(self.modes)
 
+    @cached_property
+    def kept_positions(self) -> np.ndarray:
+        """Flat index of each kept entry in one component of a half-layout
+        spectrum."""
+        return self.grid.spectrum_index(_kept_wavevectors(self.modes, self.kept))[0]
+
     def kept_coeffs(self, c: np.ndarray, out=None) -> np.ndarray:
-        """synthesize_coeffs(c) at the kept wavevectors alone, bit for bit:
+        """The coefficients of sum_r c_r a^r at the kept wavevectors alone:
         shape (dim, len(kept[0])), entry e at the wavevector of kept entry
         e.  Written into `out` (C-contiguous) when it is given.
-
-        The arithmetic is _with_mirrors': v + complex(0.0, -0.0) at a mode,
-        and conj of that plus 0.0 at its mirror.
         """
-        vals = self._mode_values(c)
-        _, rows, split = self.kept
-        if out is None:
-            out = np.empty((self.grid.dim, len(rows)), dtype=np.complex128)
-        for channel, v in zip(out, vals):
-            # mode="clip" (every index is in range) lets take write straight into out
-            np.take(v, rows, out=channel, mode="clip")
-        out += complex(0.0, -0.0)
-        mirrored = out[:, split:]
-        np.conjugate(mirrored, out=mirrored)
-        mirrored += 0.0
-        return out
+        return _kept_entries(self._mode_values(c), self.kept, out=out)
 
     def _mode_values(self, c: np.ndarray) -> np.ndarray:
         """The coefficient of sum_r c_r a^r at each basis wavevector,

@@ -333,7 +333,8 @@ def _study_times(cfg: RunConfig) -> list[float]:
     T = cfg.solver.T
     dt = cfg.study_state_dt
     n = int(np.floor(T / dt + 1e-9))
-    times = [k * dt for k in range(n + 1)]
+    # k * dt can land an ulp above T (3 * 0.1 > 0.3): that state is T's
+    times = [min(k * dt, T) for k in range(n + 1)]
     if times[-1] < T:
         times.append(T)
     return times

@@ -2,9 +2,11 @@
 
 A `SpectralVelocity` is an immutable band-limited vector field that is
 real (Hermitian-symmetric coefficients), incompressible (k . c(k) = 0)
-and mean-free (c(0) = 0).  `TensorField` holds pointwise tensor samples
-on the oversampled physical grid; nonlinear quantities are always formed
-there and integrated with the uniform-grid rule.
+and mean-free (c(0) = 0).  Its spectrum is held in the half layout of
+`plsf.grid`: the modes with last index >= 0, the others being implied.
+`TensorField` holds pointwise tensor samples on the oversampled physical
+grid; nonlinear quantities are always formed there and integrated with
+the uniform-grid rule.
 """
 
 from __future__ import annotations
@@ -31,12 +33,11 @@ class SpectralVelocity:
     """Band-limited, real, divergence-free, mean-free velocity field."""
 
     def __init__(self, grid: TorusGrid, coeffs: np.ndarray, validate: bool = True):
-        coeffs = np.asarray(coeffs, dtype=np.complex128)
-        if coeffs.shape != (grid.dim,) + grid.shape:
-            raise FieldInvariantError(
-                f"coefficient array has shape {coeffs.shape}, "
-                f"expected {(grid.dim,) + grid.shape}"
-            )
+        coeffs = _spectrum_array(grid, coeffs)
+        # NaN passes every `>` comparison of the invariant checks, and the
+        # band mask would turn inf into NaN
+        if validate and not np.all(np.isfinite(coeffs)):
+            raise FieldInvariantError("coefficients are not finite")
         coeffs = coeffs * grid.band_mask
         coeffs[(slice(None),) + (0,) * grid.dim] = 0.0
         if validate:
@@ -47,7 +48,8 @@ class SpectralVelocity:
 
     @classmethod
     def zero(cls, grid: TorusGrid) -> "SpectralVelocity":
-        return cls(grid, np.zeros((grid.dim,) + grid.shape, np.complex128), validate=False)
+        return cls(grid, np.zeros((grid.dim,) + grid.spectral_shape, np.complex128),
+                   validate=False)
 
     @classmethod
     def from_physical(cls, grid: TorusGrid, samples: np.ndarray) -> "SpectralVelocity":
@@ -63,10 +65,12 @@ class SpectralVelocity:
                 f"sample array has shape {samples.shape}, "
                 f"expected {(grid.dim,) + grid.shape}"
             )
+        # full (M,)^dim spectra as set-up temporaries: the half of
+        # (c + conj c(-n)) / 2 keeps the bits of that symmetrization
         axes = tuple(range(1, 1 + grid.dim))
         c = np.fft.fftn(samples, axes=axes) / float(grid.M**grid.dim)
-        c = c * grid.band_mask
-        c = 0.5 * (c + np.conj(grid.reflect(c)))
+        half, mask = grid.M // 2, grid.band_mask
+        c = 0.5 * (c[..., :half] * mask + np.conj(grid.reflect(c)[..., :half] * mask))
         return leray_project(grid, c)
 
     @cached_property
@@ -125,11 +129,24 @@ def _require_same_grid(f, g):
         raise GridMismatchError(f"{f.grid!r} vs {g.grid!r}")
 
 
+def _spectrum_array(grid: TorusGrid, coeffs) -> np.ndarray:
+    coeffs = np.asarray(coeffs, dtype=np.complex128)
+    expected = (grid.dim,) + grid.spectral_shape
+    if coeffs.shape != expected:
+        raise FieldInvariantError(
+            f"coefficient array has shape {coeffs.shape}, expected {expected}"
+        )
+    return coeffs
+
+
 def _check_invariants(grid: TorusGrid, coeffs: np.ndarray, rtol: float = 1e-10):
     scale = float(np.max(np.abs(coeffs)))
     if scale == 0.0:
         return
-    herm = coeffs - np.conj(grid.reflect(coeffs))
+    # the plane of last index 0 is the only place where the half layout
+    # stores both n and -n
+    plane = coeffs[..., :1]
+    herm = plane - np.conj(grid.reflect(plane))
     if float(np.max(np.abs(herm))) > rtol * scale:
         raise FieldInvariantError("coefficients are not Hermitian-symmetric")
     div = np.sum(grid.wavevectors * coeffs, axis=0)
@@ -177,20 +194,14 @@ def _magnitude(channels, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
 
 
 def leray_project(grid: TorusGrid, coeffs: np.ndarray) -> SpectralVelocity:
-    """Project arbitrary real spectral data onto divergence-free fields.
+    """Project real spectral data (half layout) onto divergence-free fields.
 
     Per mode k != 0 the output is f(k) - k (k . f(k)) / |k|^2; the mean
     mode is zeroed.  If the input is already solenoidal at rounding level
     it is passed through unchanged, which makes a second application an
     exact fixed point of the first.
     """
-    coeffs = np.asarray(coeffs, dtype=np.complex128)
-    if coeffs.shape != (grid.dim,) + grid.shape:
-        raise FieldInvariantError(
-            f"coefficient array has shape {coeffs.shape}, "
-            f"expected {(grid.dim,) + grid.shape}"
-        )
-    coeffs = coeffs * grid.band_mask
+    coeffs = _spectrum_array(grid, coeffs) * grid.band_mask
     k = grid.wavevectors
     kdotf = np.sum(k * coeffs, axis=0)
     scale = float(np.max(np.abs(coeffs)))
@@ -271,8 +282,14 @@ def inner_product(f, g) -> float:
 
 
 def l2_norm_spectral(v: SpectralVelocity) -> float:
-    """Coefficient-sum (Parseval) form of the L^2 norm."""
-    return float(np.sqrt(v.grid.volume * np.sum(np.abs(v.coeffs) ** 2)))
+    """Coefficient-sum (Parseval) form of the L^2 norm.
+
+    A stored mode off the plane of last index 0 stands for itself and its
+    mirror, so it counts twice; the plane stores both and counts once.
+    """
+    sq = np.abs(v.coeffs) ** 2
+    total = 2.0 * np.sum(sq[..., 1:]) + np.sum(sq[..., 0])
+    return float(np.sqrt(v.grid.volume * total))
 
 
 # -- canonical initial data ----------------------------------------------
@@ -313,16 +330,25 @@ def random_solenoidal(
     if band < 1 or band > grid.M // 2 - 1:
         raise ValueError(f"band must be in [1, {grid.M // 2 - 1}], got {band}")
     rng = np.random.default_rng(seed)
+    # the normals are drawn over the full (M,)^dim spectrum, a set-up
+    # temporary, so that a seed keeps its field bit for bit; the weight is
+    # even in n, and the half of (c + conj c(-n)) / 2 is formed from it
     shape = (grid.dim,) + grid.shape
     raw = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     nsq = np.sum(grid.mode_grid.astype(np.float64) ** 2, axis=0)
     keep = (nsq > 0) & (nsq <= float(band) ** 2)
     with np.errstate(divide="ignore"):
         weight = np.where(keep, nsq ** (-decay / 2.0), 0.0)
-    c = raw * weight[np.newaxis]
-    c = 0.5 * (c + np.conj(grid.reflect(c)))
+    half = grid.M // 2
+    c = 0.5 * (raw[..., :half] * weight + np.conj(grid.reflect(raw)[..., :half] * weight))
     v = leray_project(grid, c)
-    norm = l2_norm_spectral(v)
+    # the norm sums |c|^2 over the full spectrum in its memory order, the
+    # mirrors (last index above M/2) rebuilt from the half, so that the
+    # rescaling keeps a seed's bits too
+    sq = np.zeros(shape)
+    sq[..., :half] = np.abs(v.coeffs) ** 2
+    sq[..., half + 1 :] = grid.reflect(sq)[..., half + 1 :]
+    norm = float(np.sqrt(grid.volume * np.sum(sq)))
     if norm == 0.0:
         raise FieldInvariantError("random field degenerated to zero")
     return v * (float(amplitude) / norm)
@@ -368,40 +394,47 @@ def representative_modes(grid: TorusGrid) -> np.ndarray:
     return _canonical_modes(grid.dim, grid.M)
 
 
-def _component_positions(grid: TorusGrid, modes: np.ndarray) -> np.ndarray:
-    """Flat index, into a (dim,) + grid.shape coefficient array, of each
-    component at each wavevector row of `modes`; shape (dim, count)."""
-    pos = np.ravel_multi_index(tuple((modes % grid.M).T), grid.shape)
-    return pos + grid.M**grid.dim * np.arange(grid.dim)[:, np.newaxis]
+def _kept_wavevectors(modes: np.ndarray, kept) -> np.ndarray:
+    """The wavevector of each entry of kept = `TorusGrid.kept_index(modes)`
+    = (dst, rows, split): modes[rows[e]], negated from split on."""
+    _, rows, split = kept
+    waves = modes[rows]
+    np.negative(waves[split:], out=waves[split:])
+    return waves
 
 
-def _with_mirrors(grid: TorusGrid, vals: np.ndarray, pos, mirror, out=None) -> np.ndarray:
-    """Coefficients holding vals (dim, count) at the flat positions `pos`,
-    their conjugates at `mirror` (the positions of -n) and zero elsewhere,
-    written into `out` (C-contiguous) when it is given.
+def _kept_entries(vals: np.ndarray, kept, out=None) -> np.ndarray:
+    """The coefficients of a real field at the entries of kept =
+    `TorusGrid.kept_index(modes)` = (dst, rows, split), given vals
+    (dim, count): its coefficient at each wavevector row of `modes`, the
+    mirrors implied.  Entry e is vals[:, rows[e]], conjugated from split
+    on; written into `out` (C-contiguous) when it is given.
 
-    The arithmetic is that of c + conj(reflect(c)) for c holding vals at
-    pos: v + conj(0) at pos and 0 + conj(v) at mirror, so the signs of
-    vanishing parts come out the same (+0.0, but for an imaginary -0.0 kept
-    at pos).  `vals` is used as the work buffer and overwritten.
+    The signs of vanishing parts follow one fixed rule: v +
+    complex(0.0, -0.0) at a mode, and the conjugate of that plus 0.0 at
+    its mirror.
     """
+    _, rows, split = kept
     if out is None:
-        out = np.zeros((grid.dim,) + grid.shape, dtype=np.complex128)
-    else:
-        out.fill(0.0)
-    flat = out.reshape(-1)
-    vals += complex(0.0, -0.0)
-    flat[pos] = vals
-    np.conjugate(vals, out=vals)
-    vals += 0.0
-    flat[mirror] = vals
+        out = np.empty((len(vals), len(rows)), dtype=np.complex128)
+    for channel, v in zip(out, vals):
+        # mode="clip" (every index is in range) lets take write straight into out
+        np.take(v, rows, out=channel, mode="clip")
+    out += complex(0.0, -0.0)
+    mirrored = out[:, split:]
+    np.conjugate(mirrored, out=mirrored)
+    mirrored += 0.0
     return out
 
 
 def save_checkpoint(path, v: SpectralVelocity) -> None:
     grid = v.grid
     reps = representative_modes(grid)
-    vals = v.coeffs.reshape(-1)[_component_positions(grid, reps)]
+    src, neg = grid.spectrum_index(reps)
+    vals = v.coeffs.reshape(grid.dim, -1)[:, src]
+    # a representative with a negative last index is read at its mirror, as
+    # the conjugate with vanishing parts +0.0
+    vals[:, neg] = np.conj(vals[:, neg]) + 0.0
     inter = np.empty((len(reps), grid.dim, 2), dtype="<f8")
     inter[..., 0] = vals.real.T
     inter[..., 1] = vals.imag.T
@@ -456,7 +489,8 @@ def load_checkpoint(path, dealias_factor: float = 1.5) -> SpectralVelocity:
     reps = representative_modes(grid)
     flat = data.reshape(count, dim, 2)
     vals = (flat[..., 0] + 1j * flat[..., 1]).T
-    coeffs = _with_mirrors(
-        grid, vals, _component_positions(grid, reps), _component_positions(grid, -reps)
-    )
+    kept = grid.kept_index(reps)
+    pos = grid.spectrum_index(_kept_wavevectors(reps, kept))[0]
+    coeffs = np.zeros((dim,) + grid.spectral_shape, dtype=np.complex128)
+    coeffs.reshape(dim, -1)[:, pos] = _kept_entries(vals, kept)
     return SpectralVelocity(grid, coeffs)

@@ -53,6 +53,7 @@ from .fields import (  # noqa: F401
     SpectralVelocity,
     _magnitude,
     _norm_of_magnitude,
+    _kept_wavevectors,
     _sum_of_squares,
     gradient,
     load_checkpoint,
@@ -99,7 +100,7 @@ class _Arena:
     kernels' needs.  Every call writes a buffer before it reads it.  The
     constants beside them are computed once.
 
-    No full (M,)^d spectrum is formed.  A kernel's transform inputs are
+    No field spectrum is formed.  A kernel's transform inputs are
     formed at the basis's kept positions (`StokesBasis.kept`: the band
     modes with last index >= 0 that the basis reaches) and scattered
     straight into the kept padded half-spectrum that `TorusGrid.to_physical`
@@ -177,19 +178,9 @@ class _Arena:
         rows, cols = zip(*self.pairs)
         return (k[list(rows)] * k[list(cols)]).astype(np.complex128)
 
-    @cached_property
-    def full_index(self) -> np.ndarray:
-        """Flat index of each kept wavevector in one channel of an (M,)^d
-        spectrum, where `_padded_values` gathers a field's coefficients."""
-        g = self.grid
-        return np.ravel_multi_index(tuple((self.kept_modes() % g.M).T), g.shape)
-
     def kept_modes(self) -> np.ndarray:
         """The wavevector of each kept entry, shape (count, d)."""
-        _, rows, split = self.kept
-        modes = self.modes[rows]
-        np.negative(modes[split:], out=modes[split:])
-        return modes
+        return _kept_wavevectors(self.modes, self.kept)
 
     def inputs(self, channels: int) -> tuple[np.ndarray, np.ndarray]:
         """`channels` zeroed channels of the kept padded half-spectrum in
@@ -220,10 +211,10 @@ def _padded_values(basis: StokesBasis, vhat: np.ndarray, keys) -> dict:
     ||(mu + |Dv|^2)^(1/2)||_p; ("rho_tilde", params) and ("I_p", params).
 
     `vhat` holds the coefficients at the basis's kept positions, (d, kept)
-    as `StokesBasis.kept_coeffs` gives them, or is a (d,) + shape spectrum,
+    as `StokesBasis.kept_coeffs` gives them, or is a half-layout spectrum,
     which is read at those positions alone: a field on the basis's
     wavevectors.  Each transform input is formed there and scattered into
-    the kept padded half-spectrum, so no (M,)^d spectrum is built.
+    the kept padded half-spectrum, so no field spectrum is built.
 
     The channels are trace-free: div v = 0 and tr D = 0 give d_d v_d and
     d_s D_dd pointwise as minus the sums of the other diagonal entries, so
@@ -252,7 +243,7 @@ def _padded_values(basis: StokesBasis, vhat: np.ndarray, keys) -> dict:
     if vhat.ndim == 2:
         coef = vhat
     else:
-        coef = np.take(vhat.reshape(d, -1), arena.full_index, axis=1, out=arena.coef,
+        coef = np.take(vhat.reshape(d, -1), basis.kept_positions, axis=1, out=arena.coef,
                        mode="clip")
     values = {}
 
@@ -799,6 +790,8 @@ def run_trajectory(config: SolverConfig, collect_states_at=None):
     initial data).  When `collect_states_at` is given, also returns the
     run's `GalerkinState` at each of those times, on the run's one basis,
     each with the length-N vector sampled then, which no later step writes.
+    A time within 1e-9 T of T is T's, as for the sample cadence; a time
+    outside [0, T] beyond that raises ValueError.
     """
     grid = config.build_grid()
     params = config.build_params()
@@ -811,7 +804,14 @@ def run_trajectory(config: SolverConfig, collect_states_at=None):
     if config.sample_dt:
         n_samples = int(np.floor(T / config.sample_dt + 1e-9))
         targets.update(k * config.sample_dt for k in range(1, n_samples + 1))
-    collect = sorted(float(t) for t in collect_states_at) if collect_states_at else []
+    tol = 1e-9 * T
+    collect = []
+    for t in collect_states_at or ():
+        t = float(t)
+        if not -tol <= t <= T + tol:  # NaN included
+            raise ValueError(f"state time {t!r} lies outside [0, T = {T!r}]")
+        collect.append(min(max(t, 0.0), T))
+    collect.sort()
     targets.update(collect)
     targets.add(T)
     snap = _snap_targets(sorted(t for t in targets if 0.0 < t <= T), T)

@@ -3,15 +3,21 @@
 Conventions used throughout the package:
 
 * Fields live on the torus (0, L)^dim with dim in {2, 3}.
-* A spectral coefficient array stores "analytic" Fourier coefficients in
-  numpy fftn layout, one block of shape (M,)*dim per vector/tensor
-  component, so that
+* A spectral coefficient array stores "analytic" Fourier coefficients
 
-      f(x) = sum_n c(n) * exp(i k_n . x),      k_n = (2*pi/L) * n.
+      f(x) = sum_n c(n) * exp(i k_n . x),      k_n = (2*pi/L) * n,
 
+  of a real field, c(-n) = conj c(n), in the half layout of the real-input
+  FFT (Frigo & Johnson, Proc. IEEE 93, 2005): one block of shape
+  `spectral_shape` = (M,)*(dim-1) + (M/2,) per vector/tensor component.
+  The leading axes are in numpy fft order (modes 0 .. M/2-1, then
+  -M/2 .. -1); the last axis holds modes 0 .. M/2-1 only.  A mode with a
+  negative last index is not stored: it is the conjugate of its mirror.
+  On the plane where the last index is 0 both n and -n are stored, and
+  c(-n) = conj c(n) is an invariant of the field there.
 * Retained wavevectors are the integer multi-indices with
-  |n_i| <= M/2 - 1 per axis.  The Nyquist index n_i = -M/2 present in the
-  fftn layout is always kept at zero: the retained set is then closed
+  |n_i| <= M/2 - 1 per axis.  The Nyquist index n_i = -M/2 present on the
+  leading axes is always kept at zero: the retained set is then closed
   under negation, which is what makes real fields representable.
 * Physical samples of nonlinear quantities are taken on an oversampled
   grid with padded_M = ceil(dealias_factor * M) points per axis (rounded
@@ -73,20 +79,26 @@ class TorusGrid:
         """Quadrature weight of one padded-grid point."""
         return (self.L / self.padded_M) ** self.dim
 
+    @property
+    def spectral_shape(self) -> tuple[int, ...]:
+        """Shape of one component of a spectrum in the half layout."""
+        return (self.M,) * (self.dim - 1) + (self.M // 2,)
+
     @cached_property
     def modes(self) -> np.ndarray:
-        """Integer wavenumbers along one axis in fftn layout."""
+        """Integer wavenumbers along one leading axis, in fft order."""
         return np.rint(np.fft.fftfreq(self.M) * self.M).astype(np.int64)
 
     @cached_property
     def mode_grid(self) -> np.ndarray:
-        """Integer multi-indices, shape (dim,) + shape."""
-        axes = np.meshgrid(*([self.modes] * self.dim), indexing="ij")
-        return np.stack(axes)
+        """Integer multi-indices of the half layout, shape
+        (dim,) + spectral_shape."""
+        axes = [self.modes] * (self.dim - 1) + [np.arange(self.M // 2, dtype=np.int64)]
+        return np.stack(np.meshgrid(*axes, indexing="ij"))
 
     @cached_property
     def wavevectors(self) -> np.ndarray:
-        """k = (2*pi/L) * n, shape (dim,) + shape."""
+        """k = (2*pi/L) * n, shape (dim,) + spectral_shape."""
         return (2.0 * np.pi / self.L) * self.mode_grid.astype(np.float64)
 
     @cached_property
@@ -95,7 +107,8 @@ class TorusGrid:
 
     @cached_property
     def band_mask(self) -> np.ndarray:
-        """True where every |n_i| <= M/2 - 1 (Nyquist excluded)."""
+        """True where every |n_i| <= M/2 - 1 (the leading axes' Nyquist
+        rows excluded), shape spectral_shape."""
         half = self.M // 2
         return np.all(np.abs(self.mode_grid) <= half - 1, axis=0)
 
@@ -190,6 +203,27 @@ class TorusGrid:
         (dst_d, rows_d), (dst_m, rows_m) = parts
         return np.concatenate([dst_d, dst_m]), np.concatenate([rows_d, rows_m]), len(rows_d)
 
+    def _mirror_index(self, modes, size: int, shape) -> tuple[np.ndarray, np.ndarray]:
+        """Flat index into `shape` of each wavevector row n of `modes`, or of
+        -n where n has a negative last index (returned true), with every
+        component taken modulo `size`."""
+        n = np.asarray(modes)
+        self._check_band(n)
+        n = n.T
+        neg = n[-1] < 0
+        return np.ravel_multi_index(tuple(np.where(neg, -n, n) % size), shape), neg
+
+    def spectrum_index(self, modes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Where each wavevector row of `modes` (shape (count, dim)) is read
+        from in one component of a half-layout spectrum.
+
+        Returns (src, neg): the flat index into spectral_shape, and true
+        where the mode has a negative last index and its coefficient is the
+        conjugate of the one stored at its mirror -n.  Raises ValueError for
+        a wavevector outside the band.
+        """
+        return self._mirror_index(modes, self.M, self.spectral_shape)
+
     def band_index(self, modes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Where each wavevector row of `modes` (shape (count, dim)) is read
         from in the padded rfft half-spectrum, for `to_spectral`.
@@ -200,12 +234,8 @@ class TorusGrid:
         mirror c(-n) (+1.0 elsewhere).  Raises ValueError for a wavevector
         outside the band.
         """
-        n = np.asarray(modes)
-        self._check_band(n)
-        n = n.T
-        neg = n[-1] < 0
         half_shape = self.padded_shape[:-1] + (self.padded_M // 2 + 1,)
-        src = np.ravel_multi_index(tuple(np.where(neg, -n, n) % self.padded_M), half_shape)
+        src, neg = self._mirror_index(modes, self.padded_M, half_shape)
         return src, np.where(neg, -1.0, 1.0)
 
     def work_size(self, channels: int, forward: bool) -> int:
@@ -218,21 +248,26 @@ class TorusGrid:
     def to_physical(self, coeffs: np.ndarray, out=None, work=None) -> np.ndarray:
         """Sample band-limited Hermitian coefficients on the padded grid.
 
-        `coeffs` is a spectrum in fftn layout, lead + shape, or the band
-        already placed in the kept padded half-spectrum, lead + kept_shape
-        complex128 with zeros outside the band (see `kept_index`).  The
-        latter is transformed in place, so it is overwritten.  The samples
-        are written into `out` (lead + padded_shape float64) when it is
-        given.  `work`, a flat complex128 array of at least
-        `work_size(channels, forward=False)` elements, then holds the
-        kept half-spectrum of an fftn-layout input, so that the call
-        allocates no grid array.
+        `coeffs` is a half-layout spectrum, lead + spectral_shape.  It is
+        placed into the kept padded half-spectrum (`kept_shape`), which is
+        transformed in place; that array lives in `work`, a flat complex128
+        array of at least `work_size(channels, forward=False)` elements,
+        when it is given, so that the call allocates no grid array.  A
+        caller that has already scattered its band into the start of `work`
+        (lead + kept_shape, zeros outside the band, see `kept_index`) passes
+        that view as `coeffs`, and it is transformed where it lies.  The
+        samples are written into `out` (lead + padded_shape float64) when it
+        is given.
         """
         lead = coeffs.shape[: coeffs.ndim - self.dim]
-        if coeffs.shape[len(lead) :] == self.kept_shape:
+        if work is not None and np.may_share_memory(coeffs, work):
+            if coeffs.shape[len(lead) :] != self.kept_shape:
+                raise ValueError(f"a spectrum in `work` must have shape lead + {self.kept_shape}")
             spec = coeffs
         else:
-            half = self.M // 2
+            if coeffs.shape[len(lead) :] != self.spectral_shape:
+                raise ValueError(f"a spectrum must have shape lead + {self.spectral_shape}, "
+                                 f"got {coeffs.shape}")
             kept = lead + self.kept_shape
             if work is None:
                 spec = np.zeros(kept, dtype=np.complex128)
@@ -241,7 +276,7 @@ class TorusGrid:
                 spec.fill(0.0)
             for src, dst in self._lead_blocks:
                 spec[(Ellipsis,) + dst + (slice(None),)] = coeffs[
-                    (Ellipsis,) + src + (slice(0, half),)
+                    (Ellipsis,) + src + (slice(None),)
                 ]
         if self.dim == 3:
             for rows in self._padded_band:
@@ -283,7 +318,10 @@ class TorusGrid:
         return out
 
     def reflect(self, coeffs: np.ndarray) -> np.ndarray:
-        """Return the array g with g(n) = coeffs(-n) in fftn layout."""
+        """Return the array g with g(n) = coeffs(-n), for an array whose last
+        dim axes each hold every mode modulo its length: the full fftn
+        layout (M,)^dim, or the plane of a half-layout spectrum as
+        coeffs[..., :1], whose last axis holds mode 0 alone."""
         out = coeffs
         for ax in range(coeffs.ndim - self.dim, coeffs.ndim):
             out = np.roll(np.flip(out, axis=ax), 1, axis=ax)

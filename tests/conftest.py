@@ -1,9 +1,11 @@
 """The test oracle: plain full-channel forms of the padded-grid functionals
 that plsf computes in one kernel, `plsf.galerkin._padded_values`.
 
-Each form transforms every channel of a full (M,)^d spectrum with
+Each form transforms every channel of a half-layout spectrum with
 `grid.to_physical` and reduces with numpy sums: no trace-free channel, no
-arena and no `out=` buffer.  Tests import them from here.
+arena and no `out=` buffer.  Tests import them from here, and the
+full-layout helpers below, which build spectra the way a test would
+write them out by hand.
 """
 
 import numpy as np
@@ -16,6 +18,23 @@ from plsf.grid import TorusGrid
 @pytest.fixture
 def grid2d():
     return TorusGrid(2, 16, 2 * np.pi)
+
+
+def full_mode_grid(g) -> np.ndarray:
+    """Integer multi-indices of the full numpy fftn layout, shape
+    (dim,) + (M,)*dim."""
+    return np.stack(np.meshgrid(*([g.modes] * g.dim), indexing="ij"))
+
+
+def hermitian_half(g, lead=(), seed=0) -> np.ndarray:
+    """Random complex noise on the full (M,)^dim layout, symmetrized as
+    (c + conj c(-n)) / 2 and cut to the half layout, shape
+    lead + spectral_shape.  Nothing is masked: the leading axes' Nyquist
+    rows hold noise too."""
+    rng = np.random.default_rng(seed)
+    shape = tuple(lead) + g.shape
+    raw = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    return np.ascontiguousarray((0.5 * (raw + np.conj(g.reflect(raw))))[..., : g.M // 2])
 
 
 def sym_gradient(u) -> TensorField:

@@ -4,6 +4,7 @@ import struct
 import numpy as np
 import pytest
 
+from conftest import full_mode_grid
 from plsf.basis import (
     StokesBasis,
     basis_capacity,
@@ -225,8 +226,29 @@ def test_capacity_is_enumeration_length(dim, M):
     assert len(representative_modes(g)) == ((M - 1) ** dim - 1) // 2
 
 
+def _oracle_spectrum(g, c):
+    """synthesize_coeffs on the full fftn layout, per entry: each entry's
+    amplitude added at its wavevector (np.add.at), then the reflected
+    conjugate added; returns it with the positions of the entries."""
+    dim, M, N = g.dim, g.M, len(c)
+    entries = _oracle_entries(g)[:N]
+    flat = np.array([np.ravel_multi_index([x % M for x in n], g.shape)
+                     for _, n, _, _, _ in entries])
+    E = np.array([e for *_, e in entries])
+    is_cos = np.array([trig == "cos" for _, _, _, trig, _ in entries])
+    buf = np.zeros((dim, M**dim), dtype=np.complex128)
+    amp = np.where(is_cos, c, -1j * c) / np.sqrt(2.0 * g.volume)
+    for i in range(dim):
+        np.add.at(buf[i], flat, amp * E[:, i])
+    buf = buf.reshape((dim,) + g.shape)
+    return buf + np.conj(g.reflect(buf)), flat, E, is_cos
+
+
 @pytest.mark.parametrize("dim, M, N", [(2, 16, 37), (3, 8, 101)])
 def test_save_checkpoint_matches_per_row_oracle(tmp_path, dim, M, N):
+    # the file holds, at each representative, what the full-layout spectrum
+    # of the field holds there, bit for bit: also at a representative with
+    # a negative last index, which the half layout stores as its mirror
     g = TorusGrid(dim, M, 1.3)
     basis = make_basis(g, N)  # a partial last shell
     c = np.random.default_rng(N).standard_normal(N)
@@ -235,9 +257,12 @@ def test_save_checkpoint_matches_per_row_oracle(tmp_path, dim, M, N):
     path = tmp_path / "state.plsf"
     save_checkpoint(path, v)
     reps = _oracle_modes(dim, M)
+    assert any(n[-1] < 0 for n in reps[: -(-N // (2 * (dim - 1)))])
+    # the band mask, as SpectralVelocity applies it
+    full = _oracle_spectrum(g, c)[0] * np.all(np.abs(full_mode_grid(g)) < M // 2, axis=0)
     want = struct.pack("<4sIIIdQ", b"PLSF", 1, dim, M, 1.3, len(reps))
     for n in reps:
-        for z in v.coeffs[(slice(None),) + tuple(x % M for x in n)]:
+        for z in full[(slice(None),) + tuple(x % M for x in n)]:
             want += struct.pack("<dd", z.real, z.imag)
     raw = path.read_bytes()
     assert raw == want
@@ -255,30 +280,26 @@ def test_full_basis_3d_m64_builds():
 @pytest.mark.parametrize("dim, M, N", [(2, 16, 37), (3, 8, 101), (3, 8, 416)])
 def test_synthesize_and_project_match_per_entry_oracle(dim, M, N):
     # the per-entry scatter (np.add.at, then the reflected conjugate) and
-    # gather, bit for bit, signed zeros included
+    # gather on the full layout, bit for bit on the half layout's positions,
+    # signed zeros included
     g = TorusGrid(dim, M, 1.3)
     basis = make_basis(g, N)
     rng = np.random.default_rng(N)
     c = rng.standard_normal(N)
     c[::5] = 0.0
     c[1::7] = -0.0
-    entries = _oracle_entries(g)[:N]
-    flat = np.array([np.ravel_multi_index([x % M for x in n], g.shape)
-                     for _, n, _, _, _ in entries])
-    E = np.array([e for *_, e in entries])
-    is_cos = np.array([trig == "cos" for _, _, _, trig, _ in entries])
-    scale = np.sqrt(2.0 * g.volume)
-    buf = np.zeros((dim, M**dim), dtype=np.complex128)
-    amp = np.where(is_cos, c, -1j * c) / scale
-    for i in range(dim):
-        np.add.at(buf[i], flat, amp * E[:, i])
-    buf = buf.reshape((dim,) + g.shape)
-    want = buf + np.conj(g.reflect(buf))
+    want, flat, E, is_cos = _oracle_spectrum(g, c)
     got = basis.synthesize_coeffs(c)
-    assert got.tobytes() == want.tobytes()
+    assert got.shape == (dim,) + g.spectral_shape
+    assert got.tobytes() == np.ascontiguousarray(want[..., : M // 2]).tobytes()
 
+    # the projection reads a mode with a negative last index as the
+    # conjugate of its mirror
     f = random_solenoidal(g, band=3, seed=N).coeffs
-    sub = f.reshape(dim, -1)[:, flat]
+    full = np.zeros((dim,) + g.shape, dtype=np.complex128)
+    full[..., : M // 2] = f
+    full[..., M // 2 + 1 :] = np.conj(g.reflect(full))[..., M // 2 + 1 :]
+    sub = full.reshape(dim, -1)[:, flat]
     a = np.einsum("nd,dn->n", E, sub)
-    proj = scale * np.where(is_cos, a.real, -a.imag)
+    proj = np.sqrt(2.0 * g.volume) * np.where(is_cos, a.real, -a.imag)
     assert basis.project_coeffs(f).tobytes() == proj.tobytes()

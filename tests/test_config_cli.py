@@ -851,6 +851,18 @@ def test_cli_converge_state_times_one_ulp_below_T(tmp_path):
     assert sum(report["histograms"][0]) == 13
 
 
+def test_cli_converge_state_times_one_ulp_above_T(tmp_path):
+    # 3 * 0.1 = 0.30000000000000004 > T = 0.3: the last state is T's
+    text = (RESOLVED_CFG.replace("T = 0.2", "T = 0.3")
+            .replace("state_dt = 0.05", "state_dt = 0.1"))
+    cfg_path = write_config(tmp_path, text)
+    out = tmp_path / "conv.json"
+    assert main(["converge", str(cfg_path), "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert report["state_times"] == [0.0, 0.1, 0.2, 0.3]
+    assert sum(report["histograms"][0]) == 4
+
+
 def test_cli_converge_without_study_exit_2(tmp_path):
     cfg_path = write_config(tmp_path, MINIMAL)
     assert main(["converge", str(cfg_path)]) == 2

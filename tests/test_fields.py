@@ -6,7 +6,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import hessian, sym_gradient
+from conftest import hermitian_half, hessian, sym_gradient
+from plsf.basis import full_basis
 from plsf.constitutive import FluidParams
 from plsf.errors import FieldInvariantError, GridMismatchError
 from plsf.fields import (
@@ -23,15 +24,11 @@ from plsf.fields import (
     taylor_green,
 )
 from plsf.grid import TorusGrid
-from plsf.inequalities import field_table
+from plsf.inequalities import FieldEnsemble, field_table
 
 
 def hermitian_noise(grid, seed=0):
-    rng = np.random.default_rng(seed)
-    raw = rng.standard_normal((grid.dim,) + grid.shape) + 1j * rng.standard_normal(
-        (grid.dim,) + grid.shape
-    )
-    return 0.5 * (raw + np.conj(grid.reflect(raw)))
+    return hermitian_half(grid, (grid.dim,), seed=seed)
 
 
 # -- Leray projection ---------------------------------------------------------
@@ -44,11 +41,7 @@ def test_leray_leaves_solenoidal_unchanged(grid2d):
 
 
 def test_leray_kills_gradients(grid2d):
-    rng = np.random.default_rng(2)
-    phi = rng.standard_normal((1,) + grid2d.shape) + 1j * rng.standard_normal(
-        (1,) + grid2d.shape
-    )
-    phi = 0.5 * (phi + np.conj(grid2d.reflect(phi)))
+    phi = hermitian_half(grid2d, (1,), seed=2)
     grad_phi = 1j * grid2d.wavevectors * phi[0]
     out = leray_project(grid2d, grad_phi)
     assert np.max(np.abs(out.coeffs)) < 1e-13 * np.max(np.abs(grad_phi))
@@ -81,13 +74,69 @@ def test_zero_mode_and_nyquist_cleared(grid2d):
     v = random_solenoidal(grid2d, band=5, seed=6)
     assert np.all(v.coeffs[:, 0, 0] == 0)
     assert np.all(v.coeffs[:, 8, :] == 0)  # Nyquist row
-    assert np.all(v.coeffs[:, :, 8] == 0)
+    # the half layout stores no last-axis Nyquist column
+    assert SpectralVelocity(grid2d, hermitian_noise(grid2d) * 0.0).coeffs.shape == (2, 16, 8)
+
+
+@pytest.mark.parametrize("dim, M", [(2, 16), (3, 8)])
+def test_coeffs_are_the_half_layout(tmp_path, dim, M):
+    g = TorusGrid(dim, M, 2 * np.pi)
+    shape = (dim,) + (M,) * (dim - 1) + (M // 2,)
+    path = tmp_path / "v.plsf"
+    save_checkpoint(path, random_solenoidal(g, band=2, seed=2))
+    for v in (random_solenoidal(g, band=3, seed=1), taylor_green(g), SpectralVelocity.zero(g),
+              load_checkpoint(path), full_basis(g).entry_field(3)):
+        assert v.coeffs.shape == shape
+    with pytest.raises(FieldInvariantError, match="shape"):
+        SpectralVelocity(g, np.zeros((dim,) + g.shape))  # the full layout
+    with pytest.raises(FieldInvariantError, match="shape"):
+        leray_project(g, np.zeros((dim,) + g.shape))
 
 
 def test_field_is_real(grid2d):
     v = random_solenoidal(grid2d, band=5, seed=7)
-    herm = v.coeffs - np.conj(grid2d.reflect(v.coeffs))
+    plane = v.coeffs[..., :1]
+    herm = plane - np.conj(grid2d.reflect(plane))
     assert np.max(np.abs(herm)) < 1e-14
+    # the full spectrum the half implies transforms to real samples, which
+    # are the field's on the unpadded grid
+    half = grid2d.M // 2
+    full = np.zeros((2,) + grid2d.shape, dtype=complex)
+    full[..., :half] = v.coeffs
+    full[..., half + 1 :] = np.conj(grid2d.reflect(full))[..., half + 1 :]
+    samples = np.fft.ifftn(full, axes=(1, 2)) * grid2d.M**2
+    assert np.max(np.abs(samples.imag)) < 1e-14 * np.max(np.abs(samples.real))
+    unpadded = TorusGrid(2, grid2d.M, grid2d.L, dealias_factor=1.0)
+    assert np.max(np.abs(SpectralVelocity(unpadded, v.coeffs).physical - samples.real)) < 1e-13
+
+
+@pytest.mark.parametrize("dim, M", [(2, 16), (3, 8)])
+def test_plane_without_hermitian_symmetry_rejected(dim, M):
+    # c(1, 0, ..) != conj c(-1, 0, ..) on the plane of last index 0; the
+    # mode's only nonzero component is orthogonal to it, so only the
+    # symmetry is broken
+    g = TorusGrid(dim, M, 2 * np.pi)
+    c = np.zeros((dim,) + g.spectral_shape, dtype=complex)
+    c[(1, 1) + (0,) * (dim - 1)] = 1.0 + 0.5j
+    c[(1, M - 1) + (0,) * (dim - 1)] = 1.0 - 0.5j
+    SpectralVelocity(g, c)
+    c[(1, M - 1) + (0,) * (dim - 1)] = 2.0
+    with pytest.raises(FieldInvariantError, match="Hermitian"):
+        SpectralVelocity(g, c)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")],
+                         ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("dim, M", [(2, 16), (3, 8)])
+def test_non_finite_coefficients_rejected(dim, M, bad):
+    g = TorusGrid(dim, M, 2 * np.pi)
+    v = random_solenoidal(g, band=3, seed=dim)
+    for where in ((0, 2) + (1,) * (dim - 1), (0,) * (dim + 1)):  # a band mode; the mean
+        for part in (1.0, 1j):
+            c = np.array(v.coeffs)
+            c[where] = bad * part
+            with pytest.raises(FieldInvariantError, match="not finite"):
+                SpectralVelocity(g, c)
 
 
 # -- the strain rate: the oracle's, and the kernel's |D|^2 ----------------------
@@ -193,6 +242,23 @@ def test_parseval(grid2d):
     quad = lp_norm(v, 2)
     spectral = l2_norm_spectral(v)
     assert abs(quad**2 - spectral**2) <= 1e-10 * spectral**2
+
+
+@pytest.mark.parametrize("dim, M", [(2, 16), (3, 8)])
+def test_parseval_counts_the_plane_once_and_the_rest_twice(dim, M):
+    # the full band reaches the plane of last index 0 and the top modes
+    g = TorusGrid(dim, M, 2 * np.pi)
+    for seed in range(3):
+        v = random_solenoidal(g, band=M // 2 - 1, seed=seed, amplitude=1.3)
+        assert l2_norm_spectral(v) == pytest.approx(lp_norm(v, 2.0), rel=1e-13, abs=0)
+    # a field on the plane alone: every stored mode counts once
+    c = np.array(random_solenoidal(g, band=M // 2 - 1, seed=5).coeffs)
+    c[..., 1:] = 0.0
+    plane = SpectralVelocity(g, c)
+    assert np.any(plane.coeffs != 0)
+    assert l2_norm_spectral(plane) == pytest.approx(lp_norm(plane, 2.0), rel=1e-13, abs=0)
+    assert l2_norm_spectral(plane) ** 2 == pytest.approx(
+        g.volume * np.sum(np.abs(c) ** 2), rel=1e-14)
 
 
 def test_inner_product_examples(grid2d):
@@ -431,5 +497,35 @@ def test_load_checkpoint_matches_per_row_oracle(tmp_path, dim, M):
         coeffs[(slice(None),) + tuple(x % M for x in n)] = (
             payload[row, :, 0] + 1j * payload[row, :, 1]
         )
-    want = SpectralVelocity(g, coeffs + np.conj(g.reflect(coeffs)))
+    # the full layout's c + conj c(-n), cut to the half layout
+    want = SpectralVelocity(g, (coeffs + np.conj(g.reflect(coeffs)))[..., : M // 2])
     assert load_checkpoint(path).coeffs.tobytes() == want.coeffs.tobytes()
+
+
+@pytest.mark.parametrize("dim, M", [(2, 16), (3, 8)])
+def test_checkpoint_resave_is_byte_identical(tmp_path, dim, M):
+    # a checkpoint read and written again keeps its bytes: one of a field
+    # plsf has loaded (whose zeros are all +0.0), as a run's input, and one
+    # of a basis-synthesized field, as a run's final state
+    g = TorusGrid(dim, M, 2 * np.pi)
+    basis = full_basis(g)
+    synthesized = basis.synthesize(np.random.default_rng(dim).standard_normal(basis.size))
+    raw = tmp_path / "raw.plsf"
+    save_checkpoint(raw, random_solenoidal(g, band=M // 2 - 2, seed=dim))
+    f, resaved = tmp_path / "f.plsf", tmp_path / "resaved.plsf"
+    for v in (load_checkpoint(raw), synthesized):
+        save_checkpoint(f, v)
+        save_checkpoint(resaved, load_checkpoint(f))
+        assert resaved.read_bytes() == f.read_bytes()
+    # every representative is read back where it was written, the plane's
+    # mirrors and the modes with a negative last index included
+    assert load_checkpoint(f).coeffs.tobytes() == synthesized.coeffs.tobytes()
+
+
+@pytest.mark.parametrize("dim, M", [(2, 16), (3, 8)])
+def test_ensemble_holds_half_spectra(dim, M):
+    # k fields of d * M^(d-1) * (M/2) complex128 coefficients, and no more
+    count = 5
+    ens = FieldEnsemble.generate(dim, M, 2 * np.pi, band=3, decay=2.0, seed=4, count=count)
+    held = sum(u.coeffs.nbytes for u in ens.samples)
+    assert held == count * dim * M ** (dim - 1) * (M // 2) * 16

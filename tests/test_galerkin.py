@@ -431,6 +431,19 @@ def test_collected_states_one_per_requested_time(monkeypatch):
         assert basis.synthesize_coeffs(st.c).tobytes() == sampled[st.t].tobytes()
 
 
+def test_collect_times_snap_to_T_or_are_refused():
+    # a time within 1e-9 T of T is T's state; one outside [0, T] beyond
+    # that is an error, not a missing state
+    T = 0.3
+    cfg = small_config(N=8, T=T, sample_dt=0.1)
+    rec, states = run_trajectory(cfg, collect_states_at=[0.0, 3 * 0.1, T * (1 + 1e-10)])
+    assert [st.t for st in states] == [0.0, T, T]
+    assert rec.times[-1] == T
+    for bad in (T * (1 + 1e-8), 1.0, -1e-3, float("nan")):
+        with pytest.raises(ValueError, match="outside"):
+            run_trajectory(cfg, collect_states_at=[0.1, bad])
+
+
 def test_energy_monotone_within_tolerance():
     rec = run_trajectory(small_config())
     increases = np.diff(rec.energy)
@@ -616,8 +629,9 @@ def _full_basis(dim, M, dealias):
 
 def _full_spectrum_rhs(basis, params, c):
     """The Galerkin RHS with its inputs built the full-spectrum way:
-    synthesize_coeffs, derivative factors over every (M,)^d entry, then the
-    fftn-layout to_physical; the rest in the kernel's order of operations."""
+    synthesize_coeffs, derivative factors over every entry of the half
+    layout, then the spectrum entry of to_physical; the rest in the kernel's
+    order of operations."""
     from plsf.constitutive import _stress_factor
     from plsf.fields import symmetric_components
 
@@ -679,7 +693,7 @@ def _full_spectrum_rhs(basis, params, c):
 def test_kept_inputs_match_the_full_spectrum_oracle(dim, M, dealias, N, mu):
     # the kernels form their transform inputs at the basis's kept positions
     # and scatter them into the padded half-spectrum; the oracles synthesize
-    # the whole (M,)^d spectrum first (the functionals' is trace_free_value,
+    # the whole half-layout spectrum first (the functionals' is trace_free_value,
     # in the kernel's sum orders).  Same operands, same bits.
     grid = TorusGrid(dim, M, 2 * np.pi, dealias_factor=dealias)
     basis = make_basis(grid, N or basis_capacity(grid))
@@ -717,9 +731,11 @@ def test_kept_coeffs_are_synthesize_coeffs_at_the_kept_wavevectors():
         modes[split:] *= -1
         assert np.all(modes[:, -1] >= 0)
         assert np.sum(modes[:, -1] == 0) == 2 * np.sum(basis.modes[:, -1] == 0)
-        flat = np.ravel_multi_index(tuple((modes % M).T), grid.shape)
-        full = basis.synthesize_coeffs(c).reshape(dim, -1)[:, flat]
-        assert basis.kept_coeffs(c).tobytes() == full.tobytes()
+        flat = np.ravel_multi_index(tuple((modes % M).T), grid.spectral_shape)
+        spectrum = basis.synthesize_coeffs(c).reshape(dim, -1)
+        assert basis.kept_coeffs(c).tobytes() == spectrum[:, flat].tobytes()
+        # and the half layout holds nothing else
+        assert not np.any(np.delete(spectrum, flat, axis=1))
 
 
 def test_one_controller_steps_two_bases_of_different_size(grid2d):

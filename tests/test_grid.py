@@ -3,22 +3,32 @@ import math
 import numpy as np
 import pytest
 
+from conftest import full_mode_grid, hermitian_half
 from plsf.fields import representative_modes
 from plsf.grid import TorusGrid
 
 
 def _band_modes(g):
-    """Every band wavevector, one row each, in fftn order."""
+    """Every band wavevector of the half layout, one row each, in its
+    memory order."""
     return g.mode_grid[:, g.band_mask].T
 
 
 @pytest.mark.parametrize("dim,M", [(2, 8), (2, 16), (3, 12)])
 def test_band_closed_under_negation(dim, M):
     g = TorusGrid(dim, M, 1.0)
-    modes = g.mode_grid[:, g.band_mask].T
+    assert g.mode_grid.shape == (dim,) + (M,) * (dim - 1) + (M // 2,)
+    assert g.wavevectors.shape == g.mode_grid.shape
+    assert g.k_squared.shape == g.band_mask.shape == g.spectral_shape
+    modes = _band_modes(g)
+    assert np.all(np.abs(modes) <= M // 2 - 1) and np.all(modes[:, -1] >= 0)
     mode_set = {tuple(m) for m in modes}
-    assert all(tuple(-m) in mode_set for m in modes)
-    assert np.all(np.abs(modes) <= M // 2)
+    assert len(mode_set) == (M - 1) ** (dim - 1) * (M // 2)
+    # with their mirrors, the stored modes are the whole band
+    assert len(mode_set | {tuple(-m) for m in modes}) == (M - 1) ** dim
+    # the plane of last index 0 alone is closed under negation
+    plane = modes[modes[:, -1] == 0]
+    assert all(tuple(-m) in mode_set for m in plane)
 
 
 def test_grid_validation():
@@ -43,10 +53,7 @@ def test_spectral_physical_roundtrip(dim, M, dealias, lead):
     # every band mode, including negative last-axis modes read through the
     # conjugate mirror, comes back from the padded half-spectrum
     g = TorusGrid(dim, M, 2 * np.pi, dealias_factor=dealias)
-    rng = np.random.default_rng(3)
-    c = rng.standard_normal(lead + g.shape) + 1j * rng.standard_normal(lead + g.shape)
-    c = c * g.band_mask
-    c = 0.5 * (c + np.conj(g.reflect(c)))
+    c = hermitian_half(g, lead, seed=3) * g.band_mask
     phys = g.to_physical(c)
     assert phys.shape == lead + g.padded_shape
     assert phys.dtype == np.float64
@@ -60,10 +67,7 @@ def test_spectral_physical_roundtrip(dim, M, dealias, lead):
 def test_transforms_into_given_buffers(dim, M, dealias):
     # out and work arrays full of junk give the allocating result bit for bit
     g = TorusGrid(dim, M, 2 * np.pi, dealias_factor=dealias)
-    rng = np.random.default_rng(4)
-    c = rng.standard_normal((3,) + g.shape) + 1j * rng.standard_normal((3,) + g.shape)
-    c = c * g.band_mask
-    c = 0.5 * (c + np.conj(g.reflect(c)))
+    c = hermitian_half(g, (3,), seed=4) * g.band_mask
     work = np.full(max(g.work_size(3, False), g.work_size(3, True)), complex(np.nan, np.nan))
     out = np.full((3,) + g.padded_shape, np.nan)
     phys = g.to_physical(c, out=out, work=work)
@@ -84,14 +88,27 @@ def test_reflect_is_negation_map():
     for i in range(8):
         for j in range(8):
             assert r[i, j] == c[(-i) % 8, (-j) % 8]
+    # the plane of a half-layout spectrum, as its first column
+    plane = r[:, :1]
+    assert np.array_equal(g.reflect(plane)[:, 0], c[:, 0])
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_to_physical_refuses_a_spectrum_of_another_shape(dim):
+    g = TorusGrid(dim, 8, 1.0)
+    with pytest.raises(ValueError, match="must have shape"):
+        g.to_physical(np.zeros((dim,) + g.shape, dtype=complex))  # the full layout
+    work = np.zeros(g.work_size(dim, False), dtype=complex)
+    with pytest.raises(ValueError, match="must have shape"):
+        g.to_physical(work[: dim * math.prod(g.spectral_shape)].reshape(
+            (dim,) + g.spectral_shape), work=work)
 
 
 def test_transform_roundtrip_and_single_mode():
     g = TorusGrid(2, 16, 2 * np.pi, dealias_factor=1.5)
-    c = np.zeros((1,) + g.shape, dtype=complex)
-    # cos(3x + 2y) = (e^{i(3x+2y)} + c.c.)/2
+    c = np.zeros((1,) + g.spectral_shape, dtype=complex)
+    # cos(3x + 2y) = (e^{i(3x+2y)} + c.c.)/2; the mirror (-3, -2) is implied
     c[0, 3, 2] = 0.5
-    c[0, -3 % 16, -2 % 16] = 0.5
     phys = g.to_physical(c)[0]
     x = g.points(padded=True)
     expected = np.cos(3 * x[0] + 2 * x[1])
@@ -124,7 +141,7 @@ def test_dealiased_matches_product_aliasing(M, dealias, padded_M):
     g = TorusGrid(2, M, 2 * np.pi, dealias_factor=dealias)
     assert g.padded_M == padded_M
     h = g.M // 2 - 1
-    c = np.zeros(g.shape, dtype=complex)
+    c = np.zeros(g.spectral_shape, dtype=complex)
     c[h, 0] = c[-h, 0] = 0.5
     u = g.to_physical(c)
     modes = _band_modes(g)
@@ -145,14 +162,15 @@ def _full_band_gather(g, samples):
     band = spec[..., : g.M // 2]
     band[...] = np.fft.fftn(band, axes=tuple(range(len(lead), len(lead) + g.dim - 1)),
                             norm="forward")
-    n = g.mode_grid.reshape(g.dim, -1)
+    n = full_mode_grid(g).reshape(g.dim, -1)
+    band = np.all(np.abs(n) <= g.M // 2 - 1, axis=0)
     neg = n[-1] < 0
     src = np.ravel_multi_index(tuple(np.where(neg, -n, n) % g.padded_M), spec.shape[len(lead):])
-    src[~g.band_mask.reshape(-1)] = 0
+    src[~band] = 0
     out = np.take(spec.reshape(lead + (-1,)), src, axis=-1)
     for channel in out.reshape(-1, out.shape[-1]):
         channel.imag *= np.where(neg, -1.0, 1.0)
-    out[..., ~g.band_mask.reshape(-1)] = 0.0
+    out[..., ~band] = 0.0
     return out.reshape(lead + g.shape)
 
 
@@ -195,7 +213,7 @@ def _full_inverse(g, coeffs):
     lanes = np.ix_(*[np.arange(-(half - 1), half)] * (g.dim - 1))
     spec = np.zeros(lead + (g.padded_M,) * (g.dim - 1) + (half,), dtype=np.complex128)
     spec[(Ellipsis,) + tuple(n % g.padded_M for n in lanes) + (slice(None),)] = coeffs[
-        (Ellipsis,) + tuple(n % g.M for n in lanes) + (slice(0, half),)
+        (Ellipsis,) + tuple(n % g.M for n in lanes) + (slice(None),)
     ]
     spec = np.fft.ifftn(spec, axes=tuple(range(len(lead), len(lead) + g.dim - 1)),
                         norm="forward")
@@ -210,7 +228,8 @@ def test_pruned_3d_passes_equal_full_transforms(M, dealias):
     # the transform over every lane
     g = TorusGrid(3, M, 2 * np.pi, dealias_factor=dealias)
     rng = np.random.default_rng(M)
-    coeffs = rng.standard_normal((2,) + g.shape) + 1j * rng.standard_normal((2,) + g.shape)
+    shape = (2,) + g.spectral_shape
+    coeffs = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     assert g.to_physical(coeffs).tobytes() == _full_inverse(g, coeffs).tobytes()
     samples = rng.standard_normal((2,) + g.padded_shape)
     modes = _band_modes(g)
@@ -221,23 +240,31 @@ def test_pruned_3d_passes_equal_full_transforms(M, dealias):
 @pytest.mark.parametrize("dim", [2, 3])
 def test_band_index_rejects_modes_outside_the_band(dim):
     g = TorusGrid(dim, 8, 1.0)
-    for bad in ([4] + [0] * (dim - 1), [0] * (dim - 1) + [-4], [0] * (dim - 1) + [5]):
-        with pytest.raises(ValueError, match="outside the band"):
-            g.band_index(np.array([[1] * dim, bad]))
-    with pytest.raises(ValueError):
-        g.band_index(np.zeros((2, dim + 1), dtype=int))
+    for index in (g.band_index, g.spectrum_index):
+        for bad in ([4] + [0] * (dim - 1), [0] * (dim - 1) + [-4], [0] * (dim - 1) + [5]):
+            with pytest.raises(ValueError, match="outside the band"):
+                index(np.array([[1] * dim, bad]))
+        with pytest.raises(ValueError):
+            index(np.zeros((2, dim + 1), dtype=int))
     src, sign = g.band_index(np.array([[0] * (dim - 1) + [-3], [3] * dim]))
     assert sign.tolist() == [-1.0, 1.0]
+    # a negative last index is read at its mirror in the half layout
+    src, neg = g.spectrum_index(np.array([[1] * (dim - 1) + [-3], [-1] + [3] * (dim - 1)]))
+    assert neg.tolist() == [True, False]
+    spectrum = np.arange(math.prod(g.spectral_shape)).reshape(g.spectral_shape)
+    assert src.tolist() == [spectrum[(-1 % 8,) * (dim - 1) + (3,)],
+                            spectrum[(-1 % 8,) + (3,) * (dim - 1)]]
 
 
 @pytest.mark.parametrize("dim,M,dealias", [(2, 8, 1.5), (2, 10, 1.0), (3, 8, 1.5), (3, 10, 1.2)])
 def test_kept_layout_transform_equals_the_full_spectrum_transform(dim, M, dealias):
     # a spectrum placed at the kept positions of every band pair (n and -n
-    # with last index >= 0) is what to_physical reads of the fftn layout,
-    # and its in-place transform gives the same bits
+    # with last index >= 0) is what to_physical reads of the half layout,
+    # and its in-place transform in `work` gives the same bits
     g = TorusGrid(dim, M, 2 * np.pi, dealias_factor=dealias)
     rng = np.random.default_rng(dim * M)
-    coeffs = rng.standard_normal((2,) + g.shape) + 1j * rng.standard_normal((2,) + g.shape)
+    shape = (2,) + g.spectral_shape
+    coeffs = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     coeffs[(slice(None),) + (0,) * dim] = 0.0  # the zero mode is no pair's
     reps = representative_modes(g)
     dst, rows, split = g.kept_index(reps)
@@ -248,7 +275,7 @@ def test_kept_layout_transform_equals_the_full_spectrum_transform(dim, M, dealia
     kept = np.zeros((2,) + g.kept_shape, dtype=np.complex128)
     kept.reshape(2, -1)[:, dst] = coeffs[(slice(None),) + tuple((modes % M).T)]
     want = g.to_physical(coeffs)
-    assert g.to_physical(kept).tobytes() == want.tobytes()
+    assert g.to_physical(kept, work=kept.reshape(-1)).tobytes() == want.tobytes()
     # the band's kept positions are every nonzero one of the layout's band
     assert len(dst) == (M - 1) ** (dim - 1) * (M // 2) - 1
 

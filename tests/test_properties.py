@@ -3,7 +3,7 @@
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from conftest import sym_gradient
+from conftest import hermitian_half, sym_gradient
 from plsf.constitutive import FluidParams, oo_identity_residual, oo_residual_scale
 from plsf.fields import leray_project, lp_norm, random_solenoidal
 from plsf.gap import weight_P
@@ -31,11 +31,7 @@ def test_weight_range_and_monotonicity(alpha, gamma, rho1, rho2):
 @given(seed=st.integers(0, 2**31 - 1))
 @settings(max_examples=25, deadline=None)
 def test_leray_projection_properties(seed):
-    rng = np.random.default_rng(seed)
-    raw = rng.standard_normal((2,) + GRID.shape) + 1j * rng.standard_normal(
-        (2,) + GRID.shape
-    )
-    raw = 0.5 * (raw + np.conj(GRID.reflect(raw)))
+    raw = hermitian_half(GRID, (2,), seed=seed)
     out = leray_project(GRID, raw)
     scale = max(np.max(np.abs(raw)), 1e-30)
     div = np.sum(GRID.wavevectors * out.coeffs, axis=0)
