@@ -433,8 +433,11 @@ def save_checkpoint(path, v: SpectralVelocity) -> None:
     src, neg = grid.spectrum_index(reps)
     vals = v.coeffs.reshape(grid.dim, -1)[:, src]
     # a representative with a negative last index is read at its mirror, as
-    # the conjugate with vanishing parts +0.0
-    vals[:, neg] = np.conj(vals[:, neg]) + 0.0
+    # the conjugate; every vanishing part is written as +0.0, the sign a
+    # loaded field holds whatever the file's, so that a loaded field saves
+    # to the bytes it was loaded from
+    vals[:, neg] = np.conj(vals[:, neg])
+    vals += 0.0
     inter = np.empty((len(reps), grid.dim, 2), dtype="<f8")
     inter[..., 0] = vals.real.T
     inter[..., 1] = vals.imag.T

@@ -20,6 +20,26 @@ from .galerkin import GalerkinState, TrajectoryRecord, _padded_values, galerkin_
 from .grid import TorusGrid
 
 
+def ensemble_fields(dim, M, L, band, decay, seed, count, amplitude=1.0,
+                    amp_spread=2.0, dealias=1.5):
+    """The fields of `FieldEnsemble.generate` with the same arguments, drawn
+    one at a time as they are iterated.
+
+    The per-sample amplitudes come up front from the first child of
+    SeedSequence(seed).spawn(count + 1), and field i from child i + 1, so
+    each field is bit for bit the same however many the caller holds.
+    """
+    grid = TorusGrid(dim, M, L, dealias_factor=dealias)
+    children = np.random.SeedSequence(seed).spawn(count + 1)
+    amps = amplitude * 10.0 ** np.random.default_rng(children[0]).uniform(
+        -amp_spread, amp_spread, size=count
+    )
+    for i in range(count):
+        yield random_solenoidal(grid, band=band, decay=decay,
+                                seed=np.random.default_rng(children[i + 1]),
+                                amplitude=float(amps[i]))
+
+
 @dataclass
 class FieldEnsemble:
     """Reproducible collection of random band-limited solenoidal fields.
@@ -34,17 +54,8 @@ class FieldEnsemble:
     @classmethod
     def generate(cls, dim, M, L, band, decay, seed, count, amplitude=1.0,
                  amp_spread=2.0, dealias=1.5):
-        grid = TorusGrid(dim, M, L, dealias_factor=dealias)
-        children = np.random.SeedSequence(seed).spawn(count + 1)
-        amps = amplitude * 10.0 ** np.random.default_rng(children[0]).uniform(
-            -amp_spread, amp_spread, size=count
-        )
-        return cls([
-            random_solenoidal(grid, band=band, decay=decay,
-                              seed=np.random.default_rng(children[i + 1]),
-                              amplitude=float(amps[i]))
-            for i in range(count)
-        ])
+        return cls(list(ensemble_fields(dim, M, L, band, decay, seed, count,
+                                        amplitude, amp_spread, dealias)))
 
 
 @dataclass
@@ -87,26 +98,32 @@ def _make_report(name, p, mu, left, right, frozen_c, skipped=0):
 
 
 def field_table(samples, keys) -> list[dict]:
-    """One pass over the fields: row i maps each key to its value on
-    samples[i].  The keys are ("u", q), ("grad", q) and ("hess", q) for
-    ||u||_q, ||grad u||_q and ||D^2 u||_q; ("I_p", params) and
-    ("rho_tilde", params); ("shifted", params) for
-    ||(mu + |Du|^2)^(1/2)||_p; ("drho_half", params) for 1/2 d/dt
-    ||grad v||_2^2 at the Galerkin state of u; and ("proj_cumsum", None)
-    for 0, then the running sums of the squared full-basis coefficients of
-    u.  TABLE_KEYS[name](arg) lists the keys check `name` reads.  The u,
+    """One pass over the fields: row i maps each key to its value on the
+    i-th field of `samples`, any iterable of fields on one grid.  It is
+    read once, and each field is let go when the next one arrives, so a
+    pass over a generator holds at most two fields.  The keys are ("u",
+    q), ("grad", q) and ("hess", q) for ||u||_q, ||grad u||_q and ||D^2
+    u||_q; ("I_p", params) and ("rho_tilde", params); ("shifted", params)
+    for ||(mu + |Du|^2)^(1/2)||_p; ("drho_half", params) for 1/2 d/dt
+    ||grad v||_2^2 at the Galerkin state of u; ("proj_cumsum", None) for
+    0, then the running sums of the squared full-basis coefficients of u,
+    up to its last nonzero one (every later sum equals that one); and
+    ("basis_size", None) for the full basis size.
+    TABLE_KEYS[name](arg) lists the keys check `name` reads.  The u,
     Hessian, projection and drho_half values equal bit for bit what
     lp_norm, the full-channel Hessian, StokesBasis.project and
     galerkin_rhs give; those of grad, shifted, I_p and rho_tilde come from
     trace-free channels and agree with full-channel forms (the tests'
-    oracle) within 1e-14 relative.  The full basis is built once, and
-    every row works in its arena (see `table_row`).
+    oracle) within 1e-14 relative.  The full basis is built once, from the
+    first field, and every row works in its arena (see `table_row`).
     """
     keys = list(dict.fromkeys(keys))
-    if not samples:
-        return []
-    basis = full_basis(samples[0].grid)
-    return [table_row(u, keys, basis) for u in samples]
+    rows, basis = [], None
+    for u in samples:
+        if basis is None:
+            basis = full_basis(u.grid)
+        rows.append(table_row(u, keys, basis))
+    return rows
 
 
 def table_row(u: SpectralVelocity, keys, basis) -> dict:
@@ -123,16 +140,22 @@ def table_row(u: SpectralVelocity, keys, basis) -> dict:
     if u.grid != basis.grid:
         raise GridMismatchError(f"{u.grid!r} vs {basis.grid!r}")
     projected = [key for key in keys if key[0] in ("proj_cumsum", "drho_half")]
-    values = {}
+    values = {("basis_size", None): basis.size}
     if projected:
         c = basis.project(u)
         for name, params in projected:
             if name == "proj_cumsum":
-                values[name, params] = np.concatenate([[0.0], np.cumsum(c**2)])
+                sq = c**2
+                # cumsum adds in order, so past the last nonzero square every
+                # sum is the last kept one, bit for bit; one sum is always kept
+                nonzero = np.flatnonzero(sq)
+                stop = nonzero[-1] + 1 if nonzero.size else 1
+                values[name, params] = np.concatenate([[0.0], np.cumsum(sq[:stop])])
             else:
                 values[name, params] = float(np.dot(
                     basis.eigenvalues * c, galerkin_rhs(GalerkinState(basis, c, 0.0), params)))
-    padded = [key for key in keys if key[0] not in ("proj_cumsum", "drho_half")]
+    padded = [key for key in keys
+              if key[0] not in ("proj_cumsum", "drho_half", "basis_size")]
     values.update(_padded_values(basis, u.coeffs, padded))
     return {key: values[key] for key in keys}
 
@@ -140,7 +163,8 @@ def table_row(u: SpectralVelocity, keys, basis) -> dict:
 # The keys each check reads, by check, as a function of its argument.
 TABLE_KEYS = {
     "lemma1": lambda q: [("u", q), ("grad", q), ("hess", q)],
-    "friedrichs": lambda q: [("u", 2.0), ("grad", q), ("proj_cumsum", None)],
+    "friedrichs": lambda q: [("u", 2.0), ("grad", q), ("proj_cumsum", None),
+                             ("basis_size", None)],
     "lemma3": lambda params: [("I_p", params), ("shifted", params),
                               ("hess", params.p), ("grad", 3.0 * params.p)],
     "interp": lambda p: [("grad", 3.0), ("grad", 3.0 * p), ("grad", p),
@@ -183,24 +207,24 @@ def check_friedrichs(table: list[dict], q: float, epsilon: float):
         raise ValueError(f"q must exceed 6/5, got {q}")
     if epsilon <= 0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
-    k_u, k_grad, k_cum = TABLE_KEYS["friedrichs"](q)
+    k_u, k_grad, k_cum, k_size = TABLE_KEYS["friedrichs"](q)
     lhs = [row[k_u] ** 2 for row in table]
     cums = [row[k_cum] for row in table]
     grads = [row[k_grad] ** 2 for row in table]
+    sizes = [row[k_size] for row in table]
 
     kappa = 1
-    for l, c, g in zip(lhs, cums, grads):
+    for l, c, g, n in zip(lhs, cums, grads, sizes):
+        # every sum past the end of c equals its last one: where none of
+        # c's kappas holds, no larger kappa does either
         holds = l <= (1 + epsilon) * c[1:] + epsilon * g + 1e-12 * max(l, 1.0)
-        kappa = max(kappa, int(np.argmax(holds)) + 1 if holds.any() else holds.size)
-    worst = max(
-        l / ((1 + epsilon) * c[kappa] + epsilon * g)
-        for l, c, g in zip(lhs, cums, grads)
-    )
+        kappa = max(kappa, int(np.argmax(holds)) + 1 if holds.any() else n)
+    right = [(1 + epsilon) * c[min(kappa, len(c) - 1)] + epsilon * g
+             for c, g in zip(cums, grads)]
+    worst = max(l / r for l, r in zip(lhs, right))
     rep = InequalityReport(
         id="friedrichs", p=q, mu=float("nan"), count=len(lhs),
-        left=lhs, right=[(1 + epsilon) * c[kappa] + epsilon * g
-                         for c, g in zip(cums, grads)],
-        worst_ratio=worst, empirical_C=float(kappa), frozen_C=None,
+        left=lhs, right=right, worst_ratio=worst, empirical_C=float(kappa), frozen_C=None,
     )
     rep.kappa = kappa
     return rep

@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from plsf.cli import _study_workers, main
+from plsf.cli import SUITES, _study_workers, main
 from plsf.config import (
     RunConfig,
     load_config,
@@ -472,6 +472,16 @@ def test_cli_verify_suites_pass(tmp_path, capsys):
     assert all(v["pass"] for v in report.values())
 
 
+def test_cli_verify_is_byte_identical(tmp_path):
+    # criterion 10 for verify: the same config gives the same report bytes
+    cfg_path = write_config(tmp_path, VERIFY_CFG)
+    outs = [tmp_path / "v1.json", tmp_path / "v2.json"]
+    for out in outs:
+        assert main(["verify", str(cfg_path), "--suites", ",".join(SUITES),
+                     "--out", str(out)]) == 0
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+
+
 def test_cli_verify_channel_budget_per_field(tmp_path, monkeypatch):
     # one pass per field in 2D: v 2, grad v 3, Hessian 6, grad D 4, RHS 4
     from plsf.grid import TorusGrid
@@ -497,10 +507,10 @@ def test_cli_verify_unknown_suite_exit_2(tmp_path):
 def test_cli_verify_checks_suite_names_before_any_work(tmp_path, monkeypatch, capsys):
     from plsf import inequalities
 
-    def generate(*args, **kwargs):
-        raise AssertionError("the ensemble was generated")
+    def draw(*args, **kwargs):
+        raise AssertionError("the ensemble was drawn")
 
-    monkeypatch.setattr(inequalities.FieldEnsemble, "generate", generate)
+    monkeypatch.setattr(inequalities, "ensemble_fields", draw)
     cfg_path = write_config(tmp_path, VERIFY_CFG)
     out = tmp_path / "v.json"
     code = main(["verify", str(cfg_path), "--suites", "lemma1,nonsense", "--out", str(out)])
@@ -516,10 +526,10 @@ def test_cli_verify_lemma1_needs_two_fields(tmp_path, monkeypatch, capsys):
     # second; one field leaves nothing to calibrate on
     from plsf import inequalities
 
-    def generate(*args, **kwargs):
-        raise AssertionError("the ensemble was generated")
+    def draw(*args, **kwargs):
+        raise AssertionError("the ensemble was drawn")
 
-    monkeypatch.setattr(inequalities.FieldEnsemble, "generate", generate)
+    monkeypatch.setattr(inequalities, "ensemble_fields", draw)
     cfg_path = write_config(tmp_path, VERIFY_CFG.replace("count = 24", "count = 1"))
     out = tmp_path / "v.json"
     code = main(["verify", str(cfg_path), "--suites", "interp,lemma1", "--out", str(out)])

@@ -504,19 +504,25 @@ def test_load_checkpoint_matches_per_row_oracle(tmp_path, dim, M):
 
 @pytest.mark.parametrize("dim, M", [(2, 16), (3, 8)])
 def test_checkpoint_resave_is_byte_identical(tmp_path, dim, M):
-    # a checkpoint read and written again keeps its bytes: one of a field
-    # plsf has loaded (whose zeros are all +0.0), as a run's input, and one
-    # of a basis-synthesized field, as a run's final state
+    # a checkpoint read and written again keeps its bytes, whatever the
+    # signs of the field's vanishing parts: one of a random field, as a
+    # run's input, the same with every vanishing part -0.0, a loaded field
+    # and a basis-synthesized one, as a run's final state
     g = TorusGrid(dim, M, 2 * np.pi)
     basis = full_basis(g)
     synthesized = basis.synthesize(np.random.default_rng(dim).standard_normal(basis.size))
-    raw = tmp_path / "raw.plsf"
-    save_checkpoint(raw, random_solenoidal(g, band=M // 2 - 2, seed=dim))
-    f, resaved = tmp_path / "f.plsf", tmp_path / "resaved.plsf"
-    for v in (load_checkpoint(raw), synthesized):
+    drawn = random_solenoidal(g, band=M // 2 - 2, seed=dim)
+    signed = drawn.coeffs.copy()
+    signed.real[signed.real == 0.0] = -0.0
+    signed.imag[signed.imag == 0.0] = -0.0
+    raw, f, resaved = tmp_path / "raw.plsf", tmp_path / "f.plsf", tmp_path / "resaved.plsf"
+    save_checkpoint(raw, drawn)
+    for v in (drawn, SpectralVelocity(g, signed), load_checkpoint(raw), synthesized):
         save_checkpoint(f, v)
         save_checkpoint(resaved, load_checkpoint(f))
         assert resaved.read_bytes() == f.read_bytes()
+        payload = np.frombuffer(f.read_bytes()[HEADER.size :], dtype="<f8")
+        assert not np.any((payload == 0.0) & np.signbit(payload))  # no -0.0 stored
     # every representative is read back where it was written, the plane's
     # mirrors and the modes with a negative last index included
     assert load_checkpoint(f).coeffs.tobytes() == synthesized.coeffs.tobytes()

@@ -5,7 +5,7 @@ from conftest import I_p, hessian, rho_tilde, sym_gradient, trace_free_value
 from plsf.basis import full_basis, make_basis
 from plsf.constitutive import FluidParams
 from plsf.errors import ConfigError, GridMismatchError
-from plsf.fields import SpectralVelocity, gradient, lp_norm
+from plsf.fields import SpectralVelocity, gradient, lp_norm, random_solenoidal
 from plsf.galerkin import GalerkinState, SolverConfig, galerkin_rhs, run_trajectory
 from plsf.grid import TorusGrid
 from plsf.inequalities import (
@@ -17,6 +17,7 @@ from plsf.inequalities import (
     check_interpolations,
     check_lemma1,
     check_lemma3,
+    ensemble_fields,
     field_table,
 )
 
@@ -97,18 +98,36 @@ def test_friedrichs_single_basis_mode_kappa_one():
     assert rep.kappa <= 2  # the mode sits in the first shell
 
 
-def linear_scan_kappa(samples, q, epsilon):
-    """Reference: try kappa = 1, 2, ... in turn with the suite's inequality."""
+def full_sums(samples):
+    """0, then the running sums of the squared full-basis coefficients of
+    each field, over the whole basis."""
     basis = full_basis(samples[0].grid)
-    rows = []
-    for u in samples:
-        c = np.concatenate([[0.0], np.cumsum(basis.project(u) ** 2)])
-        rows.append((lp_norm(u, 2) ** 2, c, lp_norm(gradient(u), q) ** 2))
-    for kappa in range(1, basis.size + 1):
-        if all(l <= (1 + epsilon) * c[kappa] + epsilon * g + 1e-12 * max(l, 1.0)
-               for l, c, g in rows):
-            return kappa
-    return basis.size
+    return [np.concatenate([[0.0], np.cumsum(basis.project(u) ** 2)]) for u in samples]
+
+
+def linear_scan(lhs, cums, grads, epsilon):
+    """Reference on full running sums: try kappa = 1, 2, ... in turn with
+    the suite's inequality (the basis size if none holds for every field);
+    returns kappa, the right-hand sides at it and the worst ratio."""
+    N = len(cums[0]) - 1
+    kappa = next((k for k in range(1, N + 1)
+                  if all(l <= (1 + epsilon) * c[k] + epsilon * g + 1e-12 * max(l, 1.0)
+                         for l, c, g in zip(lhs, cums, grads))), N)
+    right = [(1 + epsilon) * c[kappa] + epsilon * g for c, g in zip(cums, grads)]
+    return kappa, right, max(l / r for l, r in zip(lhs, right))
+
+
+def linear_scan_kappa(samples, q, epsilon):
+    lhs = [lp_norm(u, 2) ** 2 for u in samples]
+    grads = [lp_norm(gradient(u), q) ** 2 for u in samples]
+    return linear_scan(lhs, full_sums(samples), grads, epsilon)[0]
+
+
+def scan_table(rows, samples, q, epsilon):
+    """linear_scan on the table's norms and the full running sums."""
+    k_u, k_grad, _, _ = TABLE_KEYS["friedrichs"](q)
+    return linear_scan([row[k_u] ** 2 for row in rows], full_sums(samples),
+                       [row[k_grad] ** 2 for row in rows], epsilon)
 
 
 @pytest.mark.parametrize("epsilon", [0.2, 0.05, 0.01])
@@ -117,6 +136,49 @@ def test_friedrichs_kappa_matches_linear_scan(request, name, epsilon):
     samples = request.getfixturevalue(name).samples
     rep = check_friedrichs(table(samples, "friedrichs", 1.9), 1.9, epsilon)
     assert rep.kappa == linear_scan_kappa(samples, 1.9, epsilon)
+
+
+@pytest.mark.parametrize("epsilon", [0.2, 0.05, 0.01])
+@pytest.mark.parametrize("name", ["ens2d", "ens3d"])
+def test_friedrichs_cut_sums_match_full_sums(request, name, epsilon):
+    # the table keeps each field's running sums only up to its last nonzero
+    # coefficient; kappa, the right-hand sides and the worst ratio are those
+    # of the full sums bit for bit
+    samples = request.getfixturevalue(name).samples
+    rows = table(samples, "friedrichs", 1.9)
+    rep = check_friedrichs(rows, 1.9, epsilon)
+    assert (rep.kappa, rep.right, rep.worst_ratio) == scan_table(rows, samples, 1.9, epsilon)
+
+
+def test_friedrichs_cut_sums_edge_cases():
+    g = TorusGrid(2, 16, 2 * np.pi)
+    basis = full_basis(g)
+    first_shell = np.zeros(basis.size)
+    first_shell[: np.searchsorted(basis.eigenvalues, basis.eigenvalues[0], "right")] = 1.0
+    fields = {
+        # every coefficient nonzero: the cut keeps the whole basis
+        "full": basis.synthesize(np.random.default_rng(3).standard_normal(basis.size)),
+        "single shell": basis.synthesize(first_shell),
+    }
+    k_u, _, k_cum, k_size = TABLE_KEYS["friedrichs"](1.9)
+    rows = table(list(fields.values()), "friedrichs", 1.9)
+    assert [len(row[k_cum]) for row in rows] == [basis.size + 1, int(first_shell.sum()) + 1]
+    assert all(row[k_size] == basis.size for row in rows)
+    # no nonzero coefficient: one sum is kept
+    assert list(table([SpectralVelocity.zero(g)], "friedrichs", 1.9)[0][k_cum]) == [0.0, 0.0]
+    for name, u, row in zip(fields, fields.values(), rows):
+        for epsilon in (0.5, 1e-3):
+            rep = check_friedrichs([row], 1.9, epsilon)
+            assert (rep.kappa, rep.right, rep.worst_ratio) == scan_table(
+                [row], [u], 1.9, epsilon), name
+    # a row whose bound holds at no kappa, its norm inflated past its
+    # coefficients: kappa is the basis size, read past the end of the cut sums
+    u = fields["single shell"]
+    never = dict(rows[1])
+    never[k_u] *= 2.0
+    rep = check_friedrichs([never], 1.9, 1e-3)
+    assert rep.kappa == basis.size > len(never[k_cum])
+    assert (rep.kappa, rep.right, rep.worst_ratio) == scan_table([never], [u], 1.9, 1e-3)
 
 
 def test_friedrichs_single_mode_kappa_matches_linear_scan():
@@ -360,6 +422,8 @@ def oracle_value(u, key, basis):
         D = sym_gradient(u)
         shifted = np.sqrt(arg.mu + np.sum(D.values**2, axis=(0, 1)))
         return lp_norm(shifted, arg.p, grid=u.grid)
+    if name == "basis_size":
+        return basis.size
     c = basis.project(u)
     if name == "proj_cumsum":
         return np.concatenate([[0.0], np.cumsum(c**2)])
@@ -388,7 +452,13 @@ def test_table_matches_per_suite_oracle(request, name):
         for key in keys:
             expected = oracle_value(fresh, key, basis)
             if key[0] == "proj_cumsum":
-                assert np.array_equal(row[key], expected), key
+                # the sums up to the last nonzero coefficient, and past it
+                # the oracle's are all the last one
+                cut = row[key]
+                last = np.flatnonzero(basis.project(fresh))[-1]
+                assert len(cut) == last + 2, key
+                assert np.array_equal(cut, expected[: len(cut)]), key
+                assert np.all(expected[len(cut) :] == cut[-1]), key
             elif key[0] in TRACE_FREE:
                 assert row[key] == pytest.approx(expected, rel=1e-14), key
             else:
@@ -399,7 +469,7 @@ def test_table_matches_per_suite_oracle(request, name):
 def test_table_matches_trace_free_oracle(request, name):
     samples = request.getfixturevalue(name).samples
     keys = [key for key in every_key(1.9, 0.5) + [("rho_tilde", FluidParams(1.9, 0.5))]
-            if key[0] not in ("proj_cumsum", "drho_half")]
+            if key[0] not in ("proj_cumsum", "drho_half", "basis_size")]
     rows = field_table(samples, keys)
     for u, row in zip(samples, rows):
         fresh = SpectralVelocity(u.grid, u.coeffs, validate=False)
@@ -488,11 +558,88 @@ def test_warm_table_row_allocates_no_padded_grid():
 
 def test_table_rejects_fields_on_another_grid():
     # the rows share the arena of the first field's full basis; a field on
-    # a torus of another size would read its wavevectors
+    # a torus of another size would read its wavevectors, also one met in
+    # the middle of a stream
     ens = FieldEnsemble.generate(2, 16, 2 * np.pi, band=3, decay=2.0, seed=1, count=1)
     other = FieldEnsemble.generate(2, 16, np.pi, band=3, decay=2.0, seed=1, count=1)
     with pytest.raises(GridMismatchError):
         field_table(ens.samples + other.samples, [("grad", 2.0)])
+
+    def stream():
+        yield from ensemble_fields(2, 16, 2 * np.pi, band=3, decay=2.0, seed=1, count=2)
+        yield from other.samples
+        raise AssertionError("the stream was read past the mismatched field")
+
+    with pytest.raises(GridMismatchError):
+        field_table(stream(), [("grad", 2.0)])
+
+
+def drawn_up_front(dim, M, L, band, decay, seed, count, amplitude=1.0, amp_spread=2.0):
+    """Reference ensemble: every amplitude, then every field drawn at once,
+    field i from child i + 1 of the seed sequence."""
+    grid = TorusGrid(dim, M, L)
+    children = np.random.SeedSequence(seed).spawn(count + 1)
+    amps = amplitude * 10.0 ** np.random.default_rng(children[0]).uniform(
+        -amp_spread, amp_spread, size=count)
+    return [random_solenoidal(grid, band=band, decay=decay, amplitude=float(amps[i]),
+                              seed=np.random.default_rng(children[i + 1]))
+            for i in range(count)]
+
+
+@pytest.mark.parametrize("dim, M, band", [(2, 16, 5), (3, 8, 3)])
+def test_streamed_fields_equal_the_ensemble(dim, M, band):
+    args = (dim, M, 2 * np.pi, band, 2.0, 11, 6)
+    stream = ensemble_fields(*args)
+    assert iter(stream) is stream  # drawn as iterated, not a list
+    want = FieldEnsemble.generate(*args).samples
+    ref = drawn_up_front(*args)
+    got = list(stream)
+    assert len(got) == len(want) == len(ref) == 6
+    for u, v, w in zip(got, want, ref):
+        assert u.coeffs.tobytes() == v.coeffs.tobytes() == w.coeffs.tobytes()
+
+
+@pytest.mark.parametrize("dim, M, band", [(2, 16, 5), (3, 8, 3)])
+def test_table_of_a_stream_equals_the_table_of_the_list(dim, M, band):
+    args = (dim, M, 2 * np.pi, band, 2.0, 4, 5)
+    keys = every_key(1.9, 1.0)
+    listed = field_table(FieldEnsemble.generate(*args).samples, keys)
+    streamed = field_table(ensemble_fields(*args), keys)
+    assert len(streamed) == len(listed) == 5
+    for a, b in zip(streamed, listed):
+        assert list(a) == list(b)
+        for key in a:
+            if key[0] == "proj_cumsum":
+                assert np.array_equal(a[key], b[key]), key
+            else:
+                assert a[key] == b[key], key
+    assert field_table(ensemble_fields(*args[:-1], 0), keys) == []
+
+
+def test_table_memory_does_not_grow_with_count():
+    # the pass holds at most two fields, and a row only its scalars and its
+    # cut running sums: the traced peak of drawing and tabulating 32 fields,
+    # every key included, stays within 1.2x of that of 8, and the peak above
+    # the table it returns within 1.05x (with every field held and every
+    # row's sums over the whole basis these read about 1.8x and 1.6x)
+    import tracemalloc
+
+    keys = every_key(1.9, 1.0)
+    args = dict(dim=3, M=8, L=2 * np.pi, band=3, decay=2.0, seed=8)
+    field_table(ensemble_fields(count=2, **args), keys)  # fill the per-grid caches
+    peak, above = {}, {}
+    for count in (8, 32):
+        tracemalloc.start()
+        try:
+            rows = field_table(ensemble_fields(count=count, **args), keys)
+            held, peak[count] = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(rows) == count
+        above[count] = peak[count] - held
+        del rows
+    assert peak[32] < 1.2 * peak[8], peak
+    assert above[32] < 1.05 * above[8], above
 
 
 def test_table_rejects_I_p_without_mu(ens2d):
