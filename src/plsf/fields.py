@@ -11,6 +11,7 @@ the uniform-grid rule.
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 import struct
@@ -50,28 +51,6 @@ class SpectralVelocity:
     def zero(cls, grid: TorusGrid) -> "SpectralVelocity":
         return cls(grid, np.zeros((grid.dim,) + grid.spectral_shape, np.complex128),
                    validate=False)
-
-    @classmethod
-    def from_physical(cls, grid: TorusGrid, samples: np.ndarray) -> "SpectralVelocity":
-        """Build from real samples on the *native* M^dim grid.
-
-        The samples are transformed, truncated to the band, Hermitian
-        symmetrized and Leray projected, so the result always satisfies
-        the type invariants whatever the input.
-        """
-        samples = np.asarray(samples, dtype=np.float64)
-        if samples.shape != (grid.dim,) + grid.shape:
-            raise FieldInvariantError(
-                f"sample array has shape {samples.shape}, "
-                f"expected {(grid.dim,) + grid.shape}"
-            )
-        # full (M,)^dim spectra as set-up temporaries: the half of
-        # (c + conj c(-n)) / 2 keeps the bits of that symmetrization
-        axes = tuple(range(1, 1 + grid.dim))
-        c = np.fft.fftn(samples, axes=axes) / float(grid.M**grid.dim)
-        half, mask = grid.M // 2, grid.band_mask
-        c = 0.5 * (c[..., :half] * mask + np.conj(grid.reflect(c)[..., :half] * mask))
-        return leray_project(grid, c)
 
     @cached_property
     def physical(self) -> np.ndarray:
@@ -296,21 +275,26 @@ def l2_norm_spectral(v: SpectralVelocity) -> float:
 
 
 def taylor_green(grid: TorusGrid, amplitude: float = 1.0, band: int = 1) -> SpectralVelocity:
-    """Classical Taylor-Green cellular vortex, exactly divergence-free."""
+    """Classical Taylor-Green cellular vortex, exactly divergence-free:
+    u = a sin(kx) cos(ky) [cos(kz)], w = -a cos(kx) sin(ky) [cos(kz)] and,
+    in 3D, a zero third component, with k = 2 pi band / L.
+
+    As sin t = (e^(it) - e^(-it)) / 2i and cos t = (e^(it) + e^(-it)) / 2,
+    its only modes are n = band * s, s in {-1, 1}^dim, where u has the
+    coefficient -i s_1 a / 2^dim and w has i s_2 a / 2^dim.  The half
+    layout stores those with s_dim = 1; they are written into it directly.
+    """
     if band < 1 or band > grid.M // 2 - 1:
         raise ValueError(f"band must be in [1, {grid.M // 2 - 1}], got {band}")
-    kap = 2.0 * np.pi * band / grid.L
-    x = grid.points(padded=False)
-    a = float(amplitude)
-    if grid.dim == 2:
-        u = a * np.sin(kap * x[0]) * np.cos(kap * x[1])
-        w = -a * np.cos(kap * x[0]) * np.sin(kap * x[1])
-        samples = np.stack([u, w])
-    else:
-        u = a * np.sin(kap * x[0]) * np.cos(kap * x[1]) * np.cos(kap * x[2])
-        w = -a * np.cos(kap * x[0]) * np.sin(kap * x[1]) * np.cos(kap * x[2])
-        samples = np.stack([u, w, np.zeros_like(u)])
-    return SpectralVelocity.from_physical(grid, samples)
+    d = grid.dim
+    a = float(amplitude) / 2**d
+    c = np.zeros((d,) + grid.spectral_shape, dtype=np.complex128)
+    for lead in itertools.product((1, -1), repeat=d - 1):
+        s = lead + (1,)
+        at = tuple(band * si % grid.M for si in s)
+        c[(0,) + at] = complex(0.0, -s[0] * a)
+        c[(1,) + at] = complex(0.0, s[1] * a)
+    return SpectralVelocity(grid, c)
 
 
 def random_solenoidal(
@@ -323,32 +307,38 @@ def random_solenoidal(
     """Random band-limited solenoidal field, reproducible from the seed.
 
     Independent complex Gaussian coefficients with power-law decay
-    |n|^(-decay) inside |n| <= band, Hermitian-symmetrized, Leray
-    projected and rescaled to the requested L^2 norm.  `seed` is anything
-    numpy's default_rng accepts (int, SeedSequence, Generator).
+    |n|^(-decay) inside 0 < |n| <= band, Hermitian-symmetrized as
+    (c(n) + conj c(-n)) / 2, Leray projected and rescaled to the requested
+    L^2 norm.  The normals are those of one draw of shape (dim,) + (M,)^dim
+    in numpy's fftn layout for the real parts, then one for the imaginary
+    parts; they are drawn one (M,)^dim component at a time and only the
+    band's entries are kept.  `seed` is anything numpy's default_rng
+    accepts (int, SeedSequence, Generator).
     """
     if band < 1 or band > grid.M // 2 - 1:
         raise ValueError(f"band must be in [1, {grid.M // 2 - 1}], got {band}")
     rng = np.random.default_rng(seed)
-    # the normals are drawn over the full (M,)^dim spectrum, a set-up
-    # temporary, so that a seed keeps its field bit for bit; the weight is
-    # even in n, and the half of (c + conj c(-n)) / 2 is formed from it
-    shape = (grid.dim,) + grid.shape
-    raw = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    nsq = np.sum(grid.mode_grid.astype(np.float64) ** 2, axis=0)
+    d = grid.dim
+    axis = np.arange(-band, band + 1)
+    n = np.stack(np.meshgrid(*([axis] * d), indexing="ij"), axis=-1).reshape(-1, d)
+    nsq = np.sum(n.astype(np.float64) ** 2, axis=1)
     keep = (nsq > 0) & (nsq <= float(band) ** 2)
-    with np.errstate(divide="ignore"):
-        weight = np.where(keep, nsq ** (-decay / 2.0), 0.0)
-    half = grid.M // 2
-    c = 0.5 * (raw[..., :half] * weight + np.conj(grid.reflect(raw)[..., :half] * weight))
-    v = leray_project(grid, c)
-    # the norm sums |c|^2 over the full spectrum in its memory order, the
-    # mirrors (last index above M/2) rebuilt from the half, so that the
-    # rescaling keeps a seed's bits too
-    sq = np.zeros(shape)
-    sq[..., :half] = np.abs(v.coeffs) ** 2
-    sq[..., half + 1 :] = grid.reflect(sq)[..., half + 1 :]
-    norm = float(np.sqrt(grid.volume * np.sum(sq)))
+    n, weight = n[keep], nsq[keep] ** (-decay / 2.0)
+    at = np.ravel_multi_index(tuple((n % grid.M).T), grid.shape)
+    buf = np.empty(grid.shape)
+    parts = np.empty((2, d, len(at)))
+    for part in parts:
+        for channel in part:
+            rng.standard_normal(out=buf)
+            np.take(buf, at, out=channel)
+    raw = parts[0] + 1j * parts[1]
+    # n -> -n maps the rows onto themselves in reverse order
+    c = 0.5 * (raw * weight + np.conj(raw[:, ::-1] * weight))
+    stored = n[:, -1] >= 0
+    coeffs = np.zeros((d,) + grid.spectral_shape, dtype=np.complex128)
+    coeffs.reshape(d, -1)[:, grid.spectrum_index(n[stored])[0]] = c[:, stored]
+    v = leray_project(grid, coeffs)
+    norm = l2_norm_spectral(v)
     if norm == 0.0:
         raise FieldInvariantError("random field degenerated to zero")
     return v * (float(amplitude) / norm)

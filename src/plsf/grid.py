@@ -49,10 +49,11 @@ class TorusGrid:
             raise ValueError(f"dim must be 2 or 3, got {dim}")
         if M < 8 or M % 2 != 0:
             raise ValueError(f"M must be an even integer >= 8, got {M}")
-        if not (L > 0):
-            raise ValueError(f"L must be positive, got {L}")
-        if not (dealias_factor >= 1):
-            raise ValueError(f"dealias_factor must be >= 1, got {dealias_factor}")
+        if not (math.isfinite(L) and L > 0):
+            raise ValueError(f"L must be a positive finite number, got {L}")
+        if not (math.isfinite(dealias_factor) and dealias_factor >= 1):
+            raise ValueError(
+                f"dealias_factor must be a finite number >= 1, got {dealias_factor}")
         self.dim = int(dim)
         self.M = int(M)
         self.L = float(L)
@@ -111,12 +112,6 @@ class TorusGrid:
         rows excluded), shape spectral_shape."""
         half = self.M // 2
         return np.all(np.abs(self.mode_grid) <= half - 1, axis=0)
-
-    def points(self, padded: bool = True) -> np.ndarray:
-        """Physical sample coordinates, shape (dim,) + grid shape."""
-        n = self.padded_M if padded else self.M
-        x = np.arange(n) * (self.L / n)
-        return np.stack(np.meshgrid(*([x] * self.dim), indexing="ij"))
 
     @property
     def dealiased(self) -> bool:

@@ -208,10 +208,12 @@ def check_friedrichs(table: list[dict], q: float, epsilon: float):
     if epsilon <= 0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
     k_u, k_grad, k_cum, k_size = TABLE_KEYS["friedrichs"](q)
-    lhs = [row[k_u] ** 2 for row in table]
-    cums = [row[k_cum] for row in table]
-    grads = [row[k_grad] ** 2 for row in table]
-    sizes = [row[k_size] for row in table]
+    # only the zero field has ||u||_2 = 0, and then nothing to bound
+    kept = [row for row in table if row[k_u] != 0.0]
+    lhs = [row[k_u] ** 2 for row in kept]
+    cums = [row[k_cum] for row in kept]
+    grads = [row[k_grad] ** 2 for row in kept]
+    sizes = [row[k_size] for row in kept]
 
     kappa = 1
     for l, c, g, n in zip(lhs, cums, grads, sizes):
@@ -221,10 +223,11 @@ def check_friedrichs(table: list[dict], q: float, epsilon: float):
         kappa = max(kappa, int(np.argmax(holds)) + 1 if holds.any() else n)
     right = [(1 + epsilon) * c[min(kappa, len(c) - 1)] + epsilon * g
              for c, g in zip(cums, grads)]
-    worst = max(l / r for l, r in zip(lhs, right))
+    worst = max((l / r for l, r in zip(lhs, right)), default=0.0)
     rep = InequalityReport(
         id="friedrichs", p=q, mu=float("nan"), count=len(lhs),
         left=lhs, right=right, worst_ratio=worst, empirical_C=float(kappa), frozen_C=None,
+        skipped=len(table) - len(kept),
     )
     rep.kappa = kappa
     return rep

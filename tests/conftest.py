@@ -5,13 +5,21 @@ Each form transforms every channel of a half-layout spectrum with
 `grid.to_physical` and reduces with numpy sums: no trace-free channel, no
 arena and no `out=` buffer.  Tests import them from here, and the
 full-layout helpers below, which build spectra the way a test would
-write them out by hand.
+write them out by hand, and the full-layout initial data that plsf's
+half-layout constructors are compared with.
 """
 
 import numpy as np
 import pytest
 
-from plsf.fields import TensorField, gradient, inner_product, lp_norm
+from plsf.fields import (
+    SpectralVelocity,
+    TensorField,
+    gradient,
+    inner_product,
+    leray_project,
+    lp_norm,
+)
 from plsf.grid import TorusGrid
 
 
@@ -26,6 +34,14 @@ def full_mode_grid(g) -> np.ndarray:
     return np.stack(np.meshgrid(*([g.modes] * g.dim), indexing="ij"))
 
 
+def grid_points(g, padded=True) -> np.ndarray:
+    """Physical sample coordinates of the padded grid, or of the native
+    (M,)^dim one, shape (dim,) + that grid's shape."""
+    n = g.padded_M if padded else g.M
+    x = np.arange(n) * (g.L / n)
+    return np.stack(np.meshgrid(*([x] * g.dim), indexing="ij"))
+
+
 def hermitian_half(g, lead=(), seed=0) -> np.ndarray:
     """Random complex noise on the full (M,)^dim layout, symmetrized as
     (c + conj c(-n)) / 2 and cut to the half layout, shape
@@ -35,6 +51,60 @@ def hermitian_half(g, lead=(), seed=0) -> np.ndarray:
     shape = tuple(lead) + g.shape
     raw = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     return np.ascontiguousarray((0.5 * (raw + np.conj(g.reflect(raw))))[..., : g.M // 2])
+
+
+def shear_mode(L=2 * np.pi, M=16, amplitude=1.0) -> SpectralVelocity:
+    """The 2D shear flow v = (a sin(2 pi y / L), 0): its one stored mode,
+    (0, 1) of the first component, holds a / 2i; (0, -1) is implied."""
+    g = TorusGrid(2, M, L)
+    c = np.zeros((2,) + g.spectral_shape, dtype=np.complex128)
+    c[0, 0, 1] = complex(0.0, -0.5 * amplitude)
+    return SpectralVelocity(g, c)
+
+
+def sampled_taylor_green(g, amplitude=1.0, band=1) -> SpectralVelocity:
+    """The Taylor-Green vortex of plsf.fields.taylor_green, sampled on the
+    native (M,)^dim grid, transformed by fftn, symmetrized as
+    (c + conj c(-n)) / 2 over the full layout, cut to the half layout and
+    the band, and Leray projected."""
+    kap = 2.0 * np.pi * band / g.L
+    x = grid_points(g, padded=False)
+    a = float(amplitude)
+    cz = np.cos(kap * x[2]) if g.dim == 3 else 1.0
+    u = a * np.sin(kap * x[0]) * np.cos(kap * x[1]) * cz
+    w = -a * np.cos(kap * x[0]) * np.sin(kap * x[1]) * cz
+    samples = np.stack([u, w] + [np.zeros_like(u)] * (g.dim - 2))
+    c = np.fft.fftn(samples, axes=tuple(range(1, 1 + g.dim))) / float(g.M**g.dim)
+    half, mask = g.M // 2, g.band_mask
+    return leray_project(g, 0.5 * (c[..., :half] * mask + np.conj(g.reflect(c)[..., :half] * mask)))
+
+
+def full_layout_draw(g, band, decay=2.0, seed=0) -> SpectralVelocity:
+    """The Leray-projected draw of plsf.fields.random_solenoidal before its
+    rescaling, built over the full layout: one (dim,) + (M,)^dim array of
+    real normals, then one of imaginary normals, weighted by |n|^(-decay)
+    on 0 < |n| <= band and symmetrized there."""
+    rng = np.random.default_rng(seed)
+    shape = (g.dim,) + g.shape
+    raw = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    nsq = np.sum(g.mode_grid.astype(np.float64) ** 2, axis=0)
+    keep = (nsq > 0) & (nsq <= float(band) ** 2)
+    with np.errstate(divide="ignore"):
+        weight = np.where(keep, nsq ** (-decay / 2.0), 0.0)
+    half = g.M // 2
+    return leray_project(
+        g, 0.5 * (raw[..., :half] * weight + np.conj(g.reflect(raw)[..., :half] * weight)))
+
+
+def full_layout_random(g, band, decay=2.0, seed=0, amplitude=1.0) -> SpectralVelocity:
+    """full_layout_draw rescaled to L^2 norm `amplitude`, the norm summed
+    as |c|^2 over the full (dim,) + (M,)^dim spectrum in memory order."""
+    v = full_layout_draw(g, band, decay, seed)
+    half = g.M // 2
+    sq = np.zeros((g.dim,) + g.shape)
+    sq[..., :half] = np.abs(v.coeffs) ** 2
+    sq[..., half + 1 :] = g.reflect(sq)[..., half + 1 :]
+    return v * (float(amplitude) / float(np.sqrt(g.volume * np.sum(sq))))
 
 
 def sym_gradient(u) -> TensorField:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import grad_sym_gradient, stress, sym_gradient
+from conftest import grad_sym_gradient, shear_mode, stress, sym_gradient
 from plsf.basis import make_basis
 from plsf.constitutive import (
     STRESS_DIFF_CONSTANT,
@@ -35,15 +35,6 @@ def rho(u, params):
 
 def ip(u, params):
     return kernel(u, ("I_p", params))["I_p", params]
-
-
-def shear_mode(L=2 * np.pi, M=16, amplitude=1.0):
-    g = TorusGrid(2, M, L)
-    x = g.points(padded=False)
-    samples = np.stack(
-        [amplitude * np.sin(2 * np.pi * x[1] / L), np.zeros_like(x[0])]
-    )
-    return SpectralVelocity.from_physical(g, samples)
 
 
 # -- params -------------------------------------------------------------------

@@ -6,7 +6,17 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import hermitian_half, hessian, sym_gradient
+from conftest import (
+    full_layout_draw,
+    full_layout_random,
+    grid_points,
+    hermitian_half,
+    hessian,
+    sampled_taylor_green,
+    shear_mode,
+    sym_gradient,
+)
+from plsf import fields
 from plsf.basis import full_basis
 from plsf.constitutive import FluidParams
 from plsf.errors import FieldInvariantError, GridMismatchError
@@ -156,12 +166,9 @@ def test_sym_gradient_zero(grid2d):
 def test_sym_gradient_single_shear_mode():
     # v = (sin(2 pi y / L), 0): off-diagonals (pi/L) cos(2 pi y / L), zero diagonal
     L = 5.0
-    g = TorusGrid(2, 16, L)
-    x = g.points(padded=False)
-    samples = np.stack([np.sin(2 * np.pi * x[1] / L), np.zeros_like(x[0])])
-    v = SpectralVelocity.from_physical(g, samples)
+    v = shear_mode(L=L, M=16)
     D = sym_gradient(v)
-    xp = g.points(padded=True)
+    xp = grid_points(v.grid)
     expected = (np.pi / L) * np.cos(2 * np.pi * xp[1] / L)
     assert np.max(np.abs(D.values[0, 1] - expected)) < 1e-12
     assert np.max(np.abs(D.values[1, 0] - expected)) < 1e-12
@@ -194,7 +201,7 @@ def test_lp_norm_examples(grid2d):
     const = np.full(g.padded_shape, -2.5)
     assert lp_norm(const, 3.0, grid=g) == pytest.approx(2.5 * 3.0 ** (2 / 3), rel=1e-12)
     # f = sin(2 pi x / L), q = 2, d = 2 -> L / sqrt(2)
-    x = g.points(padded=True)
+    x = grid_points(g)
     f = np.sin(2 * np.pi * x[0] / 3.0)
     assert lp_norm(f, 2.0, grid=g) == pytest.approx(3.0 / np.sqrt(2), rel=1e-12)
 
@@ -341,6 +348,64 @@ def test_taylor_green_3d_divergence_free():
     v = taylor_green(g, amplitude=0.7)
     div = np.sum(g.wavevectors * v.coeffs, axis=0)
     assert np.max(np.abs(div)) < 1e-13
+
+
+@pytest.mark.parametrize("dim, M", [(2, 16), (2, 64), (3, 16)])
+@pytest.mark.parametrize("band", [1, 2])
+def test_taylor_green_is_the_sampled_field(dim, M, band):
+    # the closed form holds a / 2^dim exactly at its 2^dim stored entries;
+    # the sampled field carries the rounding of sin and cos of k x, which
+    # grows with k, on its modes and off them
+    g = TorusGrid(dim, M, 2 * np.pi)
+    a = 1.7
+    v = taylor_green(g, amplitude=a, band=band).coeffs
+    want = sampled_taylor_green(g, amplitude=a, band=band).coeffs
+    on = v != 0
+    assert np.count_nonzero(on) == 2**dim
+    assert np.all(v[on].real == 0) and np.all(np.abs(v[on].imag) == a / 2**dim)
+    assert np.max(np.abs(v[on] - want[on])) <= 1e-16 * band * a
+    assert np.max(np.abs(want[~on])) <= 1e-16 * band * a
+
+
+@pytest.mark.parametrize(
+    "dim, M, band", [(2, 16, 1), (2, 16, 7), (2, 64, 3), (2, 64, 20), (3, 16, 3), (3, 16, 7)])
+@pytest.mark.parametrize("decay", [2.0, 1.5])
+def test_random_solenoidal_is_the_full_layout_draw(monkeypatch, dim, M, band, decay):
+    # the band's normals are those of the full-layout draw, so the field
+    # before its rescaling is that draw's value for value; the rescaling
+    # sums |c|^2 over the half layout, grouped unlike the full spectrum's
+    # sum, and the scale may move by rounding
+    g = TorusGrid(dim, M, 2 * np.pi)
+    drawn = []
+
+    def spy(grid, coeffs):
+        drawn.append(leray_project(grid, coeffs))
+        return drawn[-1]
+
+    monkeypatch.setattr(fields, "leray_project", spy)
+    for seed in range(4):
+        v = random_solenoidal(g, band, decay=decay, seed=seed, amplitude=2.5)
+        assert np.array_equal(drawn[-1].coeffs, full_layout_draw(g, band, decay, seed).coeffs)
+        want = full_layout_random(g, band, decay, seed, amplitude=2.5)
+        assert l2_norm_spectral(v - want) <= 4e-16 * l2_norm_spectral(want)
+
+
+def test_initial_data_peak_memory_is_a_few_fields():
+    # the draw keeps only the band's normals and Taylor-Green writes its
+    # modes in place: with full (dim,) + (M,)^dim set-up spectra the traced
+    # peaks read 7.5 and 9.7 times the field's bytes here, and without them
+    # 5.0 and 3.4
+    g = TorusGrid(3, 32, 2 * np.pi)
+    for make, bound in ((lambda: random_solenoidal(g, band=3, seed=1), 5.5),
+                        (lambda: taylor_green(g, amplitude=1.0, band=2), 4.0)):
+        make()  # fill the grid's cached mode arrays
+        tracemalloc.start()
+        try:
+            v = make()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound * v.coeffs.nbytes, peak / v.coeffs.nbytes
 
 
 def test_random_solenoidal_reproducible(grid2d):

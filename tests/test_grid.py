@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import full_mode_grid, hermitian_half
+from conftest import full_mode_grid, grid_points, hermitian_half
 from plsf.fields import representative_modes
 from plsf.grid import TorusGrid
 
@@ -42,6 +42,16 @@ def test_grid_validation():
         TorusGrid(2, 16, -1.0)
     with pytest.raises(ValueError):
         TorusGrid(2, 16, 1.0, dealias_factor=0.9)
+
+
+@pytest.mark.parametrize("bad", [math.inf, math.nan])
+def test_grid_rejects_non_finite_lengths(bad):
+    # an infinite L made every wavevector 0, so a random draw on it was the
+    # zero field; an infinite dealias factor overflowed ceil
+    with pytest.raises(ValueError, match="L must be"):
+        TorusGrid(2, 16, bad)
+    with pytest.raises(ValueError, match="dealias_factor must be"):
+        TorusGrid(2, 16, 1.0, dealias_factor=bad)
 
 
 @pytest.mark.parametrize(
@@ -110,7 +120,7 @@ def test_transform_roundtrip_and_single_mode():
     # cos(3x + 2y) = (e^{i(3x+2y)} + c.c.)/2; the mirror (-3, -2) is implied
     c[0, 3, 2] = 0.5
     phys = g.to_physical(c)[0]
-    x = g.points(padded=True)
+    x = grid_points(g)
     expected = np.cos(3 * x[0] + 2 * x[1])
     assert np.max(np.abs(phys - expected)) < 1e-12
     back = g.to_spectral(phys[np.newaxis], g.band_index(np.array([[3, 2], [-3, -2], [3, -2]])))

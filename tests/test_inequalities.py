@@ -98,6 +98,19 @@ def test_friedrichs_single_basis_mode_kappa_one():
     assert rep.kappa <= 2  # the mode sits in the first shell
 
 
+def test_friedrichs_skips_zero_field():
+    # the zero field's row has ||u||_2 = 0 and every projection sum 0: its
+    # ratio would be 0/0
+    grid = TorusGrid(2, 16, 2 * np.pi)
+    alone = check_friedrichs(table(single_mode_samples(2 * np.pi), "friedrichs", 2.0), 2.0, 0.5)
+    samples = single_mode_samples(2 * np.pi) + [SpectralVelocity.zero(grid)]
+    rep = check_friedrichs(table(samples, "friedrichs", 2.0), 2.0, 0.5)
+    assert (rep.skipped, rep.count) == (1, 1)
+    assert (rep.worst_ratio, rep.kappa) == (alone.worst_ratio, alone.kappa)
+    rep = check_friedrichs(table([SpectralVelocity.zero(grid)], "friedrichs", 2.0), 2.0, 0.5)
+    assert (rep.skipped, rep.count, rep.worst_ratio, rep.kappa) == (1, 0, 0.0, 1)
+
+
 def full_sums(samples):
     """0, then the running sums of the squared full-basis coefficients of
     each field, over the whole basis."""
