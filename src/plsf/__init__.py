@@ -54,7 +54,6 @@ from .gap import (
 )
 from .grid import TorusGrid
 from .inequalities import (
-    FieldEnsemble,
     InequalityReport,
     check_ap3,
     check_cl_i,

@@ -30,7 +30,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from .errors import CapacityError, GridMismatchError
-from .fields import SpectralVelocity, _kept_entries, _kept_wavevectors, representative_modes
+from .fields import SpectralVelocity, _kept_entries, representative_modes
 from .grid import TorusGrid
 
 
@@ -80,9 +80,6 @@ class StokesBasis:
         self.modes = modes  # (modes, d) wavevectors
         # polarization p, component i of every mode: (d-1, d, modes)
         self._directions = np.ascontiguousarray(_polarizations(modes).transpose(1, 2, 0))
-        # where project_coeffs reads each wavevector in a half-layout
-        # spectrum: n, or the conjugate at -n
-        self._src, self._neg = grid.spectrum_index(modes)
         self._scale = np.sqrt(2.0 * grid.volume)
         # work buffers of the Galerkin kernels on this basis: built by
         # plsf.galerkin on their first call, freed with the basis
@@ -90,7 +87,7 @@ class StokesBasis:
 
     @cached_property
     def _work(self) -> SimpleNamespace:
-        """Per-mode scratch of synthesize_coeffs and project_modes."""
+        """Per-mode scratch of _mode_values and project_modes."""
         d, count = self.grid.dim, len(self.modes)
         return SimpleNamespace(
             table=np.zeros((count, d - 1, 2)),  # slots past N stay 0
@@ -106,17 +103,10 @@ class StokesBasis:
 
     # -- coefficient transforms ------------------------------------------
 
-    def project_coeffs(self, coeffs: np.ndarray) -> np.ndarray:
-        """Inner products (f, a^r) straight from half-layout spectral
-        coefficients."""
-        sub = coeffs.reshape(self.grid.dim, -1)[:, self._src]
-        np.conjugate(sub, out=sub, where=self._neg)
-        return self.project_modes(sub)
-
     def project_modes(self, sub: np.ndarray) -> np.ndarray:
-        """project_coeffs from the coefficients at the basis wavevectors
-        alone: sub[i, m] is component i at wavevector modes[m].  Returns a
-        fresh array."""
+        """The inner products (f, a^r) from the coefficients of f at the
+        basis wavevectors: sub[i, m] is component i at wavevector modes[m].
+        Returns a fresh array."""
         d = self.grid.dim
         w = self._work
         # e . c(n) per polarization, accumulated from zero in component order
@@ -132,34 +122,14 @@ class StokesBasis:
     def project(self, v: SpectralVelocity) -> np.ndarray:
         if v.grid != self.grid:
             raise GridMismatchError(f"{v.grid!r} vs {self.grid!r}")
-        return self.project_coeffs(v.coeffs)
-
-    def synthesize_coeffs(self, c: np.ndarray, out=None) -> np.ndarray:
-        """Half-layout spectral coefficients of sum_r c_r a^r: kept_coeffs(c)
-        scattered to their wavevectors.
-
-        Written into `out` ((dim,) + spectral_shape complex128,
-        C-contiguous) when it is given; a fresh array otherwise.
-        """
-        g = self.grid
-        if out is None:
-            out = np.zeros((g.dim,) + g.spectral_shape, dtype=np.complex128)
-        else:
-            out.fill(0.0)
-        out.reshape(g.dim, -1)[:, self.kept_positions] = self.kept_coeffs(c)
-        return out
+        # the basis wavevectors are the first representatives, v's first columns
+        return self.project_modes(v.coeffs[:, : len(self.modes)])
 
     @cached_property
     def kept(self) -> tuple[np.ndarray, np.ndarray, int]:
         """The basis's kept positions in the padded half-spectrum that
         `TorusGrid.to_physical` transforms: `grid.kept_index(self.modes)`."""
         return self.grid.kept_index(self.modes)
-
-    @cached_property
-    def kept_positions(self) -> np.ndarray:
-        """Flat index of each kept entry in one component of a half-layout
-        spectrum."""
-        return self.grid.spectrum_index(_kept_wavevectors(self.modes, self.kept))[0]
 
     def kept_coeffs(self, c: np.ndarray, out=None) -> np.ndarray:
         """The coefficients of sum_r c_r a^r at the kept wavevectors alone:
@@ -189,7 +159,12 @@ class StokesBasis:
         return vals
 
     def synthesize(self, c: np.ndarray, validate: bool = False) -> SpectralVelocity:
-        return SpectralVelocity(self.grid, self.synthesize_coeffs(c), validate=validate)
+        """The field sum_r c_r a^r: its values at the basis wavevectors,
+        zero at every later representative."""
+        g = self.grid
+        coeffs = np.zeros((g.dim, len(representative_modes(g))), dtype=np.complex128)
+        coeffs[:, : len(self.modes)] = self._mode_values(c)
+        return SpectralVelocity(g, coeffs, validate=validate)
 
     def entry_field(self, r: int) -> SpectralVelocity:
         """Materialize basis entry r as a unit-norm velocity field."""

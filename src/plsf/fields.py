@@ -1,9 +1,11 @@
 """Divergence-free spectral velocity fields and the operations on them.
 
 A `SpectralVelocity` is an immutable band-limited vector field that is
-real (Hermitian-symmetric coefficients), incompressible (k . c(k) = 0)
-and mean-free (c(0) = 0).  Its spectrum is held in the half layout of
-`plsf.grid`: the modes with last index >= 0, the others being implied.
+real, incompressible (k . c(k) = 0) and mean-free.  It holds one
+coefficient per Hermitian pair n, -n of band wavevectors: the one at the
+pair's representative (`representative_modes`), c(-n) = conj c(n) being
+implied and c(0) = 0.  The basis and the checkpoint file read and write
+that array as it is.
 `TensorField` holds pointwise tensor samples on the oversampled physical
 grid; nonlinear quantities are always formed there and integrated with
 the uniform-grid rule.
@@ -11,6 +13,7 @@ the uniform-grid rule.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 import os
@@ -31,41 +34,46 @@ _SOLENOIDAL_RTOL = 1e-13
 
 
 class SpectralVelocity:
-    """Band-limited, real, divergence-free, mean-free velocity field."""
+    """Band-limited, real, divergence-free, mean-free velocity field.
+
+    `coeffs` has shape (dim, count): column m is the coefficient at the
+    wavevector representative_modes(grid)[m].  The field takes the array
+    over, without a copy, and makes it read-only.
+    """
 
     def __init__(self, grid: TorusGrid, coeffs: np.ndarray, validate: bool = True):
-        coeffs = _spectrum_array(grid, coeffs)
-        # NaN passes every `>` comparison of the invariant checks, and the
-        # band mask would turn inf into NaN
-        if validate and not np.all(np.isfinite(coeffs)):
-            raise FieldInvariantError("coefficients are not finite")
-        coeffs = coeffs * grid.band_mask
-        coeffs[(slice(None),) + (0,) * grid.dim] = 0.0
+        coeffs = _coefficient_array(grid, coeffs)
         if validate:
-            _check_invariants(grid, coeffs)
+            # NaN passes every `>` comparison of the divergence check
+            if not np.all(np.isfinite(coeffs)):
+                raise FieldInvariantError("coefficients are not finite")
+            _check_divergence(grid, coeffs)
         coeffs.setflags(write=False)
         self.grid = grid
         self.coeffs = coeffs
 
     @classmethod
     def zero(cls, grid: TorusGrid) -> "SpectralVelocity":
-        return cls(grid, np.zeros((grid.dim,) + grid.spectral_shape, np.complex128),
+        return cls(grid, np.zeros((grid.dim, _mode_count(grid.dim, grid.M)), np.complex128),
                    validate=False)
 
     @cached_property
     def physical(self) -> np.ndarray:
         """Real samples on the padded grid, shape (dim,) + padded_shape;
         read-only, as every later norm of the field reads them."""
-        samples = self.grid.to_physical(self.coeffs)
+        g = self.grid
+        kept = g.kept_index(representative_modes(g))
+        samples = g.to_physical(_kept_spectrum(g, _kept_entries(self.coeffs, kept), kept))
         samples.setflags(write=False)
         return samples
 
     @cached_property
     def _gradient(self) -> "TensorField":
         g = self.grid
-        k = g.wavevectors
-        ghat = 1j * k[np.newaxis, :] * self.coeffs[:, np.newaxis]
-        return TensorField(g, g.to_physical(ghat))
+        kept = g.kept_index(representative_modes(g))
+        ik = 1j * _wavevectors(g, _kept_wavevectors(representative_modes(g), kept))
+        ghat = ik[np.newaxis, :] * _kept_entries(self.coeffs, kept)[:, np.newaxis]
+        return TensorField(g, g.to_physical(_kept_spectrum(g, ghat, kept)))
 
     def __add__(self, other: "SpectralVelocity") -> "SpectralVelocity":
         _require_same_grid(self, other)
@@ -108,27 +116,36 @@ def _require_same_grid(f, g):
         raise GridMismatchError(f"{f.grid!r} vs {g.grid!r}")
 
 
-def _spectrum_array(grid: TorusGrid, coeffs) -> np.ndarray:
+def _mode_count(dim: int, M: int) -> int:
+    """Number of representative wavevectors of a grid, ((M-1)^dim - 1)/2."""
+    return ((M - 1) ** dim - 1) // 2
+
+
+def _coefficient_array(grid: TorusGrid, coeffs) -> np.ndarray:
     coeffs = np.asarray(coeffs, dtype=np.complex128)
-    expected = (grid.dim,) + grid.spectral_shape
+    expected = (grid.dim, _mode_count(grid.dim, grid.M))
     if coeffs.shape != expected:
         raise FieldInvariantError(
-            f"coefficient array has shape {coeffs.shape}, expected {expected}"
+            f"coefficient array has shape {coeffs.shape}, expected {expected}: one "
+            f"column per representative wavevector"
         )
     return coeffs
 
 
-def _check_invariants(grid: TorusGrid, coeffs: np.ndarray, rtol: float = 1e-10):
+def _dot(k: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """k . c per column, the components added in order: the bits of
+    np.sum(k * c, axis=0)."""
+    out = k[0] * c[0]
+    for ki, ci in zip(k[1:], c[1:]):
+        out += ki * ci
+    return out
+
+
+def _check_divergence(grid: TorusGrid, coeffs: np.ndarray, rtol: float = 1e-10):
     scale = float(np.max(np.abs(coeffs)))
     if scale == 0.0:
         return
-    # the plane of last index 0 is the only place where the half layout
-    # stores both n and -n
-    plane = coeffs[..., :1]
-    herm = plane - np.conj(grid.reflect(plane))
-    if float(np.max(np.abs(herm))) > rtol * scale:
-        raise FieldInvariantError("coefficients are not Hermitian-symmetric")
-    div = np.sum(grid.wavevectors * coeffs, axis=0)
+    div = _dot(_wavevectors(grid, representative_modes(grid)), coeffs)
     kmax = 2.0 * np.pi / grid.L * (grid.M // 2)
     if float(np.max(np.abs(div))) > rtol * scale * kmax:
         raise FieldInvariantError("field is not divergence-free")
@@ -173,24 +190,32 @@ def _magnitude(channels, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
 
 
 def leray_project(grid: TorusGrid, coeffs: np.ndarray) -> SpectralVelocity:
-    """Project real spectral data (half layout) onto divergence-free fields.
+    """Project real spectral data onto divergence-free fields.
 
-    Per mode k != 0 the output is f(k) - k (k . f(k)) / |k|^2; the mean
-    mode is zeroed.  If the input is already solenoidal at rounding level
-    it is passed through unchanged, which makes a second application an
-    exact fixed point of the first.
+    `coeffs` holds the data's coefficients at the representative
+    wavevectors, shape (dim, count).  Per mode the output is
+    f(k) - k (k . f(k)) / |k|^2.  If the input is already solenoidal at
+    rounding level it is passed through unchanged (copied), which makes a
+    second application an exact fixed point of the first.
     """
-    coeffs = _spectrum_array(grid, coeffs) * grid.band_mask
-    k = grid.wavevectors
-    kdotf = np.sum(k * coeffs, axis=0)
-    scale = float(np.max(np.abs(coeffs)))
+    coeffs = _coefficient_array(grid, coeffs)
+    return SpectralVelocity(
+        grid, _solenoidal_part(grid, _wavevectors(grid, representative_modes(grid)), coeffs), validate=False)
+
+
+def _solenoidal_part(grid: TorusGrid, k: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """leray_project's values for coefficients c at wavevectors k, both
+    (dim, count), one component at a time; a fresh array."""
+    kdotc = _dot(k, c)
+    scale = float(np.max(np.abs(c)))
     kmax = 2.0 * np.pi / grid.L * (grid.M // 2)
-    if scale == 0.0 or float(np.max(np.abs(kdotf))) <= _SOLENOIDAL_RTOL * scale * kmax:
-        return SpectralVelocity(grid, coeffs, validate=False)
-    ksq = grid.k_squared.copy()
-    ksq[(0,) * grid.dim] = 1.0
-    out = coeffs - k * (kdotf / ksq)[np.newaxis]
-    return SpectralVelocity(grid, out, validate=False)
+    if scale == 0.0 or float(np.max(np.abs(kdotc))) <= _SOLENOIDAL_RTOL * scale * kmax:
+        return c.copy()
+    w = kdotc / _dot(k, k)
+    out = np.empty_like(c)
+    for ci, ki, oi in zip(c, k, out):
+        np.subtract(ci, ki * w, out=oi)
+    return out
 
 
 # -- norms and inner products --------------------------------------------
@@ -261,14 +286,13 @@ def inner_product(f, g) -> float:
 
 
 def l2_norm_spectral(v: SpectralVelocity) -> float:
-    """Coefficient-sum (Parseval) form of the L^2 norm.
+    """Coefficient-sum (Parseval) form of the L^2 norm: each stored
+    coefficient stands for itself and its mirror, so it counts twice."""
+    return _l2_norm(v.grid, v.coeffs)
 
-    A stored mode off the plane of last index 0 stands for itself and its
-    mirror, so it counts twice; the plane stores both and counts once.
-    """
-    sq = np.abs(v.coeffs) ** 2
-    total = 2.0 * np.sum(sq[..., 1:]) + np.sum(sq[..., 0])
-    return float(np.sqrt(v.grid.volume * total))
+
+def _l2_norm(grid: TorusGrid, coeffs: np.ndarray) -> float:
+    return float(np.sqrt(grid.volume * (2.0 * np.sum(np.abs(coeffs) ** 2))))
 
 
 # -- canonical initial data ----------------------------------------------
@@ -281,19 +305,21 @@ def taylor_green(grid: TorusGrid, amplitude: float = 1.0, band: int = 1) -> Spec
 
     As sin t = (e^(it) - e^(-it)) / 2i and cos t = (e^(it) + e^(-it)) / 2,
     its only modes are n = band * s, s in {-1, 1}^dim, where u has the
-    coefficient -i s_1 a / 2^dim and w has i s_2 a / 2^dim.  The half
-    layout stores those with s_dim = 1; they are written into it directly.
+    coefficient -i s_1 a / 2^dim and w has i s_2 a / 2^dim.  The
+    representatives among them are those with s_1 = 1; their coefficients
+    are written directly.
     """
     if band < 1 or band > grid.M // 2 - 1:
         raise ValueError(f"band must be in [1, {grid.M // 2 - 1}], got {band}")
     d = grid.dim
     a = float(amplitude) / 2**d
-    c = np.zeros((d,) + grid.spectral_shape, dtype=np.complex128)
-    for lead in itertools.product((1, -1), repeat=d - 1):
-        s = lead + (1,)
-        at = tuple(band * si % grid.M for si in s)
-        c[(0,) + at] = complex(0.0, -s[0] * a)
-        c[(1,) + at] = complex(0.0, s[1] * a)
+    reps = representative_modes(grid)
+    c = np.zeros((d, len(reps)), dtype=np.complex128)
+    for tail in itertools.product((1, -1), repeat=d - 1):
+        s = (1,) + tail
+        (row,) = np.flatnonzero(np.all(reps == np.multiply(band, s), axis=1))
+        c[0, row] = complex(0.0, -a)
+        c[1, row] = complex(0.0, s[1] * a)
     return SpectralVelocity(grid, c)
 
 
@@ -312,19 +338,20 @@ def random_solenoidal(
     L^2 norm.  The normals are those of one draw of shape (dim,) + (M,)^dim
     in numpy's fftn layout for the real parts, then one for the imaginary
     parts; they are drawn one (M,)^dim component at a time and only the
-    band's entries are kept.  `seed` is anything numpy's default_rng
-    accepts (int, SeedSequence, Generator).
+    entries at the band's representatives n and at their mirrors -n are
+    kept.  Those representatives are a prefix of the canonical order,
+    which ascends in |n|^2, and only its rows are projected.  `seed` is
+    anything numpy's default_rng accepts (int, SeedSequence, Generator).
     """
     if band < 1 or band > grid.M // 2 - 1:
         raise ValueError(f"band must be in [1, {grid.M // 2 - 1}], got {band}")
     rng = np.random.default_rng(seed)
     d = grid.dim
-    axis = np.arange(-band, band + 1)
-    n = np.stack(np.meshgrid(*([axis] * d), indexing="ij"), axis=-1).reshape(-1, d)
-    nsq = np.sum(n.astype(np.float64) ** 2, axis=1)
-    keep = (nsq > 0) & (nsq <= float(band) ** 2)
-    n, weight = n[keep], nsq[keep] ** (-decay / 2.0)
-    at = np.ravel_multi_index(tuple((n % grid.M).T), grid.shape)
+    reps = representative_modes(grid)
+    size = bisect.bisect_right(reps, band**2, key=lambda row: int(row @ row))
+    n = reps[:size]
+    weight = np.sum(n.astype(np.float64) ** 2, axis=1) ** (-decay / 2.0)
+    at = np.ravel_multi_index(tuple((np.concatenate([n, -n]) % grid.M).T), grid.shape)
     buf = np.empty(grid.shape)
     parts = np.empty((2, d, len(at)))
     for part in parts:
@@ -332,16 +359,14 @@ def random_solenoidal(
             rng.standard_normal(out=buf)
             np.take(buf, at, out=channel)
     raw = parts[0] + 1j * parts[1]
-    # n -> -n maps the rows onto themselves in reverse order
-    c = 0.5 * (raw * weight + np.conj(raw[:, ::-1] * weight))
-    stored = n[:, -1] >= 0
-    coeffs = np.zeros((d,) + grid.spectral_shape, dtype=np.complex128)
-    coeffs.reshape(d, -1)[:, grid.spectrum_index(n[stored])[0]] = c[:, stored]
-    v = leray_project(grid, coeffs)
-    norm = l2_norm_spectral(v)
+    c = 0.5 * (raw[:, :size] * weight + np.conj(raw[:, size:] * weight))
+    c = _solenoidal_part(grid, _wavevectors(grid, n), c)
+    norm = _l2_norm(grid, c)
     if norm == 0.0:
         raise FieldInvariantError("random field degenerated to zero")
-    return v * (float(amplitude) / norm)
+    coeffs = np.zeros((d, len(reps)), dtype=np.complex128)
+    np.multiply(c, float(amplitude) / norm, out=coeffs[:, :size])
+    return SpectralVelocity(grid, coeffs, validate=False)
 
 
 # -- checkpoint format -----------------------------------------------------
@@ -351,7 +376,8 @@ def random_solenoidal(
 #   mode_count u64 | mode_count * dim * (re f64, im f64)
 # Coefficients are stored for the canonical half-space representative
 # wavevectors in the documented basis order (eigenvalue, then
-# lexicographic wavevector); the conjugate modes are implied.  A file is
+# lexicographic wavevector); the conjugate modes are implied.  The payload
+# is SpectralVelocity.coeffs, row by row of its transpose.  A file is
 # read only if its header describes a valid grid, mode_count is that
 # grid's ((M-1)^dim - 1)/2 and the payload is exactly mode_count * dim * 16
 # bytes long; these are checked before anything is allocated.
@@ -382,6 +408,21 @@ def representative_modes(grid: TorusGrid) -> np.ndarray:
     The enumeration depends on (dim, M) only and is computed once for each.
     """
     return _canonical_modes(grid.dim, grid.M)
+
+
+def _wavevectors(grid: TorusGrid, modes: np.ndarray) -> np.ndarray:
+    """k = (2*pi/L) * n of the wavevector rows of `modes`, shape (dim, count)."""
+    return (2.0 * np.pi / grid.L) * modes.T.astype(np.float64, order="C")
+
+
+def _kept_spectrum(grid: TorusGrid, entries: np.ndarray, kept) -> np.ndarray:
+    """A fresh kept padded half-spectrum, lead + kept_shape, holding
+    `entries` (lead + (len(dst),)) at the positions dst of kept = (dst,
+    rows, split) and zeros elsewhere."""
+    lead = entries.shape[:-1]
+    spec = np.zeros(lead + grid.kept_shape, dtype=np.complex128)
+    spec.reshape(lead + (-1,))[..., kept[0]] = entries
+    return spec
 
 
 def _kept_wavevectors(modes: np.ndarray, kept) -> np.ndarray:
@@ -419,23 +460,16 @@ def _kept_entries(vals: np.ndarray, kept, out=None) -> np.ndarray:
 
 def save_checkpoint(path, v: SpectralVelocity) -> None:
     grid = v.grid
-    reps = representative_modes(grid)
-    src, neg = grid.spectrum_index(reps)
-    vals = v.coeffs.reshape(grid.dim, -1)[:, src]
-    # a representative with a negative last index is read at its mirror, as
-    # the conjugate; every vanishing part is written as +0.0, the sign a
-    # loaded field holds whatever the file's, so that a loaded field saves
-    # to the bytes it was loaded from
-    vals[:, neg] = np.conj(vals[:, neg])
-    vals += 0.0
-    inter = np.empty((len(reps), grid.dim, 2), dtype="<f8")
-    inter[..., 0] = vals.real.T
-    inter[..., 1] = vals.imag.T
+    count = v.coeffs.shape[1]
+    inter = np.empty((count, grid.dim, 2), dtype="<f8")
+    inter[..., 0] = v.coeffs.real.T
+    inter[..., 1] = v.coeffs.imag.T
+    # every vanishing part is written as +0.0, so that a file loaded and
+    # saved again keeps its bytes whatever signs its zeros had
+    inter += 0.0
     with open(path, "wb") as fh:
         fh.write(
-            _HEADER.pack(
-                CHECKPOINT_MAGIC, CHECKPOINT_VERSION, grid.dim, grid.M, grid.L, len(reps)
-            )
+            _HEADER.pack(CHECKPOINT_MAGIC, CHECKPOINT_VERSION, grid.dim, grid.M, grid.L, count)
         )
         fh.write(inter.tobytes())
 
@@ -446,7 +480,7 @@ def _checked_payload_size(path, dim: int, M: int, L: float, count: int) -> int:
         raise FieldInvariantError(
             f"{path} has an invalid grid header: dim={dim}, M={M}, L={L!r}"
         )
-    admitted = ((M - 1) ** dim - 1) // 2
+    admitted = _mode_count(dim, M)
     if count != admitted:
         raise FieldInvariantError(
             f"{path} stores {count} modes, its grid admits {admitted}"
@@ -478,12 +512,8 @@ def load_checkpoint(path, dealias_factor: float = 1.5) -> SpectralVelocity:
         # NaN passes every `>` comparison of the invariant checks
         if not np.all(np.isfinite(data)):
             raise FieldInvariantError(f"{path} holds non-finite coefficients")
-    grid = TorusGrid(dim, M, L, dealias_factor=dealias_factor)
-    reps = representative_modes(grid)
     flat = data.reshape(count, dim, 2)
-    vals = (flat[..., 0] + 1j * flat[..., 1]).T
-    kept = grid.kept_index(reps)
-    pos = grid.spectrum_index(_kept_wavevectors(reps, kept))[0]
-    coeffs = np.zeros((dim,) + grid.spectral_shape, dtype=np.complex128)
-    coeffs.reshape(dim, -1)[:, pos] = _kept_entries(vals, kept)
-    return SpectralVelocity(grid, coeffs)
+    coeffs = np.empty((dim, count), dtype=np.complex128)
+    coeffs.real = flat[..., 0].T
+    coeffs.imag = flat[..., 1].T
+    return SpectralVelocity(TorusGrid(dim, M, L, dealias_factor=dealias_factor), coeffs)

@@ -47,14 +47,16 @@ from . import constitutive as law
 from .basis import StokesBasis, basis_capacity, count_modes_below, make_basis
 from .constitutive import FluidParams
 from .errors import GridMismatchError, StiffnessError
-# gradient and lp_norm stay importable from here: perfbench/spans.py patches
-# them in this module's namespace
+# gradient and lp_norm stay importable from here, unused: the benchmark's
+# own tests (perfbench/test_perfbench.py) check that they are the names
+# plsf.fields defines
 from .fields import (  # noqa: F401
     SpectralVelocity,
     _magnitude,
     _norm_of_magnitude,
     _kept_wavevectors,
     _sum_of_squares,
+    _wavevectors,
     gradient,
     load_checkpoint,
     lp_norm,
@@ -125,7 +127,7 @@ class _Arena:
         self.diag = slice(diag[0], diag[-1] + 1, max(1, diag[-1] - diag[0]))
         self.w_off = 1.0 + off  # off-diagonal pairs count twice in |D|^2
         # where the kept coefficients are scattered, their wavevectors, and
-        # 1j * k there (the arithmetic of 1j * g.wavevectors)
+        # 1j * k there
         self.kept = basis.kept
         self.dst = self.kept[0]
         self.modes = basis.modes
@@ -192,29 +194,23 @@ class _Arena:
         return spec, spec.reshape(channels, -1)
 
 
-def _wavevectors(g: TorusGrid, modes: np.ndarray) -> np.ndarray:
-    """k = (2*pi/L) * n of the wavevector rows, shape (d, count): the
-    arithmetic of g.wavevectors."""
-    return (2.0 * np.pi / g.L) * modes.T.astype(np.float64, order="C")
-
-
 def _arena(basis: StokesBasis) -> _Arena:
     if basis.arena is None:
         basis.arena = _Arena(basis)
     return basis.arena
 
 
-def _padded_values(basis: StokesBasis, vhat: np.ndarray, keys) -> dict:
-    """The padded-grid functionals of the field with coefficients `vhat` on
+def _padded_values(basis: StokesBasis, coef: np.ndarray, keys) -> dict:
+    """The padded-grid functionals of the field with coefficients `coef` on
     the grid of `basis`, by key: ("u", q), ("grad", q) and ("hess", q) for
     ||v||_q, ||grad v||_q and ||D^2 v||_q; ("shifted", params) for
     ||(mu + |Dv|^2)^(1/2)||_p; ("rho_tilde", params) and ("I_p", params).
 
-    `vhat` holds the coefficients at the basis's kept positions, (d, kept)
-    as `StokesBasis.kept_coeffs` gives them, or is a half-layout spectrum,
-    which is read at those positions alone: a field on the basis's
-    wavevectors.  Each transform input is formed there and scattered into
-    the kept padded half-spectrum, so no field spectrum is built.
+    `coef` holds the coefficients at the basis's kept positions, (d, kept)
+    as `StokesBasis.kept_coeffs` gives them, or as `_kept_entries` reads
+    them from a field's coefficients: a field on the basis's wavevectors.
+    Each transform input is formed there and scattered into the kept
+    padded half-spectrum, so no field spectrum is built.
 
     The channels are trace-free: div v = 0 and tr D = 0 give d_d v_d and
     d_s D_dd pointwise as minus the sums of the other diagonal entries, so
@@ -238,13 +234,8 @@ def _padded_values(basis: StokesBasis, vhat: np.ndarray, keys) -> dict:
     arena = _arena(basis)
     g = basis.grid
     d, pos, dst = g.dim, arena.pos, arena.dst
-    phys, mag, tmp, work = arena.phys, arena.mag, arena.tmp, arena.work
+    phys, mag, tmp = arena.phys, arena.mag, arena.tmp
     ik, row, other = arena.kept_ik, arena.row[0], arena.row[1]
-    if vhat.ndim == 2:
-        coef = vhat
-    else:
-        coef = np.take(vhat.reshape(d, -1), basis.kept_positions, axis=1, out=arena.coef,
-                       mode="clip")
     values = {}
 
     def reduce(name, magnitude):
@@ -267,12 +258,12 @@ def _padded_values(basis: StokesBasis, vhat: np.ndarray, keys) -> dict:
             if negate:
                 np.negative(row, out=row)
             channel[dst] = row
-        return g.to_physical(spec, out=out, work=work)
+        return g.to_physical(spec, out=out)
 
     if "u" in args:
         spec, flat = arena.inputs(d)
         flat[:, dst] = coef
-        reduce("u", _magnitude(g.to_physical(spec, out=phys[:d], work=work), mag, tmp))
+        reduce("u", _magnitude(g.to_physical(spec, out=phys[:d]), mag, tmp))
     strain = args.keys() & {"shifted", "rho_tilde", "I_p"}
     if "grad" in args or strain:
         # d_j v_i into channel d*i + j of G (gradient(v) in C order), a row
@@ -381,7 +372,7 @@ def _rhs_parts(basis: StokesBasis, params: FluidParams, c: np.ndarray) -> np.nda
         np.multiply(0.5, half, out=half)
         flat[d + k][dst] = half
     phys = arena.phys
-    g.to_physical(spec, out=phys[: arena.n_in], work=arena.work)
+    g.to_physical(spec, out=phys[: arena.n_in])
     V = phys[:d]
     D, D_dd = phys[d + n_rot : arena.n_in], arena.dd  # D's upper triangle but D_dd
     np.negative(np.sum(D[arena.diag], axis=0, out=D_dd), out=D_dd)

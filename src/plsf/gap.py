@@ -229,6 +229,16 @@ class ExceedancePartition:
         return float(sum(iv.length for iv in self.intervals))
 
 
+def _check_window(record: TrajectoryRecord, s: float, t: float) -> None:
+    """Raise ValueError unless s < t and [s, t] lies in the record's span,
+    up to 1e-12."""
+    if not s < t:  # NaN fails it too
+        raise ValueError(f"need s < t, got s={s}, t={t}")
+    t0, t1 = record.span
+    if s < t0 - 1e-12 or t > t1 + 1e-12:
+        raise ValueError(f"[{s}, {t}] is outside the record span [{t0}, {t1}]")
+
+
 def exceedance_partition(
     record: TrajectoryRecord, s: float, t: float, alpha: float, gamma: float
 ) -> ExceedancePartition:
@@ -240,11 +250,7 @@ def exceedance_partition(
     is entered already at s) and t (when it is still open at t) they pair
     off into intervals.
     """
-    if not s < t:  # NaN fails it too
-        raise ValueError(f"need s < t, got s={s}, t={t}")
-    t0, t1 = record.span
-    if s < t0 - 1e-12 or t > t1 + 1e-12:
-        raise ValueError(f"[{s}, {t}] is outside the record span [{t0}, {t1}]")
+    _check_window(record, s, t)
     if not 0.0 <= alpha < np.pi / 2:
         raise ValueError(f"alpha must lie in [0, pi/2), got {alpha}")
     thr = float(np.tan(alpha))
@@ -279,9 +285,9 @@ def exceedance_partition(
 
 def energy_residual(record: TrajectoryRecord, s: float, t: float) -> float:
     """| ||v(t)||^2 + 2 int_s^t rho_tilde - ||v(s)||^2 | with the integral
-    by composite trapezoid over the samples."""
-    if not s < t:  # NaN fails it too
-        raise ValueError(f"need s < t, got s={s}, t={t}")
+    by composite trapezoid over the samples; [s, t] must lie in the
+    record's span."""
+    _check_window(record, s, t)
     e_t = _interp(record.times, record.energy, t)
     e_s = _interp(record.times, record.energy, s)
     integral = _integrate_linear(record.times, record.rho_tilde, s, t)

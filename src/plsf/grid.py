@@ -3,22 +3,17 @@
 Conventions used throughout the package:
 
 * Fields live on the torus (0, L)^dim with dim in {2, 3}.
-* A spectral coefficient array stores "analytic" Fourier coefficients
-
-      f(x) = sum_n c(n) * exp(i k_n . x),      k_n = (2*pi/L) * n,
-
-  of a real field, c(-n) = conj c(n), in the half layout of the real-input
-  FFT (Frigo & Johnson, Proc. IEEE 93, 2005): one block of shape
-  `spectral_shape` = (M,)*(dim-1) + (M/2,) per vector/tensor component.
-  The leading axes are in numpy fft order (modes 0 .. M/2-1, then
-  -M/2 .. -1); the last axis holds modes 0 .. M/2-1 only.  A mode with a
-  negative last index is not stored: it is the conjugate of its mirror.
-  On the plane where the last index is 0 both n and -n are stored, and
-  c(-n) = conj c(n) is an invariant of the field there.
+* A real field f(x) = sum_n c(n) * exp(i k_n . x), k_n = (2*pi/L) * n,
+  has c(-n) = conj c(n): of each pair n, -n one coefficient is stored and
+  the other implied (see `plsf.fields.representative_modes`).  The
+  transforms run through the half-spectrum of the real-input FFT (Frigo &
+  Johnson, Proc. IEEE 93, 2005), whose last axis holds modes >= 0 only:
+  a pair is written there at its member with last index >= 0, and at both
+  members where the last index is 0 (`kept_index`).
 * Retained wavevectors are the integer multi-indices with
-  |n_i| <= M/2 - 1 per axis.  The Nyquist index n_i = -M/2 present on the
-  leading axes is always kept at zero: the retained set is then closed
-  under negation, which is what makes real fields representable.
+  |n_i| <= M/2 - 1 per axis; the Nyquist index n_i = -M/2 is never
+  stored.  The retained set is then closed under negation, which is what
+  makes real fields representable.
 * Physical samples of nonlinear quantities are taken on an oversampled
   grid with padded_M = ceil(dealias_factor * M) points per axis (rounded
   up to even).  The grid is `dealiased` when padded_M >= 3(M/2 - 1) + 1,
@@ -81,39 +76,6 @@ class TorusGrid:
         return (self.L / self.padded_M) ** self.dim
 
     @property
-    def spectral_shape(self) -> tuple[int, ...]:
-        """Shape of one component of a spectrum in the half layout."""
-        return (self.M,) * (self.dim - 1) + (self.M // 2,)
-
-    @cached_property
-    def modes(self) -> np.ndarray:
-        """Integer wavenumbers along one leading axis, in fft order."""
-        return np.rint(np.fft.fftfreq(self.M) * self.M).astype(np.int64)
-
-    @cached_property
-    def mode_grid(self) -> np.ndarray:
-        """Integer multi-indices of the half layout, shape
-        (dim,) + spectral_shape."""
-        axes = [self.modes] * (self.dim - 1) + [np.arange(self.M // 2, dtype=np.int64)]
-        return np.stack(np.meshgrid(*axes, indexing="ij"))
-
-    @cached_property
-    def wavevectors(self) -> np.ndarray:
-        """k = (2*pi/L) * n, shape (dim,) + spectral_shape."""
-        return (2.0 * np.pi / self.L) * self.mode_grid.astype(np.float64)
-
-    @cached_property
-    def k_squared(self) -> np.ndarray:
-        return np.sum(self.wavevectors**2, axis=0)
-
-    @cached_property
-    def band_mask(self) -> np.ndarray:
-        """True where every |n_i| <= M/2 - 1 (the leading axes' Nyquist
-        rows excluded), shape spectral_shape."""
-        half = self.M // 2
-        return np.all(np.abs(self.mode_grid) <= half - 1, axis=0)
-
-    @property
     def dealiased(self) -> bool:
         """True iff products of two band fields cannot alias into the band.
 
@@ -144,19 +106,6 @@ class TorusGrid:
         spectrum."""
         half, Mp = self.M // 2, self.padded_M
         return slice(0, half), slice(Mp - (half - 1), Mp)
-
-    @cached_property
-    def _lead_blocks(self):
-        """(native, padded) corner blocks over the leading dim-1 axes."""
-        half = self.M // 2
-        src = (slice(0, half), slice(self.M - (half - 1), self.M))
-        dst = self._padded_band
-        pairs = []
-        for choice in np.ndindex(*([2] * (self.dim - 1))):
-            pairs.append(
-                (tuple(src[c] for c in choice), tuple(dst[c] for c in choice))
-            )
-        return pairs
 
     @property
     def kept_shape(self) -> tuple[int, ...]:
@@ -198,27 +147,6 @@ class TorusGrid:
         (dst_d, rows_d), (dst_m, rows_m) = parts
         return np.concatenate([dst_d, dst_m]), np.concatenate([rows_d, rows_m]), len(rows_d)
 
-    def _mirror_index(self, modes, size: int, shape) -> tuple[np.ndarray, np.ndarray]:
-        """Flat index into `shape` of each wavevector row n of `modes`, or of
-        -n where n has a negative last index (returned true), with every
-        component taken modulo `size`."""
-        n = np.asarray(modes)
-        self._check_band(n)
-        n = n.T
-        neg = n[-1] < 0
-        return np.ravel_multi_index(tuple(np.where(neg, -n, n) % size), shape), neg
-
-    def spectrum_index(self, modes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Where each wavevector row of `modes` (shape (count, dim)) is read
-        from in one component of a half-layout spectrum.
-
-        Returns (src, neg): the flat index into spectral_shape, and true
-        where the mode has a negative last index and its coefficient is the
-        conjugate of the one stored at its mirror -n.  Raises ValueError for
-        a wavevector outside the band.
-        """
-        return self._mirror_index(modes, self.M, self.spectral_shape)
-
     def band_index(self, modes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Where each wavevector row of `modes` (shape (count, dim)) is read
         from in the padded rfft half-spectrum, for `to_spectral`.
@@ -229,50 +157,35 @@ class TorusGrid:
         mirror c(-n) (+1.0 elsewhere).  Raises ValueError for a wavevector
         outside the band.
         """
+        n = np.asarray(modes)
+        self._check_band(n)
+        n = n.T
+        neg = n[-1] < 0
         half_shape = self.padded_shape[:-1] + (self.padded_M // 2 + 1,)
-        src, neg = self._mirror_index(modes, self.padded_M, half_shape)
+        src = np.ravel_multi_index(tuple(np.where(neg, -n, n) % self.padded_M), half_shape)
         return src, np.where(neg, -1.0, 1.0)
 
     def work_size(self, channels: int, forward: bool) -> int:
-        """Complex elements of the `work` array a transform of `channels`
-        channels takes: the padded half-spectrum, restricted to the band's
-        last-axis modes 0 .. M/2-1 on the way in (`forward` false)."""
+        """Complex elements of `channels` channels of the padded
+        half-spectrum: the whole of it, the `work` of `to_spectral`
+        (`forward` true), or its kept part (`kept_shape`), which
+        `to_physical` transforms (`forward` false)."""
         last = self.padded_M // 2 + 1 if forward else self.M // 2
         return channels * self.padded_M ** (self.dim - 1) * last
 
-    def to_physical(self, coeffs: np.ndarray, out=None, work=None) -> np.ndarray:
+    def to_physical(self, spec: np.ndarray, out=None) -> np.ndarray:
         """Sample band-limited Hermitian coefficients on the padded grid.
 
-        `coeffs` is a half-layout spectrum, lead + spectral_shape.  It is
-        placed into the kept padded half-spectrum (`kept_shape`), which is
-        transformed in place; that array lives in `work`, a flat complex128
-        array of at least `work_size(channels, forward=False)` elements,
-        when it is given, so that the call allocates no grid array.  A
-        caller that has already scattered its band into the start of `work`
-        (lead + kept_shape, zeros outside the band, see `kept_index`) passes
-        that view as `coeffs`, and it is transformed where it lies.  The
-        samples are written into `out` (lead + padded_shape float64) when it
-        is given.
+        `spec` is the kept padded half-spectrum (lead + kept_shape
+        complex128): each pair's coefficients scattered to its kept
+        positions (see `kept_index`), zeros elsewhere.  It is transformed in
+        place, so the call allocates no grid array and `spec` is spent.
+        The samples are written into `out` (lead + padded_shape float64)
+        when it is given.
         """
-        lead = coeffs.shape[: coeffs.ndim - self.dim]
-        if work is not None and np.may_share_memory(coeffs, work):
-            if coeffs.shape[len(lead) :] != self.kept_shape:
-                raise ValueError(f"a spectrum in `work` must have shape lead + {self.kept_shape}")
-            spec = coeffs
-        else:
-            if coeffs.shape[len(lead) :] != self.spectral_shape:
-                raise ValueError(f"a spectrum must have shape lead + {self.spectral_shape}, "
-                                 f"got {coeffs.shape}")
-            kept = lead + self.kept_shape
-            if work is None:
-                spec = np.zeros(kept, dtype=np.complex128)
-            else:
-                spec = work[: math.prod(kept)].reshape(kept)
-                spec.fill(0.0)
-            for src, dst in self._lead_blocks:
-                spec[(Ellipsis,) + dst + (slice(None),)] = coeffs[
-                    (Ellipsis,) + src + (slice(None),)
-                ]
+        if spec.shape[spec.ndim - self.dim :] != self.kept_shape:
+            raise ValueError(f"a spectrum must have shape lead + {self.kept_shape}, "
+                             f"got {spec.shape}")
         if self.dim == 3:
             for rows in self._padded_band:
                 block = spec[..., rows, :, :]
@@ -310,16 +223,6 @@ class TorusGrid:
         for channel in np.ndindex(lead):
             # one channel at a time: numpy copies a strided in-place operand
             out[channel].imag *= sign  # c(n_lead, -j) = conj(spec(-n_lead, j))
-        return out
-
-    def reflect(self, coeffs: np.ndarray) -> np.ndarray:
-        """Return the array g with g(n) = coeffs(-n), for an array whose last
-        dim axes each hold every mode modulo its length: the full fftn
-        layout (M,)^dim, or the plane of a half-layout spectrum as
-        coeffs[..., :1], whose last axis holds mode 0 alone."""
-        out = coeffs
-        for ax in range(coeffs.ndim - self.dim, coeffs.ndim):
-            out = np.roll(np.flip(out, axis=ax), 1, axis=ax)
         return out
 
     # -- identity ---------------------------------------------------------

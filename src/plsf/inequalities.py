@@ -15,17 +15,20 @@ import numpy as np
 from .basis import full_basis
 from .constitutive import FluidParams
 from .errors import ConfigError, GridMismatchError
-from .fields import SpectralVelocity, random_solenoidal
-from .galerkin import GalerkinState, TrajectoryRecord, _padded_values, galerkin_rhs
+from .fields import SpectralVelocity, _kept_entries, random_solenoidal
+from .galerkin import GalerkinState, TrajectoryRecord, _arena, _padded_values, galerkin_rhs
 from .grid import TorusGrid
 
 
 def ensemble_fields(dim, M, L, band, decay, seed, count, amplitude=1.0,
                     amp_spread=2.0, dealias=1.5):
-    """The fields of `FieldEnsemble.generate` with the same arguments, drawn
-    one at a time as they are iterated.
+    """A reproducible ensemble of `count` random band-limited solenoidal
+    fields, drawn one at a time as they are iterated.
 
-    The per-sample amplitudes come up front from the first child of
+    Per-sample L^2 amplitudes are log-uniform over `amp_spread` decades
+    around `amplitude`, so scale-sensitive constants (the mu-dependent
+    lemma bounds) get probed in every regime.  The per-sample amplitudes
+    come up front from the first child of
     SeedSequence(seed).spawn(count + 1), and field i from child i + 1, so
     each field is bit for bit the same however many the caller holds.
     """
@@ -38,24 +41,6 @@ def ensemble_fields(dim, M, L, band, decay, seed, count, amplitude=1.0,
         yield random_solenoidal(grid, band=band, decay=decay,
                                 seed=np.random.default_rng(children[i + 1]),
                                 amplitude=float(amps[i]))
-
-
-@dataclass
-class FieldEnsemble:
-    """Reproducible collection of random band-limited solenoidal fields.
-
-    Per-sample L^2 amplitudes are log-uniform over `amp_spread` decades
-    around `amplitude`, so scale-sensitive constants (the mu-dependent
-    lemma bounds) get probed in every regime.
-    """
-
-    samples: list[SpectralVelocity]
-
-    @classmethod
-    def generate(cls, dim, M, L, band, decay, seed, count, amplitude=1.0,
-                 amp_spread=2.0, dealias=1.5):
-        return cls(list(ensemble_fields(dim, M, L, band, decay, seed, count,
-                                        amplitude, amp_spread, dealias)))
 
 
 @dataclass
@@ -133,7 +118,7 @@ def table_row(u: SpectralVelocity, keys, basis) -> dict:
     The projection keys come from the full-basis coefficients of u, and
     the Galerkin RHS for drho_half; every other key goes to the padded-grid
     kernel of the trajectory sample, `plsf.galerkin._padded_values`, which
-    gathers u.coeffs at the basis's kept positions and forms each pointwise
+    reads u.coeffs at the basis's kept positions and forms each pointwise
     magnitude once.  The RHS's buffers and the kernel's share the arena's
     memory.  Once the arena is built, a row allocates no grid-sized array.
     """
@@ -156,7 +141,9 @@ def table_row(u: SpectralVelocity, keys, basis) -> dict:
                     basis.eigenvalues * c, galerkin_rhs(GalerkinState(basis, c, 0.0), params)))
     padded = [key for key in keys
               if key[0] not in ("proj_cumsum", "drho_half", "basis_size")]
-    values.update(_padded_values(basis, u.coeffs, padded))
+    if padded:
+        coef = _kept_entries(u.coeffs, basis.kept, out=_arena(basis).coef)
+        values.update(_padded_values(basis, coef, padded))
     return {key: values[key] for key in keys}
 
 

@@ -29,8 +29,8 @@ from plsf.gap import (
 from plsf.grid import TorusGrid
 from plsf.inequalities import (
     TABLE_KEYS,
-    FieldEnsemble,
     check_interpolations,
+    ensemble_fields,
     field_table,
 )
 
@@ -139,9 +139,8 @@ def test_criterion_3_oo_identity():
 
 
 def test_criterion_4_interpolation_constant_one():
-    ens = FieldEnsemble.generate(3, 12, L2PI, band=4, decay=1.5, seed=31,
-                                 count=1000)
-    reports = check_interpolations(field_table(ens.samples, TABLE_KEYS["interp"](1.9)), 1.9)
+    ens = ensemble_fields(3, 12, L2PI, band=4, decay=1.5, seed=31, count=1000)
+    reports = check_interpolations(field_table(ens, TABLE_KEYS["interp"](1.9)), 1.9)
     c1v, c2v = reports["c1"].violations, reports["c2"].violations
     report("4 (interpolation inequalities at constant 1)", c1v == 0 and c2v == 0,
            f"violations c1={c1v} c2={c2v}, worst ratios "

@@ -4,7 +4,7 @@ import struct
 import numpy as np
 import pytest
 
-from conftest import full_mode_grid
+from conftest import full_mode_grid, half_spectrum, reflect, rep_index, rep_wavevectors
 from plsf.basis import (
     StokesBasis,
     basis_capacity,
@@ -30,7 +30,7 @@ def test_first_shell_2d(grid2d):
     assert basis.modes.tolist() == [[0, 1], [1, 0]]
     # entries alternate cos | sin: real, then imaginary coefficients at n
     for r, n in enumerate([(0, 1), (0, 1), (1, 0), (1, 0)]):
-        c = basis.entry_field(r).coeffs[(slice(None),) + n]
+        c = basis.entry_field(r).coeffs[:, rep_index(grid2d, n)]
         assert np.all(c.imag == 0.0) if r % 2 == 0 else np.all(c.real == 0.0)
         assert np.max(np.abs(c)) > 0.1
 
@@ -41,7 +41,7 @@ def test_constructor_is_canonical_and_checks_capacity():
     assert basis.size == 13
     assert np.array_equal(basis.modes, representative_modes(g)[:4])
     c = np.random.default_rng(2).standard_normal(13)
-    assert basis.synthesize_coeffs(c).tobytes() == make_basis(g, 13).synthesize_coeffs(c).tobytes()
+    assert basis.synthesize(c).coeffs.tobytes() == make_basis(g, 13).synthesize(c).coeffs.tobytes()
     for N in (-1, basis_capacity(g) + 1):
         with pytest.raises(CapacityError):
             StokesBasis(g, N)
@@ -81,7 +81,7 @@ def test_eigenfunction_relation(grid2d):
     basis = make_basis(grid2d, 10)
     for r in (0, 3, 7, 9):
         a = basis.entry_field(r)
-        lap = grid2d.k_squared * a.coeffs  # -Delta in spectral form
+        lap = np.sum(rep_wavevectors(grid2d) ** 2, axis=0) * a.coeffs  # -Delta in spectral form
         assert np.max(np.abs(lap - basis.eigenvalues[r] * a.coeffs)) < 1e-12
 
 
@@ -90,7 +90,7 @@ def test_entries_sorted_by_eigenvalue(grid2d):
     assert np.all(np.diff(basis.eigenvalues) >= -1e-12)
     # each field is divergence-free, real, mean-free by construction
     a = basis.entry_field(17)
-    div = np.sum(grid2d.wavevectors * a.coeffs, axis=0)
+    div = np.sum(rep_wavevectors(grid2d) * a.coeffs, axis=0)
     assert np.max(np.abs(div)) < 1e-13
 
 
@@ -227,7 +227,7 @@ def test_capacity_is_enumeration_length(dim, M):
 
 
 def _oracle_spectrum(g, c):
-    """synthesize_coeffs on the full fftn layout, per entry: each entry's
+    """synthesize on the full fftn layout, per entry: each entry's
     amplitude added at its wavevector (np.add.at), then the reflected
     conjugate added; returns it with the positions of the entries."""
     dim, M, N = g.dim, g.M, len(c)
@@ -241,14 +241,14 @@ def _oracle_spectrum(g, c):
     for i in range(dim):
         np.add.at(buf[i], flat, amp * E[:, i])
     buf = buf.reshape((dim,) + g.shape)
-    return buf + np.conj(g.reflect(buf)), flat, E, is_cos
+    return buf + np.conj(reflect(g, buf)), flat, E, is_cos
 
 
 @pytest.mark.parametrize("dim, M, N", [(2, 16, 37), (3, 8, 101)])
 def test_save_checkpoint_matches_per_row_oracle(tmp_path, dim, M, N):
     # the file holds, at each representative, what the full-layout spectrum
     # of the field holds there, bit for bit: also at a representative with
-    # a negative last index, which the half layout stores as its mirror
+    # a negative last index, which the real-input FFT reads at its mirror
     g = TorusGrid(dim, M, 1.3)
     basis = make_basis(g, N)  # a partial last shell
     c = np.random.default_rng(N).standard_normal(N)
@@ -280,8 +280,8 @@ def test_full_basis_3d_m64_builds():
 @pytest.mark.parametrize("dim, M, N", [(2, 16, 37), (3, 8, 101), (3, 8, 416)])
 def test_synthesize_and_project_match_per_entry_oracle(dim, M, N):
     # the per-entry scatter (np.add.at, then the reflected conjugate) and
-    # gather on the full layout, bit for bit on the half layout's positions,
-    # signed zeros included
+    # gather on the full layout, bit for bit at the representatives, signed
+    # zeros included
     g = TorusGrid(dim, M, 1.3)
     basis = make_basis(g, N)
     rng = np.random.default_rng(N)
@@ -289,17 +289,19 @@ def test_synthesize_and_project_match_per_entry_oracle(dim, M, N):
     c[::5] = 0.0
     c[1::7] = -0.0
     want, flat, E, is_cos = _oracle_spectrum(g, c)
-    got = basis.synthesize_coeffs(c)
-    assert got.shape == (dim,) + g.spectral_shape
-    assert got.tobytes() == np.ascontiguousarray(want[..., : M // 2]).tobytes()
+    got = basis.synthesize(c).coeffs
+    reps = representative_modes(g)
+    assert got.shape == (dim, len(reps))
+    assert got.tobytes() == np.ascontiguousarray(
+        want[(slice(None),) + tuple((reps % M).T)]).tobytes()
 
-    # the projection reads a mode with a negative last index as the
-    # conjugate of its mirror
-    f = random_solenoidal(g, band=3, seed=N).coeffs
+    # the projection reads the field's full-layout spectrum at the entries'
+    # wavevectors
+    v = random_solenoidal(g, band=3, seed=N)
     full = np.zeros((dim,) + g.shape, dtype=np.complex128)
-    full[..., : M // 2] = f
-    full[..., M // 2 + 1 :] = np.conj(g.reflect(full))[..., M // 2 + 1 :]
+    full[..., : M // 2] = half_spectrum(g, v.coeffs)
+    full[..., M // 2 + 1 :] = np.conj(reflect(g, full))[..., M // 2 + 1 :]
     sub = full.reshape(dim, -1)[:, flat]
     a = np.einsum("nd,dn->n", E, sub)
     proj = np.sqrt(2.0 * g.volume) * np.where(is_cos, a.real, -a.imag)
-    assert basis.project_coeffs(f).tobytes() == proj.tobytes()
+    assert basis.project(v).tobytes() == proj.tobytes()

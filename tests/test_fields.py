@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 import struct
 import tracemalloc
 
@@ -10,10 +11,15 @@ from conftest import (
     full_layout_draw,
     full_layout_random,
     grid_points,
-    hermitian_half,
+    half_spectrum,
     hessian,
+    noise,
+    reflect,
+    rep_index,
+    rep_wavevectors,
     sampled_taylor_green,
     shear_mode,
+    spectral_shape,
     sym_gradient,
 )
 from plsf import fields
@@ -30,15 +36,16 @@ from plsf.fields import (
     lp_norm,
     pointwise_magnitude,
     random_solenoidal,
+    representative_modes,
     save_checkpoint,
     taylor_green,
 )
 from plsf.grid import TorusGrid
-from plsf.inequalities import FieldEnsemble, field_table
+from plsf.inequalities import ensemble_fields, field_table
 
 
 def hermitian_noise(grid, seed=0):
-    return hermitian_half(grid, (grid.dim,), seed=seed)
+    return noise(grid, (grid.dim,), seed=seed)
 
 
 # -- Leray projection ---------------------------------------------------------
@@ -51,8 +58,8 @@ def test_leray_leaves_solenoidal_unchanged(grid2d):
 
 
 def test_leray_kills_gradients(grid2d):
-    phi = hermitian_half(grid2d, (1,), seed=2)
-    grad_phi = 1j * grid2d.wavevectors * phi[0]
+    phi = noise(grid2d, (1,), seed=2)
+    grad_phi = 1j * rep_wavevectors(grid2d) * phi[0]
     out = leray_project(grid2d, grad_phi)
     assert np.max(np.abs(out.coeffs)) < 1e-13 * np.max(np.abs(grad_phi))
 
@@ -60,7 +67,7 @@ def test_leray_kills_gradients(grid2d):
 def test_leray_output_divergence_free(grid2d):
     f = hermitian_noise(grid2d, seed=3)
     out = leray_project(grid2d, f)
-    div = np.sum(grid2d.wavevectors * out.coeffs, axis=0)
+    div = np.sum(rep_wavevectors(grid2d) * out.coeffs, axis=0)
     assert np.max(np.abs(div)) <= 1e-12 * np.max(np.abs(f))
 
 
@@ -81,39 +88,41 @@ def test_invariant_validation_rejects_divergent(grid2d):
 
 
 def test_zero_mode_and_nyquist_cleared(grid2d):
-    v = random_solenoidal(grid2d, band=5, seed=6)
-    assert np.all(v.coeffs[:, 0, 0] == 0)
-    assert np.all(v.coeffs[:, 8, :] == 0)  # Nyquist row
-    # the half layout stores no last-axis Nyquist column
-    assert SpectralVelocity(grid2d, hermitian_noise(grid2d) * 0.0).coeffs.shape == (2, 16, 8)
+    # no representative is the mean or reaches a Nyquist index, so no field
+    # holds either
+    reps = representative_modes(grid2d)
+    assert np.all(np.any(reps != 0, axis=1)) and np.max(np.abs(reps)) == 7
+    half = half_spectrum(grid2d, random_solenoidal(grid2d, band=7, seed=6).coeffs)
+    assert np.all(half[:, 0, 0] == 0)
+    assert np.all(half[:, 8, :] == 0)  # Nyquist row
+    assert np.any(half[:, 7, :] != 0) and np.any(half[:, 9, :] != 0)
 
 
 @pytest.mark.parametrize("dim, M", [(2, 16), (3, 8)])
-def test_coeffs_are_the_half_layout(tmp_path, dim, M):
+def test_coeffs_are_the_representative_layout(tmp_path, dim, M):
     g = TorusGrid(dim, M, 2 * np.pi)
-    shape = (dim,) + (M,) * (dim - 1) + (M // 2,)
+    shape = (dim, ((M - 1) ** dim - 1) // 2)
+    assert shape == (dim, len(representative_modes(g)))
     path = tmp_path / "v.plsf"
     save_checkpoint(path, random_solenoidal(g, band=2, seed=2))
     for v in (random_solenoidal(g, band=3, seed=1), taylor_green(g), SpectralVelocity.zero(g),
               load_checkpoint(path), full_basis(g).entry_field(3)):
         assert v.coeffs.shape == shape
-    with pytest.raises(FieldInvariantError, match="shape"):
-        SpectralVelocity(g, np.zeros((dim,) + g.shape))  # the full layout
-    with pytest.raises(FieldInvariantError, match="shape"):
-        leray_project(g, np.zeros((dim,) + g.shape))
+    # the full layout and the half layout are refused, naming the shape
+    for wrong in ((dim,) + g.shape, (dim,) + spectral_shape(g)):
+        for make in (SpectralVelocity, leray_project):
+            with pytest.raises(FieldInvariantError, match=f"expected {re.escape(str(shape))}"):
+                make(g, np.zeros(wrong, dtype=complex))
 
 
 def test_field_is_real(grid2d):
     v = random_solenoidal(grid2d, band=5, seed=7)
-    plane = v.coeffs[..., :1]
-    herm = plane - np.conj(grid2d.reflect(plane))
-    assert np.max(np.abs(herm)) < 1e-14
-    # the full spectrum the half implies transforms to real samples, which
-    # are the field's on the unpadded grid
+    # the full spectrum the coefficients imply transforms to real samples,
+    # which are the field's on the unpadded grid
     half = grid2d.M // 2
     full = np.zeros((2,) + grid2d.shape, dtype=complex)
-    full[..., :half] = v.coeffs
-    full[..., half + 1 :] = np.conj(grid2d.reflect(full))[..., half + 1 :]
+    full[..., :half] = half_spectrum(grid2d, v.coeffs)
+    full[..., half + 1 :] = np.conj(reflect(grid2d, full))[..., half + 1 :]
     samples = np.fft.ifftn(full, axes=(1, 2)) * grid2d.M**2
     assert np.max(np.abs(samples.imag)) < 1e-14 * np.max(np.abs(samples.real))
     unpadded = TorusGrid(2, grid2d.M, grid2d.L, dealias_factor=1.0)
@@ -122,17 +131,19 @@ def test_field_is_real(grid2d):
 
 @pytest.mark.parametrize("dim, M", [(2, 16), (3, 8)])
 def test_plane_without_hermitian_symmetry_rejected(dim, M):
-    # c(1, 0, ..) != conj c(-1, 0, ..) on the plane of last index 0; the
-    # mode's only nonzero component is orthogonal to it, so only the
-    # symmetry is broken
+    # c(1, 0, ..) != conj c(-1, 0, ..) on the plane of last index 0 can be
+    # written into a half-layout spectrum, which holds both, but a field
+    # holds one coefficient per pair: the array is refused by its shape,
+    # and whatever a field holds, its half-layout spectrum is Hermitian
+    # there
     g = TorusGrid(dim, M, 2 * np.pi)
-    c = np.zeros((dim,) + g.spectral_shape, dtype=complex)
+    c = np.zeros((dim,) + spectral_shape(g), dtype=complex)
     c[(1, 1) + (0,) * (dim - 1)] = 1.0 + 0.5j
-    c[(1, M - 1) + (0,) * (dim - 1)] = 1.0 - 0.5j
-    SpectralVelocity(g, c)
     c[(1, M - 1) + (0,) * (dim - 1)] = 2.0
-    with pytest.raises(FieldInvariantError, match="Hermitian"):
+    with pytest.raises(FieldInvariantError, match="shape"):
         SpectralVelocity(g, c)
+    plane = half_spectrum(g, noise(g, (dim,), seed=dim))[..., :1]
+    assert np.array_equal(plane, np.conj(reflect(g, plane)))
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")],
@@ -141,7 +152,8 @@ def test_plane_without_hermitian_symmetry_rejected(dim, M):
 def test_non_finite_coefficients_rejected(dim, M, bad):
     g = TorusGrid(dim, M, 2 * np.pi)
     v = random_solenoidal(g, band=3, seed=dim)
-    for where in ((0, 2) + (1,) * (dim - 1), (0,) * (dim + 1)):  # a band mode; the mean
+    # a mode the draw reaches; one it leaves at zero
+    for where in ((0, rep_index(g, (1,) * dim)), (dim - 1, -1)):
         for part in (1.0, 1j):
             c = np.array(v.coeffs)
             c[where] = bad * part
@@ -252,20 +264,21 @@ def test_parseval(grid2d):
 
 
 @pytest.mark.parametrize("dim, M", [(2, 16), (3, 8)])
-def test_parseval_counts_the_plane_once_and_the_rest_twice(dim, M):
+def test_parseval_counts_every_representative_twice(dim, M):
     # the full band reaches the plane of last index 0 and the top modes
     g = TorusGrid(dim, M, 2 * np.pi)
     for seed in range(3):
         v = random_solenoidal(g, band=M // 2 - 1, seed=seed, amplitude=1.3)
         assert l2_norm_spectral(v) == pytest.approx(lp_norm(v, 2.0), rel=1e-13, abs=0)
-    # a field on the plane alone: every stored mode counts once
+    # a field on the plane of last index 0 alone, where the half layout of
+    # the transforms holds both n and -n: each pair still counts twice
     c = np.array(random_solenoidal(g, band=M // 2 - 1, seed=5).coeffs)
-    c[..., 1:] = 0.0
+    c[:, representative_modes(g)[:, -1] != 0] = 0.0
     plane = SpectralVelocity(g, c)
     assert np.any(plane.coeffs != 0)
     assert l2_norm_spectral(plane) == pytest.approx(lp_norm(plane, 2.0), rel=1e-13, abs=0)
     assert l2_norm_spectral(plane) ** 2 == pytest.approx(
-        g.volume * np.sum(np.abs(c) ** 2), rel=1e-14)
+        2.0 * g.volume * np.sum(np.abs(c) ** 2), rel=1e-14)
 
 
 def test_inner_product_examples(grid2d):
@@ -346,14 +359,15 @@ def test_taylor_green_energy():
 def test_taylor_green_3d_divergence_free():
     g = TorusGrid(3, 12, 2 * np.pi)
     v = taylor_green(g, amplitude=0.7)
-    div = np.sum(g.wavevectors * v.coeffs, axis=0)
+    div = np.sum(rep_wavevectors(g) * v.coeffs, axis=0)
     assert np.max(np.abs(div)) < 1e-13
 
 
 @pytest.mark.parametrize("dim, M", [(2, 16), (2, 64), (3, 16)])
 @pytest.mark.parametrize("band", [1, 2])
 def test_taylor_green_is_the_sampled_field(dim, M, band):
-    # the closed form holds a / 2^dim exactly at its 2^dim stored entries;
+    # the closed form holds a / 2^dim exactly at the two velocity
+    # components of its 2^(dim-1) representatives;
     # the sampled field carries the rounding of sin and cos of k x, which
     # grows with k, on its modes and off them
     g = TorusGrid(dim, M, 2 * np.pi)
@@ -372,33 +386,41 @@ def test_taylor_green_is_the_sampled_field(dim, M, band):
 @pytest.mark.parametrize("decay", [2.0, 1.5])
 def test_random_solenoidal_is_the_full_layout_draw(monkeypatch, dim, M, band, decay):
     # the band's normals are those of the full-layout draw, so the field
-    # before its rescaling is that draw's value for value; the rescaling
-    # sums |c|^2 over the half layout, grouped unlike the full spectrum's
-    # sum, and the scale may move by rounding
+    # before its rescaling, projected on the band's representatives alone,
+    # is that draw's bit for bit, signs of zero included; the rescaling
+    # sums |c|^2 over the representatives, grouped unlike the full
+    # spectrum's sum, and the scale may move by rounding
     g = TorusGrid(dim, M, 2 * np.pi)
     drawn = []
+    project = fields._solenoidal_part
 
-    def spy(grid, coeffs):
-        drawn.append(leray_project(grid, coeffs))
+    def spy(grid, k, c):
+        drawn.append(project(grid, k, c))
         return drawn[-1]
 
-    monkeypatch.setattr(fields, "leray_project", spy)
+    monkeypatch.setattr(fields, "_solenoidal_part", spy)
     for seed in range(4):
         v = random_solenoidal(g, band, decay=decay, seed=seed, amplitude=2.5)
-        assert np.array_equal(drawn[-1].coeffs, full_layout_draw(g, band, decay, seed).coeffs)
+        want = full_layout_draw(g, band, decay, seed).coeffs
+        size = drawn[-1].shape[1]
+        assert drawn[-1].tobytes() == np.ascontiguousarray(want[:, :size]).tobytes()
+        assert not np.any(want[:, size:])
         want = full_layout_random(g, band, decay, seed, amplitude=2.5)
         assert l2_norm_spectral(v - want) <= 4e-16 * l2_norm_spectral(want)
 
 
 def test_initial_data_peak_memory_is_a_few_fields():
-    # the draw keeps only the band's normals and Taylor-Green writes its
-    # modes in place: with full (dim,) + (M,)^dim set-up spectra the traced
-    # peaks read 7.5 and 9.7 times the field's bytes here, and without them
-    # 5.0 and 3.4
+    # the draw keeps only the band's normals and projects the band's
+    # representatives alone, and Taylor-Green writes its modes in place:
+    # the traced peaks read 1.40 and 2.35 times the field's bytes here (the
+    # draw's one (M,)^3 buffer of normals is 0.37 of it, Taylor-Green's
+    # divergence check about 1.3); with the half-layout spectrum they read
+    # 5.0 and 3.4, and with full (dim,) + (M,)^dim set-up spectra 7.5 and
+    # 9.7
     g = TorusGrid(3, 32, 2 * np.pi)
-    for make, bound in ((lambda: random_solenoidal(g, band=3, seed=1), 5.5),
-                        (lambda: taylor_green(g, amplitude=1.0, band=2), 4.0)):
-        make()  # fill the grid's cached mode arrays
+    for make, bound in ((lambda: random_solenoidal(g, band=3, seed=1), 1.6),
+                        (lambda: taylor_green(g, amplitude=1.0, band=2), 2.6)):
+        make()  # fill the cached wavevector enumeration
         tracemalloc.start()
         try:
             v = make()
@@ -534,9 +556,9 @@ def test_checkpoint_huge_header_fails_before_allocating(tmp_path, dim, M):
 
 @pytest.mark.parametrize("dim, M", [(2, 10), (3, 8)])
 def test_load_checkpoint_matches_per_row_oracle(tmp_path, dim, M):
-    # per-row scatter plus the reflected conjugate, bit for bit, on a payload
-    # holding +0.0 and -0.0 in both parts.  Zeroing the real or imaginary
-    # parts of whole rows keeps the field divergence-free.
+    # row m of the payload is column m of the coefficients, bit for bit, on
+    # a payload holding +0.0 and -0.0 in both parts.  Zeroing the real or
+    # imaginary parts of whole rows keeps the field divergence-free.
     g = TorusGrid(dim, M, 2.1)
     count = ((M - 1) ** dim - 1) // 2
     path = tmp_path / "zeros.plsf"
@@ -557,14 +579,35 @@ def test_load_checkpoint_matches_per_row_oracle(tmp_path, dim, M):
         if next((x for x in n if x != 0), 0) > 0
     ]
     reps.sort(key=lambda n: (sum(x * x for x in n), n))
-    coeffs = np.zeros((dim,) + g.shape, dtype=np.complex128)
-    for row, n in enumerate(reps):
-        coeffs[(slice(None),) + tuple(x % M for x in n)] = (
-            payload[row, :, 0] + 1j * payload[row, :, 1]
-        )
-    # the full layout's c + conj c(-n), cut to the half layout
-    want = SpectralVelocity(g, (coeffs + np.conj(g.reflect(coeffs)))[..., : M // 2])
-    assert load_checkpoint(path).coeffs.tobytes() == want.coeffs.tobytes()
+    assert representative_modes(g).tolist() == [list(n) for n in reps]
+    want = np.array([[complex(*payload[row, i]) for row in range(count)] for i in range(dim)])
+    assert load_checkpoint(path).coeffs.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("dim, M, L", [(2, 16, 2 * np.pi), (3, 8, 1.7), (3, 10, 0.6)])
+def test_any_solenoidal_payload_loads_and_resaves_byte_identical(tmp_path, dim, M, L):
+    # every row of the payload is one free pair n, -n: arbitrary finite
+    # values, made divergence-free row by row, are a field, the plane of
+    # last index 0 included, where a half-layout spectrum held n and -n
+    # apart and could lose c(-n) = conj c(n)
+    g = TorusGrid(dim, M, L)
+    rng = np.random.default_rng(M)
+    count = len(representative_modes(g))
+    c = (rng.standard_normal((dim, count)) + 1j * rng.standard_normal((dim, count))) * 10.0 ** (
+        rng.uniform(-3, 3, count))
+    k = rep_wavevectors(g)
+    c -= k * (np.sum(k * c, axis=0) / np.sum(k * k, axis=0))
+    c += 0.0  # a file plsf writes holds no -0.0
+    payload = np.stack([c.real.T, c.imag.T], axis=-1)
+    path = tmp_path / "free.plsf"
+    path.write_bytes(HEADER.pack(b"PLSF", 1, dim, M, L, count) + payload.astype("<f8").tobytes())
+    v = load_checkpoint(path)
+    assert v.coeffs.tobytes() == c.tobytes()
+    plane = half_spectrum(g, v.coeffs)[..., :1]
+    assert np.array_equal(plane, np.conj(reflect(g, plane)))
+    resaved = tmp_path / "resaved.plsf"
+    save_checkpoint(resaved, v)
+    assert resaved.read_bytes() == path.read_bytes()
 
 
 @pytest.mark.parametrize("dim, M", [(2, 16), (3, 8)])
@@ -595,8 +638,9 @@ def test_checkpoint_resave_is_byte_identical(tmp_path, dim, M):
 
 @pytest.mark.parametrize("dim, M", [(2, 16), (3, 8)])
 def test_ensemble_holds_half_spectra(dim, M):
-    # k fields of d * M^(d-1) * (M/2) complex128 coefficients, and no more
+    # k fields of one coefficient per pair n, -n: d * ((M-1)^d - 1)/2
+    # complex128 coefficients, and no more
     count = 5
-    ens = FieldEnsemble.generate(dim, M, 2 * np.pi, band=3, decay=2.0, seed=4, count=count)
-    held = sum(u.coeffs.nbytes for u in ens.samples)
-    assert held == count * dim * M ** (dim - 1) * (M // 2) * 16
+    ens = list(ensemble_fields(dim, M, 2 * np.pi, band=3, decay=2.0, seed=4, count=count))
+    held = sum(u.coeffs.nbytes for u in ens)
+    assert held == count * dim * ((M - 1) ** dim - 1) // 2 * 16

@@ -5,11 +5,22 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import I_p, hessian, rho_tilde, stress, sym_gradient, trace_free_value
+from conftest import (
+    I_p,
+    half_spectrum,
+    half_to_physical,
+    half_wavevectors,
+    hessian,
+    rho_tilde,
+    spectral_shape,
+    stress,
+    sym_gradient,
+    trace_free_value,
+)
 from plsf.basis import basis_capacity, make_basis
 from plsf.constitutive import FluidParams
 from plsf.errors import StiffnessError
-from plsf.fields import lp_norm, random_solenoidal
+from plsf.fields import _kept_entries, lp_norm, random_solenoidal
 from plsf.galerkin import (
     _DP_A,
     _DP_B5,
@@ -140,10 +151,10 @@ def test_convection_equals_skew_average(dim, M, dealias):
     params = FluidParams(1.9, 1.0)
     rhs = _rhs_parts(basis, params, c)
 
-    ik = 1j * g.wavevectors
-    vhat = basis.synthesize_coeffs(c)
-    V = g.to_physical(vhat)
-    G = g.to_physical(ik[np.newaxis, :] * vhat[:, np.newaxis])  # d_j v_i
+    ik = 1j * half_wavevectors(g)
+    vhat = half_spectrum(g, basis.synthesize(c).coeffs)
+    V = half_to_physical(g, vhat)
+    G = half_to_physical(g, ik[np.newaxis, :] * vhat[:, np.newaxis])  # d_j v_i
     w1 = np.einsum("j...,ij...->i...", V, G)
     sigma = stress(sym_gradient(basis.synthesize(c)), params).values
     # every term at the basis wavevectors, where the projection reads them
@@ -410,7 +421,7 @@ def test_collected_states_one_per_requested_time(monkeypatch):
             controllers.append(self)
 
     def spy(state, params, record_d2=False):
-        sampled[state.t] = state.basis.synthesize_coeffs(state.c)
+        sampled[state.t] = state.basis.synthesize(state.c).coeffs
         return sample(state, params, record_d2=record_d2)
 
     monkeypatch.setattr(galerkin_mod, "StepController", Controller)
@@ -428,7 +439,7 @@ def test_collected_states_one_per_requested_time(monkeypatch):
         assert isinstance(st, GalerkinState) and st.basis is basis
         assert st.c.shape == (8,) and st.c.dtype == np.float64
         assert not np.shares_memory(st.c, ctrl._buffers)
-        assert basis.synthesize_coeffs(st.c).tobytes() == sampled[st.t].tobytes()
+        assert basis.synthesize(st.c).coeffs.tobytes() == sampled[st.t].tobytes()
 
 
 def test_collect_times_snap_to_T_or_are_refused():
@@ -568,7 +579,7 @@ def test_functionals_match_trace_free_oracle(dim, M, dealias, N, mu):
     keys = [("u", 2.0), ("u", 1.5), ("grad", 3.0), ("hess", 2.0), ("shifted", params),
             ("rho_tilde", params), ("rho_tilde", FluidParams(1.7, 0.5))]
     keys += [("I_p", FluidParams(1.9, 1e-2))] + ([("I_p", params)] if mu > 0 else [])
-    got = _padded_values(state.basis, v.coeffs, keys)
+    got = _padded_values(state.basis, _kept_entries(v.coeffs, state.basis.kept), keys)
     assert got == {key: trace_free_value(v, key) for key in keys}
 
 
@@ -628,10 +639,10 @@ def _full_basis(dim, M, dealias):
 
 
 def _full_spectrum_rhs(basis, params, c):
-    """The Galerkin RHS with its inputs built the full-spectrum way:
-    synthesize_coeffs, derivative factors over every entry of the half
-    layout, then the spectrum entry of to_physical; the rest in the kernel's
-    order of operations."""
+    """The Galerkin RHS with its inputs built the full-spectrum way: the
+    synthesized field's half-layout spectrum, derivative factors over every
+    entry of it, then its band placed for to_physical; the rest in the
+    kernel's order of operations."""
     from plsf.constitutive import _stress_factor
     from plsf.fields import symmetric_components
 
@@ -641,14 +652,14 @@ def _full_spectrum_rhs(basis, params, c):
     strain = list(zip(rows.tolist(), cols.tolist()))[:-1]
     rot = [] if g.dealiased else [(i, j) for i, j in strain if i != j]
     n_rot = len(rot)
-    ik = 1j * g.wavevectors
-    vhat = basis.synthesize_coeffs(c)
+    ik = 1j * half_wavevectors(g)
+    vhat = half_spectrum(g, basis.synthesize(c).coeffs)
     inputs = list(vhat)
     for k, (i, j) in enumerate(rot + strain):
         half = np.multiply(ik[j], vhat[i])
         (np.subtract if k < n_rot else np.add)(half, np.multiply(ik[i], vhat[j]), out=half)
         inputs.append(np.multiply(0.5, half, out=half))
-    phys = g.to_physical(np.array(inputs))
+    phys = half_to_physical(g, np.array(inputs))
     V, D = phys[:d], phys[d + n_rot :]
     diag = pos.diagonal()[:-1]
     diag = slice(diag[0], diag[-1] + 1, max(1, diag[-1] - diag[0]))
@@ -710,7 +721,7 @@ def test_kept_inputs_match_the_full_spectrum_oracle(dim, M, dealias, N, mu):
         expected = {key: trace_free_value(v, key) for key in keys}
         kept = basis.kept_coeffs(c)
         assert _padded_values(basis, kept, keys) == expected
-        assert _padded_values(basis, basis.synthesize_coeffs(c), keys) == expected
+        assert _padded_values(basis, _kept_entries(v.coeffs, basis.kept), keys) == expected
         # the sample shares rho_tilde's stress factor with I_p when mu > 0
         sample = state_functionals(GalerkinState(basis, c, 0.0), params, record_d2=True)
         shared = [("grad", 1.9), ("rho_tilde", params), ("hess", 1.9)]
@@ -719,7 +730,7 @@ def test_kept_inputs_match_the_full_spectrum_oracle(dim, M, dealias, N, mu):
         assert [sample[name] for name in names] == [trace_free_value(v, key) for key in shared]
 
 
-def test_kept_coeffs_are_synthesize_coeffs_at_the_kept_wavevectors():
+def test_kept_coeffs_are_the_synthesized_field_at_the_kept_wavevectors():
     # both signs of a vanishing part, in 2D and 3D, full and truncated bands
     for dim, M, N in [(2, 8, None), (2, 16, 13), (3, 8, None), (3, 12, 101)]:
         grid = TorusGrid(dim, M, 2 * np.pi)
@@ -731,9 +742,13 @@ def test_kept_coeffs_are_synthesize_coeffs_at_the_kept_wavevectors():
         modes[split:] *= -1
         assert np.all(modes[:, -1] >= 0)
         assert np.sum(modes[:, -1] == 0) == 2 * np.sum(basis.modes[:, -1] == 0)
-        flat = np.ravel_multi_index(tuple((modes % M).T), grid.spectral_shape)
-        spectrum = basis.synthesize_coeffs(c).reshape(dim, -1)
-        assert basis.kept_coeffs(c).tobytes() == spectrum[:, flat].tobytes()
+        flat = np.ravel_multi_index(tuple((modes % M).T), spectral_shape(grid))
+        v = basis.synthesize(c)
+        spectrum = half_spectrum(grid, v.coeffs).reshape(dim, -1)
+        kept = basis.kept_coeffs(c)
+        assert np.array_equal(kept, spectrum[:, flat])
+        # what a table row reads of the synthesized field, bit for bit
+        assert kept.tobytes() == _kept_entries(v.coeffs, basis.kept).tobytes()
         # and the half layout holds nothing else
         assert not np.any(np.delete(spectrum, flat, axis=1))
 
@@ -760,7 +775,6 @@ def test_arena_calls_match_cold_calls():
     # on two bases, interleaved over two states each, give what a cold call
     # on a fresh basis gives, and what callers do to returned arrays stays
     # theirs
-    from plsf.fields import SpectralVelocity
     from plsf.inequalities import table_row
 
     params = FluidParams(1.9, 1.0)
@@ -776,10 +790,10 @@ def test_arena_calls_match_cold_calls():
 
     def evaluate(basis, c):
         rhs = _rhs_parts(basis, params, c)
-        u = SpectralVelocity(basis.grid, basis.synthesize_coeffs(c), validate=False)
+        u = basis.synthesize(c)
         row = table_row(u, keys, basis)
         vals = state_functionals(GalerkinState(basis, c, 0.0), params, record_d2=True)
-        return rhs, vals, basis.synthesize_coeffs(c), row
+        return rhs, vals, u.coeffs, row
 
     for _ in range(2):
         for n in range(2):
@@ -798,8 +812,8 @@ def test_arena_calls_match_cold_calls():
                 assert [row["grad", 1.9], row["rho_tilde", params], row["I_p", params],
                         row["hess", 1.9]] == [vals["grad_p_norm"], vals["rho_tilde"],
                                               vals["Ip"], vals["d2_p_norm"]]
-                for returned in (got[0], got[2]):
-                    returned[...] = np.nan
+                got[0][...] = np.nan  # the synthesized field's coeffs are read-only
+                assert not got[2].flags.writeable
 
 
 @pytest.mark.parametrize("kernel", ["rhs", "sample"])

@@ -431,6 +431,22 @@ def test_energy_residual_corruption_linearity():
     assert energy_residual(rec2, 0.0, 1.0) == pytest.approx(base + delta, abs=1e-14)
 
 
+def test_energy_residual_rejects_a_window_outside_the_record():
+    # it once held rho_tilde and the energy constant past the last sample
+    # and integrated on, where weighted_energy_residual raised
+    ts = np.linspace(0, 1, 51)
+    rec = synthetic_record(ts, np.ones_like(ts), energy=np.exp(-2 * ts),
+                           rho_tilde=np.exp(-2 * ts))
+    for s, t in ((0.0, 5.0), (-1.0, 1.0), (0.0, 1.0 + 1e-9)):
+        for residual in (energy_residual,
+                         lambda r, s, t: weighted_energy_residual(r, s, t, 0.5, 2.0)):
+            with pytest.raises(ValueError, match="outside the record span"):
+                residual(rec, s, t)
+    # the span's own ends, up to 1e-12, are inside
+    assert energy_residual(rec, -1e-13, 1.0 + 1e-13) == pytest.approx(
+        energy_residual(rec, 0.0, 1.0), rel=1e-8)
+
+
 @pytest.fixture(scope="module")
 def resolved_run():
     cfg = SolverConfig(

@@ -3,7 +3,17 @@ import math
 import numpy as np
 import pytest
 
-from conftest import full_mode_grid, grid_points, hermitian_half
+from conftest import (
+    band_mask,
+    full_mode_grid,
+    grid_points,
+    half_mode_grid,
+    half_to_physical,
+    hermitian_half,
+    kept_spectrum,
+    reflect,
+    spectral_shape,
+)
 from plsf.fields import representative_modes
 from plsf.grid import TorusGrid
 
@@ -11,15 +21,20 @@ from plsf.grid import TorusGrid
 def _band_modes(g):
     """Every band wavevector of the half layout, one row each, in its
     memory order."""
-    return g.mode_grid[:, g.band_mask].T
+    return half_mode_grid(g)[:, band_mask(g)].T
 
 
 @pytest.mark.parametrize("dim,M", [(2, 8), (2, 16), (3, 12)])
 def test_band_closed_under_negation(dim, M):
     g = TorusGrid(dim, M, 1.0)
-    assert g.mode_grid.shape == (dim,) + (M,) * (dim - 1) + (M // 2,)
-    assert g.wavevectors.shape == g.mode_grid.shape
-    assert g.k_squared.shape == g.band_mask.shape == g.spectral_shape
+    # the representatives and their mirrors split the band but 0 in two
+    reps = {tuple(n) for n in representative_modes(g)}
+    mirrors = {tuple(-n) for n in representative_modes(g)}
+    assert len(reps) == len(representative_modes(g)) == ((M - 1) ** dim - 1) // 2
+    assert not reps & mirrors
+    band = {tuple(n) for n in _band_modes(g)} | {tuple(-n) for n in _band_modes(g)}
+    assert reps | mirrors == band - {(0,) * dim}
+    # the half layout of the transforms holds the modes with last index >= 0
     modes = _band_modes(g)
     assert np.all(np.abs(modes) <= M // 2 - 1) and np.all(modes[:, -1] >= 0)
     mode_set = {tuple(m) for m in modes}
@@ -63,12 +78,12 @@ def test_spectral_physical_roundtrip(dim, M, dealias, lead):
     # every band mode, including negative last-axis modes read through the
     # conjugate mirror, comes back from the padded half-spectrum
     g = TorusGrid(dim, M, 2 * np.pi, dealias_factor=dealias)
-    c = hermitian_half(g, lead, seed=3) * g.band_mask
-    phys = g.to_physical(c)
+    c = hermitian_half(g, lead, seed=3) * band_mask(g)
+    phys = half_to_physical(g, c)
     assert phys.shape == lead + g.padded_shape
     assert phys.dtype == np.float64
     back = g.to_spectral(phys, g.band_index(_band_modes(g)))
-    want = c[..., g.band_mask]
+    want = c[..., band_mask(g)]
     assert back.shape == want.shape
     assert np.max(np.abs(back - want)) <= 1e-13 * np.max(np.abs(c))
 
@@ -77,12 +92,12 @@ def test_spectral_physical_roundtrip(dim, M, dealias, lead):
 def test_transforms_into_given_buffers(dim, M, dealias):
     # out and work arrays full of junk give the allocating result bit for bit
     g = TorusGrid(dim, M, 2 * np.pi, dealias_factor=dealias)
-    c = hermitian_half(g, (3,), seed=4) * g.band_mask
-    work = np.full(max(g.work_size(3, False), g.work_size(3, True)), complex(np.nan, np.nan))
+    c = hermitian_half(g, (3,), seed=4) * band_mask(g)
+    work = np.full(g.work_size(3, True), complex(np.nan, np.nan))
     out = np.full((3,) + g.padded_shape, np.nan)
-    phys = g.to_physical(c, out=out, work=work)
+    phys = g.to_physical(kept_spectrum(g, c), out=out)
     assert phys is out
-    assert np.array_equal(phys, g.to_physical(c))
+    assert np.array_equal(phys, half_to_physical(g, c))
     index = g.band_index(_band_modes(g))
     spec = np.full((3, index[0].size), complex(np.nan, np.nan))
     back = g.to_spectral(phys, index, out=spec, work=work)
@@ -94,32 +109,29 @@ def test_reflect_is_negation_map():
     g = TorusGrid(2, 8, 1.0)
     rng = np.random.default_rng(5)
     c = rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape)
-    r = g.reflect(c)
+    r = reflect(g, c)
     for i in range(8):
         for j in range(8):
             assert r[i, j] == c[(-i) % 8, (-j) % 8]
     # the plane of a half-layout spectrum, as its first column
     plane = r[:, :1]
-    assert np.array_equal(g.reflect(plane)[:, 0], c[:, 0])
+    assert np.array_equal(reflect(g, plane)[:, 0], c[:, 0])
 
 
 @pytest.mark.parametrize("dim", [2, 3])
 def test_to_physical_refuses_a_spectrum_of_another_shape(dim):
     g = TorusGrid(dim, 8, 1.0)
-    with pytest.raises(ValueError, match="must have shape"):
-        g.to_physical(np.zeros((dim,) + g.shape, dtype=complex))  # the full layout
-    work = np.zeros(g.work_size(dim, False), dtype=complex)
-    with pytest.raises(ValueError, match="must have shape"):
-        g.to_physical(work[: dim * math.prod(g.spectral_shape)].reshape(
-            (dim,) + g.spectral_shape), work=work)
+    for shape in (g.shape, spectral_shape(g)):  # the full layout; the half layout
+        with pytest.raises(ValueError, match="must have shape"):
+            g.to_physical(np.zeros((dim,) + shape, dtype=complex))
 
 
 def test_transform_roundtrip_and_single_mode():
     g = TorusGrid(2, 16, 2 * np.pi, dealias_factor=1.5)
-    c = np.zeros((1,) + g.spectral_shape, dtype=complex)
+    c = np.zeros((1,) + spectral_shape(g), dtype=complex)
     # cos(3x + 2y) = (e^{i(3x+2y)} + c.c.)/2; the mirror (-3, -2) is implied
     c[0, 3, 2] = 0.5
-    phys = g.to_physical(c)[0]
+    phys = half_to_physical(g, c)[0]
     x = grid_points(g)
     expected = np.cos(3 * x[0] + 2 * x[1])
     assert np.max(np.abs(phys - expected)) < 1e-12
@@ -151,9 +163,9 @@ def test_dealiased_matches_product_aliasing(M, dealias, padded_M):
     g = TorusGrid(2, M, 2 * np.pi, dealias_factor=dealias)
     assert g.padded_M == padded_M
     h = g.M // 2 - 1
-    c = np.zeros(g.spectral_shape, dtype=complex)
+    c = np.zeros(spectral_shape(g), dtype=complex)
     c[h, 0] = c[-h, 0] = 0.5
-    u = g.to_physical(c)
+    u = half_to_physical(g, c)
     modes = _band_modes(g)
     prod = g.to_spectral(u * u, g.band_index(modes))
     mean = np.all(modes == 0, axis=1)
@@ -238,9 +250,9 @@ def test_pruned_3d_passes_equal_full_transforms(M, dealias):
     # the transform over every lane
     g = TorusGrid(3, M, 2 * np.pi, dealias_factor=dealias)
     rng = np.random.default_rng(M)
-    shape = (2,) + g.spectral_shape
+    shape = (2,) + spectral_shape(g)
     coeffs = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    assert g.to_physical(coeffs).tobytes() == _full_inverse(g, coeffs).tobytes()
+    assert half_to_physical(g, coeffs).tobytes() == _full_inverse(g, coeffs).tobytes()
     samples = rng.standard_normal((2,) + g.padded_shape)
     modes = _band_modes(g)
     want = _full_band_gather(g, samples)[(Ellipsis,) + tuple((modes % M).T)]
@@ -250,20 +262,18 @@ def test_pruned_3d_passes_equal_full_transforms(M, dealias):
 @pytest.mark.parametrize("dim", [2, 3])
 def test_band_index_rejects_modes_outside_the_band(dim):
     g = TorusGrid(dim, 8, 1.0)
-    for index in (g.band_index, g.spectrum_index):
-        for bad in ([4] + [0] * (dim - 1), [0] * (dim - 1) + [-4], [0] * (dim - 1) + [5]):
-            with pytest.raises(ValueError, match="outside the band"):
-                index(np.array([[1] * dim, bad]))
-        with pytest.raises(ValueError):
-            index(np.zeros((2, dim + 1), dtype=int))
-    src, sign = g.band_index(np.array([[0] * (dim - 1) + [-3], [3] * dim]))
+    for bad in ([4] + [0] * (dim - 1), [0] * (dim - 1) + [-4], [0] * (dim - 1) + [5]):
+        with pytest.raises(ValueError, match="outside the band"):
+            g.band_index(np.array([[1] * dim, bad]))
+    with pytest.raises(ValueError):
+        g.band_index(np.zeros((2, dim + 1), dtype=int))
+    # a negative last index is read at its mirror, as the conjugate
+    src, sign = g.band_index(np.array([[1] * (dim - 1) + [-3], [-1] + [3] * (dim - 1)]))
     assert sign.tolist() == [-1.0, 1.0]
-    # a negative last index is read at its mirror in the half layout
-    src, neg = g.spectrum_index(np.array([[1] * (dim - 1) + [-3], [-1] + [3] * (dim - 1)]))
-    assert neg.tolist() == [True, False]
-    spectrum = np.arange(math.prod(g.spectral_shape)).reshape(g.spectral_shape)
-    assert src.tolist() == [spectrum[(-1 % 8,) * (dim - 1) + (3,)],
-                            spectrum[(-1 % 8,) + (3,) * (dim - 1)]]
+    half = np.arange(g.work_size(1, True)).reshape(g.padded_shape[:-1] + (-1,))
+    Mp = g.padded_M
+    assert src.tolist() == [half[(-1 % Mp,) * (dim - 1) + (3,)],
+                            half[(-1 % Mp,) + (3,) * (dim - 1)]]
 
 
 @pytest.mark.parametrize("dim,M,dealias", [(2, 8, 1.5), (2, 10, 1.0), (3, 8, 1.5), (3, 10, 1.2)])
@@ -273,7 +283,7 @@ def test_kept_layout_transform_equals_the_full_spectrum_transform(dim, M, dealia
     # and its in-place transform in `work` gives the same bits
     g = TorusGrid(dim, M, 2 * np.pi, dealias_factor=dealias)
     rng = np.random.default_rng(dim * M)
-    shape = (2,) + g.spectral_shape
+    shape = (2,) + spectral_shape(g)
     coeffs = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     coeffs[(slice(None),) + (0,) * dim] = 0.0  # the zero mode is no pair's
     reps = representative_modes(g)
@@ -284,8 +294,8 @@ def test_kept_layout_transform_equals_the_full_spectrum_transform(dim, M, dealia
     assert np.all(np.diff(dst[:split]) > 0) and np.all(np.diff(dst[split:]) > 0)
     kept = np.zeros((2,) + g.kept_shape, dtype=np.complex128)
     kept.reshape(2, -1)[:, dst] = coeffs[(slice(None),) + tuple((modes % M).T)]
-    want = g.to_physical(coeffs)
-    assert g.to_physical(kept, work=kept.reshape(-1)).tobytes() == want.tobytes()
+    want = half_to_physical(g, coeffs)
+    assert g.to_physical(kept).tobytes() == want.tobytes()
     # the band's kept positions are every nonzero one of the layout's band
     assert len(dst) == (M - 1) ** (dim - 1) * (M // 2) - 1
 

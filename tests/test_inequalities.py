@@ -10,7 +10,6 @@ from plsf.galerkin import GalerkinState, SolverConfig, galerkin_rhs, run_traject
 from plsf.grid import TorusGrid
 from plsf.inequalities import (
     TABLE_KEYS,
-    FieldEnsemble,
     check_ap3,
     check_cl_i,
     check_friedrichs,
@@ -24,25 +23,25 @@ from plsf.inequalities import (
 
 @pytest.fixture(scope="module")
 def ens3d():
-    return FieldEnsemble.generate(3, 12, 2 * np.pi, band=4, decay=2.0, seed=1, count=60)
+    return list(ensemble_fields(3, 12, 2 * np.pi, band=4, decay=2.0, seed=1, count=60))
 
 
 @pytest.fixture(scope="module")
 def ens3d_fresh():
-    return FieldEnsemble.generate(3, 12, 2 * np.pi, band=4, decay=2.0, seed=901, count=60)
+    return list(ensemble_fields(3, 12, 2 * np.pi, band=4, decay=2.0, seed=901, count=60))
 
 
 @pytest.fixture(scope="module")
 def ens3d_unpadded():
     # dealias 1.0: the padded grid is the native one, and the RHS of the
     # drho_half key takes the skew-symmetric path
-    return FieldEnsemble.generate(3, 10, 2 * np.pi, band=4, decay=2.0, seed=3, count=12,
-                                  dealias=1.0)
+    return list(ensemble_fields(3, 10, 2 * np.pi, band=4, decay=2.0, seed=3, count=12,
+                                dealias=1.0))
 
 
 @pytest.fixture(scope="module")
 def ens2d():
-    return FieldEnsemble.generate(2, 16, 2 * np.pi, band=5, decay=1.5, seed=2, count=50)
+    return list(ensemble_fields(2, 16, 2 * np.pi, band=5, decay=1.5, seed=2, count=50))
 
 
 def single_mode_samples(L, M=16):
@@ -76,8 +75,8 @@ def test_lemma1_skips_zero_field():
 
 
 def test_lemma1_no_violations_at_twice_empirical(ens3d, ens3d_fresh):
-    calibration = check_lemma1(table(ens3d.samples, "lemma1", 1.9), 1.9)
-    rep = check_lemma1(table(ens3d_fresh.samples, "lemma1", 1.9), 1.9,
+    calibration = check_lemma1(table(ens3d, "lemma1", 1.9), 1.9)
+    rep = check_lemma1(table(ens3d_fresh, "lemma1", 1.9), 1.9,
                        frozen_c=2.0 * calibration.empirical_C)
     assert rep.violations == 0
     # cross-ensemble stability of the constant itself
@@ -85,7 +84,7 @@ def test_lemma1_no_violations_at_twice_empirical(ens3d, ens3d_fresh):
 
 
 def test_lemma1_rejects_bad_exponent(ens2d):
-    rows = table(ens2d.samples, "lemma1", 1.0)
+    rows = table(ens2d, "lemma1", 1.0)
     with pytest.raises(ValueError):
         check_lemma1(rows, 1.0)
 
@@ -146,7 +145,7 @@ def scan_table(rows, samples, q, epsilon):
 @pytest.mark.parametrize("epsilon", [0.2, 0.05, 0.01])
 @pytest.mark.parametrize("name", ["ens2d", "ens3d"])
 def test_friedrichs_kappa_matches_linear_scan(request, name, epsilon):
-    samples = request.getfixturevalue(name).samples
+    samples = request.getfixturevalue(name)
     rep = check_friedrichs(table(samples, "friedrichs", 1.9), 1.9, epsilon)
     assert rep.kappa == linear_scan_kappa(samples, 1.9, epsilon)
 
@@ -157,7 +156,7 @@ def test_friedrichs_cut_sums_match_full_sums(request, name, epsilon):
     # the table keeps each field's running sums only up to its last nonzero
     # coefficient; kappa, the right-hand sides and the worst ratio are those
     # of the full sums bit for bit
-    samples = request.getfixturevalue(name).samples
+    samples = request.getfixturevalue(name)
     rows = table(samples, "friedrichs", 1.9)
     rep = check_friedrichs(rows, 1.9, epsilon)
     assert (rep.kappa, rep.right, rep.worst_ratio) == scan_table(rows, samples, 1.9, epsilon)
@@ -203,7 +202,7 @@ def test_friedrichs_single_mode_kappa_matches_linear_scan():
 
 
 def test_friedrichs_kappa_monotone_in_epsilon(ens2d):
-    rows = table(ens2d.samples, "friedrichs", 1.9)
+    rows = table(ens2d, "friedrichs", 1.9)
     r1 = check_friedrichs(rows, 1.9, 0.2)
     r2 = check_friedrichs(rows, 1.9, 0.1)
     r3 = check_friedrichs(rows, 1.9, 0.05)
@@ -212,12 +211,12 @@ def test_friedrichs_kappa_monotone_in_epsilon(ens2d):
 
 def test_friedrichs_terminates_at_exponent_boundary(ens2d):
     q = 1.2 + 1e-6
-    rep = check_friedrichs(table(ens2d.samples, "friedrichs", q), q, 0.05)
+    rep = check_friedrichs(table(ens2d, "friedrichs", q), q, 0.05)
     assert rep.kappa <= 2 * (16 // 2 - 1 + 16 // 2 - 1) ** 2  # finite, within band
 
 
 def test_friedrichs_rejects_low_exponent(ens2d):
-    rows = table(ens2d.samples, "friedrichs", 1.1)
+    rows = table(ens2d, "friedrichs", 1.1)
     with pytest.raises(ValueError):
         check_friedrichs(rows, 1.1, 0.1)
 
@@ -238,8 +237,8 @@ def test_lemma3_zero_field_sd4_volume_ratio():
 def test_lemma3_p_near_two_collapses_sd1(ens3d):
     # p -> 2: SD1 approaches ||D^2 u||_2 <= c I_2(u)^(1/2) = c ||grad D u||_2
     params = FluidParams(2.0, 1.0)
-    sd1, _, _ = check_lemma3(table(ens3d.samples, "lemma3", params), params)
-    sample = ens3d.samples[0]
+    sd1, _, _ = check_lemma3(table(ens3d, "lemma3", params), params)
+    sample = ens3d[0]
     lhs = lp_norm(hessian(sample), 2.0, grid=sample.grid)
     rhs = np.sqrt(I_p(sample, FluidParams(2.0, 1.0)))
     assert sd1.left[0] == pytest.approx(lhs, rel=1e-12)
@@ -249,8 +248,8 @@ def test_lemma3_p_near_two_collapses_sd1(ens3d):
 
 def test_lemma3_constants_stable_across_ensembles(ens3d, ens3d_fresh):
     params = FluidParams(1.85, 1.0)
-    for a, b in zip(check_lemma3(table(ens3d.samples, "lemma3", params), params),
-                    check_lemma3(table(ens3d_fresh.samples, "lemma3", params), params)):
+    for a, b in zip(check_lemma3(table(ens3d, "lemma3", params), params),
+                    check_lemma3(table(ens3d_fresh, "lemma3", params), params)):
         assert a.empirical_C == pytest.approx(b.empirical_C, rel=0.2)
 
 
@@ -258,14 +257,14 @@ def test_lemma3_mu_independence_surrogate(ens3d):
     constants = {"SD1": [], "SD4": [], "SD2": []}
     for mu in (1e-2, 1.0, 1e2):
         params = FluidParams(1.85, mu)
-        for rep in check_lemma3(table(ens3d.samples, "lemma3", params), params):
+        for rep in check_lemma3(table(ens3d, "lemma3", params), params):
             constants[rep.id].append(rep.empirical_C)
     for name, vals in constants.items():
         assert max(vals) / min(vals) < 2.0, name
 
 
 def test_lemma3_requires_positive_mu(ens3d):
-    rows = table(ens3d.samples, "lemma3", FluidParams(1.85, 1.0))
+    rows = table(ens3d, "lemma3", FluidParams(1.85, 1.0))
     with pytest.raises(ValueError):
         check_lemma3(rows, FluidParams(1.85, 0.0))
 
@@ -274,7 +273,7 @@ def test_lemma3_requires_positive_mu(ens3d):
 
 
 def test_interpolations_exact_constant(ens3d):
-    reports = check_interpolations(table(ens3d.samples, "interp", 1.9), 1.9)
+    reports = check_interpolations(table(ens3d, "interp", 1.9), 1.9)
     assert reports["c1"].violations == 0
     assert reports["c2"].violations == 0
     assert reports["c1"].worst_ratio <= 1.0 + 1e-10
@@ -302,7 +301,7 @@ def test_interpolations_zero_field_trivial():
 
 
 def test_interpolations_json_contract(ens2d):
-    rep = check_interpolations(table(ens2d.samples, "interp", 1.9), 1.9)["c1"]
+    rep = check_interpolations(table(ens2d, "interp", 1.9), 1.9)["c1"]
     js = rep.to_json()
     assert set(js) == {"id", "p", "mu", "count", "worst_ratio", "empirical_C",
                        "frozen_C", "violations"}
@@ -378,12 +377,12 @@ def test_ap3_newtonian_single_mode_strict():
 def test_ap3_random_states_no_violations(ens2d, ens3d):
     params = FluidParams(1.9, 1.0)
     for ens in (ens2d, ens3d):
-        report = check_ap3(table(ens.samples, "ap3", params), params)
+        report = check_ap3(table(ens, "ap3", params), params)
         assert report["violations"] == 0
 
 
 def test_ap3_requires_positive_mu(ens2d):
-    rows = table(ens2d.samples, "ap3", FluidParams(1.9, 1.0))
+    rows = table(ens2d, "ap3", FluidParams(1.9, 1.0))
     with pytest.raises(ValueError):
         check_ap3(rows, FluidParams(1.9, 0.0))
 
@@ -392,7 +391,7 @@ def test_sd3_strain_controlled_by_hessian(ens3d, ens3d_fresh):
     # proof tool of the second-derivative lemma: ||Du||_p <= c ||D^2 u||_p
     def empirical(ens):
         ratios = []
-        for u in ens.samples:
+        for u in ens:
             num = lp_norm(sym_gradient(u), 1.85)
             den = lp_norm(hessian(u), 1.85, grid=u.grid)
             if den > 0:
@@ -454,7 +453,7 @@ def test_table_matches_per_suite_oracle(request, name):
     # equality, not a tolerance, where the walk transforms what the loops
     # transformed and must keep their summation order; the trace-free keys
     # agree to rounding (their exact oracle is the next test's)
-    samples = request.getfixturevalue(name).samples
+    samples = request.getfixturevalue(name)
     keys = every_key(1.9, 0.5) + [("rho_tilde", FluidParams(1.9, 0.5))]
     rows = field_table(samples, keys)
     basis = full_basis(samples[0].grid)
@@ -480,7 +479,7 @@ def test_table_matches_per_suite_oracle(request, name):
 
 @pytest.mark.parametrize("name", ["ens2d", "ens3d", "ens3d_unpadded"])
 def test_table_matches_trace_free_oracle(request, name):
-    samples = request.getfixturevalue(name).samples
+    samples = request.getfixturevalue(name)
     keys = [key for key in every_key(1.9, 0.5) + [("rho_tilde", FluidParams(1.9, 0.5))]
             if key[0] not in ("proj_cumsum", "drho_half", "basis_size")]
     rows = field_table(samples, keys)
@@ -490,10 +489,10 @@ def test_table_matches_trace_free_oracle(request, name):
 
 
 def test_table_leaves_no_derivative_cache_on_the_fields():
-    ens = FieldEnsemble.generate(3, 8, 2 * np.pi, band=3, decay=2.0, seed=4, count=3)
-    rows = field_table(ens.samples, every_key(1.85, 1.0))
+    ens = list(ensemble_fields(3, 8, 2 * np.pi, band=3, decay=2.0, seed=4, count=3))
+    rows = field_table(ens, every_key(1.85, 1.0))
     assert len(rows) == 3
-    for u in ens.samples:
+    for u in ens:
         assert set(vars(u)) == {"grid", "coeffs"}
 
 
@@ -514,11 +513,11 @@ def test_table_transforms_each_field_once(monkeypatch):
         basis_calls.append(grid)
         return full_basis(grid)
 
-    ens = FieldEnsemble.generate(2, 16, 2 * np.pi, band=4, decay=2.0, seed=6, count=5)
+    ens = list(ensemble_fields(2, 16, 2 * np.pi, band=4, decay=2.0, seed=6, count=5))
     keys = every_key(1.9, 1.0) + TABLE_KEYS["lemma1"](1.5)  # a second Hessian norm
     monkeypatch.setattr(TorusGrid, "to_physical", counted)
     monkeypatch.setattr(ineq_mod, "full_basis", full)
-    field_table(ens.samples, keys)
+    field_table(ens, keys)
     assert sum(channels) == 19 * 5
     assert len(basis_calls) == 1
 
@@ -531,7 +530,7 @@ def test_table_forms_only_what_its_keys_read(monkeypatch):
         channels.append(int(np.prod(coeffs.shape[: coeffs.ndim - self.dim])))
         return to_physical(self, coeffs, **buffers)
 
-    ens = FieldEnsemble.generate(3, 8, 2 * np.pi, band=3, decay=2.0, seed=2, count=2)
+    ens = list(ensemble_fields(3, 8, 2 * np.pi, band=3, decay=2.0, seed=2, count=2))
     monkeypatch.setattr(TorusGrid, "to_physical", counted)
     for keys, per_field in (
         ([("u", 2.0)], 3),
@@ -541,7 +540,7 @@ def test_table_forms_only_what_its_keys_read(monkeypatch):
         ([("proj_cumsum", None)], 0),
     ):
         channels.clear()
-        field_table(ens.samples, keys)
+        field_table(ens, keys)
         assert sum(channels) == per_field * 2, keys
 
 
@@ -553,16 +552,16 @@ def test_warm_table_row_allocates_no_padded_grid():
 
     from plsf.inequalities import table_row
 
-    ens = FieldEnsemble.generate(3, 12, 2 * np.pi, band=4, decay=2.0, seed=7, count=2)
-    basis = full_basis(ens.samples[0].grid)
+    ens = list(ensemble_fields(3, 12, 2 * np.pi, band=4, decay=2.0, seed=7, count=2))
+    basis = full_basis(ens[0].grid)
     keys = list(dict.fromkeys(every_key(1.9, 1.0)))
     padded = [key for key in keys if key[0] not in ("proj_cumsum", "drho_half")]
     channel = 8 * basis.grid.padded_M**3
-    table_row(ens.samples[0], keys, basis)
+    table_row(ens[0], keys, basis)
     for row_keys, bound in ((padded, channel), (keys, 4 * channel)):
         tracemalloc.start()
         try:
-            table_row(ens.samples[1], row_keys, basis)
+            table_row(ens[1], row_keys, basis)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -573,14 +572,14 @@ def test_table_rejects_fields_on_another_grid():
     # the rows share the arena of the first field's full basis; a field on
     # a torus of another size would read its wavevectors, also one met in
     # the middle of a stream
-    ens = FieldEnsemble.generate(2, 16, 2 * np.pi, band=3, decay=2.0, seed=1, count=1)
-    other = FieldEnsemble.generate(2, 16, np.pi, band=3, decay=2.0, seed=1, count=1)
+    ens = list(ensemble_fields(2, 16, 2 * np.pi, band=3, decay=2.0, seed=1, count=1))
+    other = list(ensemble_fields(2, 16, np.pi, band=3, decay=2.0, seed=1, count=1))
     with pytest.raises(GridMismatchError):
-        field_table(ens.samples + other.samples, [("grad", 2.0)])
+        field_table(ens + other, [("grad", 2.0)])
 
     def stream():
         yield from ensemble_fields(2, 16, 2 * np.pi, band=3, decay=2.0, seed=1, count=2)
-        yield from other.samples
+        yield from other
         raise AssertionError("the stream was read past the mismatched field")
 
     with pytest.raises(GridMismatchError):
@@ -604,7 +603,7 @@ def test_streamed_fields_equal_the_ensemble(dim, M, band):
     args = (dim, M, 2 * np.pi, band, 2.0, 11, 6)
     stream = ensemble_fields(*args)
     assert iter(stream) is stream  # drawn as iterated, not a list
-    want = FieldEnsemble.generate(*args).samples
+    want = list(ensemble_fields(*args))
     ref = drawn_up_front(*args)
     got = list(stream)
     assert len(got) == len(want) == len(ref) == 6
@@ -616,7 +615,7 @@ def test_streamed_fields_equal_the_ensemble(dim, M, band):
 def test_table_of_a_stream_equals_the_table_of_the_list(dim, M, band):
     args = (dim, M, 2 * np.pi, band, 2.0, 4, 5)
     keys = every_key(1.9, 1.0)
-    listed = field_table(FieldEnsemble.generate(*args).samples, keys)
+    listed = field_table(list(ensemble_fields(*args)), keys)
     streamed = field_table(ensemble_fields(*args), keys)
     assert len(streamed) == len(listed) == 5
     for a, b in zip(streamed, listed):
@@ -657,21 +656,21 @@ def test_table_memory_does_not_grow_with_count():
 
 def test_table_rejects_I_p_without_mu(ens2d):
     with pytest.raises(ValueError):
-        field_table(ens2d.samples, [("grad", 2.0), ("I_p", FluidParams(1.9, 0.0))])
+        field_table(ens2d, [("grad", 2.0), ("I_p", FluidParams(1.9, 0.0))])
 
 
 def test_table_takes_two_rho_tilde_laws(ens2d):
     # rho_tilde reads |Du|^2 and leaves Du as it was, so each law in one
     # call gets its value from a call of its own
     laws = [FluidParams(1.9, 1.0), FluidParams(1.9, 0.0), FluidParams(1.7, 0.5)]
-    both = field_table(ens2d.samples[:3], [("rho_tilde", law) for law in laws])
+    both = field_table(ens2d[:3], [("rho_tilde", law) for law in laws])
     for law in laws:
-        alone = field_table(ens2d.samples[:3], [("rho_tilde", law)])
+        alone = field_table(ens2d[:3], [("rho_tilde", law)])
         assert [row["rho_tilde", law] for row in both] == [row["rho_tilde", law] for row in alone]
 
 
 def test_nan_mu_rejected_before_any_check(ens2d):
-    rows = table(ens2d.samples, "ap3", FluidParams(1.9, 1.0))
+    rows = table(ens2d, "ap3", FluidParams(1.9, 1.0))
     with pytest.raises(ValueError):
         check_ap3(rows, FluidParams(1.9, float("nan")))
     with pytest.raises(ValueError):

@@ -65,3 +65,70 @@ def test_no_unused_module_imports_in_src():
                 "from .fields import inner_product, lp_norm\nfrom .grid import TorusGrid\n"
                 "def f(x) -> 'TorusGrid':\n    return np.sum(x) + lp_norm(x, 2.0)\n")
     assert _unused_module_imports(leftover) == ["2 os", "7 inner_product"]
+
+
+def _dead_private_names(sources: dict[str, str]) -> list[str]:
+    """"file line name" for each `_`-prefixed module-level function or class,
+    and each `_`-prefixed method, that no code in `sources` (file name ->
+    source) reads outside its own definition.  A read is a name or an
+    attribute, or an f-string that starts with a prefix of the name (a
+    lookup such as globals()[f"_suite_{name}"]); an import alone is none.
+    Dunder names are exempt."""
+    trees = {name: ast.parse(source) for name, source in sources.items()}
+    prefixes = tuple(
+        node.values[0].value for tree in trees.values() for node in ast.walk(tree)
+        if isinstance(node, ast.JoinedStr) and node.values
+        and isinstance(node.values[0], ast.Constant) and node.values[0].value.startswith("_"))
+
+    def reads(tree):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                yield node.id
+            elif isinstance(node, ast.Attribute):
+                yield node.attr
+
+    total = {}
+    for tree in trees.values():
+        for name in reads(tree):
+            total[name] = total.get(name, 0) + 1
+    dead = []
+    for file, tree in trees.items():
+        defs = [node for node in tree.body if isinstance(
+            node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))]
+        for cls in (node for node in tree.body if isinstance(node, ast.ClassDef)):
+            defs += [node for node in cls.body
+                     if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
+        for node in defs:
+            name = node.name
+            if not name.startswith("_") or (name.startswith("__") and name.endswith("__")):
+                continue
+            own = sum(1 for read in reads(node) if read == name)
+            if total.get(name, 0) - own == 0 and not name.startswith(prefixes):
+                dead.append(f"{file} {node.lineno} {name}")
+    return dead
+
+
+def test_no_dead_private_names_in_src():
+    # a private helper whose last reader is gone is a leftover; public names
+    # are the API and may have no caller in src
+    src = PYPROJECT.parent / "src" / "plsf"
+    sources = {p.name: p.read_text(encoding="utf-8") for p in sorted(src.glob("*.py"))}
+    assert len(sources) > 1
+    assert _dead_private_names(sources) == []
+    leftover = {
+        "grid.py": (
+            "from functools import cached_property\n"
+            "class Grid:\n"
+            "    def __init__(self):\n        self.n = self._used()\n"
+            "    def _used(self):\n        return 1\n"
+            "    def _mirror_index(self, n):\n        return self._mirror_index(n - 1)\n"
+            "    @cached_property\n    def _lead_blocks(self):\n        return []\n"
+            "def _helper():\n    return 2\n"
+            "class _Unread:\n    pass\n"
+            "def _run_a():\n    return 3\n"
+            "def run(x):\n    return globals()[f'_run_{x}']()\n"
+        ),
+        "fields.py": "from .grid import _helper, _Unread  # noqa: F401\nx = _helper()\n",
+    }
+    assert sorted(_dead_private_names(leftover)) == [
+        "grid.py 10 _lead_blocks", "grid.py 14 _Unread", "grid.py 7 _mirror_index"]
