@@ -132,11 +132,13 @@ def _coefficient_array(grid: TorusGrid, coeffs) -> np.ndarray:
     return coeffs
 
 
-def _dot(k: np.ndarray, c: np.ndarray) -> np.ndarray:
+def _dot(k, c: np.ndarray) -> np.ndarray:
     """k . c per column, the components added in order: the bits of
-    np.sum(k * c, axis=0)."""
-    out = k[0] * c[0]
-    for ki, ci in zip(k[1:], c[1:]):
+    np.sum(k * c, axis=0).  k may be any iterable of the components."""
+    terms = zip(k, c)
+    ki, ci = next(terms)
+    out = ki * ci
+    for ki, ci in terms:
         out += ki * ci
     return out
 
@@ -145,7 +147,10 @@ def _check_divergence(grid: TorusGrid, coeffs: np.ndarray, rtol: float = 1e-10):
     scale = float(np.max(np.abs(coeffs)))
     if scale == 0.0:
         return
-    div = _dot(_wavevectors(grid, representative_modes(grid)), coeffs)
+    # one wavevector component at a time, so that no (dim, count)
+    # wavevector array is held
+    n = representative_modes(grid)
+    div = _dot((_wavevectors(grid, n[:, [i]])[0] for i in range(grid.dim)), coeffs)
     kmax = 2.0 * np.pi / grid.L * (grid.M // 2)
     if float(np.max(np.abs(div))) > rtol * scale * kmax:
         raise FieldInvariantError("field is not divergence-free")
@@ -307,7 +312,8 @@ def taylor_green(grid: TorusGrid, amplitude: float = 1.0, band: int = 1) -> Spec
     its only modes are n = band * s, s in {-1, 1}^dim, where u has the
     coefficient -i s_1 a / 2^dim and w has i s_2 a / 2^dim.  The
     representatives among them are those with s_1 = 1; their coefficients
-    are written directly.
+    are written directly.  The field is divergence-free by construction,
+    so it is not validated.
     """
     if band < 1 or band > grid.M // 2 - 1:
         raise ValueError(f"band must be in [1, {grid.M // 2 - 1}], got {band}")
@@ -320,7 +326,7 @@ def taylor_green(grid: TorusGrid, amplitude: float = 1.0, band: int = 1) -> Spec
         (row,) = np.flatnonzero(np.all(reps == np.multiply(band, s), axis=1))
         c[0, row] = complex(0.0, -a)
         c[1, row] = complex(0.0, s[1] * a)
-    return SpectralVelocity(grid, c)
+    return SpectralVelocity(grid, c, validate=False)
 
 
 def random_solenoidal(

@@ -39,7 +39,6 @@ import io
 import math
 import warnings
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -106,7 +105,11 @@ class _Arena:
     formed at the basis's kept positions (`StokesBasis.kept`: the band
     modes with last index >= 0 that the basis reaches) and scattered
     straight into the kept padded half-spectrum that `TorusGrid.to_physical`
-    transforms, which lives in `work`.
+    transforms, which lives in `work`.  Every padded transform runs
+    through `sample` or `spectra`, a chunk of as many channels as
+    `_CHUNK_BYTES` of spectrum hold (at least one) per call, so `work`
+    holds one call's spectrum and `gath` one forward call's coefficients,
+    not a whole pass's.
     """
 
     def __init__(self, basis: StokesBasis):
@@ -131,7 +134,7 @@ class _Arena:
         self.kept = basis.kept
         self.dst = self.kept[0]
         self.modes = basis.modes
-        self.kept_ik = 1j * _wavevectors(g, self.kept_modes())
+        self.kept_ik = 1j * _wavevectors(g, _kept_wavevectors(self.modes, self.kept))
         # where the forward transforms read the basis wavevectors, and
         # 1j * k there
         self.index = g.band_index(basis.modes)
@@ -146,18 +149,19 @@ class _Arena:
         self.n_in = d + n_rot + n_ind  # v, the rotation and D go in
         self.n_rhs = self.n_in + skew  # and v . grad v comes out after T
         n_fwd = n_ind + skew  # T, then v . grad v
-        # div_i = sum_j ik_j T_ij over T's channels: T_dd = 0 leaves the
-        # last row one term short
-        self.flux_rows = [row[: d - 1] if i == d - 1 else row for i, row in enumerate(pos)]
+        # channels per to_physical and per to_spectral call
+        self.chunk = _channels_per_call(g, forward=False)
+        self.fwd_chunk = _channels_per_call(g, forward=True)
         # One buffer per role, sized for both kernels.  phys: the RHS's
         # padded channels, or the functionals' grad v, d_s D_ij for up to d
         # pairs or one component's Hessian (npair <= d*d channels).  coef:
         # the state's coefficients at the kept positions, and row: two
-        # kept-position scratch rows, where each transform input is formed.
-        # work: the kept padded half-spectrum of the largest transform.
-        # dd: D_dd (RHS) or |Dv|^2 (functionals).  mag: |D|^2 and then the
-        # stress factor (RHS), or a magnitude or sum of squares
-        # (functionals).
+        # kept-position scratch rows, where each transform input is formed
+        # (the first also takes each term of the divergence).  work: the
+        # padded half-spectrum of the largest call.  gath: one forward
+        # call's coefficients at the basis wavevectors.  dd: D_dd (RHS) or
+        # |Dv|^2 (functionals).  mag: |D|^2 and then the stress factor
+        # (RHS), or a magnitude or sum of squares (functionals).
         grid, kept, modes = g.padded_shape, (len(self.dst),), (len(basis.modes),)
         self.phys = np.empty((max(self.n_rhs, d * d),) + grid)
         self.dd = np.empty(grid)
@@ -166,32 +170,55 @@ class _Arena:
         self.mask = np.empty(grid, dtype=np.bool_)
         self.coef = np.empty((d,) + kept, np.complex128)
         self.row = np.empty((2,) + kept, np.complex128)
-        self.work = np.empty(max(g.work_size(self.n_in, False), g.work_size(n_fwd, True),
-                                 g.work_size(max(d, npair), False)), np.complex128)
-        self.gath = np.empty((n_fwd,) + modes, np.complex128)
-        self.tensor_row = np.empty((d,) + modes, np.complex128)
+        n_inv = max(self.n_in, npair)  # the most channels one pass samples
+        fwd = min(n_fwd, self.fwd_chunk)
+        self.work = np.empty(max(g.work_size(min(n_inv, self.chunk), False),
+                                 g.work_size(fwd, True)), np.complex128)
+        self.gath = np.empty((fwd,) + modes, np.complex128)
         self.div = np.empty((d,) + modes, np.complex128)
 
-    @cached_property
-    def kept_kk(self) -> np.ndarray:
-        """k_j k_k at the kept positions for the pairs j <= k, as complex
-        (the Hessian's factor)."""
-        k = _wavevectors(self.grid, self.kept_modes())
-        rows, cols = zip(*self.pairs)
-        return (k[list(rows)] * k[list(cols)]).astype(np.complex128)
+    def sample(self, rows, out: np.ndarray) -> np.ndarray:
+        """Padded-grid samples of len(out) channels into out.  `rows`
+        yields each channel's transform input at the kept positions in
+        turn; it is scattered into a zeroed chunk of the kept padded
+        half-spectrum in `work`, and `to_physical` samples `chunk`
+        channels per call (the last call fewer)."""
+        rows = iter(rows)
+        for start in range(0, len(out), self.chunk):
+            chunk = out[start : start + self.chunk]
+            shape = (len(chunk),) + self.grid.kept_shape
+            spec = self.work[: math.prod(shape)].reshape(shape)
+            spec.fill(0.0)
+            for channel in spec.reshape(len(chunk), -1):
+                channel[self.dst] = next(rows)
+            self.grid.to_physical(spec, out=chunk)
+        return out
 
-    def kept_modes(self) -> np.ndarray:
-        """The wavevector of each kept entry, shape (count, d)."""
-        return _kept_wavevectors(self.modes, self.kept)
+    def spectra(self, samples: np.ndarray):
+        """Yield each channel's coefficients at the basis wavevectors, in
+        channel order, from `fwd_chunk` channels of `samples` per
+        `to_spectral` call.  A yielded row lives in `gath` until the next
+        call."""
+        for start in range(0, len(samples), self.fwd_chunk):
+            chunk = samples[start : start + self.fwd_chunk]
+            yield from self.grid.to_spectral(chunk, self.index, out=self.gath[: len(chunk)],
+                                             work=self.work)
 
-    def inputs(self, channels: int) -> tuple[np.ndarray, np.ndarray]:
-        """`channels` zeroed channels of the kept padded half-spectrum in
-        `work`, for `to_physical`, and the same memory as (channels, -1):
-        scatter a row into channel j as flat[j][self.dst] = row."""
-        shape = (channels,) + self.grid.kept_shape
-        spec = self.work[: math.prod(shape)].reshape(shape)
-        spec.fill(0.0)
-        return spec, spec.reshape(channels, -1)
+
+# A padded transform call takes at most this many bytes of spectrum: as
+# many channels as fit, and at least one.  numpy transforms each lane on
+# its own, so a chunk of channels gives the bits of one call over them all,
+# and `work` need hold only one chunk.  From 3D 32^3 up one channel's
+# spectrum is larger than this, and a call per channel costs no more per
+# channel than a batched one; on 2D grids and 3D 16^3 a kernel's whole
+# pass fits in one call, where a call per channel would cost up to about
+# twice as much per channel.
+_CHUNK_BYTES = 1 << 20
+
+
+def _channels_per_call(grid: TorusGrid, forward: bool) -> int:
+    per_channel = grid.work_size(1, forward) * np.dtype(np.complex128).itemsize
+    return max(1, _CHUNK_BYTES // per_channel)
 
 
 def _arena(basis: StokesBasis) -> _Arena:
@@ -233,7 +260,7 @@ def _padded_values(basis: StokesBasis, coef: np.ndarray, keys) -> dict:
         return {}
     arena = _arena(basis)
     g = basis.grid
-    d, pos, dst = g.dim, arena.pos, arena.dst
+    d, pos = g.dim, arena.pos
     phys, mag, tmp = arena.phys, arena.mag, arena.tmp
     ik, row, other = arena.kept_ik, arena.row[0], arena.row[1]
     values = {}
@@ -250,20 +277,16 @@ def _padded_values(basis: StokesBasis, coef: np.ndarray, keys) -> dict:
                 sq *= weight
             np.add(mag, sq, out=mag)
 
-    def transform(factors, c, out, negate=False):
-        # samples of factors[j] * c, a channel each, into out
-        spec, flat = arena.inputs(len(factors))
-        for channel, factor in zip(flat, factors):
+    def products(factors, c, negate=False):
+        # the inputs factors[j] * c, a channel each
+        for factor in factors:
             np.multiply(factor, c, out=row)
             if negate:
                 np.negative(row, out=row)
-            channel[dst] = row
-        return g.to_physical(spec, out=out)
+            yield row
 
     if "u" in args:
-        spec, flat = arena.inputs(d)
-        flat[:, dst] = coef
-        reduce("u", _magnitude(g.to_physical(spec, out=phys[:d]), mag, tmp))
+        reduce("u", _magnitude(arena.sample(coef, phys[:d]), mag, tmp))
     strain = args.keys() & {"shifted", "rho_tilde", "I_p"}
     if "grad" in args or strain:
         # d_j v_i into channel d*i + j of G (gradient(v) in C order), a row
@@ -272,7 +295,7 @@ def _padded_values(basis: StokesBasis, coef: np.ndarray, keys) -> dict:
         G = phys[: d * d]
         for i in range(d):
             n = d - 1 if i == d - 1 else d
-            transform(ik[:n], coef[i], G[d * i : d * i + n])
+            arena.sample(products(ik[:n], coef[i]), G[d * i : d * i + n])
         np.negative(np.sum(G[: d * d - 1 : d + 1], axis=0, out=G[-1]), out=G[-1])
     if "grad" in args:
         reduce("grad", _magnitude(G, mag, tmp))
@@ -315,7 +338,7 @@ def _padded_values(basis: StokesBasis, coef: np.ndarray, keys) -> dict:
             np.multiply(ik[j], coef[i], out=other)
             np.add(other, np.multiply(ik[i], coef[j], out=row), out=other)
             np.multiply(0.5, other, out=other)
-            transform(ik, other, slot)
+            arena.sample(products(ik, other), slot)
             add_squares(slot, weight, scratch)
         last = slots[d - 1]
         add_squares(np.negative(np.sum(slots[: d - 1], axis=0, out=last), out=last),
@@ -326,11 +349,19 @@ def _padded_values(basis: StokesBasis, coef: np.ndarray, keys) -> dict:
     if "hess" in args:
         # d_j d_k v_i = -(k_j k_k) c_i for the pairs j <= k, a component per
         # transform, its squares added over (j, k) before the next i: the
-        # (i, j, k) order of the magnitude of the full (d, d, d) Hessian
+        # (i, j, k) order of the magnitude of the full (d, d, d) Hessian.
+        # k_j k_k is formed a pair at a time in the real part of the free
+        # scratch row, from k = ik.imag, which holds k's bits
         H = phys[: len(arena.pairs)]
+        kk = other.real
+
+        def factors():
+            for j, k in arena.pairs:
+                yield np.multiply(ik[j].imag, ik[k].imag, out=kk)
+
         mag.fill(0.0)
         for i in range(d):
-            transform(arena.kept_kk, coef[i], H, negate=True)
+            arena.sample(products(factors(), coef[i], negate=True), H)
             add_squares([H[pos[j, k]] for j in range(d) for k in range(d)])
         reduce("hess", np.sqrt(mag, out=mag))
     return values
@@ -355,24 +386,25 @@ def _rhs_parts(basis: StokesBasis, params: FluidParams, c: np.ndarray) -> np.nda
     basis's arena; only the returned vector is new.
     """
     arena = _arena(basis)
-    g = basis.grid
-    d, dst = g.dim, arena.dst
+    d = basis.grid.dim
     ik = arena.kept_ik
     n_rot = len(arena.rot_pairs)
     n_ind = len(arena.strain_pairs)
     vhat = basis.kept_coeffs(c, out=arena.coef)
-    spec, flat = arena.inputs(arena.n_in)
-    flat[:d, dst] = vhat
-    # ghat[i, j] = d_j v_i; the rotation and D from its two triangles
     half, other = arena.row
-    for k, (i, j) in enumerate(arena.rot_pairs + arena.strain_pairs):
-        np.multiply(ik[j], vhat[i], out=half)
-        np.multiply(ik[i], vhat[j], out=other)
-        (np.subtract if k < n_rot else np.add)(half, other, out=half)
-        np.multiply(0.5, half, out=half)
-        flat[d + k][dst] = half
+
+    def inputs():
+        yield from vhat
+        # ghat[i, j] = d_j v_i; the rotation and D from its two triangles
+        for k, (i, j) in enumerate(arena.rot_pairs + arena.strain_pairs):
+            np.multiply(ik[j], vhat[i], out=half)
+            np.multiply(ik[i], vhat[j], out=other)
+            (np.subtract if k < n_rot else np.add)(half, other, out=half)
+            np.multiply(0.5, half, out=half)
+            yield half
+
     phys = arena.phys
-    g.to_physical(spec, out=phys[: arena.n_in])
+    arena.sample(inputs(), phys[: arena.n_in])
     V = phys[:d]
     D, D_dd = phys[d + n_rot : arena.n_in], arena.dd  # D's upper triangle but D_dd
     np.negative(np.sum(D[arena.diag], axis=0, out=D_dd), out=D_dd)
@@ -409,16 +441,22 @@ def _rhs_parts(basis: StokesBasis, params: FluidParams, c: np.ndarray) -> np.nda
         T -= vv
         if i == j:
             T += t_dd
-    # T, with v . grad v after it, transformed at the basis wavevectors alone
-    S = g.to_spectral(phys[d + n_rot : arena.n_rhs], arena.index, out=arena.gath,
-                      work=arena.work)
-    div = arena.div
-    for i, entries in enumerate(arena.flux_rows):
-        n = len(entries)
-        row = np.take(S, entries, axis=0, out=arena.tensor_row[:n], mode="clip")
-        np.einsum("j...,j...->...", arena.ikm[:n], row, out=div[i])
-    if n_rot:
-        div -= np.multiply(0.5, S[n_ind:], out=S[n_ind:])
+    # T, with v . grad v after it, transformed at the basis wavevectors
+    # alone.  div_i = sum_j ik_j T_ij gains each pair's terms as its channel
+    # arrives: in row order, every row's terms come in j order (T_dd = 0
+    # leaves the last row one short), the sums of an einsum over each row
+    div, ikm = arena.div, arena.ikm
+    term = half[: div.shape[1]]
+    div.fill(0.0)
+    for k, S in enumerate(arena.spectra(phys[d + n_rot : arena.n_rhs])):
+        if k < n_ind:
+            i, j = arena.strain_pairs[k]
+            div[i] += np.multiply(ikm[j], S, out=term)
+            if i != j:
+                div[j] += np.multiply(ikm[i], S, out=term)
+        else:
+            # then v . grad v, subtracted after every flux term
+            div[k - n_ind] -= np.multiply(0.5, S, out=S)
     return basis.project_modes(div)
 
 

@@ -169,7 +169,9 @@ class TorusGrid:
         """Complex elements of `channels` channels of the padded
         half-spectrum: the whole of it, the `work` of `to_spectral`
         (`forward` true), or its kept part (`kept_shape`), which
-        `to_physical` transforms (`forward` false)."""
+        `to_physical` transforms (`forward` false).  The solver's arena
+        sizes its `work` by this for the channels of one call, as many as
+        `plsf.galerkin._CHUNK_BYTES` of spectrum hold."""
         last = self.padded_M // 2 + 1 if forward else self.M // 2
         return channels * self.padded_M ** (self.dim - 1) * last
 

@@ -363,6 +363,33 @@ def test_taylor_green_3d_divergence_free():
     assert np.max(np.abs(div)) < 1e-13
 
 
+@pytest.mark.parametrize("dim, M, band", [(2, 16, 1), (2, 64, 31), (3, 8, 3), (3, 16, 2)])
+def test_taylor_green_passes_the_divergence_check_it_skips(monkeypatch, dim, M, band):
+    # exact by construction, so built unvalidated; the check accepts it
+    g = TorusGrid(dim, M, 3.0)
+    checked = []
+    monkeypatch.setattr(fields, "_check_divergence", lambda *args: checked.append(args))
+    v = taylor_green(g, amplitude=2.5, band=band)
+    assert checked == []
+    monkeypatch.undo()
+    fields._check_divergence(g, v.coeffs)
+    SpectralVelocity(g, v.coeffs)
+
+
+@pytest.mark.parametrize("dim, M, L", [(2, 16, 2 * np.pi), (2, 64, 1.3), (3, 16, 5.0)])
+def test_divergence_check_sums_k_dot_c_as_the_full_wavevector_array(monkeypatch, dim, M, L):
+    # the check forms k_i a component at a time, with the bits of the whole
+    # (dim, count) array's k . c, so it accepts and rejects the same fields
+    g = TorusGrid(dim, M, L)
+    sums, dot = [], fields._dot
+    monkeypatch.setattr(fields, "_dot", lambda k, c: sums.append(dot(k, c)) or sums[-1])
+    c = noise(g, (dim,), seed=dim * M)
+    with pytest.raises(FieldInvariantError):
+        fields._check_divergence(g, c)
+    want = dot(rep_wavevectors(g), c)
+    assert len(sums) == 1 and sums[0].tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("dim, M", [(2, 16), (2, 64), (3, 16)])
 @pytest.mark.parametrize("band", [1, 2])
 def test_taylor_green_is_the_sampled_field(dim, M, band):
@@ -411,15 +438,15 @@ def test_random_solenoidal_is_the_full_layout_draw(monkeypatch, dim, M, band, de
 
 def test_initial_data_peak_memory_is_a_few_fields():
     # the draw keeps only the band's normals and projects the band's
-    # representatives alone, and Taylor-Green writes its modes in place:
-    # the traced peaks read 1.40 and 2.35 times the field's bytes here (the
-    # draw's one (M,)^3 buffer of normals is 0.37 of it, Taylor-Green's
-    # divergence check about 1.3); with the half-layout spectrum they read
-    # 5.0 and 3.4, and with full (dim,) + (M,)^dim set-up spectra 7.5 and
-    # 9.7
+    # representatives alone, and Taylor-Green writes its modes in place,
+    # unvalidated: the traced peaks read 1.40 and 1.16 times the field's
+    # bytes here (the draw's one (M,)^3 buffer of normals is 0.37 of it);
+    # with Taylor-Green validated through the whole (3, count) wavevector
+    # array it read 2.35, with the half-layout spectrum they read 5.0 and
+    # 3.4, and with full (dim,) + (M,)^dim set-up spectra 7.5 and 9.7
     g = TorusGrid(3, 32, 2 * np.pi)
     for make, bound in ((lambda: random_solenoidal(g, band=3, seed=1), 1.6),
-                        (lambda: taylor_green(g, amplitude=1.0, band=2), 2.6)):
+                        (lambda: taylor_green(g, amplitude=1.0, band=2), 1.35)):
         make()  # fill the cached wavevector enumeration
         tracemalloc.start()
         try:

@@ -169,28 +169,38 @@ def test_convection_equals_skew_average(dim, M, dealias):
     assert np.max(np.abs(rhs - expected)) <= 1e-12 * np.max(np.abs(expected))
 
 
-@pytest.mark.parametrize(
-    "dim,M,dealias,inverse,forward",
-    [(2, 16, 1.5, 4, 2), (3, 8, 1.5, 8, 5), (2, 16, 1.0, 5, 4), (3, 8, 1.0, 11, 8)],
-    ids=["2d", "3d", "2d-skew", "3d-skew"],
-)
-def test_rhs_transform_channel_budget(monkeypatch, dim, M, dealias, inverse, forward):
-    # one call each way: v, the rotation (skew path) and D without D_dd go
-    # in; the flux T without T_dd, and v . grad v on the skew path, come out
-    def channels_per_call(name):
-        seen, transform = [], getattr(TorusGrid, name)
+def _transform_calls(monkeypatch):
+    """The channels of each to_physical and each to_spectral call from now
+    on, as two lists."""
+    calls = {}
+    for name in ("to_physical", "to_spectral"):
+        seen, transform = calls.setdefault(name, []), getattr(TorusGrid, name)
 
-        def counted(self, data, *args, **kw):
-            seen.append(math.prod(data.shape[: data.ndim - self.dim]))
-            return transform(self, data, *args, **kw)
+        def counted(self, data, *args, _seen=seen, _transform=transform, **kw):
+            _seen.append(math.prod(data.shape[: data.ndim - self.dim]))
+            return _transform(self, data, *args, **kw)
 
         monkeypatch.setattr(TorusGrid, name, counted)
-        return seen
+    return calls["to_physical"], calls["to_spectral"]
 
-    ins, outs = channels_per_call("to_physical"), channels_per_call("to_spectral")
+
+@pytest.mark.parametrize(
+    "dim,M,dealias,inverse,forward",
+    [(2, 16, 1.5, [4], [2]), (3, 8, 1.5, [8], [5]), (2, 16, 1.0, [5], [4]),
+     (3, 8, 1.0, [11], [8]), (2, 64, 1.5, [4], [2]), (3, 16, 1.5, [8], [5]),
+     (3, 32, 1.5, [1] * 8, [1] * 5)],
+    ids=["2d", "3d", "2d-skew", "3d-skew", "2d-64", "3d-16", "3d-32"],
+)
+def test_rhs_transform_channel_budget(monkeypatch, dim, M, dealias, inverse, forward):
+    # v, the rotation (skew path) and D without D_dd go in; the flux T
+    # without T_dd, and v . grad v on the skew path, come out.  A call takes
+    # as many channels as _CHUNK_BYTES of spectrum hold: the whole pass each
+    # way up to 2D 64^2 and 3D 16^3, a channel per call from 3D 32^3 up
+    # (590 KB inverse and 922 KB forward per channel)
     basis = _full_basis(dim, M, dealias)
+    ins, outs = _transform_calls(monkeypatch)
     _rhs_parts(basis, FluidParams(1.9, 1.0), np.random.default_rng(2).standard_normal(basis.size))
-    assert (ins, outs) == ([inverse], [forward])
+    assert (ins, outs) == (inverse, forward)
 
 
 @pytest.mark.parametrize("dim,M", [(2, 16), (3, 8)])
@@ -619,18 +629,61 @@ def test_arena_within_the_rhs_budget_plus_one_padded_grid(M):
     # one set of buffers serves both kernels, and no kernel forms an (M,)^3
     # spectrum: with the kept-position constants (1j k and the scatter and
     # gather indices) the arena stays three spectral channels under the
-    # RHS-only bytes of the full-spectrum layout (it reads 2,495,936 and
-    # 20,281,536 B)
+    # RHS-only bytes of the full-spectrum layout.  At 32^3 a transform call
+    # carries one channel, so work holds one channel's padded half-spectrum
+    # and gath one channel's coefficients: it reads 2,414,960 and
+    # 14,816,304 B (2,495,936 and 20,281,536 B with whole-pass calls and a
+    # (d, modes) row of the flux tensor)
     from plsf.galerkin import _Arena
 
     basis = _full_basis(3, M, 1.5)
     arena = _Arena(basis)
-    names = ("phys", "dd", "mag", "tmp", "mask", "coef", "row", "work", "gath", "tensor_row",
-             "div", "kept_ik")
+    names = ("phys", "dd", "mag", "tmp", "mask", "coef", "row", "work", "gath", "div",
+             "kept_ik")
     total = sum(getattr(arena, name).nbytes for name in names)
     total += sum(index.nbytes for index in basis.kept[:2])
-    assert not any(hasattr(arena, gone) for gone in ("spec", "ik", "kk"))
+    gone = ("spec", "ik", "kk", "kept_kk", "tensor_row")
+    assert not any(hasattr(arena, name) for name in gone)
     assert total <= RHS_ONLY_BYTES[M] - 3 * M**3 * 16
+    if M == 32:
+        assert total <= 14_900_000
+
+
+def _kernel_outputs(basis, u):
+    """The bytes of the RHS, the sample with ||D^2 v|| at mu > 0 and at
+    mu = 0, and table_row on every key, for the state c of basis and the
+    field u."""
+    from plsf.inequalities import TABLE_KEYS, table_row
+
+    c = np.random.default_rng(5).standard_normal(basis.size) / np.sqrt(basis.size)
+    out = []
+    for params in (FluidParams(1.9, 1.0), FluidParams(1.8, 0.0)):
+        out.append(_rhs_parts(basis, params, c).tobytes())
+        vals = state_functionals(GalerkinState(basis, c, 0.0), params, record_d2=True)
+        out.append(np.array([vals[name] for name in sorted(vals)]).tobytes())
+    params = FluidParams(1.9, 0.5)
+    keys = [key for name, keys in TABLE_KEYS.items()
+            for key in keys(params if name in ("lemma3", "ap3") else 1.9)]
+    row = table_row(u, keys, basis)
+    out += [np.asarray(row[key]).tobytes() for key in keys]
+    return out
+
+
+@pytest.mark.parametrize("dim,M,dealias", [(2, 16, 1.5), (3, 8, 1.5), (3, 8, 1.0)],
+                         ids=["2d", "3d", "3d-skew"])
+def test_channel_per_call_gives_the_bits_of_whole_pass_calls(monkeypatch, dim, M, dealias):
+    # numpy transforms each channel on its own, and the divergence gains its
+    # terms in the order of an einsum over each flux row: chunking the calls
+    # changes no bit of any kernel's output, v . grad v included
+    from plsf import galerkin
+
+    u = random_solenoidal(_full_basis(dim, M, dealias).grid, band=3, seed=2)
+    whole = _kernel_outputs(_full_basis(dim, M, dealias), u)
+    monkeypatch.setattr(galerkin, "_CHUNK_BYTES", 1)
+    ins, outs = _transform_calls(monkeypatch)
+    chunked = _kernel_outputs(_full_basis(dim, M, dealias), u)
+    assert set(ins) == set(outs) == {1}
+    assert chunked == whole
 
 
 def _full_basis(dim, M, dealias):

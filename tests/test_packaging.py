@@ -1,5 +1,8 @@
 import ast
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
@@ -24,6 +27,27 @@ def test_numpy_floor_has_vecdot():
     assert "np.linalg.vecdot" in (PYPROJECT.parent / "src" / "plsf" / "basis.py").read_text(
         encoding="utf-8"
     )
+
+
+def _modules_loaded_by(statement: str) -> set[str]:
+    """The names in sys.modules after `statement` runs in a fresh
+    interpreter that imports from this checkout's src."""
+    probe = f"import sys\n{statement}\nprint('\\n'.join(sys.modules))"
+    path = os.pathsep.join(filter(None, [str(PYPROJECT.parent / "src"),
+                                         os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          check=True, cwd=PYPROJECT.parent,
+                          env={**os.environ, "PYTHONPATH": path})
+    return set(done.stdout.split())
+
+
+def test_importing_the_cli_loads_no_numpy_random():
+    # numpy.random adds about 6 MB of RSS to a process; only the random
+    # draws need it, and they import it when they run
+    loaded = _modules_loaded_by("import plsf, plsf.cli")
+    assert "plsf.cli" in loaded and "numpy" in loaded
+    assert not any(name.split(".")[:2] == ["numpy", "random"] for name in loaded)
+    assert "numpy.random" in _modules_loaded_by("import plsf.cli, numpy.random")
 
 
 def _unused_module_imports(source: str) -> list[str]:
