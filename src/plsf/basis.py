@@ -87,7 +87,8 @@ class StokesBasis:
 
     @cached_property
     def _work(self) -> SimpleNamespace:
-        """Per-mode scratch of _mode_values and project_modes."""
+        """Per-mode scratch of _mode_values, project_modes and
+        project_sum; vals holds a sum only within one project_sum call."""
         d, count = self.grid.dim, len(self.modes)
         return SimpleNamespace(
             table=np.zeros((count, d - 1, 2)),  # slots past N stay 0
@@ -118,6 +119,18 @@ class StokesBasis:
                 amp[p, 1] += np.multiply(self._directions[p, i], sub[i].imag, out=w.line)
         amp[:, 1] *= -1.0  # (f, a_sin) = -scale Im(e . c(n))
         return np.multiply(self._scale, amp.transpose(2, 0, 1)).reshape(-1)[: self.size]
+
+    def project_sum(self, terms) -> np.ndarray:
+        """project_modes of a sum formed at the basis wavevectors: `terms`
+        yields pairs (i, t), and each (modes,) complex row t is added to
+        component i as it arrives, from zero.  The sum is formed in the
+        mode-value scratch, so `terms` must not synthesize or take kept
+        coefficients on this basis.  Returns a fresh array."""
+        acc = self._work.vals
+        acc.fill(0.0)
+        for i, t in terms:
+            acc[i] += t
+        return self.project_modes(acc)
 
     def project(self, v: SpectralVelocity) -> np.ndarray:
         if v.grid != self.grid:

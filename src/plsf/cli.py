@@ -345,7 +345,9 @@ def _study_workers(raw: str, n_jobs: int) -> int:
     """Worker count for the study fan-out from the PLSF_THREADS value.
 
     The process pool starts all its workers up front, so the request is
-    capped by the job count and the CPU count."""
+    capped by the job count and by the CPUs this process may run on:
+    its affinity set where the platform has one, which in a pinned
+    container is smaller than `os.cpu_count()`."""
     message = f"PLSF_THREADS must be a positive integer, got {raw!r}"
     try:
         requested = int(raw)
@@ -353,7 +355,11 @@ def _study_workers(raw: str, n_jobs: int) -> int:
         raise ConfigError([message]) from None
     if requested < 1:
         raise ConfigError([message])
-    return min(requested, n_jobs, os.cpu_count() or 1)
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    return min(requested, n_jobs, cpus)
 
 
 def _run_study_member(args):

@@ -132,27 +132,42 @@ def _coefficient_array(grid: TorusGrid, coeffs) -> np.ndarray:
     return coeffs
 
 
+# _dot multiplies this many columns at a time: a whole row's product, and
+# numpy's buffer for casting k to complex beside it, would be the largest
+# arrays a field's validation holds
+_DOT_BLOCK = 2048
+
+
 def _dot(k, c: np.ndarray) -> np.ndarray:
     """k . c per column, the components added in order: the bits of
-    np.sum(k * c, axis=0).  k may be any iterable of the components."""
+    np.sum(k * c, axis=0).  k may be any iterable of the components; each
+    is read as it comes, and multiplied `_DOT_BLOCK` columns at a time
+    into a fresh result, which is the only row-sized array formed."""
     terms = zip(k, c)
     ki, ci = next(terms)
-    out = ki * ci
+    out = np.empty(np.broadcast_shapes(ki.shape, ci.shape), np.result_type(ki, ci))
+    blocks = [slice(start, start + _DOT_BLOCK) for start in range(0, len(out), _DOT_BLOCK)]
+    for cols in blocks:
+        np.multiply(ki[cols], ci[cols], out=out[cols])
     for ki, ci in terms:
-        out += ki * ci
+        for cols in blocks:
+            out[cols] += ki[cols] * ci[cols]
     return out
 
 
 def _check_divergence(grid: TorusGrid, coeffs: np.ndarray, rtol: float = 1e-10):
-    scale = float(np.max(np.abs(coeffs)))
+    # one (count,) float buffer takes each component's |c|, then each
+    # wavevector component k_i in turn (the bits of _wavevectors), then
+    # |k . c|, so that no (dim, count) array is formed but the caller's
+    buf = np.empty(coeffs.shape[1])
+    scale = max(float(np.max(np.abs(c, out=buf))) for c in coeffs)
     if scale == 0.0:
         return
-    # one wavevector component at a time, so that no (dim, count)
-    # wavevector array is held
     n = representative_modes(grid)
-    div = _dot((_wavevectors(grid, n[:, [i]])[0] for i in range(grid.dim)), coeffs)
+    div = _dot((np.multiply(2.0 * np.pi / grid.L, n[:, i], out=buf) for i in range(grid.dim)),
+               coeffs)
     kmax = 2.0 * np.pi / grid.L * (grid.M // 2)
-    if float(np.max(np.abs(div))) > rtol * scale * kmax:
+    if float(np.max(np.abs(div, out=buf))) > rtol * scale * kmax:
         raise FieldInvariantError("field is not divergence-free")
 
 

@@ -99,7 +99,34 @@ class _Arena:
     The two are never live together, so they share one set of named
     buffers, each allocated once and sized for the larger of the two
     kernels' needs.  Every call writes a buffer before it reads it.  The
-    constants beside them are computed once.
+    constants beside them are computed once.  The buffers and their roles:
+
+    - phys, padded grids.  RHS: v, the rotation's strict upper triangle
+      (off a dealiased grid), D's upper triangle without D_dd, which
+      becomes the flux T in place, then v . grad v (off a dealiased
+      grid): `n_rhs` grids.  Functionals: v; or grad v in C order but the
+      last entry, d_d v_d, which takes d_0 v_1's slot once D_01 has
+      freed it, and then D's upper triangle; or d_s D_ij in two slots of
+      d grids and the sum of their squares in the grid after them; or a
+      component's Hessian pairs.  On a dealiased 3D grid that is the
+      RHS's n_rhs = 8 grids.
+    - mag and tmp, padded grids.  RHS: |D|^2 and then the stress factor
+      in mag, and tmp as the scratch grid, which also takes D_dd each
+      time it is read.  Functionals: a magnitude or sum of squares, |D|^2
+      while a strain key reads it, in mag; tmp as the scratch grid, which
+      also keeps the stress factor that rho_tilde and I_p share.
+    - dd, a padded grid off a dealiased grid only: D_dd, which the RHS's
+      v . grad v reads beside the rotation.  None on a dealiased grid.
+    - mask, a padded boolean grid: where the stress factor is singular.
+    - coef and row: the coefficients at the kept positions, and two
+      kept-position rows in which each transform input is formed (the
+      first also takes each term of the RHS's divergence).
+    - work and gath: the padded half-spectrum of one transform call, and
+      one forward call's coefficients at the basis wavevectors.
+
+    The RHS's divergence is summed by `StokesBasis.project_sum` in the
+    basis's own mode-value scratch, so the arena holds no (d, modes)
+    buffer.
 
     No field spectrum is formed.  A kernel's transform inputs are
     formed at the basis's kept positions (`StokesBasis.kept`: the band
@@ -143,7 +170,7 @@ class _Arena:
         # RHS padded channels: v, the rotation's strict upper triangle (off
         # a dealiased grid only) and D's upper triangle without D_dd go in;
         # the traceless flux T over D's channels, then v . grad v (off a
-        # dealiased grid only), come out.  D_dd has a grid of its own.
+        # dealiased grid only), come out
         n_rot = len(self.rot_pairs)
         skew = d if n_rot else 0
         self.n_in = d + n_rot + n_ind  # v, the rotation and D go in
@@ -152,19 +179,11 @@ class _Arena:
         # channels per to_physical and per to_spectral call
         self.chunk = _channels_per_call(g, forward=False)
         self.fwd_chunk = _channels_per_call(g, forward=True)
-        # One buffer per role, sized for both kernels.  phys: the RHS's
-        # padded channels, or the functionals' grad v, d_s D_ij for up to d
-        # pairs or one component's Hessian (npair <= d*d channels).  coef:
-        # the state's coefficients at the kept positions, and row: two
-        # kept-position scratch rows, where each transform input is formed
-        # (the first also takes each term of the divergence).  work: the
-        # padded half-spectrum of the largest call.  gath: one forward
-        # call's coefficients at the basis wavevectors.  dd: D_dd (RHS) or
-        # |Dv|^2 (functionals).  mag: |D|^2 and then the stress factor
-        # (RHS), or a magnitude or sum of squares (functionals).
-        grid, kept, modes = g.padded_shape, (len(self.dst),), (len(basis.modes),)
-        self.phys = np.empty((max(self.n_rhs, d * d),) + grid)
-        self.dd = np.empty(grid)
+        # the functionals hold at most d*d - 1 grids of grad v, or two
+        # slots of d grids of d_s D_ij and the sum of their squares
+        grid, kept = g.padded_shape, (len(self.dst),)
+        self.phys = np.empty((max(self.n_rhs, d * d - 1, 2 * d + 1),) + grid)
+        self.dd = np.empty(grid) if n_rot else None
         self.mag = np.empty(grid)
         self.tmp = np.empty(grid)
         self.mask = np.empty(grid, dtype=np.bool_)
@@ -174,8 +193,7 @@ class _Arena:
         fwd = min(n_fwd, self.fwd_chunk)
         self.work = np.empty(max(g.work_size(min(n_inv, self.chunk), False),
                                  g.work_size(fwd, True)), np.complex128)
-        self.gath = np.empty((fwd,) + modes, np.complex128)
-        self.div = np.empty((d,) + modes, np.complex128)
+        self.gath = np.empty((fwd, len(basis.modes)), np.complex128)
 
     def sample(self, rows, out: np.ndarray) -> np.ndarray:
         """Padded-grid samples of len(out) channels into out.  `rows`
@@ -269,13 +287,22 @@ def _padded_values(basis: StokesBasis, coef: np.ndarray, keys) -> dict:
         for q in args[name]:
             values[name, q] = _norm_of_magnitude(magnitude, q, g, out=tmp)
 
-    def add_squares(channels, weight=1.0, scratch=tmp):
-        # mag += weight * ch**2 for each channel in turn
+    def add_squares(channels, weight=1.0, scratch=tmp, acc=mag):
+        # acc += weight * ch**2 for each channel in turn
         for ch in channels:
             sq = np.square(ch, out=scratch)
             if weight != 1.0:
                 sq *= weight
-            np.add(mag, sq, out=mag)
+            np.add(acc, sq, out=acc)
+
+    def at(i, j):
+        # the slot of d_j v_i, and of D_ij for i <= j
+        return d if i == j == d - 1 else d * i + j
+
+    def strain_entry(i, j):
+        # D_ij = (d_j v_i + d_i v_j)/2 for i <= j, over d_j v_i
+        Dij = np.add(phys[at(i, j)], phys[at(j, i)], out=phys[at(i, j)])
+        np.multiply(0.5, Dij, out=Dij)
 
     def products(factors, c, negate=False):
         # the inputs factors[j] * c, a channel each
@@ -289,25 +316,35 @@ def _padded_values(basis: StokesBasis, coef: np.ndarray, keys) -> dict:
         reduce("u", _magnitude(arena.sample(coef, phys[:d]), mag, tmp))
     strain = args.keys() & {"shifted", "rho_tilde", "I_p"}
     if "grad" in args or strain:
-        # d_j v_i into channel d*i + j of G (gradient(v) in C order), a row
-        # per transform; the last, d_d v_d, is minus the other diagonal
-        # entries' sum
-        G = phys[: d * d]
+        # d_j v_i into slot d*i + j, a row per transform, the squares added
+        # to mag as each row arrives: the C order of gradient(v)'s
+        # magnitude.  D_01 is formed as soon as row 1 is in, which frees
+        # d_0 v_1's slot, d; the last entry, d_d v_d, is minus the other
+        # diagonal entries' sum and takes that slot.  Then D's upper
+        # triangle replaces grad v's, D_dd in slot d
+        G = phys[: d * d - 1]
         for i in range(d):
             n = d - 1 if i == d - 1 else d
-            arena.sample(products(ik[:n], coef[i]), G[d * i : d * i + n])
-        np.negative(np.sum(G[: d * d - 1 : d + 1], axis=0, out=G[-1]), out=G[-1])
-    if "grad" in args:
-        reduce("grad", _magnitude(G, mag, tmp))
+            grad_row = arena.sample(products(ik[:n], coef[i]), G[d * i : d * i + n])
+            if "grad" in args:
+                if i == 0:
+                    _sum_of_squares(grad_row, mag, tmp)
+                else:
+                    add_squares(grad_row)
+            if i == 1 and strain:
+                strain_entry(0, 1)
+        last = np.negative(np.sum(G[:: d + 1], axis=0, out=phys[d]), out=phys[d])
+        if "grad" in args:
+            add_squares([last])
+            reduce("grad", np.sqrt(mag, out=mag))
     shared = None  # the params whose stress factor tmp keeps for I_p
     if strain:
-        # G becomes D = (grad v + grad v^T)/2, and dd |D|^2, summed in C order
-        for i in range(d):
-            for j in range(i, d):
-                Dij = np.add(G[d * i + j], G[d * j + i], out=G[d * i + j])
-                np.multiply(0.5, Dij, out=Dij)
-                G[d * j + i] = Dij
-        dd = _sum_of_squares(G, arena.dd, tmp)
+        for i, j in arena.pairs:
+            if (i, j) != (0, 1):
+                strain_entry(i, j)
+        # |D|^2 into mag, summed in C order
+        D = [phys[at(min(i, j), max(i, j))] for i in range(d) for j in range(d)]
+        dd = _sum_of_squares(D, mag, tmp)
         for params in args.get("shifted", ()):
             root = np.sqrt(np.add(params.mu, dd, out=tmp), out=tmp)
             values["shifted", params] = _norm_of_magnitude(root, params.p, g)
@@ -323,29 +360,32 @@ def _padded_values(basis: StokesBasis, coef: np.ndarray, keys) -> dict:
             prod = np.multiply(fac, dd, out=dd if params == shared else fac)
             values["rho_tilde", params] = float(np.sum(prod) * g.quad_weight)
     if "I_p" in args:
-        # |grad D|^2 into mag, adding (d_s D_ij)^2 over the pairs i <= j in
-        # row order and s, the off-diagonal pairs twice.  A pair per
-        # transform, but the last, (d, d): d_s D_dd = -sum_i d_s D_ii, so
-        # diagonal pair (i, i) keeps slot i until then, and the others
-        # take the last slot.  The squares go through dd when tmp keeps
-        # the shared stress factor.
-        scratch = tmp if shared is None else arena.dd
-        slots = phys[: d * d].reshape((d, d) + g.padded_shape)
-        mag.fill(0.0)
+        # |grad D|^2 into the grid after two slots of d, adding (d_s D_ij)^2
+        # over the pairs i <= j in row order and s, the off-diagonal pairs
+        # twice.  A pair per transform, but the last, (d, d): d_s D_dd =
+        # -sum_i d_s D_ii, so the first diagonal pair keeps the first slot
+        # and every other pair takes the second, a later diagonal one
+        # added into the first as soon as its squares are in.  The squares
+        # go through mag when tmp keeps the shared stress factor, and |D|^2
+        # is dead
+        diag_sum, each, grad_sq = phys[:d], phys[d : 2 * d], phys[2 * d]
+        scratch = tmp if shared is None else mag
+        grad_sq.fill(0.0)
         for (i, j), weight in zip(arena.strain_pairs, arena.w_off):
-            slot = slots[i if i == j else d - 1]
+            slot = diag_sum if i == j == 0 else each
             # d_s D_ij from D_ij = (ik_j c_i + ik_i c_j)/2
             np.multiply(ik[j], coef[i], out=other)
             np.add(other, np.multiply(ik[i], coef[j], out=row), out=other)
             np.multiply(0.5, other, out=other)
             arena.sample(products(ik, other), slot)
-            add_squares(slot, weight, scratch)
-        last = slots[d - 1]
-        add_squares(np.negative(np.sum(slots[: d - 1], axis=0, out=last), out=last),
-                    scratch=scratch)
+            add_squares(slot, weight, scratch, grad_sq)
+            if i == j != 0:
+                np.add(diag_sum, each, out=diag_sum)
+        add_squares(np.negative(diag_sum, out=each), scratch=scratch, acc=grad_sq)
         for params in args["I_p"]:
             fac = tmp if params == shared else law._stress_factor(dd, params, out=tmp)
-            values["I_p", params] = float(np.sum(np.multiply(fac, mag, out=fac)) * g.quad_weight)
+            values["I_p", params] = float(np.sum(np.multiply(fac, grad_sq, out=fac))
+                                          * g.quad_weight)
     if "hess" in args:
         # d_j d_k v_i = -(k_j k_k) c_i for the pairs j <= k, a component per
         # transform, its squares added over (j, k) before the next i: the
@@ -382,8 +422,9 @@ def _rhs_parts(basis: StokesBasis, params: FluidParams, c: np.ndarray) -> np.nda
     upper triangle of the rotation (grad v)_A goes in too and v . grad v
     comes out with T.  The inputs are formed at the basis's kept positions
     and scattered into the padded half-spectrum, and the divergence is
-    formed at the basis wavevectors alone.  All work happens in the
-    basis's arena; only the returned vector is new.
+    formed at the basis wavevectors alone, by `StokesBasis.project_sum`.
+    All work happens in the basis's arena and scratch; only the returned
+    vector is new.
     """
     arena = _arena(basis)
     d = basis.grid.dim
@@ -403,61 +444,69 @@ def _rhs_parts(basis: StokesBasis, params: FluidParams, c: np.ndarray) -> np.nda
             np.multiply(0.5, half, out=half)
             yield half
 
-    phys = arena.phys
+    phys, tmp = arena.phys, arena.tmp
     arena.sample(inputs(), phys[: arena.n_in])
     V = phys[:d]
-    D, D_dd = phys[d + n_rot : arena.n_in], arena.dd  # D's upper triangle but D_dd
-    np.negative(np.sum(D[arena.diag], axis=0, out=D_dd), out=D_dd)
+    D = phys[d + n_rot : arena.n_in]  # D's upper triangle but D_dd
+
+    def trace_part(out):
+        # D_dd = -sum_i D_ii, formed again each time it is read
+        return np.negative(np.sum(D[arena.diag], axis=0, out=out), out=out)
+
     # |D|^2, the off-diagonal pairs counted twice
     dd_sq = np.einsum("k...,k...,k->...", D, D, arena.w_off, out=arena.mag)
-    dd_sq += np.square(D_dd, out=arena.tmp)
+    D_dd = trace_part(tmp)
+    dd_sq += np.square(D_dd, out=D_dd)
     fac = law._stress_factor(dd_sq, params, out=dd_sq, mask=arena.mask)
     if n_rot:
         # v (x) v aliases into the band, so the divergence form alone is not
         # energy-neutral; it is averaged with the advective form v . grad v,
         # whose discrete trilinear form cancels it exactly:
         # (v . grad v)_i = sum_j v_j (D_ij + R_ij), R antisymmetric
-        strain = [*D, D_dd]  # the pairs in the order arena.pos indexes
+        strain = [*D, trace_part(arena.dd)]  # the pairs in the order arena.pos indexes
         w1 = phys[arena.n_in : arena.n_rhs]
         for i, row in enumerate(arena.pos):
             np.multiply(V[0], strain[row[0]], out=w1[i])
             for j in range(1, d):
-                w1[i] += np.multiply(V[j], strain[row[j]], out=arena.tmp)
+                w1[i] += np.multiply(V[j], strain[row[j]], out=tmp)
         for R, (i, j) in zip(phys[d : d + n_rot], arena.rot_pairs):
-            w1[i] += np.multiply(V[j], R, out=arena.tmp)
-            w1[j] -= np.multiply(V[i], R, out=arena.tmp)
+            w1[i] += np.multiply(V[j], R, out=tmp)
+            w1[j] -= np.multiply(V[i], R, out=tmp)
 
-    # T over D's channels: sigma_ij - s v_i v_j, minus T_dd on the diagonal
-    # (s = 1/2 off a dealiased grid; s = 1 takes no multiply)
-    D[arena.diag] -= D_dd
-    t_dd = np.square(V[d - 1], out=D_dd)
-    if n_rot:
-        np.multiply(0.5, t_dd, out=t_dd)
+    # T over D's channels: sigma_ij - s v_i v_j, minus T_dd = -s v_d^2 on
+    # the diagonal (s = 1/2 off a dealiased grid; s = 1 takes no multiply)
+    D[arena.diag] -= trace_part(tmp)
     for T, (i, j) in zip(D, arena.strain_pairs):
         np.multiply(fac, T, out=T)
-        vv = np.multiply(V[i], V[j], out=arena.tmp)
+        vv = np.multiply(V[i], V[j], out=tmp)
         if n_rot:
             np.multiply(0.5, vv, out=vv)
         T -= vv
         if i == j:
+            t_dd = np.square(V[d - 1], out=tmp)
+            if n_rot:
+                np.multiply(0.5, t_dd, out=t_dd)
             T += t_dd
     # T, with v . grad v after it, transformed at the basis wavevectors
     # alone.  div_i = sum_j ik_j T_ij gains each pair's terms as its channel
     # arrives: in row order, every row's terms come in j order (T_dd = 0
-    # leaves the last row one short), the sums of an einsum over each row
-    div, ikm = arena.div, arena.ikm
-    term = half[: div.shape[1]]
-    div.fill(0.0)
-    for k, S in enumerate(arena.spectra(phys[d + n_rot : arena.n_rhs])):
-        if k < n_ind:
-            i, j = arena.strain_pairs[k]
-            div[i] += np.multiply(ikm[j], S, out=term)
-            if i != j:
-                div[j] += np.multiply(ikm[i], S, out=term)
-        else:
-            # then v . grad v, subtracted after every flux term
-            div[k - n_ind] -= np.multiply(0.5, S, out=S)
-    return basis.project_modes(div)
+    # leaves the last row one short), the sums of an einsum over each row.
+    # v . grad v is subtracted after every flux term, as -(S/2) added:
+    # x + (-y) is x - y bit for bit
+    ikm = arena.ikm
+    term = half[: len(basis.modes)]
+
+    def div_terms():
+        for k, S in enumerate(arena.spectra(phys[d + n_rot : arena.n_rhs])):
+            if k < n_ind:
+                i, j = arena.strain_pairs[k]
+                yield i, np.multiply(ikm[j], S, out=term)
+                if i != j:
+                    yield j, np.multiply(ikm[i], S, out=term)
+            else:
+                yield k - n_ind, np.negative(np.multiply(0.5, S, out=S), out=S)
+
+    return basis.project_sum(div_terms())
 
 
 def galerkin_rhs(state: GalerkinState, params: FluidParams) -> np.ndarray:

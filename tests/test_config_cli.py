@@ -978,12 +978,21 @@ def test_plsf_threads_worker_fanout_identical(tmp_path, monkeypatch):
 
 
 def test_study_workers_clamped_to_jobs_and_cpus(monkeypatch):
-    monkeypatch.setattr("plsf.cli.os.cpu_count", lambda: 4)
+    # the CPUs this process may run on: its affinity set where the
+    # platform has one, which a pinned container makes smaller than the
+    # machine's CPU count, and os.cpu_count() elsewhere
+    monkeypatch.setattr("plsf.cli.os.cpu_count", lambda: 16)
+    monkeypatch.setattr("plsf.cli.os.sched_getaffinity", lambda pid: {0, 3, 5, 6},
+                        raising=False)
     assert _study_workers("1", 3) == 1
     assert _study_workers("2", 3) == 2
     assert _study_workers("64", 3) == 3
     assert _study_workers("64", 8) == 4
     assert _study_workers(" 3 ", 8) == 3
+    monkeypatch.delattr("plsf.cli.os.sched_getaffinity")
+    monkeypatch.setattr("plsf.cli.os.cpu_count", lambda: 4)
+    assert _study_workers("64", 3) == 3
+    assert _study_workers("64", 8) == 4
     monkeypatch.setattr("plsf.cli.os.cpu_count", lambda: None)
     assert _study_workers("64", 8) == 1
 

@@ -629,24 +629,44 @@ def test_arena_within_the_rhs_budget_plus_one_padded_grid(M):
     # one set of buffers serves both kernels, and no kernel forms an (M,)^3
     # spectrum: with the kept-position constants (1j k and the scatter and
     # gather indices) the arena stays three spectral channels under the
-    # RHS-only bytes of the full-spectrum layout.  At 32^3 a transform call
-    # carries one channel, so work holds one channel's padded half-spectrum
-    # and gath one channel's coefficients: it reads 2,414,960 and
-    # 14,816,304 B (2,495,936 and 20,281,536 B with whole-pass calls and a
-    # (d, modes) row of the flux tensor)
+    # RHS-only bytes of the full-spectrum layout.  On a dealiased 3D grid
+    # phys holds the RHS's n_rhs = 8 grids, which the functionals stream
+    # grad v and d_s D_ij through, beside mag and tmp: no dd grid (D_dd
+    # is formed in tmp) and no divergence buffer (the basis's mode-value
+    # scratch takes it).  At 32^3 a transform call carries one channel,
+    # so work holds one channel's padded half-spectrum and gath one
+    # channel's coefficients: it reads 2,112,800 and 12,331,872 B
+    # (2,414,960 and 14,816,304 B with a ninth phys grid, dd and div)
     from plsf.galerkin import _Arena
 
     basis = _full_basis(3, M, 1.5)
     arena = _Arena(basis)
-    names = ("phys", "dd", "mag", "tmp", "mask", "coef", "row", "work", "gath", "div",
-             "kept_ik")
+    assert arena.n_rhs == 8 and arena.phys.shape[0] == arena.n_rhs
+    assert arena.dd is None
+    names = ("phys", "mag", "tmp", "mask", "coef", "row", "work", "gath", "kept_ik")
     total = sum(getattr(arena, name).nbytes for name in names)
     total += sum(index.nbytes for index in basis.kept[:2])
-    gone = ("spec", "ik", "kk", "kept_kk", "tensor_row")
+    gone = ("spec", "ik", "kk", "kept_kk", "tensor_row", "div")
     assert not any(hasattr(arena, name) for name in gone)
     assert total <= RHS_ONLY_BYTES[M] - 3 * M**3 * 16
     if M == 32:
-        assert total <= 14_900_000
+        assert total <= 12_400_000
+
+
+def test_arena_at_64_cubed_holds_ten_padded_grids():
+    # the arena's buffers come from np.empty, so building it at 3D 64^3
+    # full band touches no page of them.  Every array it holds, buffers
+    # and constants, reads 107,164,048 B (127,320,928 B with a ninth phys
+    # grid, dd and a (d, modes) divergence buffer)
+    from plsf.galerkin import _Arena
+
+    basis = _full_basis(3, 64, 1.5)
+    arena = _Arena(basis)
+    shape = basis.grid.padded_shape
+    held = {id(a): a for a in vars(arena).values() if isinstance(a, np.ndarray)}
+    grids = sum(a.size for a in held.values() if a.dtype == np.float64 and a.shape[-3:] == shape)
+    assert grids == (arena.n_rhs + 2) * math.prod(shape) == 10 * math.prod(shape)
+    assert sum(a.nbytes for a in held.values()) <= 107_500_000
 
 
 def _kernel_outputs(basis, u):
@@ -869,13 +889,15 @@ def test_arena_calls_match_cold_calls():
                 assert not got[2].flags.writeable
 
 
-@pytest.mark.parametrize("kernel", ["rhs", "sample"])
-def test_warm_kernels_allocate_under_four_padded_channels(kernel):
+@pytest.mark.parametrize("kernel, dim, M", [("rhs", 2, 32), ("sample", 2, 32),
+                                           ("rhs", 3, 16), ("sample", 3, 16)],
+                         ids=["rhs", "sample", "rhs-3d", "sample-3d"])
+def test_warm_kernels_allocate_under_four_padded_channels(kernel, dim, M):
     # a warm call works in the basis's arena: what it allocates is the
     # returned vectors and small bookkeeping, not grid-sized temporaries
     import tracemalloc
 
-    basis = _full_basis(2, 32, 1.5)
+    basis = _full_basis(dim, M, 1.5)
     params = FluidParams(1.9, 1.0)
     c = np.random.default_rng(8).standard_normal(basis.size)
     if kernel == "rhs":
@@ -889,7 +911,7 @@ def test_warm_kernels_allocate_under_four_padded_channels(kernel):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    channel = 8 * basis.grid.padded_M**2
+    channel = 8 * basis.grid.padded_M**dim
     assert peak < 4 * channel
 
 
