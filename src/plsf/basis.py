@@ -17,9 +17,11 @@ that order is therefore representative j // 2(d-1), polarization
 
 A basis is held as flat arrays: the wavevectors it touches (`modes`,
 the first ceil(N / 2(d-1)) representatives) and their polarization
-vectors.  Coefficient j fills slot j of a C-ordered (modes, d-1, 2)
-table (mode, polarization, cos|sin), and synthesis and projection go
-through that table, once per mode rather than once per entry.
+vectors.  Coefficient j is slot j of a C-ordered (modes, d-1, 2) table
+(mode, polarization, cos|sin), so the coefficients of slot (p, t) are the
+strided slice c[2p + t :: 2(d-1)], one per mode (the last mode lacks the
+slots past N).  Synthesis and projection go through those slices, once
+per slot rather than once per entry, and no table is formed.
 """
 
 from __future__ import annotations
@@ -87,15 +89,18 @@ class StokesBasis:
 
     @cached_property
     def _work(self) -> SimpleNamespace:
-        """Per-mode scratch of _mode_values, project_modes and
-        project_sum; vals holds a sum only within one project_sum call."""
+        """Per-mode scratch of the coefficient transforms.
+
+        vals (d, modes) complex holds the mode values that _mode_values
+        returns, and the sum that project_sum projects, and only within
+        that call.  line and term, two (modes,) rows, take one slot at a
+        time: its scaled coefficients or its sum, and one product.
+        """
         d, count = self.grid.dim, len(self.modes)
         return SimpleNamespace(
-            table=np.zeros((count, d - 1, 2)),  # slots past N stay 0
-            line=np.empty(count),
-            prod=np.empty((d, count)),
             vals=np.empty((d, count), dtype=np.complex128),
-            amp=np.empty((d - 1, 2, count)),
+            line=np.empty(count),
+            term=np.empty(count),
         )
 
     @property
@@ -104,33 +109,42 @@ class StokesBasis:
 
     # -- coefficient transforms ------------------------------------------
 
-    def project_modes(self, sub: np.ndarray) -> np.ndarray:
+    def project_modes(self, sub: np.ndarray, out=None) -> np.ndarray:
         """The inner products (f, a^r) from the coefficients of f at the
         basis wavevectors: sub[i, m] is component i at wavevector modes[m].
-        Returns a fresh array."""
+        Written into `out` when it is given, else into a fresh array."""
+        if out is None:
+            out = np.empty(self.size)
         d = self.grid.dim
+        per_mode = 2 * (d - 1)
         w = self._work
-        # e . c(n) per polarization, accumulated from zero in component order
-        amp = w.amp
-        amp.fill(0.0)
         for p in range(d - 1):
-            for i in range(d):
-                amp[p, 0] += np.multiply(self._directions[p, i], sub[i].real, out=w.line)
-                amp[p, 1] += np.multiply(self._directions[p, i], sub[i].imag, out=w.line)
-        amp[:, 1] *= -1.0  # (f, a_sin) = -scale Im(e . c(n))
-        return np.multiply(self._scale, amp.transpose(2, 0, 1)).reshape(-1)[: self.size]
+            for trig, part, scale in ((0, sub.real, self._scale), (1, sub.imag, -self._scale)):
+                # slot (p, trig) of every mode: e . c(n) summed from zero in
+                # component order, then scaled into out's strided slice (the
+                # last mode may lack the slot).  (f, a_sin) = -scale Im(e . c(n)),
+                # and -x * s is x * -s
+                dst = out[2 * p + trig :: per_mode]
+                n = len(dst)
+                acc = w.term[:n]
+                acc.fill(0.0)
+                for i in range(d):
+                    acc += np.multiply(self._directions[p, i, :n], part[i, :n], out=w.line[:n])
+                np.multiply(acc, scale, out=dst)
+        return out
 
-    def project_sum(self, terms) -> np.ndarray:
+    def project_sum(self, terms, out=None) -> np.ndarray:
         """project_modes of a sum formed at the basis wavevectors: `terms`
         yields pairs (i, t), and each (modes,) complex row t is added to
         component i as it arrives, from zero.  The sum is formed in the
         mode-value scratch, so `terms` must not synthesize or take kept
-        coefficients on this basis.  Returns a fresh array."""
+        coefficients on this basis.  Written into `out` when it is given,
+        else into a fresh array."""
         acc = self._work.vals
         acc.fill(0.0)
         for i, t in terms:
             acc[i] += t
-        return self.project_modes(acc)
+        return self.project_modes(acc, out=out)
 
     def project(self, v: SpectralVelocity) -> np.ndarray:
         if v.grid != self.grid:
@@ -158,17 +172,22 @@ class StokesBasis:
         if c.shape != (self.size,):
             raise ValueError(f"coefficient vector must have length {self.size}")
         d = self.grid.dim
+        per_mode = 2 * (d - 1)
         w = self._work
-        w.table.reshape(-1)[: self.size] = c
         inv = 1.0 / self._scale
         # accumulate from zero in polarization order, the order of the entries;
-        # a_cos carries e / scale on mode n and a_sin carries -i e / scale
+        # a_cos carries e / scale on mode n and a_sin carries -i e / scale.
+        # A slot the last mode lacks adds nothing: a sum from +0.0 never
+        # becomes -0.0, so adding a zero product would leave its bits
         vals = w.vals
         vals.fill(0.0)
         for p in range(d - 1):
             for part, trig, factor in ((vals.real, 0, inv), (vals.imag, 1, -inv)):
-                coef = np.multiply(w.table[:, p, trig], factor, out=w.line)
-                part += np.multiply(coef, self._directions[p], out=w.prod)
+                slot = c[2 * p + trig :: per_mode]
+                n = len(slot)
+                coef = np.multiply(slot, factor, out=w.line[:n])
+                for i in range(d):
+                    part[i, :n] += np.multiply(coef, self._directions[p, i, :n], out=w.term[:n])
         return vals
 
     def synthesize(self, c: np.ndarray, validate: bool = False) -> SpectralVelocity:

@@ -472,10 +472,12 @@ def _kept_entries(vals: np.ndarray, kept, out=None) -> np.ndarray:
     for channel, v in zip(out, vals):
         # mode="clip" (every index is in range) lets take write straight into out
         np.take(v, rows, out=channel, mode="clip")
-    out += complex(0.0, -0.0)
-    mirrored = out[:, split:]
-    np.conjugate(mirrored, out=mirrored)
-    mirrored += 0.0
+        channel += complex(0.0, -0.0)
+        # the mirrors a channel at a time: numpy copies an operand written
+        # in place when it is a non-contiguous 2-D view such as out[:, split:]
+        mirrored = channel[split:]
+        np.conjugate(mirrored, out=mirrored)
+        mirrored += 0.0
     return out
 
 
@@ -492,7 +494,7 @@ def save_checkpoint(path, v: SpectralVelocity) -> None:
         fh.write(
             _HEADER.pack(CHECKPOINT_MAGIC, CHECKPOINT_VERSION, grid.dim, grid.M, grid.L, count)
         )
-        fh.write(inter.tobytes())
+        fh.write(inter)  # the C-ordered bytes, not copied
 
 
 def _checked_payload_size(path, dim: int, M: int, L: float, count: int) -> int:

@@ -410,7 +410,8 @@ def _padded_values(basis: StokesBasis, coef: np.ndarray, keys) -> dict:
 # -- right-hand side -------------------------------------------------------
 
 
-def _rhs_parts(basis: StokesBasis, params: FluidParams, c: np.ndarray) -> np.ndarray:
+def _rhs_parts(basis: StokesBasis, params: FluidParams, c: np.ndarray,
+               out: np.ndarray | None = None) -> np.ndarray:
     """dc/dt = P div T, with T = sigma - s v (x) v the one flux of the RHS.
 
     s is 1 on a dealiased grid.  Off it, s is 1/2 and P (v . grad v)/2 is
@@ -423,8 +424,10 @@ def _rhs_parts(basis: StokesBasis, params: FluidParams, c: np.ndarray) -> np.nda
     comes out with T.  The inputs are formed at the basis's kept positions
     and scattered into the padded half-spectrum, and the divergence is
     formed at the basis wavevectors alone, by `StokesBasis.project_sum`.
-    All work happens in the basis's arena and scratch; only the returned
-    vector is new.
+    All work happens in the basis's arena and scratch.  dc/dt is written
+    into `out` (a length-N float vector that aliases neither c nor the
+    basis's scratch) when it is given, and `out` is returned; otherwise
+    the returned vector is the one new array.
     """
     arena = _arena(basis)
     d = basis.grid.dim
@@ -506,7 +509,7 @@ def _rhs_parts(basis: StokesBasis, params: FluidParams, c: np.ndarray) -> np.nda
             else:
                 yield k - n_ind, np.negative(np.multiply(0.5, S, out=S), out=S)
 
-    return basis.project_sum(div_terms())
+    return basis.project_sum(div_terms(), out=out)
 
 
 def galerkin_rhs(state: GalerkinState, params: FluidParams) -> np.ndarray:
@@ -586,10 +589,13 @@ class StepSegment:
         return self.t0 + self.dt
 
     def interpolate(self, t: float) -> np.ndarray:
+        """The dense-output state at t, a fresh vector: callers keep it."""
         theta = (t - self.t0) / self.dt
         powers = theta ** np.arange(1, 5)
         weights = _DP_P @ powers
-        return self.y0 + self.dt * (weights @ self.stages)
+        y = weights @ self.stages
+        np.multiply(self.dt, y, out=y)
+        return np.add(self.y0, y, out=y)
 
 
 @dataclass
@@ -600,6 +606,15 @@ class StepController:
     callers can densely sample inside it.  Its stages live in the
     controller's stage buffer, so it is valid until the next `advance` on
     the same controller.  `nrhs` counts the RHS evaluations `advance` makes.
+
+    The buffer is (9, N): the seven stages, then `acc` and `tmp`.  Each
+    RHS evaluation of `advance` writes its stage straight into its row;
+    `acc` takes each stage sum and then the error estimate, and `tmp`
+    each intermediate stage state and each weighted term.  The last stage
+    state is the step's solution, which the step returns, so it is a new
+    vector, reused by the retries of a rejected step.  `advance` hands
+    `error_norm` the `tmp` row, free by then, for its scale and ratio, so
+    |y1| is its one transient.
     """
 
     rtol: float = 1e-8
@@ -622,9 +637,15 @@ class StepController:
         if not (self.rtol > 0 and self.atol >= 0 and self.dt_min > 0):
             raise ValueError("tolerances must be positive")
 
-    def error_norm(self, err: np.ndarray, y0: np.ndarray, y1: np.ndarray) -> float:
-        sc = self.atol + self.rtol * np.maximum(np.abs(y0), np.abs(y1))
-        return float(np.sqrt(np.mean((err / sc) ** 2)))
+    def error_norm(self, err: np.ndarray, y0: np.ndarray, y1: np.ndarray,
+                   out: np.ndarray) -> float:
+        """The RMS of err / (atol + rtol * max(|y0|, |y1|)), with the scale
+        and the ratio formed in `out`, which none of the three may alias."""
+        sc = np.maximum(np.abs(y0, out=out), np.abs(y1), out=out)
+        np.multiply(self.rtol, sc, out=sc)
+        np.add(self.atol, sc, out=sc)
+        ratio = np.divide(err, sc, out=sc)
+        return float(np.sqrt(np.mean(np.square(ratio, out=ratio))))
 
     def accept_factor(self, err_norm: float) -> float:
         if err_norm == 0.0:
@@ -664,35 +685,41 @@ def advance(
     """One accepted adaptive step; ctrl carries the step-size state and
     the stage buffers."""
 
-    def f(y):
+    def f(y, out):
+        # looked up in the module and given `out` positionally, so that a
+        # wrapper of _rhs_parts sees and counts every call
         ctrl.nrhs += 1
-        return _rhs_parts(state.basis, params, y)
+        _rhs_parts(state.basis, params, y, out)
 
     y0 = state.c
-    # the stages, filled in place and handed to the step's segment, and
-    # the stage sums, all in the controller's buffers
+    # the stages, each written in place by its RHS and handed to the step's
+    # segment, and the stage sums, all in the controller's buffers
     if ctrl._buffers is None or ctrl._buffers.shape[1] != y0.size:
         ctrl._buffers = np.empty((len(_DP_A) + 2, y0.size))
     ks, acc, tmp = ctrl._buffers[:-2], ctrl._buffers[-2], ctrl._buffers[-1]
-    ks[0] = f(y0)
+    f(y0, ks[0])
     if ctrl.dt is None:
         ctrl.dt = _initial_dt(ks[0], y0, ctrl, dt_cap if dt_cap is not None else 1.0)
     dt = min(ctrl.dt, ctrl.dt_max)
     if dt_cap is not None:
         dt = min(dt, dt_cap)
+    y5 = None
     while True:
         for s, row in enumerate(_DP_A[1:], start=1):
             # y0 + dt * sum(a * k); the last stage state is the step's
-            # solution, so it gets an array of its own
+            # solution, so it gets an array of its own, which a rejected
+            # attempt hands on to the next
             incr = np.multiply(dt, _weighted_sum(row, ks, acc, tmp), out=acc)
-            yi = np.add(y0, incr, out=None if s == len(_DP_A) - 1 else tmp)
-            ks[s] = f(yi)
+            if s < len(_DP_A) - 1:
+                yi = np.add(y0, incr, out=tmp)
+            else:
+                yi = y5 = np.add(y0, incr, out=y5)
+            f(yi, ks[s])
         # FSAL: the last stage is evaluated at the 5th-order solution
         # (_DP_A[-1] is _DP_B5 without its zero last weight)
-        y5 = yi
         weights = [b5 - b4 for b5, b4 in zip(_DP_B5, _DP_B4)]
         err = np.multiply(dt, _weighted_sum(weights, ks, acc, tmp), out=acc)
-        err_norm = ctrl.error_norm(err, y0, y5)
+        err_norm = ctrl.error_norm(err, y0, y5, tmp)
         if not math.isfinite(err_norm):
             # also catches a non-finite dt (a NaN k1 gives a NaN initial step):
             # `dt < dt_min` below never holds for NaN, so rejection would loop

@@ -3,6 +3,9 @@ that plsf computes in one kernel, `plsf.galerkin._padded_values`.
 
 Each form transforms every channel of a half-layout spectrum and reduces
 with numpy sums: no trace-free channel, no arena and no `out=` buffer.
+Beside them, the basis's coefficient transforms the plain way
+(`table_mode_values`, `table_project_modes`): through a zero-padded
+(modes, d-1, 2) table of every slot, the last mode's missing ones 0.
 The half layout is the real-input FFT's, (dim,) + `spectral_shape(g)`:
 modes with last index >= 0, in numpy fft order on the leading axes; on
 the plane of last index 0 it holds both n and -n.  plsf holds a field's
@@ -303,3 +306,35 @@ def trace_free_value(u, key):
             for s in range(d):
                 sq = sq + (1.0 if i == j else 2.0) * dD[s, i, j] ** 2
     return float(np.sum(fac * sq) * g.quad_weight)
+
+
+def table_mode_values(basis, c) -> np.ndarray:
+    """The coefficients of sum_r c_r a^r at the basis wavevectors, (d,
+    modes): c fills a zero-padded C-ordered (modes, d-1, 2) table (mode,
+    polarization, cos|sin), and every slot of every mode adds its term,
+    a_cos carrying e / scale and a_sin -i e / scale, from zero in
+    polarization order."""
+    d, count = basis.grid.dim, len(basis.modes)
+    table = np.zeros((count, d - 1, 2))
+    table.reshape(-1)[: basis.size] = c
+    inv = 1.0 / basis._scale
+    vals = np.zeros((d, count), dtype=np.complex128)
+    for p in range(d - 1):
+        for part, trig, factor in ((vals.real, 0, inv), (vals.imag, 1, -inv)):
+            part += (table[:, p, trig] * factor) * basis._directions[p]
+    return vals
+
+
+def table_project_modes(basis, sub) -> np.ndarray:
+    """The inner products (f, a^r) from f's coefficients sub (d, modes) at
+    the basis wavevectors: e . c(n) for every slot of every mode, summed
+    from zero in component order, the sine slots negated, scaled, read in
+    table order and cut to the basis size."""
+    d, count = basis.grid.dim, len(basis.modes)
+    amp = np.zeros((d - 1, 2, count))
+    for p in range(d - 1):
+        for i in range(d):
+            amp[p, 0] += basis._directions[p, i] * sub[i].real
+            amp[p, 1] += basis._directions[p, i] * sub[i].imag
+    amp[:, 1] *= -1.0
+    return (basis._scale * amp.transpose(2, 0, 1)).reshape(-1)[: basis.size]

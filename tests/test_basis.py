@@ -4,7 +4,15 @@ import struct
 import numpy as np
 import pytest
 
-from conftest import full_mode_grid, half_spectrum, reflect, rep_index, rep_wavevectors
+from conftest import (
+    full_mode_grid,
+    half_spectrum,
+    reflect,
+    rep_index,
+    rep_wavevectors,
+    table_mode_values,
+    table_project_modes,
+)
 from plsf.basis import (
     StokesBasis,
     basis_capacity,
@@ -14,6 +22,7 @@ from plsf.basis import (
 )
 from plsf.errors import CapacityError
 from plsf.fields import (
+    _kept_entries,
     inner_product,
     lp_norm,
     random_solenoidal,
@@ -305,3 +314,33 @@ def test_synthesize_and_project_match_per_entry_oracle(dim, M, N):
     a = np.einsum("nd,dn->n", E, sub)
     proj = np.sqrt(2.0 * g.volume) * np.where(is_cos, a.real, -a.imag)
     assert basis.project(v).tobytes() == proj.tobytes()
+
+
+@pytest.mark.parametrize("dim, N", [(3, 1), (3, 2), (3, 3), (3, 101), (3, 102), (3, 103),
+                                    (3, 416), (2, 1), (2, 37), (2, 38)])
+def test_strided_slots_match_the_zero_padded_table(dim, N):
+    # the coefficient transforms read and write each (polarization,
+    # cos|sin) slot as a strided slice of c, so the last mode lacks the
+    # slots past N: N = 1, 2, 3 (mod 4) in 3D and odd N in 2D.  The
+    # zero-padded table gives the same bits, signed zeros included
+    g = TorusGrid(dim, 8 if dim == 3 else 16, 1.3)
+    basis = make_basis(g, N)
+    rng = np.random.default_rng(N)
+    c = rng.standard_normal(N)
+    c[::5] = 0.0
+    c[1::7] = -0.0
+    vals = table_mode_values(basis, c)
+    got = basis.kept_coeffs(c)
+    assert got.tobytes() == _kept_entries(vals, basis.kept).tobytes()
+    want = np.zeros((dim, len(representative_modes(g))), dtype=np.complex128)
+    want[:, : len(basis.modes)] = vals
+    assert basis.synthesize(c).coeffs.tobytes() == want.tobytes()
+
+    sub = rng.standard_normal((dim, len(basis.modes))) + 1j * rng.standard_normal(
+        (dim, len(basis.modes)))
+    sub[:, ::3] = complex(0.0, -0.0)
+    want = table_project_modes(basis, sub)
+    assert basis.project_modes(sub).tobytes() == want.tobytes()
+    out = np.full(N, np.nan)
+    assert basis.project_modes(sub, out=out) is out
+    assert out.tobytes() == want.tobytes()

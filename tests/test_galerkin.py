@@ -915,6 +915,48 @@ def test_warm_kernels_allocate_under_four_padded_channels(kernel, dim, M):
     assert peak < 4 * channel
 
 
+def test_warm_rhs_writes_into_out_without_a_coefficient_vector():
+    # the RHS projects its divergence straight into `out`: no fresh result
+    # and no transposed copy of it
+    import tracemalloc
+
+    basis = _full_basis(3, 16, 1.5)
+    params = FluidParams(1.9, 1.0)
+    c = np.random.default_rng(8).standard_normal(basis.size)
+    row = np.empty(basis.size)
+    _rhs_parts(basis, params, c, row)
+    tracemalloc.start()
+    try:
+        got = _rhs_parts(basis, params, c, row)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got is row
+    assert peak < 8 * basis.size
+    assert row.tobytes() == galerkin_rhs(GalerkinState(basis, c, 0.0), params).tobytes()
+
+
+def test_warm_step_allocates_at_most_two_coefficient_vectors():
+    # each stage's RHS writes into its row of the stage buffer, and the
+    # error norm works in the buffer's free row: a step allocates its
+    # solution and one transient of the error norm, nothing else of length N
+    import tracemalloc
+
+    basis = _full_basis(3, 16, 1.5)
+    params = FluidParams(1.9, 1.0)
+    c = 1e-2 * np.random.default_rng(5).standard_normal(basis.size)
+    ctrl = StepController()
+    state = advance(GalerkinState(basis, c, 0.0), params, ctrl)
+    tracemalloc.start()
+    try:
+        nxt = advance(state, params, ctrl)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ctrl.naccept == 2 and nxt.c is not state.c
+    assert peak <= 2.25 * 8 * basis.size
+
+
 def test_lambda_cut_truncation():
     cfg = small_config(N=None, lambda_cut=2.0)
     rec = run_trajectory(cfg)
