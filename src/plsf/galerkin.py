@@ -559,6 +559,10 @@ _DP_A = (
 )
 _DP_B5 = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0)
 _DP_B4 = (5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40)
+# the error estimate's weights, b5 - b4
+_DP_E = tuple(b5 - b4 for b5, b4 in zip(_DP_B5, _DP_B4))
+# the step-size laws' safety factor
+_SAFETY = 0.9
 
 # classical quartic dense-output polynomial of the Dormand-Prince pair:
 # y(t0 + theta*dt) = y0 + dt * sum_s k_s * sum_j P[s][j] * theta^(j+1)
@@ -584,10 +588,6 @@ class StepSegment:
     y0: np.ndarray
     stages: np.ndarray  # (7, N)
 
-    @property
-    def t1(self) -> float:
-        return self.t0 + self.dt
-
     def interpolate(self, t: float) -> np.ndarray:
         """The dense-output state at t, a fresh vector: callers keep it."""
         theta = (t - self.t0) / self.dt
@@ -602,10 +602,13 @@ class StepSegment:
 class StepController:
     """Embedded-pair error control with a PI step-size law.
 
-    `last_segment` holds the stages of the most recent accepted step so
-    callers can densely sample inside it.  Its stages live in the
-    controller's stage buffer, so it is valid until the next `advance` on
-    the same controller.  `nrhs` counts the RHS evaluations `advance` makes.
+    A caller sets the tolerances and, to resume a run, the step-size state
+    `dt` and `err_prev`; the counters and `last_segment` are the
+    controller's own.  `last_segment` holds the stages of the most recent
+    accepted step so callers can densely sample inside it.  Its stages
+    live in the controller's stage buffer, so it is valid until the next
+    `advance` on the same controller.  `nrhs` counts the RHS evaluations
+    `advance` makes.
 
     The buffer is (9, N): the seven stages, then `acc` and `tmp`.  Each
     RHS evaluation of `advance` writes its stage straight into its row;
@@ -620,14 +623,12 @@ class StepController:
     rtol: float = 1e-8
     atol: float = 1e-12
     dt_min: float = 1e-12
-    dt_max: float = float("inf")
-    safety: float = 0.9
     dt: float | None = None
     err_prev: float = 1.0
-    naccept: int = 0
-    nreject: int = 0
-    nrhs: int = 0
-    last_segment: StepSegment | None = None
+    naccept: int = field(default=0, init=False)
+    nreject: int = field(default=0, init=False)
+    nrhs: int = field(default=0, init=False)
+    last_segment: StepSegment | None = field(default=None, init=False)
     # the (7, N) stages and two N-vectors of stage sums, reallocated when N
     # changes
     _buffers: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
@@ -650,7 +651,7 @@ class StepController:
     def accept_factor(self, err_norm: float) -> float:
         if err_norm == 0.0:
             return 5.0
-        fac = self.safety * err_norm ** (-0.7 / 5.0) * self.err_prev ** (0.4 / 5.0)
+        fac = _SAFETY * err_norm ** (-0.7 / 5.0) * self.err_prev ** (0.4 / 5.0)
         return float(np.clip(fac, 0.2, 5.0))
 
 
@@ -662,7 +663,7 @@ def _initial_dt(f0: np.ndarray, y0: np.ndarray, ctrl: StepController, horizon: f
         h = 1e-3 * horizon if horizon > 0 else 1e-6
     else:
         h = 0.01 * d0 / d1
-    return float(np.clip(h, ctrl.dt_min, min(ctrl.dt_max, horizon or h)))
+    return float(np.clip(h, ctrl.dt_min, horizon or h))
 
 
 def _weighted_sum(weights, ks, acc: np.ndarray, tmp: np.ndarray) -> np.ndarray:
@@ -700,7 +701,7 @@ def advance(
     f(y0, ks[0])
     if ctrl.dt is None:
         ctrl.dt = _initial_dt(ks[0], y0, ctrl, dt_cap if dt_cap is not None else 1.0)
-    dt = min(ctrl.dt, ctrl.dt_max)
+    dt = ctrl.dt
     if dt_cap is not None:
         dt = min(dt, dt_cap)
     y5 = None
@@ -717,8 +718,7 @@ def advance(
             f(yi, ks[s])
         # FSAL: the last stage is evaluated at the 5th-order solution
         # (_DP_A[-1] is _DP_B5 without its zero last weight)
-        weights = [b5 - b4 for b5, b4 in zip(_DP_B5, _DP_B4)]
-        err = np.multiply(dt, _weighted_sum(weights, ks, acc, tmp), out=acc)
+        err = np.multiply(dt, _weighted_sum(_DP_E, ks, acc, tmp), out=acc)
         err_norm = ctrl.error_norm(err, y0, y5, tmp)
         if not math.isfinite(err_norm):
             # also catches a non-finite dt (a NaN k1 gives a NaN initial step):
@@ -730,13 +730,13 @@ def advance(
             if capped:
                 # keep growing from the controller's own proposal, not the cap
                 proposal = max(proposal, ctrl.dt)
-            ctrl.dt = min(proposal, ctrl.dt_max)
+            ctrl.dt = proposal
             ctrl.err_prev = max(err_norm, 1e-4)
             ctrl.naccept += 1
             ctrl.last_segment = StepSegment(state.t, dt, y0, ks)
             return GalerkinState(state.basis, y5, state.t + dt)
         ctrl.nreject += 1
-        dt = dt * max(0.1, ctrl.safety * err_norm ** (-0.2))
+        dt = dt * max(0.1, _SAFETY * err_norm ** (-0.2))
         if dt < ctrl.dt_min:
             raise StiffnessError(state.t, dt, err_norm)
         ctrl.dt = dt

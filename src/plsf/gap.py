@@ -295,9 +295,13 @@ def energy_residual(record: TrajectoryRecord, s: float, t: float) -> float:
 
 
 def energy_residual_over(record: TrajectoryRecord, part: ExceedancePartition) -> float:
-    """Sum of per-interval energy-identity residuals over the partition."""
+    """Sum of per-interval energy-identity residuals over the partition.
+
+    An interval of length zero, such as a left-truncated one whose
+    crossing rounds onto s, has residual exactly 0 and is skipped."""
     return float(
-        sum(energy_residual(record, iv.start, iv.end) for iv in part.intervals)
+        sum(energy_residual(record, iv.start, iv.end)
+            for iv in part.intervals if iv.end > iv.start)
     )
 
 
@@ -366,30 +370,33 @@ class GapEstimate:
     t: float
     gamma: float
     alphas: list[float]
-    per_alpha: list[list[dict]] = field(default_factory=list)
-    limsup_dissipation: list[float] = field(default_factory=list)
-    M_estimate: float = 0.0
-    M_alpha: float = float("nan")
-    plateau_found: bool = False
-    measure_decay_ok: bool = True
-    converged_endpoints: bool = True
+    # the results, which gap_estimate fills in
+    per_alpha: list[list[dict]] = field(default_factory=list, init=False)
+    limsup_dissipation: list[float] = field(default_factory=list, init=False)
+    M_estimate: float = field(default=0.0, init=False)
+    M_alpha: float = field(default=float("nan"), init=False)
+    plateau_found: bool = field(default=False, init=False)
+    measure_decay_ok: bool = field(default=True, init=False)
+    converged_endpoints: bool = field(default=True, init=False)
     # the partition behind each per_alpha row, for callers that need the
     # intervals again; not part of the report schema
     partitions: list[list[ExceedancePartition]] = field(
-        default_factory=list, repr=False)
+        default_factory=list, init=False, repr=False)
 
 
 # Plateau criterion for the alpha -> pi/2 limit: successive limsups that
 # differ by less than this relative amount count as stable.
 PLATEAU_RTOL = 1e-3
 
+# Convergence proxy: the two largest-N records count as agreeing at a time
+# where their gradient norms differ by less than this relative amount.
+CONVERGED_RTOL = 0.01
 
-def converged_times_mask(
-    records: list[TrajectoryRecord], rel_tol: float = 0.01
-) -> tuple[np.ndarray, np.ndarray]:
+
+def converged_times_mask(records: list[TrajectoryRecord]) -> tuple[np.ndarray, np.ndarray]:
     """Proxy for the full-measure convergence set: times where the two
     largest-N records agree on ||grad v||_2 and ||grad v||_p within
-    rel_tol.  Returns (times of the largest-N record, boolean mask)."""
+    CONVERGED_RTOL.  Returns (times of the largest-N record, boolean mask)."""
     ordered = sorted(records, key=lambda r: r.N)
     ref, second = ordered[-1], ordered[-2]
     times = ref.times
@@ -399,8 +406,8 @@ def converged_times_mask(
     gp_sec = np.interp(times, second.times, second.grad_p_norm)
     scale2 = np.maximum(np.abs(g2_ref), 1e-300)
     scalep = np.maximum(np.abs(gp_ref), 1e-300)
-    mask = (np.abs(g2_ref - g2_sec) / scale2 < rel_tol) & (
-        np.abs(gp_ref - gp_sec) / scalep < rel_tol
+    mask = (np.abs(g2_ref - g2_sec) / scale2 < CONVERGED_RTOL) & (
+        np.abs(gp_ref - gp_sec) / scalep < CONVERGED_RTOL
     )
     return times, mask
 

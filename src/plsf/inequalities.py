@@ -20,12 +20,16 @@ from .galerkin import GalerkinState, TrajectoryRecord, _arena, _padded_values, g
 from .grid import TorusGrid
 
 
-def ensemble_fields(dim, M, L, band, decay, seed, count, amplitude=1.0,
-                    amp_spread=2.0, dealias=1.5):
+# Per-sample L^2 amplitudes of an ensemble spread this many decades either
+# side of its amplitude.
+AMP_SPREAD = 2.0
+
+
+def ensemble_fields(dim, M, L, band, decay, seed, count, amplitude=1.0, dealias=1.5):
     """A reproducible ensemble of `count` random band-limited solenoidal
     fields, drawn one at a time as they are iterated.
 
-    Per-sample L^2 amplitudes are log-uniform over `amp_spread` decades
+    Per-sample L^2 amplitudes are log-uniform over AMP_SPREAD decades
     around `amplitude`, so scale-sensitive constants (the mu-dependent
     lemma bounds) get probed in every regime.  The per-sample amplitudes
     come up front from the first child of
@@ -35,7 +39,7 @@ def ensemble_fields(dim, M, L, band, decay, seed, count, amplitude=1.0,
     grid = TorusGrid(dim, M, L, dealias_factor=dealias)
     children = np.random.SeedSequence(seed).spawn(count + 1)
     amps = amplitude * 10.0 ** np.random.default_rng(children[0]).uniform(
-        -amp_spread, amp_spread, size=count
+        -AMP_SPREAD, AMP_SPREAD, size=count
     )
     for i in range(count):
         yield random_solenoidal(grid, band=band, decay=decay,

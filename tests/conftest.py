@@ -28,6 +28,7 @@ from plsf.fields import (
     lp_norm,
     representative_modes,
 )
+from plsf.galerkin import TrajectoryRecord
 from plsf.grid import TorusGrid
 
 
@@ -211,6 +212,40 @@ def full_layout_random(g, band, decay=2.0, seed=0, amplitude=1.0) -> SpectralVel
     sq[..., :half] = np.abs(half_spectrum(g, v.coeffs)) ** 2
     sq[..., half + 1 :] = reflect(g, sq)[..., half + 1 :]
     return v * (float(amplitude) / float(np.sqrt(g.volume * np.sum(sq))))
+
+
+def grazing_record(gamma, alpha, N=1) -> TrajectoryRecord:
+    """A record sampled at times (0, 1, 1.001, 2) whose rho^gamma sits a
+    few ulps above tan(alpha) at t = 1 and at half of it elsewhere.  On
+    [1, 2] its exceedance set is the left-truncated interval (1, 1): the
+    down-crossing lies within rounding of 1 and is clipped onto it."""
+    thr = float(np.tan(alpha))
+    peak = thr ** (1.0 / gamma)
+    while peak**gamma <= thr:
+        peak = float(np.nextafter(peak, np.inf))
+    low = (0.5 * thr) ** (1.0 / gamma)
+    times, rho = np.array([0.0, 1.0, 1.001, 2.0]), np.array([low, peak, low, low])
+    return TrajectoryRecord(p=1.9, mu=1.0, N=N, times=times, energy=np.exp(-times), rho=rho,
+                            rho_tilde=0.5 * np.exp(-times), grad_p_norm=np.sqrt(rho), Ip=rho)
+
+
+def permute_axes(v: SpectralVelocity) -> SpectralVelocity:
+    """The 3D field w(x) = S v(S^-1 x) of the cyclic axis map
+    S (x, y, z) = (y, z, x): w holds S c(n) at S n, read at the
+    representatives, where -S n is the representative conj(S c(n)).
+    Every functional of the velocity's magnitude, gradient and strain is
+    the same for w as for v."""
+    g = v.grid
+    assert g.dim == 3
+    modes = representative_modes(g)
+    column = {tuple(n): r for r, n in enumerate(modes.tolist())}
+    out = np.zeros_like(v.coeffs)
+    for n, vals in zip(modes[:, [1, 2, 0]].tolist(), v.coeffs[[1, 2, 0]].T):
+        if tuple(n) in column:
+            out[:, column[tuple(n)]] = vals
+        else:
+            out[:, column[tuple(-m for m in n)]] = np.conj(vals)
+    return SpectralVelocity(g, out)
 
 
 def sym_gradient(u) -> TensorField:

@@ -672,6 +672,27 @@ def test_cli_gap_bad_window_exit_2(tmp_path):
     assert code == 2
 
 
+def test_cli_gap_accepts_a_zero_length_exceedance_interval(tmp_path):
+    # on [1, 2] each member's exceedance set is the left-truncated interval
+    # (1, 1); its two-form budget once raised "need s < t" and exited 2
+    from conftest import grazing_record
+    from plsf.gap import exponents
+
+    alpha = 1.0
+    for N in (4, 8):
+        grazing_record(exponents(1.9).gamma, alpha, N).to_csv(tmp_path / f"traj_{N}.csv")
+    manifest = {"p": 1.9, "dim": 2, "trajectories": [
+        {"N": N, "path": f"traj_{N}.csv"} for N in (4, 8)]}
+    mpath = tmp_path / "manifest.json"
+    mpath.write_text(json.dumps(manifest))
+    out = tmp_path / "gap.json"
+    assert main(["gap", str(mpath), "--s", "1.0", "--t", "2.0", "--alphas", repr(alpha),
+                 "--out", str(out)]) == 0
+    report = strict_json(out)
+    assert report["two_form_failures"] == []
+    assert [row["intervals"] for row in report["alphas"][0]["per_N"]] == [[[1.0, 1.0]]] * 2
+
+
 def test_cli_gap_missing_file_no_partial_report(tmp_path):
     manifest = {"p": 1.9, "trajectories": [{"N": 4, "path": "missing.csv"},
                                            {"N": 8, "path": "missing_too.csv"}]}

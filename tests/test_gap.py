@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import grazing_record
 from plsf.errors import InsufficientFamilyError
 from plsf.galerkin import SolverConfig, TrajectoryRecord, run_trajectory
 from plsf.gap import (
@@ -445,6 +446,18 @@ def test_energy_residual_rejects_a_window_outside_the_record():
     # the span's own ends, up to 1e-12, are inside
     assert energy_residual(rec, -1e-13, 1.0 + 1e-13) == pytest.approx(
         energy_residual(rec, 0.0, 1.0), rel=1e-8)
+
+
+def test_energy_residual_over_skips_a_zero_length_interval():
+    # a left-truncated interval whose crossing rounds onto s has length
+    # zero; its residual is exactly 0, and it once raised "need s < t"
+    gamma, alpha = exponents(1.9).gamma, 1.0
+    rec = grazing_record(gamma, alpha)
+    part = exceedance_partition(rec, 1.0, 2.0, alpha, gamma)
+    assert [(iv.start, iv.end, iv.left_truncated) for iv in part.intervals] == [
+        (1.0, 1.0, True)]
+    assert energy_residual_over(rec, part) == 0.0
+    assert dissipation_form(rec, part) == jump_form(rec, part) == 0.0
 
 
 @pytest.fixture(scope="module")

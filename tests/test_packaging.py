@@ -156,3 +156,79 @@ def test_no_dead_private_names_in_src():
     }
     assert sorted(_dead_private_names(leftover)) == [
         "grid.py 10 _lead_blocks", "grid.py 14 _Unread", "grid.py 7 _mirror_index"]
+
+
+def _unread_public_members(sources: dict[str, str], readers: dict[str, str]) -> list[str]:
+    """"file line Class.name" for each public method or property of a
+    module-level class in `sources` (file name -> source) that no code in
+    `sources` or `readers` reads as an attribute outside its own
+    definition.  Dunder and `_`-prefixed names are exempt; the private
+    scan above covers the latter."""
+    reads = {}
+    for source in [*sources.values(), *readers.values()]:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Attribute):
+                reads[node.attr] = reads.get(node.attr, 0) + 1
+    unread = []
+    for file, source in sources.items():
+        for cls in (node for node in ast.parse(source).body if isinstance(node, ast.ClassDef)):
+            for node in cls.body:
+                if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) or (
+                        node.name.startswith("_")):
+                    continue
+                own = sum(1 for read in ast.walk(node)
+                          if isinstance(read, ast.Attribute) and read.attr == node.name)
+                if reads.get(node.name, 0) - own == 0:
+                    unread.append(f"{file} {node.lineno} {cls.name}.{node.name}")
+    return unread
+
+
+def test_no_unread_public_members_in_src():
+    # a public method or property that no code in src, the tests or the
+    # benchmark reads is API with no user; functions stay exempt, since the
+    # library's entry points are read only by callers outside the repo
+    top = PYPROJECT.parent
+    sources = {p.name: p.read_text(encoding="utf-8")
+               for p in sorted((top / "src" / "plsf").glob("*.py"))}
+    readers = {str(p.relative_to(top)): p.read_text(encoding="utf-8")
+               for folder in ("tests", "perfbench") for p in sorted((top / folder).glob("*.py"))}
+    assert len(sources) > 1 and len(readers) > 1
+    assert _unread_public_members(sources, readers) == []
+    leftover = {
+        "galerkin.py": (
+            "class Segment:\n"
+            "    def __init__(self):\n        self.t0 = self._start()\n"
+            "    def _start(self):\n        return 0.0\n"
+            "    @property\n    def t1(self):\n        return self.t0 + 1.0\n"
+            "    def walk(self, n):\n        return self.walk(n - 1) if n else self.t0\n"
+            "    def interpolate(self, t):\n        return t\n"
+            "    def used_in_src(self):\n        return 1\n"
+            "def run(seg):\n    return seg.used_in_src()\n"
+        ),
+    }
+    tests = {"tests/test_galerkin.py": "def test_it(seg):\n    assert seg.interpolate(0.5)\n"}
+    assert _unread_public_members(leftover, tests) == [
+        "galerkin.py 7 Segment.t1", "galerkin.py 9 Segment.walk"]
+
+
+def test_constructors_take_only_what_callers_set():
+    # every settable value of these four is one that a caller sets; the
+    # controller's counters and the estimate's results are fields the code
+    # fills, and the safety factor, the convergence tolerance and the
+    # amplitude spread are module constants
+    import inspect
+
+    from plsf.galerkin import StepController
+    from plsf.gap import GapEstimate, converged_times_mask
+    from plsf.inequalities import ensemble_fields
+
+    settable = {f.__name__: list(inspect.signature(f).parameters) for f in (
+        StepController, GapEstimate, converged_times_mask, ensemble_fields)}
+    assert settable == {
+        "StepController": ["rtol", "atol", "dt_min", "dt", "err_prev"],
+        "GapEstimate": ["s", "t", "gamma", "alphas"],
+        "converged_times_mask": ["records"],
+        "ensemble_fields": ["dim", "M", "L", "band", "decay", "seed", "count",
+                            "amplitude", "dealias"],
+    }
+    assert sum(map(len, settable.values())) == 19
