@@ -3,11 +3,7 @@ fluids on the periodic torus, with energy-equality gap diagnostics and an
 inequality verification lab."""
 
 from .basis import StokesBasis, basis_capacity, full_basis, make_basis
-from .constitutive import (
-    FluidParams,
-    oo_identity_residual,
-    stress_difference_bound_check,
-)
+from .constitutive import FluidParams, oo_identity_residual
 from .errors import (
     CapacityError,
     ConfigError,
@@ -21,8 +17,6 @@ from .fields import (
     SpectralVelocity,
     TensorField,
     gradient,
-    inner_product,
-    leray_project,
     load_checkpoint,
     lp_norm,
     random_solenoidal,
@@ -49,8 +43,6 @@ from .gap import (
     gap_estimate,
     lemma5_functional,
     measure_bound_check,
-    weight_P,
-    weighted_energy_residual,
 )
 from .grid import TorusGrid
 from .inequalities import (

@@ -1,4 +1,4 @@
-"""Power-law stress and the pointwise checks built on it.
+"""Power-law stress and the pointwise identity check built on it.
 
 The constitutive law is sigma(D) = (mu + |D|^2)^((p-2)/2) D with |D| the
 Frobenius norm of the strain rate.  For p < 2 and mu = 0 the prefactor is
@@ -12,16 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-# Empirical constant for the stress-difference bound
-#   |sigma(A) - sigma(B)| <= C |A - B| / (mu + |A| + |B|)^(2-p).
-# Calibrated once over ~2.8e6 random symmetric pairs (2D and 3D, magnitudes
-# log-uniform in [1e-3, 1e3], one fifth near-antipodal) spanning
-# p in [1.8, 2], mu in [1e-2, 1e2]; max observed ratio 1.592 at p = 1.8,
-# mu = 1e2 on antipodal pairs, then frozen with margin.  The ratio grows
-# like (mu + 4)^((2-p)/2) on antipodal pairs, so C is only valid for
-# mu <= 1e2; no sharpness claim.
-STRESS_DIFF_CONSTANT = 2.0
 
 
 @dataclass(frozen=True)
@@ -57,17 +47,6 @@ def _stress_factor(dd_sq: np.ndarray, params: FluidParams, out=None, mask=None) 
     np.power(base, expo, out=base, where=nz)
     np.copyto(base, 0.0, where=np.logical_not(nz, out=nz))
     return base
-
-
-def stress_tensor(D: np.ndarray, params: FluidParams) -> np.ndarray:
-    """The power-law stress sigma(D) of a single d x d tensor."""
-    D = np.asarray(D, dtype=np.float64)
-    dd_sq = float(np.sum(D**2))
-    base = params.mu + dd_sq
-    expo = 0.5 * (params.p - 2.0)
-    if base == 0.0:
-        return np.zeros_like(D)
-    return base**expo * D
 
 
 def stress_derivative(D: np.ndarray, dD: np.ndarray, params: FluidParams) -> np.ndarray:
@@ -109,19 +88,3 @@ def oo_residual_scale(D: np.ndarray, dD: np.ndarray, params: FluidParams) -> flo
     dmag = float(np.sqrt(np.sum(np.asarray(D, float) ** 2)))
     ddmag_sq = float(np.sum(np.asarray(dD, float) ** 2))
     return (1.0 + dmag) ** params.p * ddmag_sq
-
-
-def stress_difference_bound_check(
-    A: np.ndarray, B: np.ndarray, params: FluidParams, constant: float = STRESS_DIFF_CONSTANT
-) -> bool:
-    """True iff |sigma(A)-sigma(B)| <= C |A-B| (mu+|A|+|B|)^(p-2)."""
-    if params.mu <= 0:
-        raise ValueError("the stress-difference bound needs mu > 0")
-    A = np.asarray(A, dtype=np.float64)
-    B = np.asarray(B, dtype=np.float64)
-    lhs = float(np.sqrt(np.sum((stress_tensor(A, params) - stress_tensor(B, params)) ** 2)))
-    diff = float(np.sqrt(np.sum((A - B) ** 2)))
-    amag = float(np.sqrt(np.sum(A**2)))
-    bmag = float(np.sqrt(np.sum(B**2)))
-    rhs = constant * diff * (params.mu + amag + bmag) ** (params.p - 2.0)
-    return lhs <= rhs * (1.0 + 1e-12) + 1e-300

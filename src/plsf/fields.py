@@ -209,23 +209,12 @@ def _magnitude(channels, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
     return np.sqrt(_sum_of_squares(channels, out, tmp), out=out)
 
 
-def leray_project(grid: TorusGrid, coeffs: np.ndarray) -> SpectralVelocity:
-    """Project real spectral data onto divergence-free fields.
-
-    `coeffs` holds the data's coefficients at the representative
-    wavevectors, shape (dim, count).  Per mode the output is
-    f(k) - k (k . f(k)) / |k|^2.  If the input is already solenoidal at
-    rounding level it is passed through unchanged (copied), which makes a
-    second application an exact fixed point of the first.
-    """
-    coeffs = _coefficient_array(grid, coeffs)
-    return SpectralVelocity(
-        grid, _solenoidal_part(grid, _wavevectors(grid, representative_modes(grid)), coeffs), validate=False)
-
-
 def _solenoidal_part(grid: TorusGrid, k: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """leray_project's values for coefficients c at wavevectors k, both
-    (dim, count), one component at a time; a fresh array."""
+    """The Leray projection of coefficients c at wavevectors k, both
+    (dim, count): per mode c - k (k . c) / |k|^2, one component at a time,
+    in a fresh array.  Input that is already solenoidal at rounding level
+    is passed through (copied), which makes a second application an exact
+    fixed point of the first."""
     kdotc = _dot(k, c)
     scale = float(np.max(np.abs(c)))
     kmax = 2.0 * np.pi / grid.L * (grid.M // 2)
@@ -238,7 +227,7 @@ def _solenoidal_part(grid: TorusGrid, k: np.ndarray, c: np.ndarray) -> np.ndarra
     return out
 
 
-# -- norms and inner products --------------------------------------------
+# -- norms ---------------------------------------------------------------
 
 
 def _samples_and_grid(f):
@@ -294,24 +283,9 @@ def _norm_of_magnitude(mag: np.ndarray, q: float, grid: TorusGrid, out=None) -> 
     return float((total * grid.quad_weight) ** (1.0 / q))
 
 
-def inner_product(f, g) -> float:
-    """Quadrature of the pointwise (full tensor) contraction of f and g."""
-    fs, fgrid = _samples_and_grid(f)
-    gs, ggrid = _samples_and_grid(g)
-    if fgrid != ggrid:
-        raise GridMismatchError(f"{fgrid!r} vs {ggrid!r}")
-    if fs.shape != gs.shape:
-        raise GridMismatchError(f"field shapes differ: {fs.shape} vs {gs.shape}")
-    return float(np.sum(fs * gs) * fgrid.quad_weight)
-
-
-def l2_norm_spectral(v: SpectralVelocity) -> float:
+def _l2_norm(grid: TorusGrid, coeffs: np.ndarray) -> float:
     """Coefficient-sum (Parseval) form of the L^2 norm: each stored
     coefficient stands for itself and its mirror, so it counts twice."""
-    return _l2_norm(v.grid, v.coeffs)
-
-
-def _l2_norm(grid: TorusGrid, coeffs: np.ndarray) -> float:
     return float(np.sqrt(grid.volume * (2.0 * np.sum(np.abs(coeffs) ** 2))))
 
 

@@ -617,7 +617,8 @@ class StepController:
     state is the step's solution, which the step returns, so it is a new
     vector, reused by the retries of a rejected step.  `advance` hands
     `error_norm` the `tmp` row, free by then, for its scale and ratio, so
-    |y1| is its one transient.
+    |y1| is its one transient; the first step's size is weighed in that
+    row too, before any stage sum needs it.
     """
 
     rtol: float = 1e-8
@@ -655,10 +656,13 @@ class StepController:
         return float(np.clip(fac, 0.2, 5.0))
 
 
-def _initial_dt(f0: np.ndarray, y0: np.ndarray, ctrl: StepController, horizon: float) -> float:
-    sc = ctrl.atol + ctrl.rtol * np.abs(y0)
-    d0 = float(np.sqrt(np.mean((y0 / sc) ** 2)))
-    d1 = float(np.sqrt(np.mean((f0 / sc) ** 2)))
+def _initial_dt(f0: np.ndarray, y0: np.ndarray, ctrl: StepController, horizon: float,
+                tmp: np.ndarray) -> float:
+    """The first step's size from the RMS sizes of y0 and f0 = f(y0),
+    weighted as `error_norm` weights an error at y0; `tmp`, an N-vector
+    that neither may alias, is its scratch."""
+    d0 = ctrl.error_norm(y0, y0, y0, tmp)
+    d1 = ctrl.error_norm(f0, y0, y0, tmp)
     if d0 < 1e-5 or d1 < 1e-5:
         h = 1e-3 * horizon if horizon > 0 else 1e-6
     else:
@@ -700,7 +704,7 @@ def advance(
     ks, acc, tmp = ctrl._buffers[:-2], ctrl._buffers[-2], ctrl._buffers[-1]
     f(y0, ks[0])
     if ctrl.dt is None:
-        ctrl.dt = _initial_dt(ks[0], y0, ctrl, dt_cap if dt_cap is not None else 1.0)
+        ctrl.dt = _initial_dt(ks[0], y0, ctrl, dt_cap if dt_cap is not None else 1.0, tmp)
     dt = ctrl.dt
     if dt_cap is not None:
         dt = min(dt, dt_cap)

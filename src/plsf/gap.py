@@ -1,6 +1,6 @@
-"""Energy-gap diagnostics: weight function, exceedance partitions, the
-weighted energy identity, both forms of the gap functional, and the
-exponent bookkeeping.
+"""Energy-gap diagnostics: exceedance partitions, the energy-identity
+residual, both forms of the gap functional, the bounded-variation
+functional and measure bound, and the exponent bookkeeping.
 
 Everything here is a pure post-process over trajectory records.  The
 gradient-energy trace rho(tau) = ||grad v||_2^2 is treated as the
@@ -63,14 +63,6 @@ def _beta_formula(p: float, shift: float) -> float:
     return p * (5 * p - 9) / den if den != 0 else float("nan")
 
 
-def beta_statement_formula(p: float) -> float:
-    return _beta_formula(p, 9)
-
-
-def beta_proof_formula(p: float) -> float:
-    return _beta_formula(p, 6)
-
-
 def _beta_balance(p: float) -> float:
     """Solve 1/delta + 1/delta' = 1 for beta in closed form.
 
@@ -127,8 +119,8 @@ def exponents(p: float, dim: int = 3) -> ExponentTable:
     b = (3.0 - p) / 2.0
     c_interp = p / (3.0 * p - 2.0)
     d = 2.0 * p / (7.0 * p - 6.0)
-    beta_s = beta_statement_formula(p)
-    beta_p = beta_proof_formula(p)
+    beta_s = _beta_formula(p, 9)
+    beta_p = _beta_formula(p, 6)
     beta_bal = _beta_balance(p)
     if np.isnan(beta_bal):
         variant, disc = "undefined", float("nan")
@@ -143,23 +135,6 @@ def exponents(p: float, dim: int = 3) -> ExponentTable:
         valid_full=valid_full, valid_zeta_only=valid_zeta and not valid_full,
         violation=violation, dim_warning=dim_warning, dim=dim,
     )
-
-
-# -- weight function --------------------------------------------------------
-
-
-def weight_P(alpha: float, rho, gamma: float):
-    """Arctangent cutoff weight: 1 below the threshold rho^gamma <= tan(alpha),
-    then (pi - 2 arctan(rho^gamma)) / (pi - 2 alpha), decaying to 0."""
-    if not 0.0 <= alpha < np.pi / 2:
-        raise ValueError(f"alpha must lie in [0, pi/2), got {alpha}")
-    rho_arr = np.asarray(rho, dtype=np.float64)
-    if np.any(rho_arr < 0):
-        raise ValueError("rho must be nonnegative")
-    r = rho_arr**gamma
-    thr = np.tan(alpha)
-    out = np.where(r <= thr, 1.0, (np.pi - 2.0 * np.arctan(r)) / (np.pi - 2.0 * alpha))
-    return float(out) if np.isscalar(rho) else out
 
 
 # -- piecewise-linear sample helpers ----------------------------------------
@@ -208,13 +183,14 @@ class ExceedanceInterval:
 @dataclass(frozen=True)
 class ExceedancePartition:
     """The exceedance set {tau in [s, t] : rho^gamma(tau) > tan(alpha)}
-    decomposed into ordered disjoint open intervals.
+    decomposed into ordered disjoint nonempty open intervals.
 
     Interior endpoints sit on the threshold exactly on the linear
     interpolant; endpoints flagged truncated coincide with s or t
     instead.  The `admissible` flag records whether rho^gamma stayed
     below the threshold at both s and t (the admissibility precondition
-    of the gap construction)."""
+    of the gap construction), also when the interval open there rounds
+    to length zero and is not listed."""
 
     alpha: float
     gamma: float
@@ -270,9 +246,12 @@ def exceedance_partition(
     crossings = np.clip(crossings, ts[i], ts[i + 1])
     edges = ([s] if left_open else []) + crossings.tolist() + ([t] if right_open else [])
     n = len(edges) // 2
+    # a pair whose crossing rounds onto its partner (a left-truncated one
+    # onto s, say) has end <= start and is dropped once the flags are set;
+    # a NaN edge fails `<=` and stays in view
     intervals = tuple(
         ExceedanceInterval(a, b, left_open and k == 0, right_open and k == n - 1)
-        for k, (a, b) in enumerate(zip(edges[0::2], edges[1::2]))
+        for k, (a, b) in enumerate(zip(edges[0::2], edges[1::2])) if not b <= a
     )
     return ExceedancePartition(
         alpha=alpha, gamma=gamma, threshold=thr, s=s, t=t,
@@ -295,46 +274,8 @@ def energy_residual(record: TrajectoryRecord, s: float, t: float) -> float:
 
 
 def energy_residual_over(record: TrajectoryRecord, part: ExceedancePartition) -> float:
-    """Sum of per-interval energy-identity residuals over the partition.
-
-    An interval of length zero, such as a left-truncated one whose
-    crossing rounds onto s, has residual exactly 0 and is skipped."""
-    return float(
-        sum(energy_residual(record, iv.start, iv.end)
-            for iv in part.intervals if iv.end > iv.start)
-    )
-
-
-def weighted_energy_residual(
-    record: TrajectoryRecord, s: float, t: float, alpha: float, gamma: float
-) -> float:
-    """Absolute defect of the P-weighted energy identity on [s, t].
-
-    The identity integrates the weighted balance by parts:
-        E(t) P(t) - E(s) P(s)
-        + 2/(pi - 2 alpha) * int_{J} E (1 + rho^{2 gamma})^{-1} d(rho^gamma)/dtau
-        + 2 int_s^t rho_tilde P = 0,
-    with d(rho^gamma)/dtau by centered differences on the samples.
-    """
-    part = exceedance_partition(record, s, t, alpha, gamma)
-    times = record.times
-    e_t = _interp(times, record.energy, t)
-    e_s = _interp(times, record.energy, s)
-    rho_t = _interp(times, record.rho, t)
-    rho_s = _interp(times, record.rho, s)
-    total = e_t * weight_P(alpha, rho_t, gamma) - e_s * weight_P(alpha, rho_s, gamma)
-
-    y = record.rho**gamma
-    dy = _centered_derivative(times, y)
-    g_samples = record.energy * dy / (1.0 + y**2)
-    for iv in part.intervals:
-        total += (2.0 / (np.pi - 2.0 * alpha)) * _integrate_linear(
-            times, g_samples, iv.start, iv.end
-        )
-
-    weighted_diss = record.rho_tilde * weight_P(alpha, record.rho, gamma)
-    total += 2.0 * _integrate_linear(times, weighted_diss, s, t)
-    return abs(total)
+    """Sum of per-interval energy-identity residuals over the partition."""
+    return float(sum(energy_residual(record, iv.start, iv.end) for iv in part.intervals))
 
 
 # -- the gap functional -------------------------------------------------------
@@ -495,21 +436,11 @@ def lemma5_functional(record: TrajectoryRecord, zeta: float) -> float:
 
 
 def lemma5_monotone_bound(record: TrajectoryRecord, zeta: float) -> float:
-    """Exact value of the functional for the piecewise-linear rho: the sum
-    of the closed-form antiderivative over maximal monotone runs."""
-    rho = record.rho
-    total = 0.0
-    i = 0
-    n = len(rho)
-    while i < n - 1:
-        j = i + 1
-        direction = np.sign(rho[i + 1] - rho[i])
-        while j < n - 1 and np.sign(rho[j + 1] - rho[j]) in (direction, 0.0):
-            j += 1
-        a, b = rho[i], rho[j]
-        total += abs((1.0 + a) ** (1.0 - zeta) - (1.0 + b) ** (1.0 - zeta)) / (zeta - 1.0)
-        i = j
-    return float(total)
+    """Exact value of the functional for the piecewise-linear rho: on each
+    segment |d rho| (1 + rho)^(-zeta) integrates to the change of the
+    antiderivative (1 + rho)^(1 - zeta) / (1 - zeta), which is monotone."""
+    g = (1.0 + record.rho) ** (1.0 - zeta)
+    return float(np.sum(np.abs(np.diff(g))) / (zeta - 1.0))
 
 
 def measure_bound_check(

@@ -7,6 +7,7 @@ import pytest
 from conftest import (
     full_mode_grid,
     half_spectrum,
+    inner_product,
     reflect,
     rep_index,
     rep_wavevectors,
@@ -23,7 +24,6 @@ from plsf.basis import (
 from plsf.errors import CapacityError
 from plsf.fields import (
     _kept_entries,
-    inner_product,
     lp_norm,
     random_solenoidal,
     representative_modes,

@@ -674,7 +674,8 @@ def test_cli_gap_bad_window_exit_2(tmp_path):
 
 def test_cli_gap_accepts_a_zero_length_exceedance_interval(tmp_path):
     # on [1, 2] each member's exceedance set is the left-truncated interval
-    # (1, 1); its two-form budget once raised "need s < t" and exited 2
+    # (1, 1); its two-form budget once raised "need s < t" and exited 2, and
+    # the partition now drops it, so no interval is listed
     from conftest import grazing_record
     from plsf.gap import exponents
 
@@ -690,7 +691,8 @@ def test_cli_gap_accepts_a_zero_length_exceedance_interval(tmp_path):
                  "--out", str(out)]) == 0
     report = strict_json(out)
     assert report["two_form_failures"] == []
-    assert [row["intervals"] for row in report["alphas"][0]["per_N"]] == [[[1.0, 1.0]]] * 2
+    assert [row["intervals"] for row in report["alphas"][0]["per_N"]] == [[]] * 2
+    assert [row["admissible"] for row in report["alphas"][0]["per_N"]] == [False] * 2
 
 
 def test_cli_gap_missing_file_no_partial_report(tmp_path):

@@ -1,23 +1,24 @@
 import numpy as np
 import pytest
 
-from conftest import grad_sym_gradient, shear_mode, stress, sym_gradient
+from conftest import (
+    STRESS_DIFF_CONSTANT,
+    grad_sym_gradient,
+    inner_product,
+    shear_mode,
+    stress,
+    stress_difference_bound_check,
+    stress_tensor,
+    sym_gradient,
+)
 from plsf.basis import make_basis
 from plsf.constitutive import (
-    STRESS_DIFF_CONSTANT,
     FluidParams,
     oo_identity_residual,
     oo_residual_scale,
     stress_derivative,
-    stress_difference_bound_check,
-    stress_tensor,
 )
-from plsf.fields import (
-    SpectralVelocity,
-    inner_product,
-    lp_norm,
-    random_solenoidal,
-)
+from plsf.fields import SpectralVelocity, lp_norm, random_solenoidal
 from plsf.galerkin import GalerkinState, galerkin_rhs
 from plsf.grid import TorusGrid
 from plsf.inequalities import field_table

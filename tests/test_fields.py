@@ -13,6 +13,9 @@ from conftest import (
     grid_points,
     half_spectrum,
     hessian,
+    inner_product,
+    l2_norm_spectral,
+    leray_project,
     noise,
     reflect,
     rep_index,
@@ -29,9 +32,6 @@ from plsf.errors import FieldInvariantError, GridMismatchError
 from plsf.fields import (
     SpectralVelocity,
     gradient,
-    inner_product,
-    l2_norm_spectral,
-    leray_project,
     load_checkpoint,
     lp_norm,
     pointwise_magnitude,

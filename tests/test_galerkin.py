@@ -25,6 +25,7 @@ from plsf.fields import _kept_entries, lp_norm, random_solenoidal
 from plsf.galerkin import (
     _DP_A,
     _DP_B5,
+    _initial_dt,
     _padded_values,
     GalerkinState,
     SolverConfig,
@@ -983,6 +984,31 @@ def test_warm_step_allocates_at_most_two_coefficient_vectors():
         tracemalloc.stop()
     assert ctrl.naccept == 2 and nxt.c is not state.c
     assert peak <= 2.25 * 8 * basis.size
+
+
+def test_initial_dt_weighs_in_the_free_row():
+    # the first step's size is weighed by error_norm in the stage buffer's
+    # free row: |y0| is its one transient of length N, and the bits are
+    # those of the plain scale-and-RMS form
+    import tracemalloc
+
+    N = 100_000
+    rng = np.random.default_rng(3)
+    y0, f0 = rng.standard_normal(N), 1e3 * rng.standard_normal(N)
+    ctrl = StepController(rtol=1e-6, atol=1e-9)
+    tmp = np.empty(N)
+    tracemalloc.start()
+    try:
+        h = _initial_dt(f0, y0, ctrl, 1.0, tmp)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * 8 * N
+    sc = ctrl.atol + ctrl.rtol * np.abs(y0)
+    d0 = float(np.sqrt(np.mean((y0 / sc) ** 2)))
+    d1 = float(np.sqrt(np.mean((f0 / sc) ** 2)))
+    assert d0 > 1e-5 and d1 > 1e-5
+    assert h == float(np.clip(0.01 * d0 / d1, ctrl.dt_min, 1.0))
 
 
 def test_lambda_cut_truncation():

@@ -3,14 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from conftest import grazing_record
+from conftest import grazing_record, weight_P, weighted_energy_residual
 from plsf.errors import InsufficientFamilyError
 from plsf.galerkin import SolverConfig, TrajectoryRecord, run_trajectory
 from plsf.gap import (
     PLATEAU_RTOL,
     _beta_balance,
-    beta_proof_formula,
-    beta_statement_formula,
     dissipation_form,
     energy_residual,
     energy_residual_over,
@@ -22,8 +20,6 @@ from plsf.gap import (
     lemma5_functional,
     lemma5_monotone_bound,
     measure_bound_check,
-    weight_P,
-    weighted_energy_residual,
 )
 
 
@@ -88,8 +84,10 @@ def test_beta_balance_selects_exactly_one_variant(p):
     assert t.beta_variant == "statement"
     assert d_stmt < 1e-10
     assert d_proof > 1e-3  # the other variant is clearly not the balance root
-    assert t.beta_statement == pytest.approx(beta_statement_formula(p), abs=1e-15)
-    assert t.beta_proof == pytest.approx(beta_proof_formula(p), abs=1e-15)
+    assert t.beta_statement == pytest.approx(p * (5 * p - 9) / (2 * (-p * p + 8 * p - 9)),
+                                             abs=1e-15)
+    assert t.beta_proof == pytest.approx(p * (5 * p - 9) / (2 * (-p * p + 8 * p - 6)),
+                                         abs=1e-15)
     assert 0.0 < t.beta < 1.0
 
 
@@ -450,14 +448,17 @@ def test_energy_residual_rejects_a_window_outside_the_record():
 
 def test_energy_residual_over_skips_a_zero_length_interval():
     # a left-truncated interval whose crossing rounds onto s has length
-    # zero; its residual is exactly 0, and it once raised "need s < t"
+    # zero; its residual once raised "need s < t", and the partition now
+    # drops it, though the set is still open at s
     gamma, alpha = exponents(1.9).gamma, 1.0
     rec = grazing_record(gamma, alpha)
     part = exceedance_partition(rec, 1.0, 2.0, alpha, gamma)
-    assert [(iv.start, iv.end, iv.left_truncated) for iv in part.intervals] == [
-        (1.0, 1.0, True)]
+    assert part.intervals == () and not part.admissible
     assert energy_residual_over(rec, part) == 0.0
     assert dissipation_form(rec, part) == jump_form(rec, part) == 0.0
+    # on [0, 2] the same crossing closes an interval of positive length
+    (iv,) = exceedance_partition(rec, 0.0, 2.0, alpha, gamma).intervals
+    assert 0.0 < iv.start < iv.end == 1.0 and not iv.left_truncated
 
 
 @pytest.fixture(scope="module")
@@ -598,6 +599,36 @@ def test_lemma5_monotone_antiderivative_oracle():
     assert val == pytest.approx(bound, rel=1e-4)
     assert val <= bound * (1 + 1e-3) + 1e-12
     assert lemma5_monotone_bound(rec, zeta) == pytest.approx(bound, rel=1e-12)
+
+
+def _monotone_runs_bound(rho, zeta):
+    """lemma5_monotone_bound's value summed over maximal monotone runs of
+    rho, a plateau joining the run it interrupts."""
+    total, i, n = 0.0, 0, len(rho)
+    while i < n - 1:
+        j = i + 1
+        direction = np.sign(rho[i + 1] - rho[i])
+        while j < n - 1 and np.sign(rho[j + 1] - rho[j]) in (direction, 0.0):
+            j += 1
+        a, b = rho[i], rho[j]
+        total += abs((1.0 + a) ** (1.0 - zeta) - (1.0 + b) ** (1.0 - zeta)) / (zeta - 1.0)
+        i = j
+    return total
+
+
+def test_lemma5_monotone_bound_sums_the_monotone_runs():
+    # the per-segment sum equals the sum over monotone runs, since the
+    # antiderivative (1 + rho)^(1 - zeta) is monotone in rho
+    rng = np.random.default_rng(11)
+    for _ in range(300):
+        n = int(rng.integers(2, 200))
+        rho = np.abs(np.cumsum(rng.standard_normal(n))) * 10.0 ** rng.uniform(-3, 2)
+        for i in np.flatnonzero(rng.random(n - 1) < 0.3) + 1:
+            rho[i] = rho[i - 1]  # plateaus, some several samples long
+        zeta = float(rng.uniform(1.05, 8.0))
+        rec = synthetic_record(np.linspace(0.0, 1.0, n), rho)
+        assert lemma5_monotone_bound(rec, zeta) == pytest.approx(
+            _monotone_runs_bound(rho, zeta), rel=1e-12, abs=0)
 
 
 def test_lemma5_uniform_across_family(family):

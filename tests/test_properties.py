@@ -3,12 +3,12 @@
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from conftest import noise, rep_wavevectors, sym_gradient
+from conftest import leray_project, noise, rep_wavevectors, sym_gradient, weight_P
 from plsf.basis import basis_capacity, make_basis
 from plsf.constitutive import FluidParams, oo_identity_residual, oo_residual_scale
-from plsf.fields import leray_project, lp_norm, random_solenoidal
-from plsf.galerkin import GalerkinState, galerkin_rhs, state_functionals
-from plsf.gap import weight_P
+from plsf.fields import lp_norm, random_solenoidal
+from plsf.galerkin import GalerkinState, TrajectoryRecord, galerkin_rhs, state_functionals
+from plsf.gap import exceedance_partition
 from plsf.grid import TorusGrid
 
 GRID = TorusGrid(2, 16, 2 * np.pi)
@@ -28,6 +28,38 @@ def test_weight_range_and_monotonicity(alpha, gamma, rho1, rho2):
     assert 0.0 < w_hi <= w_lo <= 1.0
     if hi**gamma <= np.tan(alpha):
         assert w_hi == 1.0
+
+
+# multiples of the threshold for rho^gamma, the grazing ones a few ulps
+# either side of it
+_LEVELS = st.sampled_from([0.0, 0.5, 1.0 - 2**-52, 1.0, 1.0 + 2**-52, 1.0 + 2**-50, 2.0])
+
+
+@given(
+    gamma=st.floats(1.0, 5.0),
+    alpha=st.floats(0.05, 1.5),
+    levels=st.lists(st.one_of(_LEVELS, st.floats(0.0, 3.0)), min_size=2, max_size=12),
+    data=st.data(),
+)
+@settings(max_examples=300, deadline=None)
+def test_exceedance_intervals_have_positive_length(gamma, alpha, levels, data):
+    # a crossing that rounds onto s, t or its partner would pair into an
+    # interval with end <= start; the partition lists none
+    thr = float(np.tan(alpha))
+    gaps = data.draw(st.lists(st.one_of(st.just(1e-3), st.floats(1e-9, 1.0)),
+                              min_size=len(levels) - 1, max_size=len(levels) - 1))
+    times = np.concatenate([[0.0], np.cumsum(gaps)])
+    rho = (thr * np.array(levels)) ** (1.0 / gamma)
+    rec = TrajectoryRecord(p=1.9, mu=1.0, N=1, times=times, energy=np.ones_like(times),
+                           rho=rho, rho_tilde=np.ones_like(times),
+                           grad_p_norm=np.sqrt(rho), Ip=rho)
+    ends = data.draw(st.lists(st.one_of(st.sampled_from(times.tolist()),
+                                        st.floats(0.0, float(times[-1]))),
+                              min_size=2, max_size=2, unique=True))
+    s, t = sorted(ends)
+    part = exceedance_partition(rec, s, t, alpha, gamma)
+    assert all(iv.start < iv.end for iv in part.intervals)
+    assert all(a.end <= b.start for a, b in zip(part.intervals, part.intervals[1:]))
 
 
 @given(seed=st.integers(0, 2**31 - 1))
