@@ -37,7 +37,6 @@ from .gap import (
     ExceedancePartition,
     ExponentTable,
     GapEstimate,
-    energy_residual,
     exceedance_partition,
     exponents,
     gap_estimate,

@@ -824,11 +824,12 @@ class TrajectoryRecord:
     mu: float
     N: int
     times: np.ndarray
-    energy: np.ndarray
-    rho: np.ndarray
-    rho_tilde: np.ndarray
-    grad_p_norm: np.ndarray
-    Ip: np.ndarray
+    # a column that from_csv was not asked to convert is None
+    energy: np.ndarray | None
+    rho: np.ndarray | None
+    rho_tilde: np.ndarray | None
+    grad_p_norm: np.ndarray | None
+    Ip: np.ndarray | None
     d2_p_norm: np.ndarray | None = None
     steps: int = 0
     rejections: int = 0
@@ -844,18 +845,28 @@ class TrajectoryRecord:
         return float(self.times[0]), float(self.times[-1])
 
     def to_csv(self, path) -> None:
+        self._csv_columns()  # a partial record raises before the file is made
         with open(path, "w", newline="") as fh:
             self.write_csv(fh)
 
+    def _csv_columns(self) -> dict[str, np.ndarray]:
+        """The CSV's columns by name, in file order; ValueError for a
+        record that from_csv read without some of them."""
+        cols = dict(zip(CSV_COLUMNS, (self.times, self.energy, self.rho, self.rho_tilde,
+                                      self.grad_p_norm, self.Ip)))
+        missing = [name for name, col in cols.items() if col is None]
+        if missing:
+            raise ValueError(f"the record was read without the column(s) "
+                             f"{', '.join(missing)} and cannot be written")
+        if self.d2_p_norm is not None:
+            cols[CSV_D2_COLUMN] = self.d2_p_norm
+        return cols
+
     def write_csv(self, fh) -> None:
-        cols = list(CSV_COLUMNS) + ([CSV_D2_COLUMN] if self.d2_p_norm is not None else [])
+        cols = self._csv_columns()
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(cols)
-        arrays = [self.times, self.energy, self.rho, self.rho_tilde,
-                  self.grad_p_norm, self.Ip]
-        if self.d2_p_norm is not None:
-            arrays.append(self.d2_p_norm)
-        for row in zip(*arrays):
+        for row in zip(*cols.values()):
             writer.writerow([repr(float(x)) for x in row])
 
     def csv_bytes(self) -> bytes:
@@ -865,27 +876,57 @@ class TrajectoryRecord:
 
     @classmethod
     def from_csv(cls, path, p: float = float("nan"), mu: float = float("nan"),
-                 N: int = -1) -> "TrajectoryRecord":
+                 N: int = -1, columns=None) -> "TrajectoryRecord":
+        """The record of a trajectory CSV, converting only the CSV columns
+        named in `columns` (all of them when None; `t` always).  The others
+        come back as None, and such a record cannot be written.
+
+        Every row must hold the header's number of fields, unread ones
+        included, and every converted value must be finite, except in
+        `Ip`, which a mu = 0 run fills with NaN.  A violation is a
+        ValueError naming the file and the row."""
         with open(path) as fh:
             header = next(csv.reader([fh.readline()]), [])
             base = list(CSV_COLUMNS)
             if header[: len(base)] != base:
                 raise ValueError(f"{path} does not follow the trajectory CSV contract")
             has_d2 = len(header) > len(base) and header[len(base)] == CSV_D2_COLUMN
+            known = base + [CSV_D2_COLUMN] * has_d2
+            wanted = set(known if columns is None else columns) | {"t"}
+            if not wanted <= set(known):
+                raise ValueError(f"{path} has no column "
+                                 f"{', '.join(sorted(wanted - set(known)))}")
+            # an unread field is a zero-width string: loadtxt still counts
+            # it, so a short or long row is an error, but parses nothing
+            dtype = np.dtype([(f"c{j}", np.float64 if j < len(known) and name in wanted
+                               else "S0") for j, name in enumerate(header)])
             with warnings.catch_warnings():
                 # a header-only file is reported below, not as a warning
                 warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-                data = np.loadtxt(fh, delimiter=",", dtype=np.float64, ndmin=2)
+                try:
+                    data = np.loadtxt(fh, delimiter=",", dtype=dtype, ndmin=1)
+                except ValueError as exc:
+                    hint = "; use `usecols` to select a subset and avoid this error"
+                    raise ValueError(f"{path}: {str(exc).removesuffix(hint)}") from None
         if data.size == 0:
             raise ValueError(f"{path} holds no samples")
-        # one C-contiguous row per column: strided column views would make
-        # every np.interp on them copy the whole column
-        cols = np.ascontiguousarray(data.T)
+        values = {}
+        for j, name in enumerate(known):
+            if name not in wanted:
+                continue
+            # one C-contiguous array per column: strided field views would
+            # make every np.interp on them copy the whole column
+            col = np.ascontiguousarray(data[f"c{j}"])
+            if name != "Ip" and not np.isfinite(col).all():
+                row = int(np.argmin(np.isfinite(col)))
+                raise ValueError(f"{path}: column {name} holds {float(col[row])!r} "
+                                 f"at data row {row + 1}")
+            values[name] = col
         return cls(
             p=p, mu=mu, N=N,
-            times=cols[0], energy=cols[1], rho=cols[2],
-            rho_tilde=cols[3], grad_p_norm=cols[4], Ip=cols[5],
-            d2_p_norm=cols[6] if has_d2 else None,
+            times=values["t"], energy=values.get("energy"), rho=values.get("rho"),
+            rho_tilde=values.get("rho_tilde"), grad_p_norm=values.get("grad_p_norm"),
+            Ip=values.get("Ip"), d2_p_norm=values.get(CSV_D2_COLUMN),
         )
 
 

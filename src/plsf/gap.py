@@ -1,5 +1,5 @@
-"""Energy-gap diagnostics: exceedance partitions, the energy-identity
-residual, both forms of the gap functional, the bounded-variation
+"""Energy-gap diagnostics: exceedance partitions, both forms of the gap
+functional with their energy-identity budget, the bounded-variation
 functional and measure bound, and the exponent bookkeeping.
 
 Everything here is a pure post-process over trajectory records.  The
@@ -259,47 +259,38 @@ def exceedance_partition(
     )
 
 
-# -- energy identities -------------------------------------------------------
-
-
-def energy_residual(record: TrajectoryRecord, s: float, t: float) -> float:
-    """| ||v(t)||^2 + 2 int_s^t rho_tilde - ||v(s)||^2 | with the integral
-    by composite trapezoid over the samples; [s, t] must lie in the
-    record's span."""
-    _check_window(record, s, t)
-    e_t = _interp(record.times, record.energy, t)
-    e_s = _interp(record.times, record.energy, s)
-    integral = _integrate_linear(record.times, record.rho_tilde, s, t)
-    return abs(e_t + 2.0 * integral - e_s)
-
-
-def energy_residual_over(record: TrajectoryRecord, part: ExceedancePartition) -> float:
-    """Sum of per-interval energy-identity residuals over the partition."""
-    return float(sum(energy_residual(record, iv.start, iv.end) for iv in part.intervals))
-
-
 # -- the gap functional -------------------------------------------------------
 
 
-def dissipation_form(record: TrajectoryRecord, part: ExceedancePartition) -> float:
-    """2 int_{J_N(alpha)} rho_tilde dtau."""
-    return float(
-        2.0
-        * sum(
-            _integrate_linear(record.times, record.rho_tilde, iv.start, iv.end)
-            for iv in part.intervals
-        )
-    )
+def _interval_terms(record: TrajectoryRecord,
+                    part: ExceedancePartition) -> tuple[float, float, float]:
+    """Both gap forms over the partition and the two-form budget, from
+    each interval's E(a_h), E(b_h) and I_h = int_{a_h}^{b_h} rho_tilde,
+    formed once:
 
+        dissipation form  2 sum_h I_h
+        jump form         - sum_h (E(b_h) - E(a_h))
+        budget            sum_h |E(b_h) + 2 I_h - E(a_h)|
 
-def jump_form(record: TrajectoryRecord, part: ExceedancePartition) -> float:
-    """- sum_h ( ||v(t_h)||^2 - ||v(s_h)||^2 )."""
-    total = 0.0
+    An interval without two finite ordered ends (rho^gamma NaN or
+    overflowing at a crossing) is a ValueError."""
+    times, energy, rho_tilde = record.times, record.energy, record.rho_tilde
+    integrals, residuals = [], []
+    jump = 0.0
     for iv in part.intervals:
-        total -= _interp(record.times, record.energy, iv.end) - _interp(
-            record.times, record.energy, iv.start
-        )
-    return float(total)
+        a, b = iv.start, iv.end
+        if not a < b:  # NaN fails it too
+            raise ValueError(f"N = {record.N}, alpha = {part.alpha!r}: the exceedance "
+                             f"interval ({a!r}, {b!r}) has no finite ends")
+        e_a = _interp(times, energy, a)
+        e_b = _interp(times, energy, b)
+        integral = _integrate_linear(times, rho_tilde, a, b)
+        integrals.append(integral)
+        jump -= e_b - e_a
+        residuals.append(abs(e_b + 2.0 * integral - e_a))
+    # sum() as the interval-by-interval forms summed: Python 3.12's sum
+    # compensates float rounding, so `+=` would not keep their bits there
+    return float(2.0 * sum(integrals)), jump, float(sum(residuals))
 
 
 @dataclass
@@ -320,9 +311,11 @@ class GapEstimate:
     measure_decay_ok: bool = field(default=True, init=False)
     converged_endpoints: bool = field(default=True, init=False)
     # the partition behind each per_alpha row, for callers that need the
-    # intervals again; not part of the report schema
+    # intervals again, and its two-form budget (see _interval_terms); not
+    # part of the report schema
     partitions: list[list[ExceedancePartition]] = field(
         default_factory=list, init=False, repr=False)
+    budgets: list[list[float]] = field(default_factory=list, init=False, repr=False)
 
 
 # Plateau criterion for the alpha -> pi/2 limit: successive limsups that
@@ -332,6 +325,12 @@ PLATEAU_RTOL = 1e-3
 # Convergence proxy: the two largest-N records count as agreeing at a time
 # where their gradient norms differ by less than this relative amount.
 CONVERGED_RTOL = 0.01
+
+# The trajectory CSV columns gap_estimate reads of every record, and of
+# the two largest-N records, whose gradient norms converged_times_mask
+# compares.
+GAP_COLUMNS = ("t", "energy", "rho", "rho_tilde")
+CONVERGENCE_COLUMNS = GAP_COLUMNS + ("grad_p_norm",)
 
 
 def converged_times_mask(records: list[TrajectoryRecord]) -> tuple[np.ndarray, np.ndarray]:
@@ -387,14 +386,17 @@ def gap_estimate(
     for alpha in alphas:
         row = []
         parts = []
+        budgets = []
         for rec in sorted(records, key=lambda r: r.N):
             part = exceedance_partition(rec, s, t, alpha, gamma)
+            dissipation, jump, budget = _interval_terms(rec, part)
             parts.append(part)
+            budgets.append(budget)
             row.append(
                 {
                     "N": rec.N,
-                    "dissipation_form": dissipation_form(rec, part),
-                    "jump_form": jump_form(rec, part),
+                    "dissipation_form": dissipation,
+                    "jump_form": jump,
                     "J_measure": part.total_measure,
                     "intervals": [[iv.start, iv.end] for iv in part.intervals],
                     "admissible": part.admissible,
@@ -408,6 +410,7 @@ def gap_estimate(
         prev_measures = measures
         est.per_alpha.append(row)
         est.partitions.append(parts)
+        est.budgets.append(budgets)
         est.limsup_dissipation.append(max(r["dissipation_form"] for r in row))
 
     est.M_estimate = est.limsup_dissipation[-1]

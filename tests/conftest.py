@@ -18,8 +18,10 @@ constructors are compared with.
 The last section holds the checks that only tests read, on plsf's
 private helpers: the stress of a single tensor and the stress-difference
 bound, the Leray projection of raw coefficients, the inner product and
-the Parseval L^2 norm of fields, and the arctangent weight with the
-weighted energy identity.
+the Parseval L^2 norm of fields, the arctangent weight with the
+weighted energy identity, and the energy-identity residual with the two
+gap forms, one interval at a time, which plsf.gap.gap_estimate forms in
+one pass and must match bit for bit.
 """
 
 import numpy as np
@@ -40,7 +42,14 @@ from plsf.fields import (
     representative_modes,
 )
 from plsf.galerkin import TrajectoryRecord
-from plsf.gap import _centered_derivative, _integrate_linear, _interp, exceedance_partition
+from plsf.gap import (
+    ExceedancePartition,
+    _centered_derivative,
+    _check_window,
+    _integrate_linear,
+    _interp,
+    exceedance_partition,
+)
 from plsf.grid import TorusGrid
 
 
@@ -502,3 +511,40 @@ def weighted_energy_residual(
     weighted_diss = record.rho_tilde * weight_P(alpha, record.rho, gamma)
     total += 2.0 * _integrate_linear(times, weighted_diss, s, t)
     return abs(total)
+
+
+def energy_residual(record: TrajectoryRecord, s: float, t: float) -> float:
+    """| ||v(t)||^2 + 2 int_s^t rho_tilde - ||v(s)||^2 | with the integral
+    by composite trapezoid over the samples; [s, t] must lie in the
+    record's span."""
+    _check_window(record, s, t)
+    e_t = _interp(record.times, record.energy, t)
+    e_s = _interp(record.times, record.energy, s)
+    integral = _integrate_linear(record.times, record.rho_tilde, s, t)
+    return abs(e_t + 2.0 * integral - e_s)
+
+
+def energy_residual_over(record: TrajectoryRecord, part: ExceedancePartition) -> float:
+    """Sum of per-interval energy-identity residuals over the partition."""
+    return float(sum(energy_residual(record, iv.start, iv.end) for iv in part.intervals))
+
+
+def dissipation_form(record: TrajectoryRecord, part: ExceedancePartition) -> float:
+    """2 int_{J_N(alpha)} rho_tilde dtau."""
+    return float(
+        2.0
+        * sum(
+            _integrate_linear(record.times, record.rho_tilde, iv.start, iv.end)
+            for iv in part.intervals
+        )
+    )
+
+
+def jump_form(record: TrajectoryRecord, part: ExceedancePartition) -> float:
+    """- sum_h ( ||v(t_h)||^2 - ||v(s_h)||^2 )."""
+    total = 0.0
+    for iv in part.intervals:
+        total -= _interp(record.times, record.energy, iv.end) - _interp(
+            record.times, record.energy, iv.start
+        )
+    return float(total)

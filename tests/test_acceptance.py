@@ -8,6 +8,7 @@ import time
 import numpy as np
 import pytest
 
+from conftest import energy_residual, energy_residual_over
 from plsf.basis import basis_capacity, make_basis
 from plsf.cli import main
 from plsf.constitutive import (
@@ -18,8 +19,6 @@ from plsf.constitutive import (
 from plsf.fields import save_checkpoint
 from plsf.galerkin import SolverConfig, run_trajectory
 from plsf.gap import (
-    energy_residual,
-    energy_residual_over,
     exceedance_partition,
     exponents,
     gap_estimate,

@@ -723,6 +723,73 @@ def test_cli_gap_nan_window_exit_2(family_manifest, capsys, s, t):
     assert "need s < t" in capsys.readouterr().err
 
 
+def test_cli_gap_nan_rho_names_the_csv_and_exits_2(tmp_path, capsys):
+    # rho^gamma crosses tan(0.5) upward near t = 0.2 and then meets NaN
+    # at t = 0.5: the crossing would be NaN, so the load rejects the file
+    times = np.linspace(0.0, 1.0, 11)
+    rho = np.full(11, 0.5)
+    rho[3:5], rho[5] = 5.0, np.nan
+    lines = ["t,energy,rho,rho_tilde,grad_p_norm,Ip"]
+    lines += [",".join(map(repr, row)) for row in zip(
+        times.tolist(), np.exp(-times).tolist(), rho.tolist(), np.ones(11).tolist(),
+        np.sqrt(rho).tolist(), rho.tolist())]
+    for N in (4, 8):
+        (tmp_path / f"traj_{N}.csv").write_text("\n".join(lines) + "\n")
+    mpath = tmp_path / "manifest.json"
+    mpath.write_text(json.dumps({"p": 1.9, "trajectories": [
+        {"N": N, "path": f"traj_{N}.csv"} for N in (4, 8)]}))
+    out = tmp_path / "gap.json"
+    assert main(["gap", str(mpath), "--s", "0.0", "--t", "1.0", "--alphas", "0.5",
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"{tmp_path / 'traj_4.csv'}: column rho holds nan at data row 6" in err
+    assert not out.exists()
+
+
+def test_cli_gap_calls_exceedance_partition_through_the_module(family_manifest,
+                                                               monkeypatch):
+    # the benchmark's gap workload rebinds plsf.gap.exceedance_partition,
+    # ends its set-up at the first call and keys each call on its five
+    # positional arguments: a gap run that bypasses the module attribute
+    # fails every benchmark operation
+    import plsf.gap as gapmod
+
+    calls = []
+    original = gapmod.exceedance_partition
+
+    def counted(*args, **kwargs):
+        calls.append((len(args), sorted(kwargs)))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(gapmod, "exceedance_partition", counted)
+    assert main(gap_args(family_manifest, alphas="0.5,1.0,1.5")) == 0
+    # once per (member, alpha)
+    assert calls == [(5, [])] * (2 * 3)
+
+
+def test_gap_estimate_has_the_oracle_bits_on_the_family(family_manifest):
+    # gap_estimate forms each interval's terms once; both forms and the
+    # two-form budget keep the bits of the interval-by-interval oracle,
+    # on the records as plsf gap loads them
+    from conftest import dissipation_form, energy_residual_over, jump_form
+    from plsf.cli import _load_manifest
+    from plsf.gap import exponents, gap_estimate
+
+    _, records = _load_manifest(str(family_manifest))
+    gamma = exponents(1.9).gamma
+    rho_max = max(float(np.max(r.rho)) for r in records)
+    alphas = [float(np.arctan((lv * rho_max) ** gamma)) for lv in (0.2, 0.5, 0.8, 0.95)]
+    est = gap_estimate(records, 0.0, 0.3, alphas, gamma)
+    assert sum(len(part.intervals) for parts in est.partitions for part in parts) >= 4
+    by_N = {rec.N: rec for rec in records}
+    for rows, parts, budgets in zip(est.per_alpha, est.partitions, est.budgets):
+        for row, part, budget in zip(rows, parts, budgets):
+            rec = by_N[row["N"]]
+            assert row["dissipation_form"] == dissipation_form(rec, part)
+            assert row["jump_form"] == jump_form(rec, part)
+            assert budget == energy_residual_over(rec, part)
+
+
 def test_cli_gap_empty_alpha_grid_exit_2(family_manifest, capsys):
     assert main(gap_args(family_manifest, alphas=",")) == 2
     assert "alpha" in capsys.readouterr().err

@@ -1,3 +1,4 @@
+import io
 import math
 import re
 import warnings
@@ -553,6 +554,94 @@ def test_csv_wrong_header_rejected(tmp_path):
     path.write_text("t,energy,rho,grad_p_norm,rho_tilde,Ip\n0.0,1.0,2.0,3.0,4.0,5.0\n")
     with pytest.raises(ValueError, match="does not follow the trajectory CSV contract"):
         TrajectoryRecord.from_csv(path)
+
+
+CSV_HEADER = "t,energy,rho,rho_tilde,grad_p_norm,Ip\n"
+GAP_READ = ("t", "energy", "rho", "rho_tilde")
+
+
+def test_csv_named_columns_keep_the_full_read_bits(tmp_path):
+    rec = run_trajectory(small_config(record_d2=True, T=0.05, sample_dt=0.01))
+    path = tmp_path / "traj.csv"
+    rec.to_csv(path)
+    full = TrajectoryRecord.from_csv(path)
+    attrs = {"t": "times", "energy": "energy", "rho": "rho", "rho_tilde": "rho_tilde",
+             "grad_p_norm": "grad_p_norm", "Ip": "Ip", "d2_p_norm": "d2_p_norm"}
+    for columns in (GAP_READ, GAP_READ + ("grad_p_norm",), ("rho", "Ip"), ("d2_p_norm",)):
+        part = TrajectoryRecord.from_csv(path, columns=columns)
+        for name, attr in attrs.items():
+            col = getattr(part, attr)
+            if name in columns or name == "t":
+                assert col.flags.c_contiguous
+                assert np.array_equal(col.view(np.int64), getattr(full, attr).view(np.int64))
+            else:
+                assert col is None, name
+
+
+@pytest.mark.parametrize("row", ["0.1,1.0,2.0,3.0,4.0", "0.1,1.0,2.0,3.0,4.0,5.0,6.0",
+                                 "0.1,1.0,2.0,3.0,4.0,5.0,"],
+                         ids=["5-fields", "7-fields", "7-fields-last-empty"])
+@pytest.mark.parametrize("columns", [None, GAP_READ], ids=["all", "gap"])
+@pytest.mark.parametrize("first", ["0.0,1.0,2.0,3.0,4.0,5.0", None], ids=["one-row", "every-row"])
+def test_csv_row_with_another_field_count_is_named(tmp_path, row, columns, first):
+    # with the gap's columns the missing or extra field lies beyond the
+    # last converted one; rows that all disagree with the header fail too
+    path = tmp_path / "traj.csv"
+    path.write_text(CSV_HEADER + (first or row) + "\n" + row + "\n")
+    at = 2 if first else 1
+    with pytest.raises(ValueError, match=rf"{re.escape(str(path))}: .* at row {at}"):
+        TrajectoryRecord.from_csv(path, columns=columns)
+
+
+def test_csv_unread_column_is_width_checked_but_not_parsed(tmp_path):
+    path = tmp_path / "traj.csv"
+    path.write_text(CSV_HEADER + "0.0,1.0,2.0,3.0,4.0,n/a\n0.1,1.0,2.0,3.0,4.0,-\n")
+    rec = TrajectoryRecord.from_csv(path, columns=GAP_READ)
+    assert rec.Ip is None and rec.grad_p_norm is None
+    with pytest.raises(ValueError, match=r"could not convert string 'n/a'"):
+        TrajectoryRecord.from_csv(path)
+    with pytest.raises(ValueError, match="has no column Ip2"):
+        TrajectoryRecord.from_csv(path, columns=("t", "Ip2"))
+
+
+@pytest.mark.parametrize("column", ["t", "energy", "rho", "rho_tilde", "grad_p_norm"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_csv_non_finite_value_names_file_column_and_row(tmp_path, column, value):
+    fields = {"t": "0.2", "energy": "1.0", "rho": "2.0", "rho_tilde": "3.0",
+              "grad_p_norm": "4.0"}
+    fields[column] = value
+    path = tmp_path / "traj.csv"
+    path.write_text(CSV_HEADER + "0.0,1.0,2.0,3.0,4.0,5.0\n0.1,1.0,2.0,3.0,4.0,5.0\n"
+                    + ",".join(fields.values()) + ",5.0\n")
+    with pytest.raises(ValueError, match=rf"{re.escape(str(path))}: column {column} "
+                                         rf"holds {value} at data row 3"):
+        TrajectoryRecord.from_csv(path)
+    if column == "grad_p_norm":
+        assert TrajectoryRecord.from_csv(path, columns=GAP_READ).grad_p_norm is None
+
+
+def test_csv_nan_Ip_of_a_mu_free_run_is_read(tmp_path):
+    rec = run_trajectory(small_config(mu=0.0, T=0.05, sample_dt=0.025))
+    assert np.all(np.isnan(rec.Ip))
+    path = tmp_path / "traj.csv"
+    rec.to_csv(path)
+    back = TrajectoryRecord.from_csv(path)
+    assert np.all(np.isnan(back.Ip))
+    assert back.csv_bytes() == path.read_bytes()
+
+
+def test_csv_partial_record_cannot_be_written(tmp_path):
+    path = tmp_path / "traj.csv"
+    path.write_text(CSV_HEADER + "0.0,1.0,2.0,3.0,4.0,5.0\n0.1,1.0,2.0,3.0,4.0,5.0\n")
+    rec = TrajectoryRecord.from_csv(path, columns=GAP_READ)
+    match = "read without the column.s. grad_p_norm, Ip and cannot be written"
+    with pytest.raises(ValueError, match=match):
+        rec.csv_bytes()
+    with pytest.raises(ValueError, match=match):
+        rec.write_csv(io.StringIO())
+    with pytest.raises(ValueError, match=match):
+        rec.to_csv(tmp_path / "back.csv")
+    assert not (tmp_path / "back.csv").exists()
 
 
 FUNCTIONAL_CASES = pytest.mark.parametrize(

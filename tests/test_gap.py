@@ -3,20 +3,24 @@ import math
 import numpy as np
 import pytest
 
-from conftest import grazing_record, weight_P, weighted_energy_residual
+from conftest import (
+    dissipation_form,
+    energy_residual,
+    energy_residual_over,
+    grazing_record,
+    jump_form,
+    weight_P,
+    weighted_energy_residual,
+)
 from plsf.errors import InsufficientFamilyError
 from plsf.galerkin import SolverConfig, TrajectoryRecord, run_trajectory
 from plsf.gap import (
     PLATEAU_RTOL,
     _beta_balance,
-    dissipation_form,
-    energy_residual,
-    energy_residual_over,
     exceedance_partition,
     exponents,
     gap_estimate,
     gap_report_json,
-    jump_form,
     lemma5_functional,
     lemma5_monotone_bound,
     measure_bound_check,
@@ -444,6 +448,21 @@ def test_energy_residual_rejects_a_window_outside_the_record():
     # the span's own ends, up to 1e-12, are inside
     assert energy_residual(rec, -1e-13, 1.0 + 1e-13) == pytest.approx(
         energy_residual(rec, 0.0, 1.0), rel=1e-8)
+
+
+def test_gap_estimate_rejects_an_interval_without_finite_ends():
+    # a negative rho sample makes rho^gamma NaN there, and the down-crossing
+    # towards it NaN; the partition keeps that edge in view and the gap's
+    # one pass refuses it, as the residual's window check once did
+    gamma = exponents(1.9).gamma
+    alpha = 0.5
+    with np.errstate(invalid="ignore"):
+        records = [synthetic_record([0.0, 1.0, 2.0, 3.0], [0.5, 5.0, -1.0, 0.5], N=N)
+                   for N in (1, 2)]
+        (iv,) = exceedance_partition(records[0], 0.0, 3.0, alpha, gamma).intervals
+        assert math.isnan(iv.end)
+        with pytest.raises(ValueError, match=r"N = 1, alpha = 0.5: .* has no finite ends"):
+            gap_estimate(records, 0.0, 3.0, [alpha], gamma)
 
 
 def test_energy_residual_over_skips_a_zero_length_interval():

@@ -3,12 +3,21 @@
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from conftest import leray_project, noise, rep_wavevectors, sym_gradient, weight_P
+from conftest import (
+    dissipation_form,
+    energy_residual_over,
+    jump_form,
+    leray_project,
+    noise,
+    rep_wavevectors,
+    sym_gradient,
+    weight_P,
+)
 from plsf.basis import basis_capacity, make_basis
 from plsf.constitutive import FluidParams, oo_identity_residual, oo_residual_scale
 from plsf.fields import lp_norm, random_solenoidal
 from plsf.galerkin import GalerkinState, TrajectoryRecord, galerkin_rhs, state_functionals
-from plsf.gap import exceedance_partition
+from plsf.gap import exceedance_partition, gap_estimate
 from plsf.grid import TorusGrid
 
 GRID = TorusGrid(2, 16, 2 * np.pi)
@@ -35,31 +44,64 @@ def test_weight_range_and_monotonicity(alpha, gamma, rho1, rho2):
 _LEVELS = st.sampled_from([0.0, 0.5, 1.0 - 2**-52, 1.0, 1.0 + 2**-52, 1.0 + 2**-50, 2.0])
 
 
-@given(
+GRAZING = dict(
     gamma=st.floats(1.0, 5.0),
     alpha=st.floats(0.05, 1.5),
     levels=st.lists(st.one_of(_LEVELS, st.floats(0.0, 3.0)), min_size=2, max_size=12),
     data=st.data(),
 )
-@settings(max_examples=300, deadline=None)
-def test_exceedance_intervals_have_positive_length(gamma, alpha, levels, data):
-    # a crossing that rounds onto s, t or its partner would pair into an
-    # interval with end <= start; the partition lists none
+
+
+def grazing_window(gamma, alpha, levels, data):
+    """Drawn sample times, the rho whose rho^gamma sits at `levels`
+    multiples of tan(alpha) there, and a window [s, t] in their span whose
+    ends are sample times or not."""
     thr = float(np.tan(alpha))
     gaps = data.draw(st.lists(st.one_of(st.just(1e-3), st.floats(1e-9, 1.0)),
                               min_size=len(levels) - 1, max_size=len(levels) - 1))
     times = np.concatenate([[0.0], np.cumsum(gaps)])
     rho = (thr * np.array(levels)) ** (1.0 / gamma)
-    rec = TrajectoryRecord(p=1.9, mu=1.0, N=1, times=times, energy=np.ones_like(times),
-                           rho=rho, rho_tilde=np.ones_like(times),
-                           grad_p_norm=np.sqrt(rho), Ip=rho)
     ends = data.draw(st.lists(st.one_of(st.sampled_from(times.tolist()),
                                         st.floats(0.0, float(times[-1]))),
                               min_size=2, max_size=2, unique=True))
     s, t = sorted(ends)
+    return times, rho, s, t
+
+
+@given(**GRAZING)
+@settings(max_examples=300, deadline=None)
+def test_exceedance_intervals_have_positive_length(gamma, alpha, levels, data):
+    # a crossing that rounds onto s, t or its partner would pair into an
+    # interval with end <= start; the partition lists none
+    times, rho, s, t = grazing_window(gamma, alpha, levels, data)
+    rec = TrajectoryRecord(p=1.9, mu=1.0, N=1, times=times, energy=np.ones_like(times),
+                           rho=rho, rho_tilde=np.ones_like(times),
+                           grad_p_norm=np.sqrt(rho), Ip=rho)
     part = exceedance_partition(rec, s, t, alpha, gamma)
     assert all(iv.start < iv.end for iv in part.intervals)
     assert all(a.end <= b.start for a, b in zip(part.intervals, part.intervals[1:]))
+
+
+@given(**GRAZING)
+@settings(max_examples=200, deadline=None)
+def test_gap_estimate_has_the_oracle_bits_on_grazing_records(gamma, alpha, levels, data):
+    # gap_estimate forms each interval's terms once; both forms and the
+    # two-form budget keep the bits of the interval-by-interval oracle
+    times, rho, s, t = grazing_window(gamma, alpha, levels, data)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    records = [
+        TrajectoryRecord(p=1.9, mu=1.0, N=N, times=times,
+                         energy=rng.uniform(0.5, 2.0, times.size), rho=rho,
+                         rho_tilde=rng.uniform(0.0, 3.0, times.size),
+                         grad_p_norm=np.sqrt(rho), Ip=rho)
+        for N in (1, 2)
+    ]
+    est = gap_estimate(records, s, t, [alpha], gamma)
+    for rec, row, part, budget in zip(records, est.per_alpha[0], est.partitions[0],
+                                      est.budgets[0]):
+        assert row["dissipation_form"] == dissipation_form(rec, part)
+        assert row["jump_form"] == jump_form(rec, part)
+        assert budget == energy_residual_over(rec, part)
 
 
 @given(seed=st.integers(0, 2**31 - 1))
