@@ -190,13 +190,13 @@ class StokesBasis:
                     part[i, :n] += np.multiply(coef, self._directions[p, i, :n], out=w.term[:n])
         return vals
 
-    def synthesize(self, c: np.ndarray, validate: bool = False) -> SpectralVelocity:
+    def synthesize(self, c: np.ndarray) -> SpectralVelocity:
         """The field sum_r c_r a^r: its values at the basis wavevectors,
         zero at every later representative."""
         g = self.grid
         coeffs = np.zeros((g.dim, len(representative_modes(g))), dtype=np.complex128)
         coeffs[:, : len(self.modes)] = self._mode_values(c)
-        return SpectralVelocity(g, coeffs, validate=validate)
+        return SpectralVelocity(g, coeffs, validate=False)
 
     def entry_field(self, r: int) -> SpectralVelocity:
         """Materialize basis entry r as a unit-norm velocity field."""

@@ -72,7 +72,8 @@ def cmd_run(cfg: RunConfig, out_dir: str | None) -> int:
         record, states = run_trajectory(cfg.solver, collect_states_at=[cfg.solver.T])
     else:
         record = run_trajectory(cfg.solver)
-    record.to_csv(directory / "trajectory.csv")
+    if "csv" in cfg.output_formats:
+        record.to_csv(directory / "trajectory.csv")
     if "json" in cfg.output_formats:
         summary = {
             "p": record.p,

@@ -31,6 +31,8 @@ CHECKPOINT_VERSION = 1
 # Divergence at or below this relative level counts as already solenoidal,
 # which makes the projection an exact fixed point on its own output.
 _SOLENOIDAL_RTOL = 1e-13
+# Divergence above this relative level makes a field fail its check.
+_DIVERGENCE_RTOL = 1e-10
 
 
 class SpectralVelocity:
@@ -155,7 +157,7 @@ def _dot(k, c: np.ndarray) -> np.ndarray:
     return out
 
 
-def _check_divergence(grid: TorusGrid, coeffs: np.ndarray, rtol: float = 1e-10):
+def _check_divergence(grid: TorusGrid, coeffs: np.ndarray):
     # one (count,) float buffer takes each component's |c|, then each
     # wavevector component k_i in turn (the bits of _wavevectors), then
     # |k . c|, so that no (dim, count) array is formed but the caller's
@@ -167,7 +169,7 @@ def _check_divergence(grid: TorusGrid, coeffs: np.ndarray, rtol: float = 1e-10):
     div = _dot((np.multiply(2.0 * np.pi / grid.L, n[:, i], out=buf) for i in range(grid.dim)),
                coeffs)
     kmax = 2.0 * np.pi / grid.L * (grid.M // 2)
-    if float(np.max(np.abs(div, out=buf))) > rtol * scale * kmax:
+    if float(np.max(np.abs(div, out=buf))) > _DIVERGENCE_RTOL * scale * kmax:
         raise FieldInvariantError("field is not divergence-free")
 
 

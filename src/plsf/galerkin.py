@@ -65,7 +65,11 @@ from .fields import (  # noqa: F401
 )
 from .grid import TorusGrid
 
-CSV_COLUMNS = ("t", "energy", "rho", "rho_tilde", "grad_p_norm", "Ip")
+# the trajectory CSV's columns in file order, each with the TrajectoryRecord
+# field that holds it; the last one is written only when it is recorded
+CSV_FIELDS = {"t": "times", "energy": "energy", "rho": "rho", "rho_tilde": "rho_tilde",
+              "grad_p_norm": "grad_p_norm", "Ip": "Ip", "d2_p_norm": "d2_p_norm"}
+CSV_COLUMNS = tuple(CSV_FIELDS)[:-1]
 CSV_D2_COLUMN = "d2_p_norm"
 
 
@@ -852,14 +856,12 @@ class TrajectoryRecord:
     def _csv_columns(self) -> dict[str, np.ndarray]:
         """The CSV's columns by name, in file order; ValueError for a
         record that from_csv read without some of them."""
-        cols = dict(zip(CSV_COLUMNS, (self.times, self.energy, self.rho, self.rho_tilde,
-                                      self.grad_p_norm, self.Ip)))
+        cols = {name: getattr(self, attr) for name, attr in CSV_FIELDS.items()
+                if name != CSV_D2_COLUMN or self.d2_p_norm is not None}
         missing = [name for name, col in cols.items() if col is None]
         if missing:
             raise ValueError(f"the record was read without the column(s) "
                              f"{', '.join(missing)} and cannot be written")
-        if self.d2_p_norm is not None:
-            cols[CSV_D2_COLUMN] = self.d2_p_norm
         return cols
 
     def write_csv(self, fh) -> None:
@@ -884,33 +886,33 @@ class TrajectoryRecord:
         Every row must hold the header's number of fields, unread ones
         included, and every converted value must be finite, except in
         `Ip`, which a mu = 0 run fills with NaN.  A violation is a
-        ValueError naming the file and the row."""
+        ValueError naming the file and the data row, counted from 1."""
         with open(path) as fh:
             header = next(csv.reader([fh.readline()]), [])
-            base = list(CSV_COLUMNS)
-            if header[: len(base)] != base:
+            if header[: len(CSV_COLUMNS)] != list(CSV_COLUMNS):
                 raise ValueError(f"{path} does not follow the trajectory CSV contract")
-            has_d2 = len(header) > len(base) and header[len(base)] == CSV_D2_COLUMN
-            known = base + [CSV_D2_COLUMN] * has_d2
+            known = [name for name in CSV_FIELDS if name in header[: len(CSV_FIELDS)]]
             wanted = set(known if columns is None else columns) | {"t"}
             if not wanted <= set(known):
                 raise ValueError(f"{path} has no column "
                                  f"{', '.join(sorted(wanted - set(known)))}")
             # an unread field is a zero-width string: loadtxt still counts
             # it, so a short or long row is an error, but parses nothing
-            dtype = np.dtype([(f"c{j}", np.float64 if j < len(known) and name in wanted
-                               else "S0") for j, name in enumerate(header)])
+            parsed = [j < len(known) and name in wanted for j, name in enumerate(header)]
+            dtype = np.dtype([(f"c{j}", "f8" if conv else "S0") for j, conv in enumerate(parsed)])
             with warnings.catch_warnings():
                 # a header-only file is reported below, not as a warning
                 warnings.filterwarnings("ignore", "loadtxt: input contained no data")
                 try:
                     data = np.loadtxt(fh, delimiter=",", dtype=dtype, ndmin=1)
                 except ValueError as exc:
-                    hint = "; use `usecols` to select a subset and avoid this error"
-                    raise ValueError(f"{path}: {str(exc).removesuffix(hint)}") from None
+                    fh.seek(0)
+                    fh.readline()
+                    why = _refused_row(fh, header, parsed) or str(exc)
+                    raise ValueError(f"{path}: {why}") from None
         if data.size == 0:
             raise ValueError(f"{path} holds no samples")
-        values = {}
+        values = dict.fromkeys(CSV_FIELDS.values())
         for j, name in enumerate(known):
             if name not in wanted:
                 continue
@@ -921,13 +923,32 @@ class TrajectoryRecord:
                 row = int(np.argmin(np.isfinite(col)))
                 raise ValueError(f"{path}: column {name} holds {float(col[row])!r} "
                                  f"at data row {row + 1}")
-            values[name] = col
-        return cls(
-            p=p, mu=mu, N=N,
-            times=values["t"], energy=values.get("energy"), rho=values.get("rho"),
-            rho_tilde=values.get("rho_tilde"), grad_p_norm=values.get("grad_p_norm"),
-            Ip=values.get("Ip"), d2_p_norm=values.get(CSV_D2_COLUMN),
-        )
+            values[CSV_FIELDS[name]] = col
+        return cls(p=p, mu=mu, N=N, **values)
+
+
+def _refused_row(lines, header: list[str], parsed: list[bool]) -> str | None:
+    """Why loadtxt refused these data lines: the first row, counted from 1
+    over the lines it reads (one that a # comment empties is none), whose
+    field count is not the header's or whose converted field is no number;
+    None if no row is."""
+    data = (line.partition("#")[0].rstrip("\n") for line in lines)
+    for row, fields in enumerate((line.split(",") for line in data if line), 1):
+        if len(fields) != len(header):
+            return f"{len(fields)} field(s) under a {len(header)}-field header at data row {row}"
+        for name, text, conv in zip(header, fields, parsed):
+            if conv and not _is_float(text):
+                return f"column {name} holds {text!r}, not a number, at data row {row}"
+    return None
+
+
+def _is_float(text: str) -> bool:
+    """Whether numpy's parser reads `text` as a float: float() without _ or non-ASCII."""
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return text.isascii() and "_" not in text
 
 
 def run_trajectory(config: SolverConfig, collect_states_at=None):
@@ -949,11 +970,7 @@ def run_trajectory(config: SolverConfig, collect_states_at=None):
     basis = make_basis(grid, N)
     state = project_initial_data(config.build_initial(grid), basis)
 
-    targets = set()
     T = float(config.T)
-    if config.sample_dt:
-        n_samples = int(np.floor(T / config.sample_dt + 1e-9))
-        targets.update(k * config.sample_dt for k in range(1, n_samples + 1))
     tol = 1e-9 * T
     collect = []
     for t in collect_states_at or ():
@@ -962,47 +979,47 @@ def run_trajectory(config: SolverConfig, collect_states_at=None):
             raise ValueError(f"state time {t!r} lies outside [0, T = {T!r}]")
         collect.append(min(max(t, 0.0), T))
     collect.sort()
-    targets.update(collect)
-    targets.add(T)
+    n_cadence = int(np.floor(T / config.sample_dt + 1e-9)) if config.sample_dt else 0
+    targets = {k * config.sample_dt for k in range(1, n_cadence + 1)} | {*collect, T}
     snap = _snap_targets(sorted(t for t in targets if 0.0 < t <= T), T)
-    target_list = sorted(set(snap.values()))
-    collect_set = {snap.get(t, t) for t in collect}
+    # the sample times after 0, popped from the end as the steps reach them
+    pending = sorted(set(snap.values()), reverse=True)
+    # the state kept at each collected time, filled when it is sampled
+    states = dict.fromkeys(snap.get(t, t) for t in collect)
 
     ctrl = StepController(rtol=config.rtol, atol=config.atol, dt_min=config.dt_min)
-    rows = []
-    seen_times = set()
-    states = {}
+    columns = {name: [] for name in CSV_FIELDS if name != CSV_D2_COLUMN or config.record_d2}
 
     def record_coeffs(t: float, c: np.ndarray):
-        if t in seen_times:
-            return
-        seen_times.add(t)
         st = GalerkinState(basis, c, t)
-        rows.append((t, state_functionals(st, params, record_d2=config.record_d2)))
-        if t in collect_set:
+        columns["t"].append(t)
+        for name, value in state_functionals(st, params, record_d2=config.record_d2).items():
+            columns[name].append(value)
+        if t in states:
             states[t] = st
 
     record_coeffs(0.0, state.c)
-    pending = list(target_list)
     while state.t < T:
-        t_prev = state.t
-        state = advance(state, params, ctrl, dt_cap=T - t_prev)
+        state = advance(state, params, ctrl, dt_cap=T - state.t)
         if abs(state.t - T) <= 1e-12 * max(1.0, T):
             state.t = T
+        # every target up to the previous step end is gone, so one before
+        # this end lies inside the step and is read off its dense output
         seg = ctrl.last_segment
-        while pending and pending[0] < state.t:
-            record_coeffs(pending[0], seg.interpolate(pending[0]))
-            pending.pop(0)
+        while pending[-1] < state.t:
+            t = pending.pop()
+            record_coeffs(t, seg.interpolate(t))
+        if pending[-1] == state.t:
+            pending.pop()
         record_coeffs(state.t, state.c)
-        while pending and pending[0] <= state.t:
-            pending.pop(0)
 
-    record_obj = _rows_to_record(config, params, N, rows, ctrl)
+    arrays = {CSV_FIELDS[name]: np.array(col) for name, col in columns.items()}
+    record = TrajectoryRecord(params.p, params.mu, N, steps=ctrl.naccept,
+                              rejections=ctrl.nreject, rhs_evaluations=ctrl.nrhs, **arrays)
     if collect_states_at is None:
-        return record_obj
+        return record
     # one state per requested time, also where two requests snapped together
-    ordered = [states[snap.get(t, t)] for t in collect]
-    return record_obj, ordered
+    return record, [states[snap.get(t, t)] for t in collect]
 
 
 def _snap_targets(times: list[float], T: float) -> dict[float, float]:
@@ -1025,22 +1042,3 @@ def _snap_targets(times: list[float], T: float) -> dict[float, float]:
             s = kept = t
         snap[t] = s
     return snap
-
-
-def _rows_to_record(config, params, N, rows, ctrl) -> TrajectoryRecord:
-    # record_coeffs samples each time once, so rows hold no duplicate times
-    times = np.array([t for t, _ in rows])
-    get = lambda key: np.array([vals[key] for _, vals in rows])
-    return TrajectoryRecord(
-        p=params.p, mu=params.mu, N=N,
-        times=times,
-        energy=get("energy"),
-        rho=get("rho"),
-        rho_tilde=get("rho_tilde"),
-        grad_p_norm=get("grad_p_norm"),
-        Ip=get("Ip"),
-        d2_p_norm=get(CSV_D2_COLUMN) if config.record_d2 else None,
-        steps=ctrl.naccept,
-        rejections=ctrl.nreject,
-        rhs_evaluations=ctrl.nrhs,
-    )

@@ -17,6 +17,7 @@ from .constitutive import FluidParams
 from .errors import ConfigError, GridMismatchError
 from .fields import SpectralVelocity, _kept_entries, random_solenoidal
 from .galerkin import GalerkinState, TrajectoryRecord, _arena, _padded_values, galerkin_rhs
+from .gap import exponents
 from .grid import TorusGrid
 
 
@@ -261,9 +262,8 @@ def check_interpolations(table: list[dict], p: float):
     (c2): ||grad v||_3 <= ||grad v||_{3p}^c ||grad v||_2^(1-c), c = p/(3p-2)
     (d):  ||grad u||_2 <= C ||D^2 u||_p^d ||u||_2^(1-d),        d = 2p/(7p-6)
     """
-    b = (3.0 - p) / 2.0
-    c = p / (3.0 * p - 2.0)
-    d = 2.0 * p / (7.0 * p - 6.0)
+    ex = exponents(p)
+    b, c, d = ex.b, ex.c_interp, ex.d
     k_g3, k_g3p, k_gp, k_g2, k_hess, k_u2 = TABLE_KEYS["interp"](p)
     c1_l, c1_r, c2_l, c2_r, d_l, d_r = [], [], [], [], [], []
     for row in table:
@@ -290,8 +290,6 @@ def check_cl_i(records: list[TrajectoryRecord], p: float) -> dict:
     """Time integrals of ||D^2 v^N||_p^(2 beta) across the family, for both
     printed beta variants; uniform iff the spread over N stays within
     CL_I_UNIFORMITY_FACTOR."""
-    from .gap import exponents  # local import to avoid a module cycle
-
     for rec in records:
         if rec.d2_p_norm is None:
             raise ConfigError(

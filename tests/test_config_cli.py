@@ -340,6 +340,18 @@ def test_cli_run_checkpoint_format(tmp_path):
     assert v.grid.M == 16
 
 
+@pytest.mark.parametrize("formats,files", [
+    ("json", ["summary.json"]),
+    ("checkpoint", ["final_state.plsf"]),
+    ("csv", ["trajectory.csv"]),
+])
+def test_cli_run_writes_exactly_the_chosen_formats(tmp_path, formats, files):
+    cfg_path = write_config(tmp_path, FULL.replace("formats = csv,json", f"formats = {formats}"))
+    out = tmp_path / "out"
+    assert main(["run", str(cfg_path), "--out", str(out)]) == 0
+    assert sorted(f.name for f in out.iterdir()) == files
+
+
 def test_cli_run_bad_config_exit_2(tmp_path):
     cfg_path = write_config(tmp_path, "[fluid]\np = 3.0\n")
     assert main(["run", str(cfg_path)]) == 2

@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import math
 import re
@@ -556,6 +557,19 @@ def test_csv_wrong_header_rejected(tmp_path):
         TrajectoryRecord.from_csv(path)
 
 
+def test_csv_table_maps_each_column_onto_one_array_field():
+    # the one table the writer, the reader and the run build from: a column
+    # added to the CSV or an array field added to the record alone fails
+    from plsf.galerkin import CSV_FIELDS
+
+    arrays = [f.name for f in dataclasses.fields(TrajectoryRecord) if "ndarray" in str(f.type)]
+    assert arrays == ["times", "energy", "rho", "rho_tilde", "grad_p_norm", "Ip", "d2_p_norm"]
+    assert list(CSV_FIELDS.values()) == arrays
+    assert list(CSV_FIELDS) == ["t", *arrays[1:]]
+    rec = run_trajectory(small_config(record_d2=True, T=0.02, sample_dt=0.01))
+    assert rec.csv_bytes().decode().splitlines()[0] == ",".join(CSV_FIELDS)
+
+
 CSV_HEADER = "t,energy,rho,rho_tilde,grad_p_norm,Ip\n"
 GAP_READ = ("t", "energy", "rho", "rho_tilde")
 
@@ -589,7 +603,9 @@ def test_csv_row_with_another_field_count_is_named(tmp_path, row, columns, first
     path = tmp_path / "traj.csv"
     path.write_text(CSV_HEADER + (first or row) + "\n" + row + "\n")
     at = 2 if first else 1
-    with pytest.raises(ValueError, match=rf"{re.escape(str(path))}: .* at row {at}"):
+    count = row.count(",") + 1
+    with pytest.raises(ValueError, match=rf"{re.escape(str(path))}: {count} field\(s\) "
+                                         rf"under a 6-field header at data row {at}$"):
         TrajectoryRecord.from_csv(path, columns=columns)
 
 
@@ -598,10 +614,26 @@ def test_csv_unread_column_is_width_checked_but_not_parsed(tmp_path):
     path.write_text(CSV_HEADER + "0.0,1.0,2.0,3.0,4.0,n/a\n0.1,1.0,2.0,3.0,4.0,-\n")
     rec = TrajectoryRecord.from_csv(path, columns=GAP_READ)
     assert rec.Ip is None and rec.grad_p_norm is None
-    with pytest.raises(ValueError, match=r"could not convert string 'n/a'"):
+    with pytest.raises(ValueError, match=rf"{re.escape(str(path))}: column Ip holds 'n/a', "
+                                         rf"not a number, at data row 1$"):
         TrajectoryRecord.from_csv(path)
     with pytest.raises(ValueError, match="has no column Ip2"):
         TrajectoryRecord.from_csv(path, columns=("t", "Ip2"))
+
+
+@pytest.mark.parametrize("defect,message", [
+    ("0.1,1.0,2.0,3.0,4.0", "5 field\\(s\\) under a 6-field header"),
+    ("0.1,1.0,1_0,3.0,4.0,5.0", "column rho holds '1_0', not a number,"),
+    ("0.1,1.0,nan,3.0,4.0,5.0", "column rho holds nan"),
+], ids=["field-count", "non-number", "non-finite"])
+def test_csv_defects_on_one_line_name_one_row(tmp_path, defect, message):
+    # the comment and the empty line are no data rows, for numpy's reader
+    # and for every error alike; 1_0, which float() reads, numpy does not
+    path = tmp_path / "traj.csv"
+    path.write_text(CSV_HEADER + "0.0,1.0,2.0,3.0,4.0,5.0\n# a note\n\n" + defect
+                    + "\n0.2,1.0,2.0,3.0,4.0,5.0\n")
+    with pytest.raises(ValueError, match=rf"{re.escape(str(path))}: {message} at data row 2$"):
+        TrajectoryRecord.from_csv(path)
 
 
 @pytest.mark.parametrize("column", ["t", "energy", "rho", "rho_tilde", "grad_p_norm"])

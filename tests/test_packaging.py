@@ -285,23 +285,26 @@ def test_no_unread_public_members_in_src():
 
 
 def test_constructors_take_only_what_callers_set():
-    # every settable value of these four is one that a caller sets; the
+    # every settable value of these five is one that a caller sets; the
     # controller's counters and the estimate's results are fields the code
-    # fills, and the safety factor, the convergence tolerance and the
-    # amplitude spread are module constants
+    # fills, the safety factor, the convergence tolerance and the amplitude
+    # spread are module constants, and no synthesized field is validated
     import inspect
 
+    from plsf.basis import StokesBasis
     from plsf.galerkin import StepController
     from plsf.gap import GapEstimate, converged_times_mask
     from plsf.inequalities import ensemble_fields
 
     settable = {f.__name__: list(inspect.signature(f).parameters) for f in (
-        StepController, GapEstimate, converged_times_mask, ensemble_fields)}
+        StepController, GapEstimate, converged_times_mask, ensemble_fields,
+        StokesBasis.synthesize)}
     assert settable == {
         "StepController": ["rtol", "atol", "dt_min", "dt", "err_prev"],
         "GapEstimate": ["s", "t", "gamma", "alphas"],
         "converged_times_mask": ["records"],
         "ensemble_fields": ["dim", "M", "L", "band", "decay", "seed", "count",
                             "amplitude", "dealias"],
+        "synthesize": ["self", "c"],
     }
-    assert sum(map(len, settable.values())) == 19
+    assert sum(map(len, settable.values())) == 21
